@@ -60,13 +60,16 @@
 // baseline, data sources, metrics, versioned HTTP front-end), runnable
 // binaries under cmd/, and runnable examples under examples/ — all the
 // examples use only this public package. The benchmarks in bench_test.go
-// regenerate every evaluation artifact of the paper; see DESIGN.md.
+// regenerate every evaluation artifact of the paper (see DESIGN.md §4);
+// performance is measured by the bench/ module.
 //
-// The engine core is sharded and concurrent: the pair space is partitioned
-// by hash across shards, ingest fans candidate pairs out to per-shard
-// locked trackers, and every evaluation tick scores all shards in parallel
-// before a deterministic top-k merge. Rankings are bit-identical for every
-// shard count, so sharding is purely a throughput knob; see DESIGN.md §3.
+// The engine core is sharded: the pair space is partitioned by hash across
+// per-shard locked trackers, there is one ingest path (Consume is
+// ConsumeBatch over a batch of one; concurrent producers are safe and
+// serialise on the engine's bookkeeping lock), and every evaluation tick
+// scores all shards in parallel before a deterministic top-k merge.
+// Rankings are bit-identical for every shard count and however the stream
+// is cut into batches; see DESIGN.md §3 and §8.
 // The subscription broker and the versioned /v1 wire contract are
 // documented in DESIGN.md §5.
 package enblogue

@@ -156,14 +156,17 @@ func New(opts ...Option) *Engine {
 	return &Engine{core: core.New(cfg)}
 }
 
-// Consume feeds one tuple through the engine, firing evaluation ticks as
-// event time passes tick boundaries. Safe for concurrent producers.
+// Consume feeds one tuple through the engine: a ConsumeBatch of one. Safe
+// for concurrent producers, which serialise on the engine's bookkeeping
+// lock for the whole document.
 func (e *Engine) Consume(it *Item) { e.core.Consume(it) }
 
-// ConsumeBatch feeds a run of tuples through the engine, paying the
-// engine's bookkeeping lock once per batch and each pair-tracker shard
-// lock once per batch chunk. Rankings are bit-identical to calling Consume
-// on each item in order. Safe for concurrent producers.
+// ConsumeBatch feeds a run of tuples through the engine — the one ingest
+// path — firing evaluation ticks as event time passes tick boundaries. It
+// pays the engine's bookkeeping lock once per batch and each pair-tracker
+// shard lock once per batch chunk. Rankings do not depend on how a stream
+// is cut into batches. Safe for concurrent producers, which serialise on
+// the bookkeeping lock for the whole batch.
 func (e *Engine) ConsumeBatch(items []*Item) { e.core.ConsumeBatch(items) }
 
 // Enqueue appends one tuple to the engine's bounded ingest queue and
@@ -190,8 +193,7 @@ func (e *Engine) IngestDropped() int64 { return e.core.IngestDropped() }
 // Items are fed through the batched consume path in source order — emitted
 // items accumulate into runs of up to the configured ingest batch size
 // (WithIngestMaxBatch) and each run is consumed in one ConsumeBatch call,
-// so rankings are bit-identical to per-item Consume while the engine pays
-// its locks per batch instead of per document.
+// so the engine pays its locks per batch instead of per document.
 func (e *Engine) Run(ctx context.Context, src Source) error {
 	batch := make([]*Item, 0, e.core.Config().IngestMaxBatch)
 	flush := func() {

@@ -155,7 +155,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	//    personalized view, and the range-query endpoint.
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/ranking")
+	resp, err := http.Get(ts.URL + "/v1/rankings")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Errorf("traveller view missing event: %+v", view.Profiles["traveller"])
 	}
 
-	resp, err = http.Get(ts.URL + "/history?k=3")
+	resp, err = http.Get(ts.URL + "/v1/rankings/history?k=3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,8 @@ func (b *B) SendWhileCollecting() {
 	b.imu.Unlock()
 }
 
-// P mirrors the durability hierarchy (persistSnap 5 < persist 7 <
-// engine 10 < wal 15).
+// P is lockgood's durability-shaped hierarchy (persistSnap 5 < persist 7
+// < engine 10 < wal 15).
 type P struct {
 	//enblogue:lock persistSnap 5
 	snapMu sync.Mutex

@@ -94,11 +94,11 @@ func (b *B) Dispatch() {
 	b.mu.Unlock()
 }
 
-// P mirrors the durability hierarchy introduced with the persistence
-// layer: the store's snapshot mutex is outermost in the whole process
-// (class 5), the engine's ingest gate (persist 7) and bookkeeping lock
-// (engine 10) nest inside it, and the WAL lock (wal 15) is innermost —
-// rotation happens inside the snapshot gate. The snapshot writer descends
+// P is a durability-shaped hierarchy with a reader/writer gate in it: the
+// store's snapshot mutex is outermost in the whole process (class 5), an
+// ingest gate (persist 7; the engine itself no longer needs one) and the
+// bookkeeping lock (engine 10) nest inside it, and the WAL lock (wal 15)
+// is innermost — rotation happens inside the snapshot gate. The snapshot writer descends
 // into the engine; nothing under an engine lock ever reaches back up.
 type P struct {
 	//enblogue:lock persistSnap 5

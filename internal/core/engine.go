@@ -9,10 +9,11 @@
 //
 // The engine core is sharded: the pair space is partitioned by hash(Key) %
 // Shards, each shard owning its slice of the co-occurrence counters and of
-// the detector state behind its own lock. Consume fans a document's
-// candidate pairs out to shards, and every evaluation tick scores all
-// shards in parallel — one worker per shard — before merging the per-shard
-// top-k partial rankings deterministically. Rankings are bit-identical for
+// the detector state behind its own lock. ConsumeBatch — the one ingest
+// path; Consume is a batch of one — groups a run of documents' candidate
+// pairs by shard, and every evaluation tick scores all shards in parallel
+// — one worker per shard — before merging the per-shard top-k partial
+// rankings deterministically. Rankings are bit-identical for
 // every shard count on a sequentially consumed stream; see DESIGN.md for
 // the argument. All exported Engine methods are safe for concurrent use.
 package core
@@ -269,26 +270,16 @@ type Engine struct {
 	// LastEventTime is callable from anywhere.
 	lastSeenNano atomic.Int64
 
-	// gate quiesces ingest for state exports: Consume/ConsumeBatch hold it
-	// shared across a whole document — bookkeeping AND the pair observation
-	// that happens after mu is released — while SnapshotState holds it
-	// exclusively, so a snapshot never catches a document counted in docs
-	// but not yet applied to the pair trackers. It is the outermost engine
-	// lock and uncontended (shared) in steady state.
-	//
-	//enblogue:lock persist 7
-	gate sync.RWMutex
-
 	// wal and dur are the durability attachments (nil when Durability.Dir
 	// is unset), assigned once during New — after recovery replay, so
 	// replayed documents are not re-logged — and immutable afterwards.
 	wal WALRecorder
 	dur Durability
 
-	// mu serialises stream bookkeeping (event clock, tick boundaries, tag
-	// statistics) and evaluation ticks against each other. Pair tracking
-	// itself happens outside mu under the per-shard tracker locks, so
-	// concurrent producers contend only on the shards they touch.
+	// mu serialises ingest (event clock, tick boundaries, tag statistics,
+	// the WAL record and the pair observation of every document),
+	// evaluation ticks and state exports against each other, so an export
+	// never sees a half-applied document.
 	//
 	//enblogue:lock engine 10
 	mu       sync.Mutex
@@ -496,105 +487,53 @@ func (e *Engine) itemTags(it *stream.Item) []string {
 	return it.AllTags()
 }
 
-// Consume implements stream.Sink: it feeds one tuple through seed
-// statistics and pair tracking, firing evaluation ticks as event time
-// passes tick boundaries. Safe for concurrent use; concurrent producers
-// serialise on the bookkeeping lock but fan pair updates out to the
-// tracker shards in parallel.
+// Consume implements stream.Sink: it feeds one tuple through the engine as
+// a ConsumeBatch of one, so there is a single ingest path. Safe for
+// concurrent use; concurrent producers serialise on the bookkeeping lock for
+// the whole document, pair observation included.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:hotpath
 func (e *Engine) Consume(it *stream.Item) {
 	if it == nil {
 		return
 	}
-	t := it.Time
-	tags := e.itemTags(it)
-
-	// Held shared across the whole document — including the pair
-	// observation below, outside mu — so state exports (which take it
-	// exclusively) never see a half-applied document.
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-
-	e.mu.Lock()
-	if t.After(e.LastEventTime()) {
-		e.lastSeenNano.Store(t.UnixNano())
-	}
-
-	// Fire any ticks the stream has moved past. A pathological time jump
-	// (archive gap) fast-forwards rather than replaying empty ticks.
-	if e.nextTick.IsZero() {
-		e.nextTick = t.Add(e.cfg.TickEvery)
-	}
-	if gap := t.Sub(e.nextTick); gap > 100*e.cfg.TickEvery {
-		e.tickLocked(e.nextTick)
-		e.nextTick = t.Add(e.cfg.TickEvery)
-	}
-	for !e.nextTick.After(t) {
-		e.tickLocked(e.nextTick)
-		e.nextTick = e.nextTick.Add(e.cfg.TickEvery)
-	}
-
-	e.tags.Observe(t, tags)
-	docs := e.docs.Add(1)
-	if e.wal != nil {
-		// The raw item is logged (pre-itemTags), so replay re-derives entity
-		// tags identically instead of trusting a stale derivation.
-		e.wal.RecordDoc(docs, it)
-	}
-
-	// Bootstrap the seed set once enough documents have arrived, so pair
-	// tracking starts before the first tick.
-	if len(e.seeds.Seeds()) == 0 && docs >= int64(e.cfg.SeedWarmupDocs) {
-		e.seeds.Reselect(e.tags)
-	}
-	isSeed := e.seeds.Func()
-	e.mu.Unlock()
-
-	// Pair tracking runs outside the bookkeeping lock: the sharded tracker
-	// locks only the shards this document's candidate pairs hash to.
-	e.pairsTr.Observe(t, tags, isSeed)
-	if e.dist != nil {
-		e.dist.Observe(t, tags)
-	}
+	one := [1]*stream.Item{it}
+	e.ConsumeBatch(one[:])
 }
 
-// ConsumeBatch feeds a run of items through the engine with rankings
-// bit-identical to calling Consume on each item in order, paying the
-// bookkeeping lock once per batch and each tracker-shard lock once per
-// pair-batch chunk instead of once per document.
+// ConsumeBatch is the engine's one ingest path: it feeds a run of items
+// through seed statistics and pair tracking, firing evaluation ticks as
+// event time passes tick boundaries, and pays the bookkeeping lock once per
+// batch and each tracker-shard lock once per pair-batch chunk.
 //
-// The batch is processed as segments delimited by the events that change
-// per-document state in the serial path: an evaluation tick or a seed
-// reselection. Documents accumulate as pending pair observations; before
-// any tick fires (ticks snapshot pair counters) and before any seed
-// reselection (reselection changes the candidate predicate for documents
-// observed after it), the pending run is flushed through
-// pairs.ShardedTracker.ObserveBatch with the predicate that was current
-// when those documents arrived — exactly the predicate the serial path
-// would have used, since it only changes at those same two events. Within
-// a segment the serial path's only per-document pair-tracker coupling is
-// sweep timing, which ObserveBatch reproduces exactly (see its equivalence
-// argument).
+// Rankings are invariant under how a stream is cut into batches, batches of
+// one included. The batch is processed as segments delimited by the two
+// events that change what a pair observation means: an evaluation tick
+// (ticks snapshot pair counters) and a seed reselection (it changes the
+// candidate predicate for documents observed after it). Documents
+// accumulate as pending pair observations and are flushed through
+// pairs.ShardedTracker.ObserveBatch before either event, under the
+// predicate that was current when they arrived — so every document is
+// observed under the same predicate, and every tick sees the same counters,
+// wherever the batch boundaries fall. Within a segment the only
+// per-document coupling is sweep timing, which ObserveBatch fixes per
+// document count, not per call (see its doc comment).
 //
-// Safe for concurrent use with every other engine method; determinism is
-// promised for a sequentially fed stream, as with Consume.
+// Safe for concurrent use with every other engine method; callers serialise
+// on the bookkeeping lock for the whole batch, pair observation included.
+// Determinism is promised for a sequentially fed stream.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:hotpath
 func (e *Engine) ConsumeBatch(items []*stream.Item) {
 	if len(items) == 0 {
 		return
 	}
-	e.gate.RLock()
-	defer e.gate.RUnlock()
 	e.mu.Lock()
 	pend := e.batchDocs[:0]
 	isSeed := e.seeds.Func()
-	//enblogue:alloc-ok one closure per ConsumeBatch call, amortised over the whole batch; BenchmarkConsumeBatchAllocs pins the per-item count
+	//enblogue:alloc-ok one closure per ConsumeBatch call, amortised over the whole batch; TestConsumeBatchSteadyStateAllocs pins the per-item count
 	flush := func() {
 		if len(pend) == 0 {
 			return
@@ -616,6 +555,8 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 		if t.After(e.LastEventTime()) {
 			e.lastSeenNano.Store(t.UnixNano())
 		}
+		// Fire any ticks the stream has moved past. A pathological time jump
+		// (archive gap) fast-forwards rather than replaying empty ticks.
 		if e.nextTick.IsZero() {
 			e.nextTick = t.Add(e.cfg.TickEvery)
 		}
@@ -635,13 +576,15 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 		e.tags.Observe(t, tags)
 		docs := e.docs.Add(1)
 		if e.wal != nil {
+			// The raw item is logged (pre-itemTags), so replay re-derives entity
+			// tags identically instead of trusting a stale derivation.
 			e.wal.RecordDoc(docs, it)
 		}
 		if len(e.seeds.Seeds()) == 0 && docs >= int64(e.cfg.SeedWarmupDocs) {
-			// The bootstrap reselection happens between this document's
-			// bookkeeping and its pair observation, exactly as in Consume:
-			// earlier documents flush under the old predicate, this one is
-			// observed under the new.
+			// Bootstrap the seed set once enough documents have arrived, so
+			// pair tracking starts before the first tick. Earlier documents
+			// flush under the old predicate; this one is observed under the
+			// new.
 			flush()
 			e.seeds.Reselect(e.tags)
 			isSeed = e.seeds.Func()

@@ -77,11 +77,11 @@ func TestEngineWideTagSets(t *testing.T) {
 	}
 }
 
-// The engine behind an AsyncStage must be race-free against CurrentRanking
-// readers (run with -race).
-func TestEngineBehindAsyncStage(t *testing.T) {
+// The engine behind its ingest queue must be race-free against
+// CurrentRanking readers (run with -race).
+func TestEngineBehindIngestQueue(t *testing.T) {
 	e := New(testConfig())
-	stage := stream.NewAsyncStage(e, 64)
+	defer e.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -90,19 +90,19 @@ func TestEngineBehindAsyncStage(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		stage.Consume(&stream.Item{
+		e.Enqueue(&stream.Item{
 			Time:  t0.Add(time.Duration(i) * time.Minute),
 			DocID: fmt.Sprintf("a%d", i),
 			Tags:  []string{"x", fmt.Sprintf("y%d", i%7)},
 		})
 	}
-	stage.Close()
+	e.Flush()
 	<-done
 	if e.DocsProcessed() != 2000 {
 		t.Errorf("DocsProcessed = %d", e.DocsProcessed())
 	}
 	if e.CurrentRanking().At.IsZero() {
-		t.Error("flush through AsyncStage did not tick")
+		t.Error("Flush behind the ingest queue did not tick")
 	}
 }
 

@@ -35,9 +35,9 @@ type EngineState struct {
 	Last  Ranking  // most recent published ranking
 }
 
-// exportStateLocked gathers the full engine state. Caller holds e.gate
-// (write) and e.mu, so no producer is mid-document: docs, tag statistics,
-// pair counters, and the WAL position all agree.
+// exportStateLocked gathers the full engine state. Caller holds e.mu, which
+// ingest holds across a whole batch, so no producer is mid-document: docs,
+// tag statistics, pair counters, and the WAL position all agree.
 //
 //enblogue:requires engine
 //enblogue:acquires rank
@@ -67,11 +67,8 @@ func (e *Engine) exportStateLocked() EngineState {
 // ExportState returns the engine's full state, quiescing ingest for the
 // duration of the in-memory export.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 func (e *Engine) ExportState() EngineState {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.exportStateLocked()
@@ -84,11 +81,8 @@ func (e *Engine) ExportState() EngineState {
 // the epoch is in the new segment and only there. Encoding and file I/O
 // belong outside this call.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, error) {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.exportStateLocked()
@@ -106,12 +100,9 @@ func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, err
 // enforces this with a config fingerprint — while shard count and ingest
 // tuning are free to differ.
 //
-//enblogue:acquires persist
 //enblogue:acquires engine
 //enblogue:acquires rank
 func (e *Engine) RestoreState(st EngineState) error {
-	e.gate.Lock()
-	defer e.gate.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.docs.Load() != 0 || e.lastSeenNano.Load() != 0 || !e.nextTick.IsZero() {

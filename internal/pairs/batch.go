@@ -7,9 +7,8 @@ import (
 	"enblogue/internal/intern"
 )
 
-// BatchDoc is one document in a batched observation: its event time and tag
-// set. The batch ingest path hands the tracker a run of documents at once so
-// each shard lock is taken once per chunk instead of once per document.
+// BatchDoc is one document of an observation batch: its event time and tag
+// set.
 type BatchDoc struct {
 	Time time.Time
 	Tags []string
@@ -44,34 +43,32 @@ func getBatchScratch(n int) *batchScratch {
 	return sc
 }
 
-// ObserveBatch records a run of documents, in order, with semantics
-// identical to calling Observe(d.Time, d.Tags, isSeed) for each d — same
-// pairs, same counts, same sweep and eviction timing — while taking each
-// shard lock once per chunk instead of once per document.
+// ObserveBatch is the tracker's only ingest routine (one document is a batch
+// of one). For each document, in order, it deduplicates and interns the
+// tags, generates the candidate pairs (those with at least one tag
+// satisfying isSeed; nil isSeed tracks all pairs) and increments their
+// counters, taking each shard lock once per chunk. Safe for concurrent use.
 //
-// Equivalence argument. The only per-document coupling in Observe is the
-// sweep trigger: after every document, a sweep fires if sinceGC ≥
-// SweepEvery or npairs > MaxPairs, and sweep timing is observable (eviction
-// destroys windowed history). ObserveBatch therefore cuts the batch into
-// chunks such that no trigger could fire strictly inside a chunk:
+// Batch-cut invariance. The state after a document sequence does not depend
+// on how the sequence was cut into calls, and equals what the serial
+// reference Tracker — which checks its sweep trigger after every document —
+// holds (TestObserveBatchMatchesSerial). Sweep timing is the only coupling
+// between documents, and it is observable (eviction destroys windowed
+// history), so a chunk ends wherever a trigger could fire:
 //
 //   - sinceGC: a chunk admits at most SweepEvery − sinceGC documents, so
-//     the count trigger can only be reached at the chunk boundary — exactly
-//     where the serial path would check it.
+//     the count trigger is reached exactly at a chunk boundary.
 //   - npairs: a chunk admits documents while the worst-case new-pair total
-//     (the sum of admitted documents' candidate-pair counts) fits in
-//     MaxPairs − npairs, so no prefix of the chunk can push npairs over
-//     budget. A single document too large for the remaining headroom forms
-//     a chunk of one, which is literally the serial step.
+//     (the sum of their candidate-pair counts) fits in MaxPairs − npairs,
+//     so no prefix of it can go over budget. A document too large for the
+//     remaining headroom forms a chunk of one.
 //
-// Within a chunk, increments commute: each (pair, bucket) increment is
-// applied exactly once and counter reads happen only at sweep time or
-// later, so grouping increments by shard changes no observable state. The
-// tracker clock is lifted to the chunk's newest timestamp before the
-// post-chunk sweep check, matching the serial clock at the same point.
-// Documents are prepared (deduplicated, interned, seed-tested) in document
-// order, so interned-ID assignment — and therefore shard placement — is
-// also identical to the serial path.
+// Within a chunk increments commute: each (pair, bucket) increment is
+// applied once and counters are read only at sweep time or later, so
+// grouping by shard changes nothing observable. The clock is lifted to the
+// chunk's newest timestamp before the post-chunk sweep check. Documents are
+// prepared in document order, so interned-ID assignment — and therefore
+// shard placement — does not depend on the cut either.
 //
 //enblogue:acquires pairsShard
 //enblogue:acquires pairsSweep
@@ -167,7 +164,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 			}
 		}
 
-		// The serial path's post-document check, at the chunk boundary.
+		// The per-document sweep check, at the chunk boundary.
 		tr.sinceGC.Add(int64(j - i))
 		if tr.sweepDue() {
 			tr.sweepMu.Lock()

@@ -18,18 +18,6 @@ func batchDocsFrom(stream [][]string) []BatchDoc {
 	return docs
 }
 
-// trackerState flattens a sharded tracker into a comparable form: every
-// tracked pair with its windowed co-occurrence as of the tracker clock.
-func trackerState(tr *ShardedTracker) map[Key]float64 {
-	out := make(map[Key]float64)
-	for i := 0; i < tr.Shards(); i++ {
-		for _, pc := range tr.Snapshot(i) {
-			out[pc.Key] = pc.Count
-		}
-	}
-	return out
-}
-
 // seedEven marks half the vocabulary as seeds so candidate generation
 // exercises both accepted and rejected pairs.
 func seedEven(tag string) bool {
@@ -38,104 +26,79 @@ func seedEven(tag string) bool {
 	return n%2 == 0
 }
 
-// TestObserveBatchMatchesSerial pins the tracker half of the batched
-// determinism contract: for every shard count and batch size — batch
-// boundaries chosen to split documents arbitrarily — feeding the stream
-// through ObserveBatch leaves the tracker with exactly the pairs and
-// windowed counts that per-document Observe produces, including the sweep
-// schedule (sweeps are document-count driven and ObserveBatch replays the
-// count document by document).
-func TestObserveBatchMatchesSerial(t *testing.T) {
-	stream := randomStream(42, 3000, 60, 4)
-	docs := batchDocsFrom(stream)
+// checkBatchesMatchReference feeds docs to the serial reference Tracker one
+// document at a time and to a ShardedTracker in batches of every listed
+// size, for every listed shard count, and requires the same tracked pairs
+// with the same windowed counts and per-bucket series. The reference shares
+// no ingest code with ObserveBatch: one map, no locks, no shards, no
+// chunking, its sweep trigger checked after every document.
+func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc) {
+	ref := NewTracker(cfg)
+	for _, d := range docs {
+		ref.Observe(d.Time, d.Tags, seedEven)
+	}
+	want := sortedKeys(ref.Keys())
+	if len(want) == 0 {
+		t.Fatal("reference tracker tracked no pairs; workload too small")
+	}
 	for _, shards := range []int{1, 4, 8} {
-		cfg := Config{Shards: shards, SweepEvery: 256}
-		serial := NewShardedTracker(cfg)
-		for _, d := range docs {
-			serial.Observe(d.Time, d.Tags, seedEven)
-		}
-		want := trackerState(serial)
-		if len(want) == 0 {
-			t.Fatal("serial tracker tracked no pairs; workload too small")
-		}
 		for _, batch := range []int{1, 7, 64, 4096} {
 			t.Run(fmt.Sprintf("shards-%d/batch-%d", shards, batch), func(t *testing.T) {
-				tr := NewShardedTracker(cfg)
+				c := cfg
+				c.Shards = shards
+				tr := NewShardedTracker(c)
 				for lo := 0; lo < len(docs); lo += batch {
-					hi := lo + batch
-					if hi > len(docs) {
-						hi = len(docs)
-					}
-					tr.ObserveBatch(docs[lo:hi], seedEven)
+					tr.ObserveBatch(docs[lo:min(lo+batch, len(docs))], seedEven)
 				}
-				if got := trackerState(tr); !reflect.DeepEqual(got, want) {
-					t.Fatalf("batched state diverges: %d pairs vs %d serial", len(got), len(want))
+				if got := tr.ActivePairs(); got != ref.ActivePairs() {
+					t.Errorf("ActivePairs = %d, reference %d", got, ref.ActivePairs())
 				}
-				if got, wantN := tr.ActivePairs(), serial.ActivePairs(); got != wantN {
-					t.Errorf("ActivePairs = %d, want %d", got, wantN)
-				}
-			})
-		}
-	}
-}
-
-// TestObserveBatchMatchesSerialUnderEviction repeats the equivalence check
-// with a pair budget far below the stream's pair cardinality, so sweeps
-// evict continuously: eviction order (smallest windowed count first, ties
-// broken deterministically) must be reproduced exactly, since which pairs
-// survive feeds directly into which topics can emerge.
-func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
-	stream := randomStream(7, 4000, 120, 5)
-	docs := batchDocsFrom(stream)
-	for _, shards := range []int{1, 4} {
-		cfg := Config{Shards: shards, MaxPairs: 150, SweepEvery: 128}
-		serial := NewShardedTracker(cfg)
-		for _, d := range docs {
-			serial.Observe(d.Time, d.Tags, seedEven)
-		}
-		want := trackerState(serial)
-		for _, batch := range []int{3, 64, 1000} {
-			t.Run(fmt.Sprintf("shards-%d/batch-%d", shards, batch), func(t *testing.T) {
-				tr := NewShardedTracker(cfg)
-				for lo := 0; lo < len(docs); lo += batch {
-					hi := lo + batch
-					if hi > len(docs) {
-						hi = len(docs)
-					}
-					tr.ObserveBatch(docs[lo:hi], seedEven)
-				}
-				got := trackerState(tr)
+				got := sortedKeys(tr.Keys())
 				if !reflect.DeepEqual(got, want) {
-					var missing, extra []Key
-					for k := range want {
-						if _, ok := got[k]; !ok {
-							missing = append(missing, k)
-						}
+					t.Fatalf("tracked pairs diverge: %d vs %d in the reference", len(got), len(want))
+				}
+				for _, k := range want {
+					if g, w := tr.Cooccurrence(k), ref.Cooccurrence(k); g != w {
+						t.Errorf("%v: windowed count %v, reference %v", k, g, w)
 					}
-					for k := range got {
-						if _, ok := want[k]; !ok {
-							extra = append(extra, k)
-						}
+					if g, w := tr.Series(k), ref.Series(k); !reflect.DeepEqual(g, w) {
+						t.Errorf("%v: series %v, reference %v", k, g, w)
 					}
-					t.Fatalf("eviction diverges: %d missing, %d extra of %d serial pairs",
-						len(missing), len(extra), len(want))
 				}
 			})
 		}
 	}
 }
 
-// TestDistTrackerObserveBatchMatchesSerial pins the distribution-mode
-// equivalent: batched observation must leave identical per-tag co-tag
-// distributions, since those distributions are the correlation signal in
-// distribution mode.
-func TestDistTrackerObserveBatchMatchesSerial(t *testing.T) {
+// TestObserveBatchMatchesSerial pins batch-cut invariance against the
+// serial reference, including the sweep schedule (sweeps are document-count
+// driven, and ObserveBatch ends a chunk wherever one could fire).
+func TestObserveBatchMatchesSerial(t *testing.T) {
+	docs := batchDocsFrom(randomStream(42, 3000, 60, 4))
+	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs)
+}
+
+// TestObserveBatchMatchesSerialUnderEviction repeats the check with a pair
+// budget far below the stream's pair cardinality, so sweeps evict
+// continuously: the survivors (smallest windowed count evicted first, ties
+// broken deterministically) must be the reference's, since which pairs
+// survive decides which topics can emerge.
+func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
+	docs := batchDocsFrom(randomStream(7, 4000, 120, 5))
+	checkBatchesMatchReference(t, Config{MaxPairs: 150, SweepEvery: 128}, docs)
+}
+
+// TestDistTrackerObserveBatchCutInvariant pins the distribution-mode
+// equivalent: batches of one and batches of 64 must leave identical per-tag
+// co-tag distributions, since those distributions are the correlation
+// signal in distribution mode.
+func TestDistTrackerObserveBatchCutInvariant(t *testing.T) {
 	stream := randomStream(13, 1500, 40, 4)
 	docs := batchDocsFrom(stream)
 	cfg := Config{}
 	serial := NewDistTracker(cfg)
 	for _, d := range docs {
-		serial.Observe(d.Time, d.Tags)
+		serial.observe(d.Time, d.Tags)
 	}
 	batched := NewDistTracker(cfg)
 	for lo := 0; lo < len(docs); lo += 64 {

@@ -414,9 +414,9 @@ func TestDistTracker(t *testing.T) {
 	// a and b share identical co-tag usage {x}; c co-occurs only with y.
 	for i := 0; i < 5; i++ {
 		ts := t0.Add(time.Duration(i) * time.Minute)
-		dt.Observe(ts, []string{"a", "x"})
-		dt.Observe(ts, []string{"b", "x"})
-		dt.Observe(ts, []string{"c", "y"})
+		dt.observe(ts, []string{"a", "x"})
+		dt.observe(ts, []string{"b", "x"})
+		dt.observe(ts, []string{"c", "y"})
 	}
 	simAB := dt.Similarity("a", "b")
 	simAC := dt.Similarity("a", "c")
@@ -437,9 +437,9 @@ func TestDistTracker(t *testing.T) {
 
 func TestDistTrackerSweep(t *testing.T) {
 	dt := NewDistTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 3})
-	dt.Observe(t0, []string{"a", "b"})
+	dt.observe(t0, []string{"a", "b"})
 	for i := 0; i < 4; i++ {
-		dt.Observe(t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"x", "y"})
+		dt.observe(t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"x", "y"})
 	}
 	if dt.Distribution("a") != nil && len(dt.Distribution("a")) > 0 {
 		t.Error("stale distribution not evicted")

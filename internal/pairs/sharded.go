@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"enblogue/internal/intern"
 	"enblogue/internal/tier"
 	"enblogue/internal/window"
 )
@@ -57,10 +56,10 @@ type trackerShard struct {
 
 // ShardedTracker is the concurrent counterpart of Tracker: the pair space is
 // partitioned by hash(Key) % Shards, each shard guarded by its own lock.
-// Observe groups a document's candidate pairs by shard and takes each shard
-// lock once; readers (Cooccurrence, Snapshot, Keys) lock only the shards
-// they touch, so ingest and evaluation proceed in parallel on disjoint
-// shards.
+// ObserveBatch — the only ingest routine — groups a run of documents'
+// candidate pairs by shard and takes each shard lock once per chunk;
+// readers (Cooccurrence, Snapshot, Keys) lock only the shards they touch,
+// so ingest and evaluation proceed in parallel on disjoint shards.
 //
 // Semantics are shard-count independent for a sequentially observed stream:
 // sweeps trigger on the same global document counts as the serial Tracker,
@@ -74,7 +73,7 @@ type ShardedTracker struct {
 	shards  []*trackerShard
 	npairs  atomic.Int64 // total tracked pairs across shards
 	nowNano atomic.Int64 // max observed event time, unix nanos
-	sinceGC atomic.Int64 // Observe calls since the last sweep
+	sinceGC atomic.Int64 // documents observed since the last sweep
 	// sweepMu serialises whole-tracker sweeps. It is taken before any
 	// shard lock (sweepLocked walks the shards under it), never after.
 	//
@@ -140,7 +139,7 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 }
 
 // SetOnEvict installs the eviction observer; see the field doc. Must be
-// set before the first Observe.
+// set before the first ObserveBatch.
 func (tr *ShardedTracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
 
 // TailEnabled reports whether the cold tier is active.
@@ -169,12 +168,8 @@ func (tr *ShardedTracker) now() time.Time {
 	return time.Unix(0, n)
 }
 
-// advanceNow lifts the global clock to t if t is newer.
-func (tr *ShardedTracker) advanceNow(t time.Time) {
-	tr.advanceNowNano(t.UnixNano())
-}
-
-// advanceNowNano is advanceNow on a pre-converted unix-nano timestamp.
+// advanceNowNano lifts the global clock to unix-nano timestamp n if n is
+// newer.
 func (tr *ShardedTracker) advanceNowNano(n int64) {
 	for {
 		cur := tr.nowNano.Load()
@@ -187,119 +182,9 @@ func (tr *ShardedTracker) advanceNowNano(n int64) {
 	}
 }
 
-// observeScratch carries one Observe call's per-document working set —
-// interned IDs, seed flags, and the per-shard key groups — so the steady
-// state allocates nothing. Pooled because Observe is safe for concurrent
-// producers.
-type observeScratch struct {
-	ids     []uint32
-	seed    []bool
-	byShard [][]Key
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(observeScratch) }}
-
-// getScratch returns a scratch with at least n empty per-shard groups.
-func getScratch(n int) *observeScratch {
-	sc := scratchPool.Get().(*observeScratch)
-	for len(sc.byShard) < n {
-		sc.byShard = append(sc.byShard, nil)
-	}
-	return sc
-}
-
-// Observe records one document's tag set at time t, incrementing the
-// co-occurrence count of every candidate pair (pairs with at least one tag
-// satisfying isSeed; nil isSeed tracks all pairs). Safe for concurrent use;
-// concurrent observers contend only on the shards their pairs hash to, and
-// each shard lock is taken at most once per document.
-//
-//enblogue:acquires pairsShard
-//enblogue:acquires pairsSweep
-//enblogue:acquires tier
-//enblogue:hotpath
-func (tr *ShardedTracker) Observe(t time.Time, tags []string, isSeed func(string) bool) {
-	tr.advanceNow(t)
-	if len(tags) >= 2 {
-		uniq := dedupTags(tags)
-		sc := getScratch(len(tr.shards))
-		sc.ids = sc.ids[:0]
-		sc.seed = sc.seed[:0]
-		for _, tag := range uniq {
-			sc.ids = append(sc.ids, intern.Intern(tag))
-			if isSeed != nil {
-				sc.seed = append(sc.seed, isSeed(tag))
-			}
-		}
-		if len(tr.shards) == 1 {
-			// Serial-reference fast path: one lock, counters updated
-			// inline, no grouping.
-			sh := tr.shards[0]
-			sh.mu.Lock()
-			for i := 0; i < len(sc.ids); i++ {
-				for j := i + 1; j < len(sc.ids); j++ {
-					if isSeed != nil && !sc.seed[i] && !sc.seed[j] {
-						continue
-					}
-					tr.incLocked(sh, KeyFromIDs(sc.ids[i], sc.ids[j]), t)
-				}
-			}
-			sh.mu.Unlock()
-		} else {
-			// Group this document's candidate pairs by shard so each shard
-			// lock is taken at most once per document.
-			n := len(tr.shards)
-			for i := 0; i < len(sc.ids); i++ {
-				for j := i + 1; j < len(sc.ids); j++ {
-					if isSeed != nil && !sc.seed[i] && !sc.seed[j] {
-						continue
-					}
-					k := KeyFromIDs(sc.ids[i], sc.ids[j])
-					s := k.Shard(n)
-					sc.byShard[s] = append(sc.byShard[s], k)
-				}
-			}
-			for s, keys := range sc.byShard[:n] {
-				if len(keys) == 0 {
-					continue
-				}
-				sh := tr.shards[s]
-				sh.mu.Lock()
-				for _, k := range keys {
-					tr.incLocked(sh, k, t)
-				}
-				sh.mu.Unlock()
-				sc.byShard[s] = keys[:0]
-			}
-		}
-		scratchPool.Put(sc)
-	}
-	// Sweep on the same global triggers as the serial Tracker: every
-	// SweepEvery observed documents, or immediately when over budget.
-	tr.sinceGC.Add(1)
-	if tr.sweepDue() {
-		tr.sweepMu.Lock()
-		// Re-check after acquiring the lock: a concurrent producer that
-		// crossed the threshold at the same time may have already swept.
-		if tr.sweepDue() {
-			tr.sweepLocked()
-		}
-		tr.sweepMu.Unlock()
-	}
-}
-
-// incLocked upserts pair k's counter slot in sh and records the event at
-// time t. The caller must hold sh.mu.
-//
-//enblogue:requires pairsShard
-//enblogue:hotpath
-func (tr *ShardedTracker) incLocked(sh *trackerShard, k Key, t time.Time) {
-	tr.incLockedAbs(sh, k, sh.arena.BucketIndex(t))
-}
-
-// incLockedAbs is incLocked with the event time pre-converted to an
-// absolute bucket index — the batch path converts once per document. The
-// caller must hold sh.mu.
+// incLockedAbs upserts pair k's counter slot in sh and records one event in
+// the absolute window bucket abs (ObserveBatch converts a document's time
+// once). The caller must hold sh.mu.
 //
 //enblogue:requires pairsShard
 //enblogue:hotpath

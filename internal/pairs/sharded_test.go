@@ -90,7 +90,7 @@ func TestShardedTrackerMatchesSerial(t *testing.T) {
 			for i, tags := range stream {
 				at := shT0.Add(time.Duration(i) * 5 * time.Minute)
 				serial.Observe(at, tags, isSeed)
-				sharded.Observe(at, tags, isSeed)
+				sharded.observe(at, tags, isSeed)
 				if i%500 != 0 {
 					continue
 				}
@@ -124,7 +124,7 @@ func TestShardedTrackerMaxPairsBudget(t *testing.T) {
 		for i := range tags {
 			tags[i] = fmt.Sprintf("w%d-%d", d, i)
 		}
-		tr.Observe(shT0.Add(time.Duration(d)*time.Minute), tags, nil)
+		tr.observe(shT0.Add(time.Duration(d)*time.Minute), tags, nil)
 		if got := tr.ActivePairs(); got > cfg.MaxPairs {
 			t.Fatalf("doc %d: ActivePairs = %d exceeds budget %d", d, got, cfg.MaxPairs)
 		}
@@ -136,7 +136,7 @@ func TestShardedTrackerSnapshot(t *testing.T) {
 	tr := NewShardedTracker(Config{Buckets: 6, Resolution: time.Hour, Shards: 4})
 	stream := randomStream(11, 500, 30, 4)
 	for i, tags := range stream {
-		tr.Observe(shT0.Add(time.Duration(i)*time.Minute), tags, nil)
+		tr.observe(shT0.Add(time.Duration(i)*time.Minute), tags, nil)
 	}
 	total := 0
 	for i := 0; i < tr.Shards(); i++ {
@@ -168,7 +168,7 @@ func TestShardedTrackerConcurrent(t *testing.T) {
 			defer wg.Done()
 			stream := randomStream(int64(w), 1000, 40, 4)
 			for i, tags := range stream {
-				tr.Observe(shT0.Add(time.Duration(i)*time.Minute), tags, nil)
+				tr.observe(shT0.Add(time.Duration(i)*time.Minute), tags, nil)
 			}
 		}(w)
 	}
@@ -201,7 +201,7 @@ func TestDistTrackerEviction(t *testing.T) {
 		tags := []string{
 			fmt.Sprintf("fresh%d-a", d), fmt.Sprintf("fresh%d-b", d), "anchor",
 		}
-		dt.Observe(shT0.Add(time.Duration(d)*time.Minute), tags)
+		dt.observe(shT0.Add(time.Duration(d)*time.Minute), tags)
 		if got := dt.Counters(); got > 40 {
 			t.Fatalf("doc %d: %d counters exceed budget 40", d, got)
 		}
@@ -223,7 +223,7 @@ func TestDistTrackerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				dt.Observe(shT0.Add(time.Duration(i)*time.Minute),
+				dt.observe(shT0.Add(time.Duration(i)*time.Minute),
 					[]string{fmt.Sprintf("a%d", i%7), fmt.Sprintf("b%d", w), "c"})
 				dt.Similarity(fmt.Sprintf("a%d", i%7), "c")
 			}

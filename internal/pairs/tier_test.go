@@ -38,13 +38,13 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 
 	at := shT0
 	single := func(prefix string, i int) {
-		tr.Observe(at, []string{fmt.Sprintf("%sa%02d", prefix, i), fmt.Sprintf("%sb%02d", prefix, i)}, nil)
+		tr.observe(at, []string{fmt.Sprintf("%sa%02d", prefix, i), fmt.Sprintf("%sb%02d", prefix, i)}, nil)
 	}
 
 	// Phase A: P enters, 34 singleton pairs overflow the budget twice.
 	// Sweep 1 (at 31 pairs) evicts P and the 3 smallest z-pairs; sweep 2
 	// evicts 4 more z-pairs; the phase ends exactly at the 27-pair target.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	tr.observe(at, []string{"a0", "a1"}, nil)
 	for i := 0; i < 34; i++ {
 		single("z", i)
 	}
@@ -59,7 +59,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	// three fresh pairs push the tracker to 31, and the sweep evicts P a
 	// second time. Its sketch estimate is now 2; every other victim holds 1,
 	// and the admission floor is 1.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	tr.observe(at, []string{"a0", "a1"}, nil)
 	for i := 0; i < 3; i++ {
 		single("y", i)
 	}
@@ -107,7 +107,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 
 	// A fresh observation of the promoted pair accumulates on top of the
 	// seed — the counter keeps covering pre-eviction mass.
-	tr.Observe(at, []string{"a0", "a1"}, nil)
+	tr.observe(at, []string{"a0", "a1"}, nil)
 	if got := tr.Cooccurrence(p); got != demoted[p]+1 {
 		t.Fatalf("counter %v after one more observation, want %v", got, demoted[p]+1)
 	}
@@ -127,7 +127,7 @@ func TestTailStatsWithTierDisabled(t *testing.T) {
 
 	at := shT0
 	for i := 0; i < 64; i++ {
-		tr.Observe(at, []string{fmt.Sprintf("za%02d", i), fmt.Sprintf("zb%02d", i)}, nil)
+		tr.observe(at, []string{fmt.Sprintf("za%02d", i), fmt.Sprintf("zb%02d", i)}, nil)
 	}
 	ts := tr.TailStats()
 	if ts.Enabled {

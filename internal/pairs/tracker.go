@@ -369,59 +369,43 @@ func NewDistTracker(cfg Config) *DistTracker {
 	return &DistTracker{cfg: c, byTag: make(map[string]map[string]*window.Counter)}
 }
 
-// Observe records the co-tag distribution contributions of one document.
-//
-//enblogue:acquires pairsDist
-func (dt *DistTracker) Observe(t time.Time, tags []string) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	dt.observeLocked(t, tags)
-}
-
-// ObserveBatch records a run of documents in order under a single lock
-// acquisition. Per-document semantics — including sweep timing, which is
-// checked inside the lock after every document exactly as Observe does —
-// are identical to calling Observe per document.
+// ObserveBatch records the co-tag distribution contributions of a run of
+// documents, in order, under one lock acquisition. The sweep trigger is
+// checked after every document, so the result does not depend on how a
+// stream is cut into batches.
 //
 //enblogue:acquires pairsDist
 func (dt *DistTracker) ObserveBatch(docs []BatchDoc) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	for _, d := range docs {
-		dt.observeLocked(d.Time, d.Tags)
-	}
-}
-
-// observeLocked is Observe's body; callers must hold dt.mu.
-//
-//enblogue:requires pairsDist
-func (dt *DistTracker) observeLocked(t time.Time, tags []string) {
-	if t.After(dt.now) {
-		dt.now = t
-	}
-	uniq := dedupTags(tags)
-	for _, a := range uniq {
-		for _, b := range uniq {
-			if a == b {
-				continue
-			}
-			m, ok := dt.byTag[a]
-			if !ok {
-				m = make(map[string]*window.Counter)
-				dt.byTag[a] = m
-			}
-			c, ok := m[b]
-			if !ok {
-				c = window.NewCounter(dt.cfg.Buckets, dt.cfg.Resolution)
-				m[b] = c
-				dt.counters++
-			}
-			c.Inc(t)
+		if d.Time.After(dt.now) {
+			dt.now = d.Time
 		}
-	}
-	dt.sinceGC++
-	if dt.sinceGC >= dt.cfg.SweepEvery || dt.counters > dt.cfg.MaxPairs {
-		dt.sweep()
+		uniq := dedupTags(d.Tags)
+		for _, a := range uniq {
+			for _, b := range uniq {
+				if a == b {
+					continue
+				}
+				m, ok := dt.byTag[a]
+				if !ok {
+					m = make(map[string]*window.Counter)
+					dt.byTag[a] = m
+				}
+				c, ok := m[b]
+				if !ok {
+					c = window.NewCounter(dt.cfg.Buckets, dt.cfg.Resolution)
+					m[b] = c
+					dt.counters++
+				}
+				c.Inc(d.Time)
+			}
+		}
+		dt.sinceGC++
+		if dt.sinceGC >= dt.cfg.SweepEvery || dt.counters > dt.cfg.MaxPairs {
+			dt.sweep()
+		}
 	}
 }
 
@@ -520,7 +504,7 @@ func (dt *DistTracker) distributionLocked(tag string) map[string]float64 {
 // documents. The pair members themselves are excluded from both
 // distributions: the comparison asks whether a and b keep the same
 // *company*, and each is trivially its partner's company. Both snapshots
-// are taken under one lock acquisition, so a concurrent Observe cannot
+// are taken under one lock acquisition, so a concurrent ObserveBatch cannot
 // land between them and skew the comparison.
 //
 //enblogue:acquires pairsDist

@@ -17,14 +17,14 @@ func TestAlertsInPushedFrames(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"name":"alice","keywords":["volcano"]}`
-	resp, err := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/profiles", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
 	s.PublishRanking(sampleRanking())
-	resp, err = http.Get(ts.URL + "/ranking")
+	resp, err = http.Get(ts.URL + "/v1/rankings")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestProfileUpdateResetsAlerts(t *testing.T) {
 	defer ts.Close()
 
 	post := func() {
-		resp, err := http.Post(ts.URL+"/profile", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/profiles", "application/json",
 			strings.NewReader(`{"name":"carol","keywords":["scandal"]}`))
 		if err != nil {
 			t.Fatal(err)

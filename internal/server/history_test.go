@@ -34,7 +34,7 @@ func newHistoryServer(t *testing.T) (*Server, *httptest.Server) {
 
 func TestHistoryEndpoint(t *testing.T) {
 	_, ts := newHistoryServer(t)
-	resp, err := http.Get(ts.URL + "/history?k=5")
+	resp, err := http.Get(ts.URL + "/v1/rankings/history?k=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestHistoryEndpointRange(t *testing.T) {
 	q := url.Values{}
 	q.Set("from", t0.Format(time.RFC3339))
 	q.Set("to", t0.Add(30*time.Minute).Format(time.RFC3339))
-	resp, err := http.Get(ts.URL + "/history?" + q.Encode())
+	resp, err := http.Get(ts.URL + "/v1/rankings/history?" + q.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestHistoryEndpointRange(t *testing.T) {
 func TestHistoryEndpointValidation(t *testing.T) {
 	_, ts := newHistoryServer(t)
 	for _, bad := range []string{
-		"/history?from=notatime",
-		"/history?to=alsobad",
-		"/history?k=0",
-		"/history?k=xyz",
-		"/history?agg=median",
-		"/trajectory", // missing tags
-		"/trajectory?tag1=a&tag2=b&from=bad",
+		"/v1/rankings/history?from=notatime",
+		"/v1/rankings/history?to=alsobad",
+		"/v1/rankings/history?k=0",
+		"/v1/rankings/history?k=xyz",
+		"/v1/rankings/history?agg=median",
+		"/v1/rankings/trajectory", // missing tags
+		"/v1/rankings/trajectory?tag1=a&tag2=b&from=bad",
 	} {
 		resp, err := http.Get(ts.URL + bad)
 		if err != nil {
@@ -95,7 +95,7 @@ func TestHistoryNotEnabled(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, path := range []string{"/history", "/trajectory?tag1=a&tag2=b"} {
+	for _, path := range []string{"/v1/rankings/history", "/v1/rankings/trajectory?tag1=a&tag2=b"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestHistoryNotEnabled(t *testing.T) {
 
 func TestTrajectoryEndpoint(t *testing.T) {
 	_, ts := newHistoryServer(t)
-	resp, err := http.Get(ts.URL + "/trajectory?tag1=b&tag2=a")
+	resp, err := http.Get(ts.URL + "/v1/rankings/trajectory?tag1=b&tag2=a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTrajectoryEndpoint(t *testing.T) {
 		t.Errorf("pts[1] = %+v", pts[1])
 	}
 	// Aggregate mean via history endpoint.
-	resp2, err := http.Get(ts.URL + "/history?agg=mean")
+	resp2, err := http.Get(ts.URL + "/v1/rankings/history?agg=mean")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ type Engine interface {
 	MatchedLastTick() int64
 	RankingsDropped() int64
 	Subscribe(ctx context.Context, opts ...core.SubOption) *core.Subscription
-	Consume(it *stream.Item)
 	ConsumeBatch(items []*stream.Item)
 	IngestDepth() int
 	IngestDropped() int64
@@ -202,11 +201,7 @@ type tenantState struct {
 //
 // The tenant-less /v1/{rankings,rankings/history,rankings/trajectory,
 // stream,profiles,stats} routes are permanent aliases onto the "default"
-// tenant — not deprecated — so single-stream deployments need never
-// mention tenants. The pre-versioning routes (/events, /ranking, /profile,
-// /profiles, /history, /trajectory, /stats) remain as deprecated aliases
-// for one release; they answer identically and carry a Deprecation header
-// pointing at their successor.
+// tenant, so single-stream deployments need never mention tenants.
 type Server struct {
 	// ctx bounds server-side subscriptions (Follow feeds, per-profile
 	// streams); Close cancels it.
@@ -504,7 +499,7 @@ func (s *Server) publish(t *tenantState, r core.Ranking) {
 	_ = t.hub.Broadcast(view)
 }
 
-// profileRequest is the POST /profile payload.
+// profileRequest is the POST /v1/profiles payload.
 type profileRequest struct {
 	Name       string   `json:"name"`
 	Keywords   []string `json:"keywords"`
@@ -513,19 +508,9 @@ type profileRequest struct {
 	Exclusive  bool     `json:"exclusive"`
 }
 
-// deprecated wraps a legacy handler with RFC 8594 deprecation headers
-// pointing at the /v1 successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
 // Handler returns the HTTP handler serving all endpoints: the tenant-scoped
-// /v1/tenants contract, the tenant-less /v1 aliases onto the default
-// tenant, and the deprecated pre-versioning aliases.
+// /v1/tenants contract and the tenant-less /v1 aliases onto the default
+// tenant.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
@@ -557,15 +542,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/profiles/{name}", s.handleV1ProfileGet)
 	mux.HandleFunc("DELETE /v1/profiles/{name}", s.handleV1ProfileDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-
-	// Deprecated aliases, kept for one release.
-	mux.HandleFunc("/events", deprecated("/v1/stream", s.handleEvents))
-	mux.HandleFunc("/ranking", deprecated("/v1/rankings", s.handleRanking))
-	mux.HandleFunc("/profile", deprecated("/v1/profiles", s.handleProfile))
-	mux.HandleFunc("/profiles", deprecated("/v1/profiles", s.handleProfiles))
-	mux.HandleFunc("/history", deprecated("/v1/rankings/history", s.handleHistory))
-	mux.HandleFunc("/trajectory", deprecated("/v1/rankings/trajectory", s.handleTrajectory))
-	mux.HandleFunc("/stats", deprecated("/v1/stats", s.handleStats))
 	return mux
 }
 
@@ -688,42 +664,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	view := t.lastView
-	t.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(view); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	var req profileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad profile JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Name == "" {
-		http.Error(w, "profile name required", http.StatusBadRequest)
-		return
-	}
-	t.setProfile(&req)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // setProfile registers/replaces a profile on the tenant and forgets the
 // user's alert state so the new preferences re-alert.
 func (t *tenantState) setProfile(req *profileRequest) {
@@ -737,19 +677,6 @@ func (t *tenantState) setProfile(req *profileRequest) {
 	t.mu.Lock()
 	t.watcher.Reset(req.Name)
 	t.mu.Unlock()
-}
-
-func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantOr404(w, r)
-	if t == nil {
-		return
-	}
-	names := t.registry.Names()
-	sort.Strings(names)
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(names); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // indexHTML is the minimal live demo page: an EventSource client rendering

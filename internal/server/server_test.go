@@ -84,7 +84,7 @@ func TestRankingEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/ranking")
+	resp, err := http.Get(ts.URL + "/v1/rankings")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +108,28 @@ func TestProfileEndpointsAndPersonalizedViews(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"name":"alice","keywords":["volcano"],"boost":10,"exclusive":true}`
-	resp, err := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/profiles", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
+	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("profile POST status = %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/profiles")
+	resp, err = http.Get(ts.URL + "/v1/profiles")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	json.NewDecoder(resp.Body).Decode(&names)
+	var profiles []ProfileView
+	json.NewDecoder(resp.Body).Decode(&profiles)
 	resp.Body.Close()
-	if len(names) != 1 || names[0] != "alice" {
-		t.Errorf("profiles = %v", names)
+	if len(profiles) != 1 || profiles[0].Name != "alice" {
+		t.Errorf("profiles = %v", profiles)
 	}
 
 	s.PublishRanking(sampleRanking())
-	resp, err = http.Get(ts.URL + "/ranking")
+	resp, err = http.Get(ts.URL + "/v1/rankings")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +147,16 @@ func TestProfileValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// Missing name.
-	resp, _ := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(`{}`))
+	resp, _ := http.Post(ts.URL+"/v1/profiles", "application/json", strings.NewReader(`{}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("nameless profile status = %d", resp.StatusCode)
 	}
 	// Bad JSON.
-	resp, _ = http.Post(ts.URL+"/profile", "application/json", strings.NewReader(`{`))
+	resp, _ = http.Post(ts.URL+"/v1/profiles", "application/json", strings.NewReader(`{`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON status = %d", resp.StatusCode)
-	}
-	// Wrong method.
-	resp, _ = http.Get(ts.URL + "/profile")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /profile status = %d", resp.StatusCode)
 	}
 }
 
@@ -173,7 +167,7 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/events", nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/stream", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

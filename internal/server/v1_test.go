@@ -121,34 +121,31 @@ func TestV1ProfileCRUD(t *testing.T) {
 	}
 }
 
-func TestDeprecatedAliasesStillAnswer(t *testing.T) {
+// The unversioned pre-/v1 routes are gone: each answers 404, while the
+// index page and the /v1 routes they pointed at answer as before.
+func TestUnversionedRoutesGone(t *testing.T) {
 	s := New()
 	h := s.Handler()
 	s.PublishRanking(sampleRanking())
 
-	for path, successor := range map[string]string{
-		"/ranking":  "/v1/rankings",
-		"/profiles": "/v1/profiles",
-		"/stats":    "/v1/stats",
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/events", http.StatusNotFound},
+		{"/ranking", http.StatusNotFound},
+		{"/profile", http.StatusNotFound},
+		{"/profiles", http.StatusNotFound},
+		{"/history", http.StatusNotFound},
+		{"/trajectory", http.StatusNotFound},
+		{"/stats", http.StatusNotFound},
+		{"/", http.StatusOK},
+		{"/v1/rankings", http.StatusOK},
+		{"/v1/tenants/" + DefaultTenant + "/rankings", http.StatusOK},
 	} {
-		w := get(t, h, path)
-		if w.Code != http.StatusOK {
-			t.Errorf("GET %s = %d", path, w.Code)
+		if w := get(t, h, tc.path); w.Code != tc.want {
+			t.Errorf("GET %s = %d, want %d", tc.path, w.Code, tc.want)
 		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s missing Deprecation header", path)
-		}
-		if link := w.Header().Get("Link"); !strings.Contains(link, successor) {
-			t.Errorf("%s Link = %q, want successor %s", path, link, successor)
-		}
-	}
-	// v1 routes carry no deprecation marker.
-	if w := get(t, h, "/v1/rankings"); w.Header().Get("Deprecation") != "" {
-		t.Error("/v1/rankings marked deprecated")
-	}
-	// Legacy POST /profile still works.
-	if w := postJSON(t, h, "/profile", `{"name":"bob"}`); w.Code != http.StatusNoContent {
-		t.Errorf("legacy POST /profile = %d", w.Code)
 	}
 }
 

@@ -58,7 +58,7 @@ func (it *Item) AllTags() []string {
 
 // Sink consumes stream items. Consume is called from a single producing
 // goroutine per edge; sinks shared across concurrently running plans must
-// synchronise internally or be wrapped in an AsyncStage.
+// synchronise internally.
 type Sink interface {
 	Consume(*Item)
 }
@@ -227,52 +227,6 @@ func (c *Counter) StreamSpan() (first, last time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.first, c.last
-}
-
-// AsyncStage decouples a downstream sink onto its own goroutine through a
-// buffered channel, providing pipeline parallelism between operators — the
-// push-based producer/consumer edge made concrete. Close flushes and waits.
-type AsyncStage struct {
-	ch   chan *Item
-	done chan struct{}
-	sink Sink
-	once sync.Once
-}
-
-// NewAsyncStage wraps sink behind a channel of the given buffer size and
-// starts its consumer goroutine.
-func NewAsyncStage(sink Sink, buffer int) *AsyncStage {
-	if buffer < 1 {
-		buffer = 1
-	}
-	a := &AsyncStage{
-		ch:   make(chan *Item, buffer),
-		done: make(chan struct{}),
-		sink: sink,
-	}
-	go a.loop()
-	return a
-}
-
-func (a *AsyncStage) loop() {
-	defer close(a.done)
-	for it := range a.ch {
-		a.sink.Consume(it)
-	}
-	if fl, ok := a.sink.(Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// Consume implements Sink. It blocks when the buffer is full, providing
-// backpressure to the producer.
-func (a *AsyncStage) Consume(it *Item) { a.ch <- it }
-
-// Close stops the stage after draining buffered items and waits for the
-// consumer goroutine to finish. Safe to call more than once.
-func (a *AsyncStage) Close() {
-	a.once.Do(func() { close(a.ch) })
-	<-a.done
 }
 
 // Source produces a stream of items, pushing each into emit. Run returns

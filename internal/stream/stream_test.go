@@ -2,10 +2,8 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -124,43 +122,6 @@ func TestCounter(t *testing.T) {
 	}
 	if len(out) != 2 {
 		t.Errorf("counter forwarded %d items, want 2", len(out))
-	}
-}
-
-func TestAsyncStage(t *testing.T) {
-	var mu sync.Mutex
-	var got []string
-	flushed := false
-	sink := &flushSink{
-		consume: func(it *Item) {
-			mu.Lock()
-			got = append(got, it.DocID)
-			mu.Unlock()
-		},
-		flush: func() {
-			mu.Lock()
-			flushed = true
-			mu.Unlock()
-		},
-	}
-	a := NewAsyncStage(sink, 4)
-	for i := 0; i < 10; i++ {
-		a.Consume(mkItem(fmt.Sprintf("d%d", i)))
-	}
-	a.Close()
-	a.Close() // idempotent
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 10 {
-		t.Errorf("async stage delivered %d items, want 10", len(got))
-	}
-	for i, id := range got {
-		if id != fmt.Sprintf("d%d", i) {
-			t.Errorf("item %d = %s, out of order", i, id)
-		}
-	}
-	if !flushed {
-		t.Error("Flush not propagated on Close")
 	}
 }
 

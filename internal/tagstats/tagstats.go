@@ -78,8 +78,8 @@ type TagStat struct {
 }
 
 // Tracker maintains windowed document counts per tag. It is not safe for
-// concurrent use; wrap it in a stream.AsyncStage or external lock if
-// multiple goroutines feed it.
+// concurrent use; callers serialise access (the engine holds its
+// bookkeeping lock).
 //
 // Per-tag counters live in a shared window.CounterArena rather than one
 // heap-allocated counter per tag: the seed-selection scan visits every

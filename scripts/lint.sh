@@ -2,7 +2,8 @@
 # lint.sh — the local mirror of CI's static-analysis gauntlet: gofmt,
 # go vet, the project's own enbloguevet analyzer suite (determinism, lock
 # discipline, hot-path allocations, wire-shape stability — see DESIGN.md
-# §9), and, when the tools are installed, staticcheck and govulncheck.
+# §9), build + vet of the nested bench/ module, and, when the tools are
+# installed, staticcheck and govulncheck.
 # CI installs those two from the network; locally they are best-effort so
 # the script works offline.
 #
@@ -23,6 +24,10 @@ go vet ./...
 echo "== enbloguevet (vettool)"
 go build -o /tmp/enbloguevet ./cmd/enbloguevet
 go vet -vettool=/tmp/enbloguevet ./...
+
+echo "== bench module (build + vet)"
+go build -C bench -o /dev/null .
+go vet -C bench .
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "== staticcheck"
