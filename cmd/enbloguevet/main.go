@@ -3,15 +3,10 @@
 // (lockdiscipline), the zero-allocation ingest path (hotpathalloc), and
 // the frozen /v1 wire surface (wirestable). See DESIGN.md §9.
 //
-// It speaks the `go vet -vettool` protocol, so the usual drive is
+// It loads the enclosing module from source, with no go command in the
+// loop, and runs the same check as `go test ./internal/analysis/`:
 //
-//	go build -o bin/enbloguevet ./cmd/enbloguevet
-//	go vet -vettool=bin/enbloguevet ./...
-//
-// and also runs standalone, loading the module from source with no go
-// command in the loop:
-//
-//	enbloguevet            # check every package in the enclosing module
+//	enbloguevet                       # check every package in the enclosing module
 //	enbloguevet -write-wiremanifest   # regenerate the /v1 wire manifest
 package main
 
@@ -33,88 +28,41 @@ func main() {
 }
 
 func run(args []string) error {
-	// The three `go vet` tool-protocol entry points come before anything
-	// else: version stamp, flag inventory, then one compilation unit per
-	// *.cfg invocation.
 	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			return driver.PrintVersion()
-		case args[0] == "-flags":
-			return driver.PrintFlagsJSON([]struct {
-				Name  string
-				Bool  bool
-				Usage string
-			}{})
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runUnit(args[0])
-		case args[0] == "-write-wiremanifest":
+		switch args[0] {
+		case "-write-wiremanifest":
 			return writeWireManifest()
-		case args[0] == "-h" || args[0] == "-help" || args[0] == "--help":
+		case "-h", "-help", "--help":
 			usage()
 			return nil
 		}
 	}
-	if len(args) == 0 {
-		return runStandalone()
-	}
-	// Tolerate `enbloguevet ./...` spellings: standalone mode always
-	// checks the whole module, which is what every caller here wants.
+	// Tolerate `enbloguevet ./...` spellings: the check always covers the
+	// whole module, which is what every caller here wants.
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
 			usage()
 			return fmt.Errorf("unknown flag %s", a)
 		}
 	}
-	return runStandalone()
+	diags, err := analysis.CheckModule(".")
+	if err != nil {
+		return err
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if len(diags) > 0 {
+		os.Exit(2)
+	}
+	return nil
 }
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   enbloguevet                     check every package in the enclosing module
   enbloguevet -write-wiremanifest regenerate internal/analysis/wiremanifest.json
-  go vet -vettool=enbloguevet ./...   drive as a vet tool (recommended in CI)
 `)
-}
-
-func runUnit(cfgPath string) error {
-	suite, err := analysis.Suite()
-	if err != nil {
-		return err
-	}
-	fset, diags, err := driver.RunUnit(cfgPath, suite)
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
-	return nil
-}
-
-func runStandalone() error {
-	suite, err := analysis.Suite()
-	if err != nil {
-		return err
-	}
-	modPath, modDir, err := driver.ModuleRoot(".")
-	if err != nil {
-		return err
-	}
-	fset, diags, err := driver.CheckModule(suite, modPath, modDir)
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	if len(diags) > 0 {
-		os.Exit(2)
-	}
-	return nil
 }
 
 // writeWireManifest re-derives the /v1 wire manifest from source and

@@ -1,11 +1,14 @@
 // Package analysis registers the enbloguevet analyzer suite: four
 // project-specific invariant checkers built on the dependency-free driver
-// in internal/analysis/driver. See DESIGN.md §9 for the invariants each
-// one machine-checks and the //enblogue: annotation grammar they share.
+// in internal/analysis/driver. TestSuite runs them over the whole module,
+// so `go test ./...` fails on any violation. See DESIGN.md §9 for the
+// invariants each one machine-checks and the //enblogue: annotation
+// grammar they share.
 package analysis
 
 import (
 	_ "embed"
+	"fmt"
 
 	"enblogue/internal/analysis/detdiscipline"
 	"enblogue/internal/analysis/driver"
@@ -43,6 +46,29 @@ func Suite() ([]*driver.Analyzer, error) {
 		hotpathalloc.Analyzer,
 		wirestable.New(m),
 	}, nil
+}
+
+// CheckModule runs the Suite over every package of the module enclosing
+// dir and returns one "file:line:col: message" line per diagnostic. It is
+// the whole check, shared by `go run ./cmd/enbloguevet` and TestSuite.
+func CheckModule(dir string) ([]string, error) {
+	suite, err := Suite()
+	if err != nil {
+		return nil, err
+	}
+	modPath, modDir, err := driver.ModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset, diags, err := driver.CheckModule(suite, modPath, modDir)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(diags))
+	for i, d := range diags {
+		out[i] = fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message)
+	}
+	return out, nil
 }
 
 // GenerateWireManifest re-derives the wire manifest for a whole module

@@ -4,15 +4,9 @@
 // because this repository vendors nothing — the x/tools module is not
 // available offline — yet the engine's invariants (determinism, lock
 // discipline, hot-path allocation, wire stability) deserve a vet-grade
-// guardian. The framework supports two drive modes:
-//
-//   - standalone: load the whole module from source (source.go) and run
-//     every analyzer over every package — `enbloguevet ./...`;
-//   - unit: act as a `go vet -vettool=` backend, one compilation unit per
-//     invocation, types from export data, facts via vetx files (unit.go).
-//
-// Both modes feed identical Pass values to the analyzers, so diagnostics
-// are the same whichever driver found them.
+// guardian. There is one drive mode: CheckModule loads the whole module
+// from source (source.go) and runs every analyzer over every package in
+// dependency order, sharing facts in-process.
 package driver
 
 import (
@@ -21,7 +15,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer describes one invariant checker.
@@ -30,9 +23,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
-	// Match, when non-nil, restricts which package paths the drivers run
+	// Match, when non-nil, restricts which package paths the driver runs
 	// the analyzer on (test harnesses bypass it and call Run directly).
-	// It receives the plain import path, never the "pkg [pkg.test]" form.
 	Match func(pkgPath string) bool
 	// Run performs the check. Diagnostics go through pass.Reportf; facts
 	// for downstream packages through pass.ExportFact.
@@ -81,14 +73,6 @@ func (p *Pass) FactsWithPrefix(prefix string) []FactKV {
 	return p.facts.withPrefix(p.Analyzer.Name, prefix)
 }
 
-// TestFile reports whether pos lies in a _test.go file. All four enblogue
-// analyzers carve test files out: tests legitimately use wall clocks,
-// randomness, closures, and lock gymnastics that production code may not.
-func (p *Pass) TestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
-}
-
 // FactKV is one fact key/value pair.
 type FactKV struct{ Key, Value string }
 
@@ -100,9 +84,8 @@ func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 	pkg *types.Package, info *types.Info, facts *FactSet) ([]Diagnostic, error) {
 
 	var diags []Diagnostic
-	plainPath, _, _ := strings.Cut(pkg.Path(), " ")
 	for _, a := range analyzers {
-		if a.Match != nil && !a.Match(plainPath) {
+		if a.Match != nil && !a.Match(pkg.Path()) {
 			continue
 		}
 		pass := &Pass{

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"sort"
 	"strings"
 )
@@ -9,14 +8,8 @@ import (
 // A FactSet holds every fact visible during a run, keyed by package path,
 // then analyzer name, then fact key. Facts are opaque strings: each
 // analyzer defines its own key/value grammar (see the analyzer packages).
-//
-// In standalone mode one FactSet lives for the whole run and packages are
-// analyzed in dependency order, so facts simply accumulate. In unit mode
-// the set is rebuilt per compilation unit from the vetx files `go vet`
-// hands us for our dependencies, and the unit's merged view is written
-// back out as its own vetx file — transitively re-exporting upstream
-// facts, exactly like x/tools fact serialization, so a package two hops
-// away still sees them.
+// One FactSet lives for the whole run and packages are analyzed in
+// dependency order, so facts simply accumulate.
 type FactSet struct {
 	byPkg map[string]map[string]map[string]string
 }
@@ -63,34 +56,4 @@ func (fs *FactSet) withPrefix(analyzer, prefix string) []FactKV {
 		return out[i].Value < out[j].Value
 	})
 	return out
-}
-
-// Encode serialises the whole set (own facts plus re-exported upstream
-// facts) as deterministic JSON for a vetx file.
-func (fs *FactSet) Encode() ([]byte, error) {
-	return json.Marshal(fs.byPkg)
-}
-
-// Merge decodes a vetx payload produced by Encode and folds it in.
-// Earlier entries win on conflict, which cannot happen in practice: a
-// fact's owning package writes it identically in every unit that
-// re-exports it.
-func (fs *FactSet) Merge(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in map[string]map[string]map[string]string
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	for pkg, byA := range in {
-		for analyzer, kv := range byA {
-			for k, v := range kv {
-				if _, exists := fs.get(pkg, analyzer, k); !exists {
-					fs.put(pkg, analyzer, k, v)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,6 +28,11 @@ type LoadedPackage struct {
 // imports resolve through the stdlib source importer (offline, no go
 // command); module-internal imports recurse through the loader itself, so
 // the whole module checks without export data or network access.
+//
+// Test files are out of scope by design: a package is its non-test
+// GoFiles only. Tests legitimately use wall clocks, randomness, closures
+// and lock gymnastics that production code may not, so no analyzer ever
+// wants to see them.
 type Loader struct {
 	Fset    *token.FileSet
 	modPath string
@@ -106,7 +112,7 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	defer delete(l.loading, path)
 
 	dir := filepath.Join(l.modDir, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
-	lp, err := l.loadDir(dir, path)
+	lp, err := l.LoadDir(dir, path)
 	if err != nil {
 		return nil, err
 	}
@@ -114,14 +120,10 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	return lp, nil
 }
 
-// LoadDir type-checks the package in an arbitrary directory (used by the
-// checktest harness for testdata packages), under the given display path.
-// The result is not memoised under a module path.
-func (l *Loader) LoadDir(dir, asPath string) (*LoadedPackage, error) {
-	return l.loadDir(dir, asPath)
-}
-
-func (l *Loader) loadDir(dir, path string) (*LoadedPackage, error) {
+// LoadDir type-checks the package in an arbitrary directory under the
+// given import path. Unlike Load it does not memoise, so the checktest
+// harness uses it for testdata packages.
+func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 	// go/build resolves build constraints for the host platform and
 	// splits test files out, with no go command and no network.
 	bp, err := build.Default.ImportDir(dir, 0)
@@ -148,8 +150,9 @@ func (l *Loader) loadDir(dir, path string) (*LoadedPackage, error) {
 }
 
 // ModulePackages returns the import paths of every package in the module,
-// in deterministic dependency-friendly (lexicographic) order, skipping
-// testdata, hidden, and vendor-style directories.
+// in deterministic dependency-friendly (lexicographic) order. Like the go
+// command it skips testdata, hidden, and vendor-style directories, and
+// any subdirectory holding its own go.mod: that is another module.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.modDir, func(p string, d os.DirEntry, err error) error {
@@ -157,9 +160,15 @@ func (l *Loader) ModulePackages() ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if p == l.modDir {
+				return nil
+			}
 			name := d.Name()
-			if p != l.modDir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || name == "vendor" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -175,32 +184,20 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		if rel != "." {
 			ip = l.modPath + "/" + filepath.ToSlash(rel)
 		}
-		if len(paths) == 0 || paths[len(paths)-1] != ip {
-			paths = append(paths, ip)
-		}
+		paths = append(paths, ip)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(paths)
-	paths = dedupSorted(paths)
-	return paths, nil
-}
-
-func dedupSorted(in []string) []string {
-	out := in[:0]
-	for _, s := range in {
-		if len(out) == 0 || out[len(out)-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.Compact(paths), nil
 }
 
 // CheckModule loads every module package and runs the analyzers over each
 // in dependency order (imports before importers, so facts flow forward).
-// It returns all diagnostics sorted by position.
+// It returns all diagnostics sorted by position. Like the Loader it sees
+// non-test files only.
 func CheckModule(analyzers []*Analyzer, modPath, modDir string) (*token.FileSet, []Diagnostic, error) {
 	l := NewLoader(modPath, modDir)
 	paths, err := l.ModulePackages()

@@ -42,9 +42,6 @@ var Analyzer = &driver.Analyzer{
 
 func run(pass *driver.Pass) error {
 	for _, f := range pass.Files {
-		if pass.TestFile(f.Pos()) {
-			continue
-		}
 		var idx *annotation.LineIndex // built lazily, most files have no hotpath funcs
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

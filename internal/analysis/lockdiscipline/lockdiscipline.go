@@ -129,9 +129,6 @@ func run(pass *driver.Pass) error {
 	}
 	c.collect()
 	for _, f := range pass.Files {
-		if pass.TestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				c.checkFunc(f, fd)
@@ -148,9 +145,6 @@ func (c *checker) collect() {
 	// Two passes: every lock class in the package must be known before any
 	// function annotation is validated, whatever the file order.
 	for _, f := range pass.Files {
-		if pass.TestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if st, ok := n.(*ast.StructType); ok {
 				c.collectLockFields(st)
@@ -159,9 +153,6 @@ func (c *checker) collect() {
 		})
 	}
 	for _, f := range pass.Files {
-		if pass.TestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fd, ok := n.(*ast.FuncDecl); ok {
 				c.collectFuncAnn(fd)

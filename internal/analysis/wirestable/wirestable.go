@@ -149,9 +149,6 @@ func diffStruct(pass *driver.Pass, ws *wireStruct, want map[string]string) {
 func Collect(pass *driver.Pass) []*wireStruct {
 	var out []*wireStruct
 	for _, f := range pass.Files {
-		if pass.TestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {

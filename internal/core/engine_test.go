@@ -276,17 +276,12 @@ func TestEngineAsPlanSink(t *testing.T) {
 	for i := range docs {
 		items[i] = docs[i].Item()
 	}
+	identity := stream.Shared("identity", func() stream.Operator {
+		return stream.NewMap(func(it *stream.Item) *stream.Item { return it })
+	})
 	r := stream.NewRunner(items)
-	r.Add(&stream.Plan{
-		Name:   "jaccard",
-		Stages: []stream.Stage{stream.Shared("tee", func() stream.Operator { return &stream.Tee{} })},
-		Sink:   e1,
-	})
-	r.Add(&stream.Plan{
-		Name:   "cosine",
-		Stages: []stream.Stage{stream.Shared("tee", func() stream.Operator { return &stream.Tee{} })},
-		Sink:   e2,
-	})
+	r.Add(&stream.Plan{Name: "jaccard", Stages: []stream.Stage{identity}, Sink: e1})
+	r.Add(&stream.Plan{Name: "cosine", Stages: []stream.Stage{identity}, Sink: e2})
 	if err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

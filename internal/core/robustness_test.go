@@ -106,8 +106,9 @@ func TestEngineBehindIngestQueue(t *testing.T) {
 	}
 }
 
-// Duplicate document IDs are the wrapper's problem (stream.Dedup), but the
-// engine must at least not misbehave when they slip through.
+// Duplicate document IDs are the wrapper's problem (the engine counts
+// every item it is given), but it must at least not misbehave when they
+// slip through.
 func TestEngineDuplicateDocIDs(t *testing.T) {
 	e := New(testConfig())
 	for i := 0; i < 300; i++ {

@@ -140,7 +140,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 				sh := tr.shards[0]
 				sh.mu.Lock()
 				for _, ka := range sc.keys {
-					tr.incLockedAbs(sh, ka.k, ka.abs)
+					sh.arena.IncAbs(tr.upsertLocked(sh, ka.k), ka.abs)
 				}
 				sh.mu.Unlock()
 			}
@@ -157,7 +157,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 				sh := tr.shards[s]
 				sh.mu.Lock()
 				for _, ka := range kas {
-					tr.incLockedAbs(sh, ka.k, ka.abs)
+					sh.arena.IncAbs(tr.upsertLocked(sh, ka.k), ka.abs)
 				}
 				sh.mu.Unlock()
 				sc.byShard[s] = kas[:0]

@@ -182,13 +182,12 @@ func (tr *ShardedTracker) advanceNowNano(n int64) {
 	}
 }
 
-// incLockedAbs upserts pair k's counter slot in sh and records one event in
-// the absolute window bucket abs (ObserveBatch converts a document's time
-// once). The caller must hold sh.mu.
+// upsertLocked returns pair k's counter slot in sh, allocating it on first
+// sight. The caller must hold sh.mu.
 //
 //enblogue:requires pairsShard
 //enblogue:hotpath
-func (tr *ShardedTracker) incLockedAbs(sh *trackerShard, k Key, abs int64) {
+func (tr *ShardedTracker) upsertLocked(sh *trackerShard, k Key) int32 {
 	slot, ok := sh.slots[k]
 	if !ok {
 		slot = sh.arena.Alloc()
@@ -199,7 +198,7 @@ func (tr *ShardedTracker) incLockedAbs(sh *trackerShard, k Key, abs int64) {
 		sh.keys[slot] = k
 		tr.npairs.Add(1)
 	}
-	sh.arena.IncAbs(slot, abs)
+	return slot
 }
 
 // dropLocked removes pair k's slot from sh. The caller must hold sh.mu.
@@ -376,16 +375,7 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		s := k.Shard(len(tr.shards))
 		sh := tr.shards[s]
 		sh.mu.Lock()
-		slot, ok := sh.slots[k]
-		if !ok {
-			slot = sh.arena.Alloc()
-			sh.slots[k] = slot
-			for int(slot) >= len(sh.keys) {
-				sh.keys = append(sh.keys, Key{})
-			}
-			sh.keys[slot] = k
-			tr.npairs.Add(1)
-		}
+		slot := tr.upsertLocked(sh, k)
 		// If the pair re-emerged on its own since demotion, the counter
 		// holds only post-eviction events; the estimate covers the
 		// pre-eviction mass, so adding keeps the seeded total an upper

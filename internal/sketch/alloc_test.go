@@ -56,8 +56,7 @@ func TestCountMinIngestZeroAlloc(t *testing.T) {
 
 // TestTopKU64SteadyStateZeroAlloc pins the weighted Space-Saving summary at
 // zero allocations once warm, including at capacity where every new key
-// evicts the minimum (the string TopK allocates an Entry per eviction; the
-// dense-slot layout must not).
+// evicts the minimum into a recycled slot.
 func TestTopKU64SteadyStateZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	tk := NewTopKU64(64)

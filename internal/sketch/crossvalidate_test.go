@@ -10,9 +10,8 @@ import (
 )
 
 // The approximate synopsis must agree with the exact windowed statistics it
-// is meant to stand in for: on a strongly Zipf-skewed stream, Space-Saving's
-// head should match the exact tracker's head, and Count-Min estimates
-// should bracket true counts within the design error.
+// is meant to stand in for: on a strongly Zipf-skewed stream, Count-Min
+// estimates bracket the exact tracker's counts within the design error.
 func TestSketchAgreesWithExactTagStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zipf := rand.NewZipf(rng, 1.6, 1, 499)
@@ -21,8 +20,6 @@ func TestSketchAgreesWithExactTagStats(t *testing.T) {
 		Buckets: 1000, Resolution: time.Hour, // effectively unbounded window
 	})
 	cm := NewCountMinWithError(0.005, 0.01)
-	tk := NewTopK(50)
-	truth := map[string]uint64{}
 
 	t0 := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 	const n = 30000
@@ -30,32 +27,11 @@ func TestSketchAgreesWithExactTagStats(t *testing.T) {
 		tag := fmt.Sprintf("tag%03d", zipf.Uint64())
 		exact.Observe(t0.Add(time.Duration(i)*time.Second), []string{tag})
 		cm.Add(tag, 1)
-		tk.Add(tag)
-		truth[tag]++
 	}
 
-	// Exact top-10 vs Space-Saving top-10: heads must share >= 8 tags.
-	exactTop := exact.Top(10, tagstats.ByPopularity, 0)
-	approx := map[string]bool{}
-	for i, e := range tk.Entries() {
-		if i >= 10 {
-			break
-		}
-		approx[e.Key] = true
-	}
-	shared := 0
-	for _, e := range exactTop {
-		if approx[e.Tag] {
-			shared++
-		}
-	}
-	if shared < 8 {
-		t.Errorf("approximate top-10 shares only %d/10 tags with exact", shared)
-	}
-
-	// Count-Min: bounded one-sided error on every true count.
-	for tag, want := range truth {
-		got := cm.Count(tag)
+	// Count-Min: bounded one-sided error on every exact count.
+	for tag, exactN := range exact.Counts() {
+		want, got := uint64(exactN), cm.Count(tag)
 		if got < want {
 			t.Fatalf("Count-Min underestimated %s: %d < %d", tag, got, want)
 		}

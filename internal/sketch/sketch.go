@@ -1,17 +1,17 @@
-// Package sketch provides the pluggable synopsis operators the paper's
-// architecture calls out ("plug-in options for sketching operators that map
-// stream items into synopses"): a Count-Min sketch for approximate tag
-// frequencies, a Bloom filter for document-membership tests, and a
-// Space-Saving heavy-hitter summary for approximate top-k tags.
+// Package sketch provides the synopses the paper's architecture calls out
+// ("plug-in options for sketching operators that map stream items into
+// synopses"), as the tail tier uses them: a Count-Min sketch for
+// approximate frequencies (string or interned 64-bit keys), a windowed
+// two-generation Count-Min, and a weighted Space-Saving heavy-hitter
+// summary over interned keys.
 //
-// All structures use 64-bit FNV-1a hashing with per-row salts, so they need
-// nothing outside the standard library.
+// Rows are salted FNV-1a (string keys) or splitmix64 (64-bit keys), so the
+// package needs nothing outside the standard library.
 package sketch
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // FNV-1a constants (hash/fnv), inlined so the hash loops below stay
@@ -152,132 +152,4 @@ func (c *CountMin) Reset() {
 		}
 	}
 	c.total = 0
-}
-
-// Bloom is a standard Bloom filter over strings.
-type Bloom struct {
-	bits []uint64
-	m    uint64 // number of bits
-	k    int    // number of hash functions
-	n    uint64 // elements added
-}
-
-// NewBloom returns a filter sized for n expected elements at the given false
-// positive rate.
-func NewBloom(n int, fpRate float64) *Bloom {
-	if n < 1 {
-		n = 1
-	}
-	if fpRate <= 0 || fpRate >= 1 {
-		panic(fmt.Sprintf("sketch: invalid Bloom fp rate %v", fpRate))
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(fpRate) / (math.Ln2 * math.Ln2)))
-	if m < 64 {
-		m = 64
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return &Bloom{bits: make([]uint64, (m+63)/64), m: m, k: k}
-}
-
-// Add inserts key into the filter.
-func (b *Bloom) Add(key string) {
-	h1 := hash64(key, 0x9e3779b97f4a7c15)
-	h2 := hash64(key, 0xc2b2ae3d27d4eb4f) | 1
-	for i := 0; i < b.k; i++ {
-		bit := (h1 + uint64(i)*h2) % b.m
-		b.bits[bit/64] |= 1 << (bit % 64)
-	}
-	b.n++
-}
-
-// Contains reports whether key may be in the set (false positives possible,
-// false negatives impossible).
-func (b *Bloom) Contains(key string) bool {
-	h1 := hash64(key, 0x9e3779b97f4a7c15)
-	h2 := hash64(key, 0xc2b2ae3d27d4eb4f) | 1
-	for i := 0; i < b.k; i++ {
-		bit := (h1 + uint64(i)*h2) % b.m
-		if b.bits[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of Add calls.
-func (b *Bloom) Len() uint64 { return b.n }
-
-// Entry is a heavy-hitter candidate from a TopK summary.
-type Entry struct {
-	Key   string
-	Count uint64 // estimated count (upper bound)
-	Error uint64 // maximum overestimate of Count
-}
-
-// TopK is a Space-Saving summary (Metwally et al.) that tracks approximately
-// the k most frequent keys of a stream using O(k) space.
-type TopK struct {
-	k      int
-	counts map[string]*Entry
-}
-
-// NewTopK returns a summary with capacity k. It panics if k < 1.
-func NewTopK(k int) *TopK {
-	if k < 1 {
-		panic(fmt.Sprintf("sketch: TopK capacity %d < 1", k))
-	}
-	return &TopK{k: k, counts: make(map[string]*Entry, k)}
-}
-
-// Add records one occurrence of key.
-func (t *TopK) Add(key string) {
-	if e, ok := t.counts[key]; ok {
-		e.Count++
-		return
-	}
-	if len(t.counts) < t.k {
-		t.counts[key] = &Entry{Key: key, Count: 1}
-		return
-	}
-	// Evict the current minimum and inherit its count as error bound. Ties
-	// on Count break on the key so the victim is a function of the summary
-	// contents, not of randomised map iteration order.
-	var min *Entry
-	//enblogue:unordered min selection under the (Count, Key) total order is iteration-order independent
-	for _, e := range t.counts {
-		if min == nil || e.Count < min.Count || (e.Count == min.Count && e.Key < min.Key) {
-			min = e
-		}
-	}
-	delete(t.counts, min.Key)
-	t.counts[key] = &Entry{Key: key, Count: min.Count + 1, Error: min.Count}
-}
-
-// Entries returns the tracked keys sorted by estimated count descending,
-// ties broken by key for determinism.
-func (t *TopK) Entries() []Entry {
-	out := make([]Entry, 0, len(t.counts))
-	//enblogue:unordered collect-then-sort: the slice is fully ordered below
-	for _, e := range t.counts {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// Count returns the estimated count for key and whether it is tracked.
-func (t *TopK) Count(key string) (uint64, bool) {
-	e, ok := t.counts[key]
-	if !ok {
-		return 0, false
-	}
-	return e.Count, true
 }

@@ -83,8 +83,6 @@ func TestCountMinPanics(t *testing.T) {
 		"zero width":  func() { NewCountMin(8, 0) },
 		"bad epsilon": func() { NewCountMinWithError(0, 0.1) },
 		"bad delta":   func() { NewCountMinWithError(0.1, 1) },
-		"topk zero":   func() { NewTopK(0) },
-		"bloom rate":  func() { NewBloom(10, 2) },
 	} {
 		func() {
 			defer func() {
@@ -94,120 +92,6 @@ func TestCountMinPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	f := func(keys []string) bool {
-		b := NewBloom(len(keys)+1, 0.01)
-		for _, k := range keys {
-			b.Add(k)
-		}
-		for _, k := range keys {
-			if !b.Contains(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(10000, 0.01)
-	for i := 0; i < 10000; i++ {
-		b.Add(fmt.Sprintf("in%d", i))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.Contains(fmt.Sprintf("out%d", i)) {
-			fp++
-		}
-	}
-	// Allow 5x slack over the design rate.
-	if fp > probes/20 {
-		t.Errorf("false positive rate %d/%d too high", fp, probes)
-	}
-	if b.Len() != 10000 {
-		t.Errorf("Len = %d, want 10000", b.Len())
-	}
-}
-
-func TestTopKExactWhenUnderCapacity(t *testing.T) {
-	tk := NewTopK(10)
-	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
-			tk.Add(fmt.Sprintf("k%d", i))
-		}
-	}
-	es := tk.Entries()
-	if len(es) != 5 {
-		t.Fatalf("got %d entries, want 5", len(es))
-	}
-	if es[0].Key != "k4" || es[0].Count != 5 || es[0].Error != 0 {
-		t.Errorf("top entry = %+v, want k4/5/0", es[0])
-	}
-	if es[4].Key != "k0" || es[4].Count != 1 {
-		t.Errorf("bottom entry = %+v, want k0/1", es[4])
-	}
-}
-
-func TestTopKFindsHeavyHitters(t *testing.T) {
-	tk := NewTopK(20)
-	rng := rand.New(rand.NewSource(1))
-	// Two heavy keys among uniform noise.
-	for i := 0; i < 20000; i++ {
-		switch {
-		case i%4 == 0:
-			tk.Add("heavy1")
-		case i%5 == 0:
-			tk.Add("heavy2")
-		default:
-			tk.Add(fmt.Sprintf("noise%d", rng.Intn(5000)))
-		}
-	}
-	es := tk.Entries()
-	if es[0].Key != "heavy1" {
-		t.Errorf("top key = %q, want heavy1", es[0].Key)
-	}
-	if es[1].Key != "heavy2" {
-		t.Errorf("second key = %q, want heavy2", es[1].Key)
-	}
-	if _, ok := tk.Count("heavy1"); !ok {
-		t.Error("Count(heavy1) not tracked")
-	}
-	if _, ok := tk.Count("definitely-absent"); ok {
-		t.Error("Count of absent key reported as tracked")
-	}
-}
-
-// Property: Space-Saving count is always an upper bound on the true count,
-// and Count - Error is a lower bound.
-func TestTopKBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		tk := NewTopK(8)
-		truth := map[string]uint64{}
-		for _, r := range raw {
-			k := fmt.Sprintf("k%d", r%32)
-			tk.Add(k)
-			truth[k]++
-		}
-		for _, e := range tk.Entries() {
-			n := truth[e.Key]
-			if e.Count < n {
-				return false
-			}
-			if e.Count-e.Error > n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -221,17 +105,5 @@ func BenchmarkCountMinAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Add(keys[i%len(keys)], 1)
-	}
-}
-
-func BenchmarkBloomContains(b *testing.B) {
-	bl := NewBloom(100000, 0.01)
-	for i := 0; i < 100000; i++ {
-		bl.Add(fmt.Sprintf("doc%d", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl.Contains(fmt.Sprintf("doc%d", i%200000))
 	}
 }

@@ -14,16 +14,14 @@ type EntryU64 struct {
 
 // TopKU64 is a weighted Space-Saving summary (Metwally et al.) over
 // already-interned 64-bit keys — the tail tier's heavy-hitter set of packed
-// pairs.Keys. It differs from the string TopK in three ways that matter on
-// the demotion path:
+// pairs.Keys. Three properties matter on the demotion path:
 //
 //   - Add takes a weight, because a demoted pair arrives carrying its whole
 //     windowed count, not one occurrence at a time.
 //   - Entries live in a dense slice indexed by a key→slot map, so steady
-//     state Add performs no allocations (the string TopK allocates an Entry
-//     per eviction) and the min scan walks the slice in slot order — the
-//     victim is a deterministic function of the summary contents, never of
-//     map iteration order.
+//     state Add performs no allocations and the min scan walks the slice
+//     in slot order — the victim is a deterministic function of the
+//     summary contents, never of map iteration order.
 //   - Remove exists, because promotion pulls a key back into the exact tier
 //     and must stop it from being re-promoted until it is demoted again.
 type TopKU64 struct {

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,31 @@ func TestTopKU64EvictionInheritsMinimum(t *testing.T) {
 	es := tk.Entries()
 	if es[1].Key != 9 || es[1].Error != 3 {
 		t.Errorf("newcomer entry = %+v, want Error 3", es[1])
+	}
+}
+
+// The Space-Saving summary surfaces the heavy keys of a noisy stream.
+func TestTopKFindsHeavyHitters(t *testing.T) {
+	const heavy1, heavy2 = 1, 2
+	tk := NewTopKU64(20)
+	rng := rand.New(rand.NewSource(1))
+	// Two heavy keys among uniform noise.
+	for i := 0; i < 20000; i++ {
+		switch {
+		case i%4 == 0:
+			tk.Add(heavy1, 1)
+		case i%5 == 0:
+			tk.Add(heavy2, 1)
+		default:
+			tk.Add(uint64(1000+rng.Intn(5000)), 1)
+		}
+	}
+	es := tk.Entries()
+	if es[0].Key != heavy1 || es[1].Key != heavy2 {
+		t.Errorf("top keys = %d, %d; want %d, %d", es[0].Key, es[1].Key, heavy1, heavy2)
+	}
+	if tk.Contains(999) {
+		t.Error("absent key reported as tracked")
 	}
 }
 
@@ -76,8 +102,8 @@ func TestTopKU64Remove(t *testing.T) {
 	}
 }
 
-// Property: like the string TopK, weighted Space-Saving counts are upper
-// bounds on true mass and Count - Error is a lower bound.
+// Property: weighted Space-Saving counts are upper bounds on true mass and
+// Count - Error is a lower bound.
 func TestTopKU64Bounds(t *testing.T) {
 	f := func(raw []uint8) bool {
 		tk := NewTopKU64(8)

@@ -9,7 +9,6 @@ package stream
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -111,22 +110,6 @@ type Operator interface {
 	Subscribe(Sink)
 }
 
-// Filter forwards only items for which Pred returns true.
-type Filter struct {
-	FanOut
-	Pred func(*Item) bool
-}
-
-// NewFilter returns a filter operator with the given predicate.
-func NewFilter(pred func(*Item) bool) *Filter { return &Filter{Pred: pred} }
-
-// Consume implements Sink.
-func (f *Filter) Consume(it *Item) {
-	if f.Pred(it) {
-		f.Emit(it)
-	}
-}
-
 // Map transforms each item with Fn and forwards the result. Returning nil
 // drops the item. Fn must not mutate its argument in place unless it owns
 // it; use Item.Clone when the transformation rewrites shared state.
@@ -143,90 +126,6 @@ func (m *Map) Consume(it *Item) {
 	if out := m.Fn(it); out != nil {
 		m.Emit(out)
 	}
-}
-
-// Tee is a pass-through operator used purely as a named sharing point in a
-// DAG (e.g. the output of an entity tagger consumed by several plans).
-type Tee struct {
-	FanOut
-}
-
-// Consume implements Sink.
-func (t *Tee) Consume(it *Item) { t.Emit(it) }
-
-// Dedup drops items whose DocID was already seen within the last capacity
-// items (sliding set, FIFO eviction). Wrappers replaying overlapping feeds
-// use it to avoid double counting.
-type Dedup struct {
-	FanOut
-	capacity int
-	seen     map[string]bool
-	order    []string
-	next     int
-}
-
-// NewDedup returns a dedup operator remembering up to capacity DocIDs.
-func NewDedup(capacity int) *Dedup {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Dedup{
-		capacity: capacity,
-		seen:     make(map[string]bool, capacity),
-		order:    make([]string, 0, capacity),
-	}
-}
-
-// Consume implements Sink.
-func (d *Dedup) Consume(it *Item) {
-	if d.seen[it.DocID] {
-		return
-	}
-	if len(d.order) < d.capacity {
-		d.order = append(d.order, it.DocID)
-	} else {
-		delete(d.seen, d.order[d.next])
-		d.order[d.next] = it.DocID
-		d.next = (d.next + 1) % d.capacity
-	}
-	d.seen[it.DocID] = true
-	d.Emit(it)
-}
-
-// Counter counts items flowing through an edge; it is the simplest of the
-// paper's "statistics operators". It is safe for concurrent use.
-type Counter struct {
-	FanOut
-	mu    sync.Mutex
-	n     int64
-	first time.Time
-	last  time.Time
-}
-
-// Consume implements Sink.
-func (c *Counter) Consume(it *Item) {
-	c.mu.Lock()
-	if c.n == 0 {
-		c.first = it.Time
-	}
-	c.n++
-	c.last = it.Time
-	c.mu.Unlock()
-	c.Emit(it)
-}
-
-// Count returns the number of items seen.
-func (c *Counter) Count() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// StreamSpan returns the event-time range [first, last] observed.
-func (c *Counter) StreamSpan() (first, last time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.first, c.last
 }
 
 // Source produces a stream of items, pushing each into emit. Run returns

@@ -37,6 +37,11 @@ func collect(items *[]*Item) Sink {
 	return SinkFunc(func(it *Item) { *items = append(*items, it) })
 }
 
+// identity is the pass-through stage of the Runner tests.
+func identity() Operator {
+	return NewMap(func(it *Item) *Item { return it })
+}
+
 func TestFanOutOrder(t *testing.T) {
 	var got []string
 	f := &FanOut{}
@@ -49,17 +54,6 @@ func TestFanOutOrder(t *testing.T) {
 	}
 	if f.Subscribers() != 2 {
 		t.Errorf("Subscribers = %d, want 2", f.Subscribers())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	var out []*Item
-	f := NewFilter(func(it *Item) bool { return len(it.Tags) > 0 })
-	f.Subscribe(collect(&out))
-	f.Consume(mkItem("a", "tag"))
-	f.Consume(mkItem("b"))
-	if len(out) != 1 || out[0].DocID != "a" {
-		t.Errorf("filter passed %v, want only a", out)
 	}
 }
 
@@ -85,43 +79,6 @@ func TestMapTransformAndDrop(t *testing.T) {
 	}
 	if len(orig.Tags) != 1 {
 		t.Error("map mutated the original item")
-	}
-}
-
-func TestDedup(t *testing.T) {
-	var out []*Item
-	d := NewDedup(2)
-	d.Subscribe(collect(&out))
-	d.Consume(mkItem("a"))
-	d.Consume(mkItem("a")) // dropped
-	d.Consume(mkItem("b"))
-	d.Consume(mkItem("c")) // evicts a
-	d.Consume(mkItem("a")) // passes again after eviction
-	ids := make([]string, len(out))
-	for i, it := range out {
-		ids[i] = it.DocID
-	}
-	want := []string{"a", "b", "c", "a"}
-	if !reflect.DeepEqual(ids, want) {
-		t.Errorf("dedup output = %v, want %v", ids, want)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := &Counter{}
-	var out []*Item
-	c.Subscribe(collect(&out))
-	c.Consume(&Item{Time: base, DocID: "1"})
-	c.Consume(&Item{Time: base.Add(time.Minute), DocID: "2"})
-	if c.Count() != 2 {
-		t.Errorf("Count = %d, want 2", c.Count())
-	}
-	first, last := c.StreamSpan()
-	if !first.Equal(base) || !last.Equal(base.Add(time.Minute)) {
-		t.Errorf("StreamSpan = %v..%v", first, last)
-	}
-	if len(out) != 2 {
-		t.Errorf("counter forwarded %d items, want 2", len(out))
 	}
 }
 
@@ -160,7 +117,7 @@ func TestRunnerSharesCommonPrefix(t *testing.T) {
 	stage := func(key string) Stage {
 		return Shared(key, func() Operator {
 			newCounts[key]++
-			return &Tee{}
+			return identity()
 		})
 	}
 	var out1, out2 []*Item
@@ -195,7 +152,7 @@ func TestRunnerDivergentPrefixNotShared(t *testing.T) {
 	mk := func(key string) func() Operator {
 		return func() Operator {
 			newCounts[key]++
-			return &Tee{}
+			return identity()
 		}
 	}
 	var out1, out2 []*Item
@@ -225,7 +182,7 @@ func TestRunnerPrivateStagesNeverShared(t *testing.T) {
 	var out1, out2 []*Item
 	r := NewRunner(SliceSource{mkItem("a")})
 	priv := func() Stage {
-		return Private(func() Operator { n++; return &Tee{} })
+		return Private(func() Operator { n++; return identity() })
 	}
 	r.Add(&Plan{Name: "p1", Stages: []Stage{priv()}, Sink: collect(&out1)})
 	r.Add(&Plan{Name: "p2", Stages: []Stage{priv()}, Sink: collect(&out2)})
@@ -241,17 +198,17 @@ func TestRunnerKeyedStageAfterPrivateIsPrivate(t *testing.T) {
 	n := 0
 	var out1, out2 []*Item
 	mkShared := func() Stage {
-		return Shared("k", func() Operator { n++; return &Tee{} })
+		return Shared("k", func() Operator { n++; return identity() })
 	}
 	r := NewRunner(SliceSource{mkItem("a")})
 	r.Add(&Plan{
 		Name:   "p1",
-		Stages: []Stage{Private(func() Operator { return &Tee{} }), mkShared()},
+		Stages: []Stage{Private(identity), mkShared()},
 		Sink:   collect(&out1),
 	})
 	r.Add(&Plan{
 		Name:   "p2",
-		Stages: []Stage{Private(func() Operator { return &Tee{} }), mkShared()},
+		Stages: []Stage{Private(identity), mkShared()},
 		Sink:   collect(&out2),
 	})
 	if err := r.Run(context.Background()); err != nil {
@@ -287,7 +244,7 @@ func TestRunnerFlushReachesSinks(t *testing.T) {
 	r := NewRunner(SliceSource{mkItem("a")})
 	r.Add(&Plan{
 		Name:   "p",
-		Stages: []Stage{Shared("t", func() Operator { return &Tee{} })},
+		Stages: []Stage{Shared("t", identity)},
 		Sink:   sink,
 	})
 	if err := r.Run(context.Background()); err != nil {

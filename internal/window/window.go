@@ -1,11 +1,12 @@
 // Package window implements the time-based sliding-window primitives that
-// underlie every statistic in enBlogue: bucketed counters, sliding averages,
-// and exponential decay with a configurable half-life.
+// underlie every statistic in enBlogue: bucketed sliding-window counters
+// (TimeBuckets, Counter, and the slab-backed CounterArena) and exponential
+// decay with a configurable half-life.
 //
 // The paper computes tag popularity as "a sliding-window average on the
 // document stream" and dampens past prediction errors "using an exponential
-// decline factor with a half life of approximately 2 days"; Counter,
-// Average, and Decay are the direct implementations of those mechanisms.
+// decline factor with a half life of approximately 2 days"; the windowed
+// counters and Decay are the direct implementations of those mechanisms.
 package window
 
 import (
@@ -215,34 +216,6 @@ func (c *Counter) Span() time.Duration { return c.tb.Span() }
 
 // Series returns per-bucket event counts, oldest first.
 func (c *Counter) Series() []float64 { return c.tb.Series() }
-
-// Average maintains a sliding-window average of observed values — the
-// paper's popularity measure ("a sliding-window average on the document
-// stream").
-type Average struct {
-	tb *TimeBuckets
-}
-
-// NewAverage returns a sliding average over n buckets of the given
-// resolution.
-func NewAverage(n int, resolution time.Duration) *Average {
-	return &Average{tb: NewTimeBuckets(n, resolution)}
-}
-
-// Add records value v at time t.
-func (a *Average) Add(t time.Time, v float64) { a.tb.Add(t, v) }
-
-// Observe advances the window to t.
-func (a *Average) Observe(t time.Time) { a.tb.Observe(t) }
-
-// Mean returns the sliding-window mean, or 0 when the window is empty.
-func (a *Average) Mean() float64 { return a.tb.Mean() }
-
-// Sum returns the sliding-window sum.
-func (a *Average) Sum() float64 { return a.tb.Sum() }
-
-// Count returns the number of observations inside the window.
-func (a *Average) Count() int64 { return a.tb.Count() }
 
 // Decay is an exponentially decaying value with a fixed half-life: after one
 // half-life the stored value has halved. It implements the paper's damping

@@ -171,25 +171,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestAverage(t *testing.T) {
-	a := NewAverage(4, time.Minute)
-	a.Add(t0, 10)
-	a.Add(t0.Add(time.Minute), 20)
-	if got := a.Mean(); got != 15 {
-		t.Errorf("Mean = %v, want 15", got)
-	}
-	if got := a.Sum(); got != 30 {
-		t.Errorf("Sum = %v, want 30", got)
-	}
-	if got := a.Count(); got != 2 {
-		t.Errorf("Count = %v, want 2", got)
-	}
-	a.Observe(t0.Add(time.Hour))
-	if got := a.Mean(); got != 0 {
-		t.Errorf("Mean after expiry = %v, want 0", got)
-	}
-}
-
 func TestDecayHalving(t *testing.T) {
 	d := NewDecay(2 * 24 * time.Hour) // the paper's ~2-day half-life
 	d.Set(t0, 8)

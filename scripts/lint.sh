@@ -2,7 +2,8 @@
 # lint.sh — the local mirror of CI's static-analysis gauntlet: gofmt,
 # go vet, the project's own enbloguevet analyzer suite (determinism, lock
 # discipline, hot-path allocations, wire-shape stability — see DESIGN.md
-# §9), build + vet of the nested bench/ module, and, when the tools are
+# §9) and the build + vet of the nested bench/ module, both run as the
+# go tests that `go test ./...` also runs, and, when the tools are
 # installed, staticcheck and govulncheck.
 # CI installs those two from the network; locally they are best-effort so
 # the script works offline.
@@ -21,13 +22,11 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== enbloguevet (vettool)"
-go build -o /tmp/enbloguevet ./cmd/enbloguevet
-go vet -vettool=/tmp/enbloguevet ./...
+echo "== enbloguevet"
+go test -count=1 -run '^TestSuite$' ./internal/analysis/
 
 echo "== bench module (build + vet)"
-go build -C bench -o /dev/null .
-go vet -C bench .
+go test -count=1 -run '^TestBenchModuleBuilds$' .
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "== staticcheck"
