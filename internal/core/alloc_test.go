@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -218,7 +220,9 @@ func TestDispatchUnmatchedZeroAllocs(t *testing.T) {
 
 // A matched predicated subscriber costs a small, bounded number of
 // allocations per delivered notification: the notification itself, the
-// owned payload copy, and the delta slices — never a full-ranking clone.
+// tick's shared payload (one per distinct view, here the only one), and
+// drainNotifs' result slice — never a per-subscriber topic copy, and never
+// a full-ranking clone.
 func TestDispatchMatchedSubscriberAllocs(t *testing.T) {
 	skipUnderRace(t)
 	cfg := testConfig()
@@ -239,12 +243,97 @@ func TestDispatchMatchedSubscriberAllocs(t *testing.T) {
 		e.PublishRanking(r)
 		drainNotifs(sub)
 	})
-	// Notification struct + owned one-topic payload ≈ 2; the bound leaves
-	// headroom for drain scratch while staying far below the old
-	// clone-per-subscriber regime (seeds + topics + persona maps).
-	if avg > 5 {
-		t.Errorf("matched dispatch allocates %.1f per tick, want ≤5", avg)
+	if avg > 3 {
+		t.Errorf("matched dispatch allocates %.1f per tick, want ≤3", avg)
 	}
+}
+
+// Subscribers that see the same view share one payload per tick: 100
+// subscriptions on one moving tag cost one Notification each plus one
+// payload, not one topic copy per subscriber.
+func TestDispatchSharedViewAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const nsubs = 100
+	e := New(testConfig())
+	defer e.Close()
+	pairsMustIntern("shared-a")
+	subs := make([]*Subscription, nsubs)
+	for i := range subs {
+		subs[i] = e.Subscribe(nil, SubTags("shared-a"), SubBuffer(2))
+	}
+	r := mkRanking(t0, mkTopic("shared-a", "shared-b", 1.0), mkTopic("other-c", "other-d", 0.5))
+	tick := func() {
+		r.At = r.At.Add(time.Hour)
+		r.Topics[0].Score += 0.1
+		e.PublishRanking(r)
+		for _, s := range subs {
+			select {
+			case <-s.Notifications():
+			default:
+				t.Fatal("a subscriber on the moving tag was not notified")
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	avg := testing.AllocsPerRun(100, tick)
+	if avg > nsubs+4 {
+		t.Errorf("shared-view dispatch allocates %.1f per tick, want ≤%d (one Notification per delivery, one payload per tick)", avg, nsubs+4)
+	}
+}
+
+// A predicated subscription keeps only what dispatch reads (top-k,
+// persona, compiled matcher): 10 000 subscriptions shaped like the fanout
+// workload's — one to three any-of tags, every tenth also score-floored
+// and emergence-only, one-slot buffers — must cost at most 512 bytes of
+// heap each, index postings included.
+func TestPredicatedSubscriptionBytes(t *testing.T) {
+	skipUnderRace(t)
+	if testing.Short() {
+		t.Skip("heap measurement over 10 000 subscriptions")
+	}
+	const nsubs = 10000
+	e := New(testConfig())
+	defer e.Close()
+	vocab := make([]string, 500)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("mem-%d", i)
+		pairsMustIntern(vocab[i])
+	}
+	// The fanout mix: a fifth of the tags among eight hot ones, the rest
+	// over the upper half of the vocabulary.
+	rng := rand.New(rand.NewSource(1))
+	tags := make([][]string, nsubs)
+	for i := range tags {
+		tags[i] = make([]string, 1+rng.Intn(3))
+		for j := range tags[i] {
+			if rng.Float64() < 0.2 {
+				tags[i][j] = vocab[rng.Intn(8)]
+			} else {
+				tags[i][j] = vocab[len(vocab)/2+rng.Intn(len(vocab)/2)]
+			}
+		}
+	}
+	subs := make([]*Subscription, 0, nsubs)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < nsubs; i++ {
+		opts := []SubOption{SubTags(tags[i]...), SubBuffer(1)}
+		if i%10 == 9 {
+			opts = append(opts, SubMinScore(0.001), SubEmergenceOnly())
+		}
+		subs = append(subs, e.Subscribe(nil, opts...))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / nsubs
+	t.Logf("%.0f B of heap per predicated subscription", per)
+	if per > 512 {
+		t.Errorf("predicated subscription costs %.0f B of heap, want ≤512", per)
+	}
+	runtime.KeepAlive(subs)
 }
 
 // pairsMustIntern forces a tag into the intern table the way ingest

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,10 +24,17 @@ import (
 // then consults the subscription index (subindex.go) to find only the
 // subscriptions whose predicates reference a tag that moved — every other
 // predicated subscription costs nothing, not even a visit. Unpredicated
-// ("full") subscriptions still receive every tick, but now share one
-// read-only topic slice per tick instead of each paying for an eager deep
-// clone (see Notification); persona re-rank runs only for subscriptions
-// that are actually being delivered to.
+// ("full") subscriptions still receive every tick, sharing one read-only
+// topic slice per tick (see Notification); persona re-rank runs only for
+// subscriptions that are actually being delivered to.
+//
+// A predicated candidate costs one set evaluation, not one test per topic:
+// on ticks with candidates the dispatcher indexes the ranking by tag (the
+// rank positions each tag occurs at, as a bitset), and a compiled predicate
+// is a few ORs and ANDs over those sets plus the score floor. Candidates
+// whose views hold the same rank positions share one immutable payload per
+// tick, so the work and the garbage follow the number of distinct views,
+// not the number of subscribers that see them.
 //
 // Delivery runs on a dedicated dispatcher goroutine, never under the
 // engine's tick/bookkeeping lock, and is non-blocking toward subscribers:
@@ -35,7 +43,9 @@ import (
 // therefore always observes the newest notifications and can never stall
 // the engine, the dispatcher, or its sibling subscribers.
 
-// subConfig holds per-subscription settings assembled from SubOptions.
+// subConfig holds per-subscription settings assembled from SubOptions. It
+// lives only for the duration of Subscribe: the subscription keeps just
+// what dispatch reads.
 type subConfig struct {
 	buffer        int
 	topK          int
@@ -117,8 +127,9 @@ func SubEmergenceOnly() SubOption {
 type Subscription struct {
 	broker  *broker
 	id      uint64
-	cfg     subConfig
-	m       *matcher // nil for full (unpredicated) subscriptions
+	topK    int
+	profile *persona.Profile // nil unless a non-empty persona is attached
+	m       *matcher         // nil for full (unpredicated) subscriptions
 	ch      chan *Notification
 	done    chan struct{} // nil unless a context watcher needs it
 	once    sync.Once
@@ -217,7 +228,16 @@ type broker struct {
 	candBuf     []*Subscription
 	fullBuf     []*Subscription
 	slotBuf     []deliverySlot
-	viewBuf     []shift.Topic
+	// Per-candidate scratch: the tick's position index, the evaluated set,
+	// the view's and its entrants' rank positions, the left pairs, and a
+	// persona view's materialised topics.
+	pos      posIndex
+	viewSet  []uint64
+	viewAt   []int32
+	enterAt  []int32
+	leftBuf  []pairs.Key
+	viewBuf  []shift.Topic
+	payloads payloadCache
 
 	// qmu guards the dispatch queue. It is never held together with mu:
 	// the dispatcher drains the queue under qmu, then delivers under mu.
@@ -233,7 +253,11 @@ type broker struct {
 }
 
 func newBroker() *broker {
-	b := &broker{subs: make(map[uint64]*Subscription), idx: newSubIndex()}
+	b := &broker{
+		subs:     make(map[uint64]*Subscription),
+		idx:      newSubIndex(),
+		payloads: payloadCache{byHash: make(map[uint64]int32)},
+	}
 	b.qcond = sync.NewCond(&b.qmu)
 	return b
 }
@@ -255,9 +279,12 @@ func (b *broker) subscribe(ctx context.Context, opts ...SubOption) *Subscription
 	}
 	s := &Subscription{
 		broker: b,
-		cfg:    cfg,
+		topK:   cfg.topK,
 		m:      compileMatcher(&cfg),
 		ch:     make(chan *Notification, cfg.buffer),
+	}
+	if p := cfg.profile; p != nil && !p.Empty() {
+		s.profile = p
 	}
 	watched := ctx != nil && ctx.Done() != nil
 	if watched {
@@ -435,21 +462,14 @@ func topicsContain(topics []shift.Topic, k pairs.Key) bool {
 	return false
 }
 
-func keysContain(keys []pairs.Key, k pairs.Key) bool {
-	for _, v := range keys {
-		if v == k {
-			return true
-		}
-	}
-	return false
-}
-
 // deliver dispatches one ranking: diff against the previous tick, collect
 // only the touched predicated subscriptions from the index, build
 // notifications outside every lock, then send non-blocking with
 // drop-oldest under b.mu (channel close in remove/close is safe exactly
-// because sends happen under b.mu). A tick that moves no subscribed tag
-// and has no full subscribers completes without allocating.
+// because sends happen under b.mu). The position index is built only when
+// there is a predicated candidate to evaluate against it. A tick that
+// moves no subscribed tag and has no full subscribers completes without
+// allocating.
 func (b *broker) deliver(r Ranking) {
 	b.seq++
 	changed := b.diffRanking(r.Topics)
@@ -471,10 +491,15 @@ func (b *broker) deliver(r Ranking) {
 	for _, s := range b.fullBuf {
 		slots = append(slots, deliverySlot{s: s, n: s.fullNotification(&r, entered, left)})
 	}
-	for _, s := range b.candBuf {
-		if n := b.filteredNotification(s, &r); n != nil {
-			slots = append(slots, deliverySlot{s: s, n: n})
+	if len(b.candBuf) > 0 {
+		b.pos.build(r.Topics)
+		b.viewSet = slices.Grow(b.viewSet[:0], b.pos.words)[:b.pos.words]
+		for _, s := range b.candBuf {
+			if n := b.filteredNotification(s, &r); n != nil {
+				slots = append(slots, deliverySlot{s: s, n: n})
+			}
 		}
+		b.payloads.reset()
 	}
 	b.matchedLast.Store(int64(len(slots)))
 
@@ -515,81 +540,167 @@ func (b *broker) deliver(r Ranking) {
 
 // fullNotification builds an unpredicated subscription's notification:
 // the shared broadcast topics (persona-reranked into an owned slice only
-// when a non-empty profile is attached), trimmed to top-k, carrying the
-// tick-level delta.
+// when a profile is attached), trimmed to top-k, carrying the tick-level
+// delta.
 func (s *Subscription) fullNotification(r *Ranking, entered, left []pairs.Key) *Notification {
 	topics := r.Topics
 	owned := false
-	if p := s.cfg.profile; p != nil && !p.Empty() {
-		topics = personaTopics(topics, p)
+	if s.profile != nil {
+		topics = personaTopics(topics, s.profile)
 		owned = true
 	}
-	if k := s.cfg.topK; k > 0 && len(topics) > k {
+	if k := s.topK; k > 0 && len(topics) > k {
 		topics = topics[:k]
 	}
 	return &Notification{at: r.At, seeds: r.Seeds, topics: topics, owned: owned, entered: entered, left: left}
 }
 
 // filteredNotification evaluates one predicated candidate against the
-// tick: filter through the compiled matcher, persona-rerank if a profile
-// is attached, trim to top-k, then compare the resulting view to the one
-// this subscription last saw on (pair, score) identity. An unchanged view
+// tick: evaluate the compiled matcher to a rank-position set, keep its k
+// lowest positions (or, with a persona, re-rank its topics into an owned
+// slice and trim that), then compare the resulting view to the one this
+// subscription last saw on (pair, score) identity. An unchanged view
 // returns nil without allocating — the subscriber has already seen it.
 // Under emergence-only, a changed view with no new entrants also returns
-// nil, and a delivered payload carries only the entrants.
+// nil, and a delivered payload carries only the entrants. Without a
+// persona the payload is the tick's shared one for its position set.
 func (b *broker) filteredNotification(s *Subscription, r *Ranking) *Notification {
 	m := s.m
-	view := b.viewBuf[:0]
-	for i := range r.Topics {
-		if m.matches(&r.Topics[i]) {
-			view = append(view, r.Topics[i])
-		}
+	m.eval(b.viewSet, &b.pos, r.Topics)
+	// topics is the slice the view's positions index: the ranking itself,
+	// or a persona's re-ranked copy.
+	topics, at := r.Topics, appendPositions(b.viewAt[:0], b.viewSet)
+	if s.profile != nil {
+		topics, at = b.personaView(s, topics, at)
+	} else if k := s.topK; k > 0 && len(at) > k {
+		at = at[:k]
 	}
-	b.viewBuf = view // retain grown capacity for the next candidate
-	viewOwned := false
-	if p := s.cfg.profile; p != nil && !p.Empty() && len(view) > 0 {
-		view = personaTopics(view, p)
-		viewOwned = true
-	}
-	if k := s.cfg.topK; k > 0 && len(view) > k {
-		view = view[:k]
-	}
-	if marksEqual(s.lastView, view) {
+	b.viewAt = at // retain grown capacity for the next candidate
+	if marksEqualAt(s.lastView, topics, at) {
 		return nil
 	}
-	var entered, left []pairs.Key
-	for i := range view {
-		if _, ok := markScore(s.lastView, view[i].Pair); !ok {
-			entered = append(entered, view[i].Pair)
+	enter := b.enterAt[:0]
+	for _, i := range at {
+		if _, ok := markScore(s.lastView, topics[i].Pair); !ok {
+			enter = append(enter, i)
 		}
 	}
+	b.enterAt = enter
+	left := b.leftBuf[:0]
 	for _, mk := range s.lastView {
-		if !topicsContain(view, mk.key) {
+		if !viewHas(topics, at, mk.key) {
 			left = append(left, mk.key)
 		}
 	}
-	if m.emergenceOnly && len(entered) == 0 {
+	b.leftBuf = left
+	s.lastView = appendMarksAt(s.lastView[:0], topics, at)
+	if m.emergenceOnly && len(enter) == 0 {
 		// The view changed (scores moved or topics fell out) but nothing
 		// emerged: remember the new view, deliver nothing.
-		s.lastView = appendMarks(s.lastView[:0], view)
 		return nil
 	}
-	var payload []shift.Topic
-	switch {
-	case m.emergenceOnly:
-		payload = make([]shift.Topic, 0, len(entered))
-		for i := range view {
-			if keysContain(entered, view[i].Pair) {
-				payload = append(payload, view[i])
-			}
+	n := &Notification{at: r.At, seeds: r.Seeds}
+	if len(enter)+len(left) > 0 {
+		// One allocation holds both deltas.
+		keys := make([]pairs.Key, 0, len(enter)+len(left))
+		for _, i := range enter {
+			keys = append(keys, topics[i].Pair)
 		}
-	case viewOwned:
-		payload = view
-	default:
-		payload = append([]shift.Topic(nil), view...)
+		keys = append(keys, left...)
+		n.entered, n.left = keys[:len(enter)], keys[len(enter):]
 	}
-	s.lastView = appendMarks(s.lastView[:0], view)
-	return &Notification{at: r.At, seeds: r.Seeds, topics: payload, owned: true, entered: entered, left: left}
+	payloadAt := at
+	if m.emergenceOnly {
+		payloadAt = enter
+	}
+	if s.profile == nil {
+		n.topics = b.payloads.get(payloadAt, topics)
+	} else if !m.emergenceOnly {
+		n.topics, n.owned = topics, true
+	} else {
+		n.topics, n.owned = make([]shift.Topic, len(enter)), true
+		for j, i := range enter {
+			n.topics[j] = topics[i]
+		}
+	}
+	return n
+}
+
+// personaView materialises the ranking's topics at positions at,
+// re-ranks them through the subscription's persona into an owned slice
+// trimmed to top-k, and returns that slice with its own positions (at's
+// storage is reused: the re-ranked view is never longer).
+func (b *broker) personaView(s *Subscription, topics []shift.Topic, at []int32) ([]shift.Topic, []int32) {
+	if len(at) == 0 {
+		return nil, at
+	}
+	view := b.viewBuf[:0]
+	for _, i := range at {
+		view = append(view, topics[i])
+	}
+	b.viewBuf = view
+	owned := personaTopics(view, s.profile)
+	if k := s.topK; k > 0 && len(owned) > k {
+		owned = owned[:k]
+	}
+	at = at[:0]
+	for i := range owned {
+		at = append(at, int32(i))
+	}
+	return owned, at
+}
+
+// payloadCache holds one tick's predicated payloads, one immutable topic
+// slice per distinct rank-position set (keyed by its ascending positions):
+// every subscriber whose view (or, under emergence-only, whose entrant
+// subset) is the same set of positions shares it. Notifications carry it
+// copy-on-read, and the cache is reset every tick, so a payload is never
+// rewritten under a subscriber that kept it. Dispatcher-only.
+type payloadCache struct {
+	// byHash maps a position set's hash to 1 + the index of the newest
+	// entry with that hash; entries chain through next.
+	byHash  map[uint64]int32
+	entries []payloadEntry
+	pos     []int32 // every entry's positions, back to back
+}
+
+type payloadEntry struct {
+	next   int32 // 1 + index of the next entry with the same hash; 0 ends
+	lo, hi int32 // the entry's positions are pos[lo:hi]
+	topics []shift.Topic
+}
+
+// get returns the tick's payload for the topics at positions at
+// (ascending), building it on first request. An empty set has no payload.
+func (c *payloadCache) get(at []int32, topics []shift.Topic) []shift.Topic {
+	if len(at) == 0 {
+		return nil
+	}
+	h := uint64(len(at))
+	for _, i := range at {
+		h = (h ^ uint64(i)) * 0x9e3779b97f4a7c15
+	}
+	for e := c.byHash[h]; e != 0; e = c.entries[e-1].next {
+		if en := &c.entries[e-1]; slices.Equal(c.pos[en.lo:en.hi], at) {
+			return en.topics
+		}
+	}
+	payload := make([]shift.Topic, len(at))
+	for j, i := range at {
+		payload[j] = topics[i]
+	}
+	lo := int32(len(c.pos))
+	c.pos = append(c.pos, at...)
+	c.entries = append(c.entries, payloadEntry{next: c.byHash[h], lo: lo, hi: int32(len(c.pos)), topics: payload})
+	c.byHash[h] = int32(len(c.entries))
+	return payload
+}
+
+// reset forgets the tick's payloads, keeping the cache's capacity.
+func (c *payloadCache) reset() {
+	clear(c.byHash)
+	clear(c.entries)
+	c.entries, c.pos = c.entries[:0], c.pos[:0]
 }
 
 // wait blocks until every ranking published before the call has been fully

@@ -11,18 +11,20 @@ import (
 // Notification is one delivered tick as a subscription sees it: the
 // topics that matched (for a predicated subscription) or the whole
 // broadcast ranking (for a full one), plus the delta that caused the
-// delivery. It replaces the old per-tick eager Ranking clone with a
-// copy-on-read view: dispatch hands every full subscriber the same
-// shared, read-only topic slice, and the defensive copy the old broker
-// paid for up front is now materialised lazily, once, on the first
+// delivery. Its topics are a copy-on-read view: dispatch hands every full
+// subscriber the tick's ranking itself, and every predicated subscriber
+// whose view holds the same rank positions one shared payload built once
+// per tick. The defensive copy is materialised lazily, once, on the first
 // Ranking/Topics/Seeds call — a subscriber that drops or skims a
-// notification never pays for a clone at all.
+// notification never pays for a copy at all. Shared slices are never
+// written after delivery, so a retained notification never changes.
 type Notification struct {
 	at    time.Time
 	seeds []string // shared with the engine's ranking; read-only
-	// topics is shared with the engine's ranking for unpredicated
-	// subscriptions (owned=false) and owned by this notification for
-	// filtered/persona views (owned=true).
+	// topics is shared — the broadcast ranking for a full subscription,
+	// the tick's payload for its position set for a predicated one — and
+	// read-only (owned=false), or, for a persona's re-ranked view, owned
+	// by this notification (owned=true).
 	topics []shift.Topic
 	owned  bool
 	// entered/left hold the delta that triggered this delivery: the

@@ -13,6 +13,9 @@ package core
 // subscriptions. A tick's dispatch then diffs the new ranking against the
 // previous one, looks up only the moved tags' postings, and leaves every
 // other predicated subscription untouched — zero work, zero allocations.
+// A candidate's matcher is then evaluated once per tick, as unions and
+// intersections of the rank-position sets of its tags (posIndex, below),
+// never topic by topic.
 //
 // Tag IDs are resolved through intern.Find, never intern.Intern: ID
 // assignment stays an ingest-path-only event (the property DESIGN.md §6
@@ -23,6 +26,7 @@ package core
 // table-length check per tick, not a lookup.
 
 import (
+	"math/bits"
 	"sync"
 
 	"enblogue/internal/intern"
@@ -111,36 +115,52 @@ func (m *matcher) tagged() bool {
 	return len(m.any)+len(m.all)+len(m.pendingAny)+len(m.pendingAll) > 0
 }
 
-// matches evaluates the compiled predicate against one topic. It is
-// allocation-free: two ID extractions and a few linear scans over tiny
-// slices.
-func (m *matcher) matches(t *shift.Topic) bool {
-	if t.Score < m.minScore {
-		return false
-	}
+// eval writes into dst (ix.words wide) the rank positions of the topics
+// the predicate keeps: the union of the any-of tags' position sets (every
+// position when there is no any-of term), intersected with each all-of
+// tag's set, then thinned bit by bit by the score floor. A pending all-of
+// tag gives the empty set: no pair can contain a tag never interned.
+//
+//enblogue:hotpath
+func (m *matcher) eval(dst []uint64, ix *posIndex, topics []shift.Topic) {
+	clear(dst)
 	if len(m.pendingAll) > 0 {
-		// A required tag was never interned, so no pair can contain it.
-		return false
-	}
-	a, b := t.Pair.IDs()
-	for _, id := range m.all {
-		if id != a && id != b {
-			return false
-		}
+		return
 	}
 	if len(m.any)+len(m.pendingAny) > 0 {
-		ok := false
 		for _, id := range m.any {
-			if id == a || id == b {
-				ok = true
-				break
+			if set := ix.set(id); set != nil {
+				for w := range dst {
+					dst[w] |= set[w]
+				}
 			}
 		}
-		if !ok {
-			return false
+	} else {
+		for w := range dst {
+			dst[w] = ^uint64(0)
+		}
+		if r := len(topics) % 64; r != 0 {
+			dst[len(dst)-1] = 1<<r - 1
 		}
 	}
-	return true
+	for _, id := range m.all {
+		set := ix.set(id)
+		if set == nil {
+			clear(dst)
+			return
+		}
+		for w := range dst {
+			dst[w] &= set[w]
+		}
+	}
+	for w := range dst {
+		for rest := dst[w]; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			if topics[w*64+bit].Score < m.minScore {
+				dst[w] &^= 1 << bit
+			}
+		}
+	}
 }
 
 // resolve migrates tag from the matcher's pending sets to its ID sets.
@@ -194,17 +214,36 @@ func appendMarks(dst []topicMark, topics []shift.Topic) []topicMark {
 	return dst
 }
 
-// marksEqual reports whether topics renders to exactly marks, in order.
-func marksEqual(marks []topicMark, topics []shift.Topic) bool {
-	if len(marks) != len(topics) {
+// appendMarksAt renders the topics at positions at into dst as marks.
+func appendMarksAt(dst []topicMark, topics []shift.Topic, at []int32) []topicMark {
+	for _, i := range at {
+		dst = append(dst, topicMark{key: topics[i].Pair, score: topics[i].Score})
+	}
+	return dst
+}
+
+// marksEqualAt reports whether the topics at positions at render to
+// exactly marks, in order.
+func marksEqualAt(marks []topicMark, topics []shift.Topic, at []int32) bool {
+	if len(marks) != len(at) {
 		return false
 	}
-	for i := range topics {
-		if marks[i].key != topics[i].Pair || marks[i].score != topics[i].Score {
+	for j, i := range at {
+		if marks[j].key != topics[i].Pair || marks[j].score != topics[i].Score {
 			return false
 		}
 	}
 	return true
+}
+
+// viewHas reports whether key is the pair of a topic at one of positions at.
+func viewHas(topics []shift.Topic, at []int32, key pairs.Key) bool {
+	for _, i := range at {
+		if topics[i].Pair == key {
+			return true
+		}
+	}
+	return false
 }
 
 // markScore returns the score recorded for key in marks, if present.
@@ -215,6 +254,80 @@ func markScore(marks []topicMark, key pairs.Key) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// posIndex is the dispatcher's per-tick position index: for every
+// interned tag ID in the tick's ranking, the set of rank positions whose
+// pair contains it. A set is ⌈len(topics)/64⌉ words wide, bit i standing
+// for topics[i]. The index is dense in tag IDs and is reset through the
+// list of IDs it touched, so once warmed it builds without a map or an
+// allocation. The dispatcher builds it only on ticks with a predicated
+// candidate.
+type posIndex struct {
+	words int
+	// slot maps a tag ID to 1 + the index of its set; 0 means no topic of
+	// the tick contains the tag.
+	slot []uint32
+	ids  []uint32 // tag IDs holding a slot this tick
+	sets []uint64 // one set per slot, words each, back to back
+}
+
+// build indexes topics. IDs the intern table never issued (the zero Key
+// carries one) are skipped: no predicate can name them.
+//
+//enblogue:hotpath
+func (ix *posIndex) build(topics []shift.Topic) {
+	for _, id := range ix.ids {
+		ix.slot[id] = 0
+	}
+	ix.ids, ix.sets = ix.ids[:0], ix.sets[:0]
+	ix.words = (len(topics) + 63) / 64
+	issued := uint32(intern.Tags.Len())
+	for i := range topics {
+		a, b := topics[i].Pair.IDs()
+		if a < issued {
+			ix.mark(a, i)
+		}
+		if b < issued {
+			ix.mark(b, i)
+		}
+	}
+}
+
+// mark adds rank position pos to id's set.
+//
+//enblogue:hotpath
+func (ix *posIndex) mark(id uint32, pos int) {
+	if int(id) >= len(ix.slot) {
+		ix.slot = append(ix.slot, make([]uint32, int(id)+1-len(ix.slot))...)
+	}
+	if ix.slot[id] == 0 {
+		ix.ids = append(ix.ids, id)
+		ix.sets = append(ix.sets, make([]uint64, ix.words)...)
+		ix.slot[id] = uint32(len(ix.ids))
+	}
+	ix.sets[int(ix.slot[id]-1)*ix.words+pos/64] |= 1 << (pos % 64)
+}
+
+// set returns id's position set, or nil when no topic of the tick
+// contains id.
+func (ix *posIndex) set(id uint32) []uint64 {
+	if int(id) >= len(ix.slot) || ix.slot[id] == 0 {
+		return nil
+	}
+	off := int(ix.slot[id]-1) * ix.words
+	return ix.sets[off : off+ix.words]
+}
+
+// appendPositions appends set's positions to dst in ascending (rank)
+// order.
+func appendPositions(dst []int32, set []uint64) []int32 {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
 }
 
 // subIndex is the inverted subscription index. It is guarded by its own
