@@ -163,10 +163,9 @@ func (e *Engine) Consume(it *Item) { e.core.Consume(it) }
 
 // ConsumeBatch feeds a run of tuples through the engine — the one ingest
 // path — firing evaluation ticks as event time passes tick boundaries. It
-// pays the engine's bookkeeping lock once per batch and each pair-tracker
-// shard lock once per batch chunk. Rankings do not depend on how a stream
-// is cut into batches. Safe for concurrent producers, which serialise on
-// the bookkeeping lock for the whole batch.
+// pays the engine's bookkeeping lock once per batch. Rankings do not depend
+// on how a stream is cut into batches. Safe for concurrent producers, which
+// serialise on the bookkeeping lock for the whole batch.
 func (e *Engine) ConsumeBatch(items []*Item) { e.core.ConsumeBatch(items) }
 
 // Enqueue appends one tuple to the engine's bounded ingest queue and

@@ -19,8 +19,8 @@
 //     held — by a lexical <field>.Lock() earlier in the body, or because
 //     the caller is itself annotated with the class;
 //  3. lock classes are acquired in ascending declared order: acquiring an
-//     outer class (engine.mu) while holding an inner one (a pair-tracker
-//     shard lock) is the deadlock the sharded engine must never reach;
+//     outer class (engine.mu) while holding an inner one (a tail-tier
+//     lock) is the deadlock the sharded engine must never reach;
 //  4. no class is acquired or (via an acquires-annotated callee)
 //     re-entered while already held.
 //

@@ -259,8 +259,8 @@ type Engine struct {
 	cfg Config
 
 	tags    *tagstats.Tracker      // guarded by mu
-	pairsTr *pairs.ShardedTracker  // internally sharded + locked
-	dist    *pairs.DistTracker     // non-nil in DistributionMode; internally locked
+	pairsTr *pairs.ShardedTracker  // guarded by mu; shard i snapshotted by tick worker i
+	dist    *pairs.DistTracker     // non-nil in DistributionMode; guarded by mu
 	det     *shift.Sharded         // shard i touched only by tick worker i, under mu
 	seeds   *tagstats.SeedSelector // internally locked
 
@@ -505,7 +505,7 @@ func (e *Engine) Consume(it *stream.Item) {
 // ConsumeBatch is the engine's one ingest path: it feeds a run of items
 // through seed statistics and pair tracking, firing evaluation ticks as
 // event time passes tick boundaries, and pays the bookkeeping lock once per
-// batch and each tracker-shard lock once per pair-batch chunk.
+// batch.
 //
 // Rankings are invariant under how a stream is cut into batches, batches of
 // one included. The batch is processed as segments delimited by the two
@@ -932,8 +932,7 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 	// Snapshot every shard's pairs first, then decide the round advance
 	// from the snapshots themselves: the workers evaluate exactly these
 	// pairs, so the shard detectors' evaluation-round clocks advance
-	// precisely when a single global detector would — even if a concurrent
-	// producer is inserting pairs mid-tick.
+	// precisely when a single global detector would.
 	nsh := e.pairsTr.Shards()
 	forEachShard(nsh, func(i int) {
 		ts.snaps[i] = e.pairsTr.AppendSnapshot(i, ts.snaps[i][:0])

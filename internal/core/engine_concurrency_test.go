@@ -123,13 +123,35 @@ func TestEngineShardedMatchesSerialDistMode(t *testing.T) {
 }
 
 // One goroutine hammers Consume while others call Tick, CurrentRanking,
-// Seeds, ActivePairs, and ExpandTopic — the live-server pattern. Run under
-// -race; the assertions are liveness/sanity, the race detector is the test.
+// Seeds, ActivePairs, TailStats, and ExpandTopic — the live-server pattern.
+// Run under -race; the assertions are liveness/sanity, the race detector is
+// the test. The tail variant runs the sketch tier under a tight MaxPairs, so
+// eviction, demotion and promotion all happen while the readers run.
 func TestEngineConcurrentConsumeAndTick(t *testing.T) {
-	cfg := testConfig()
-	cfg.Shards = 4
-	e := New(cfg)
+	for _, tc := range []struct {
+		name string
+		tail bool
+	}{{"exact", false}, {"tail", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Shards = 4
+			if tc.tail {
+				// Fed sequentially, this stream promotes 3 pairs at 12.
+				cfg.MaxPairs = 12
+				cfg.TailSketch = TailSketchConfig{Enabled: true, Epsilon: 0.01, Delta: 0.01, TopK: 64}
+			}
+			e := New(cfg)
+			hammerConsumeAndTick(t, e)
+			if tc.tail {
+				if ts := e.TailStats(); ts.Promotions == 0 {
+					t.Errorf("tail variant never promoted: %+v", ts)
+				}
+			}
+		})
+	}
+}
 
+func hammerConsumeAndTick(t *testing.T, e *Engine) {
 	docs := determinismStream()
 	items := make([]*stream.Item, len(docs))
 	for i := range docs {
@@ -183,6 +205,7 @@ func TestEngineConcurrentConsumeAndTick(t *testing.T) {
 				}
 				e.Seeds()
 				e.ActivePairs()
+				e.TailStats()
 				e.DocsProcessed()
 				if len(r.Topics) > 0 {
 					e.ExpandTopic(r.Topics[0].Pair, 2)

@@ -17,6 +17,8 @@ import (
 // x must accompany both members to belong to the topic. Only pairs already
 // tracked (i.e. containing a seed) can contribute, which is exactly the
 // candidate universe the engine maintains.
+//
+//enblogue:acquires engine
 func (e *Engine) ExpandTopic(k pairs.Key, maxExtra int) []string {
 	tag1, tag2 := k.Tag1(), k.Tag2()
 	set := []string{tag1, tag2}
@@ -25,6 +27,7 @@ func (e *Engine) ExpandTopic(k pairs.Key, maxExtra int) []string {
 	}
 	co1 := make(map[string]float64)
 	co2 := make(map[string]float64)
+	e.mu.Lock()
 	for _, kk := range e.pairsTr.Keys() {
 		if o, ok := kk.Other(tag1); ok && o != tag2 {
 			if c := e.pairsTr.Cooccurrence(kk); c > 0 {
@@ -37,6 +40,7 @@ func (e *Engine) ExpandTopic(k pairs.Key, maxExtra int) []string {
 			}
 		}
 	}
+	e.mu.Unlock()
 	type cand struct {
 		tag      string
 		strength float64

@@ -1,7 +1,6 @@
 package pairs
 
 import (
-	"sync"
 	"time"
 
 	"enblogue/internal/intern"
@@ -22,9 +21,10 @@ type keyAt struct {
 	abs int64
 }
 
-// batchScratch carries one ObserveBatch call's working set so the steady
-// state allocates nothing: per-document interned IDs and seed flags, the
-// chunk's candidate increments in document order, and the per-shard groups.
+// batchScratch is ObserveBatch's working set, owned by the tracker and
+// reused across calls so the steady state allocates nothing: per-document
+// interned IDs and seed flags, the chunk's candidate increments in document
+// order, and the per-shard groups (one per shard, sized at construction).
 type batchScratch struct {
 	ids     []uint32
 	seed    []bool
@@ -32,22 +32,11 @@ type batchScratch struct {
 	byShard [][]keyAt
 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// getBatchScratch returns a scratch with at least n empty per-shard groups.
-func getBatchScratch(n int) *batchScratch {
-	sc := batchScratchPool.Get().(*batchScratch)
-	for len(sc.byShard) < n {
-		sc.byShard = append(sc.byShard, nil)
-	}
-	return sc
-}
-
 // ObserveBatch is the tracker's only ingest routine (one document is a batch
 // of one). For each document, in order, it deduplicates and interns the
 // tags, generates the candidate pairs (those with at least one tag
 // satisfying isSeed; nil isSeed tracks all pairs) and increments their
-// counters, taking each shard lock once per chunk. Safe for concurrent use.
+// counters, applying each chunk shard by shard.
 //
 // Batch-cut invariance. The state after a document sequence does not depend
 // on how the sequence was cut into calls, and equals what the serial
@@ -70,19 +59,17 @@ func getBatchScratch(n int) *batchScratch {
 // prepared in document order, so interned-ID assignment — and therefore
 // shard placement — does not depend on the cut either.
 //
-//enblogue:acquires pairsShard
-//enblogue:acquires pairsSweep
 //enblogue:acquires tier
 //enblogue:hotpath
 func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
 	if len(docs) == 0 {
 		return
 	}
-	sc := getBatchScratch(len(tr.shards))
+	sc := &tr.scratch
 	arena := tr.shards[0].arena // all shards share Buckets/Resolution
 	i := 0
 	for i < len(docs) {
-		maxDocs := int64(tr.cfg.SweepEvery) - tr.sinceGC.Load()
+		maxDocs := int64(tr.cfg.SweepEvery) - tr.sinceGC
 		if maxDocs < 1 {
 			maxDocs = 1
 		}
@@ -132,48 +119,35 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 			j++
 		}
 
-		// Apply the chunk: lift the clock, then take each touched shard's
-		// lock once and replay its increments in document order.
-		tr.advanceNowNano(maxNano)
+		// Apply the chunk: lift the clock, then replay each shard's
+		// increments in document order.
+		if maxNano > tr.nowNano || tr.nowNano == 0 {
+			tr.nowNano = maxNano
+		}
 		if len(tr.shards) == 1 {
-			if len(sc.keys) > 0 {
-				sh := tr.shards[0]
-				sh.mu.Lock()
-				for _, ka := range sc.keys {
-					sh.arena.IncAbs(tr.upsertLocked(sh, ka.k), ka.abs)
-				}
-				sh.mu.Unlock()
+			sh := tr.shards[0]
+			for _, ka := range sc.keys {
+				sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
 			}
 		} else {
-			n := len(tr.shards)
 			for _, ka := range sc.keys {
-				s := ka.k.Shard(n)
+				s := ka.k.Shard(len(tr.shards))
 				sc.byShard[s] = append(sc.byShard[s], ka)
 			}
-			for s, kas := range sc.byShard[:n] {
-				if len(kas) == 0 {
-					continue
-				}
+			for s, kas := range sc.byShard {
 				sh := tr.shards[s]
-				sh.mu.Lock()
 				for _, ka := range kas {
-					sh.arena.IncAbs(tr.upsertLocked(sh, ka.k), ka.abs)
+					sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
 				}
-				sh.mu.Unlock()
 				sc.byShard[s] = kas[:0]
 			}
 		}
 
 		// The per-document sweep check, at the chunk boundary.
-		tr.sinceGC.Add(int64(j - i))
-		if tr.sweepDue() {
-			tr.sweepMu.Lock()
-			if tr.sweepDue() {
-				tr.sweepLocked()
-			}
-			tr.sweepMu.Unlock()
+		tr.sinceGC += int64(j - i)
+		if tr.sinceGC >= int64(tr.cfg.SweepEvery) || tr.npairs.Load() > int64(tr.cfg.MaxPairs) {
+			tr.sweep()
 		}
 		i = j
 	}
-	batchScratchPool.Put(sc)
 }

@@ -1,9 +1,7 @@
 package pairs
 
 import (
-	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,9 +10,9 @@ import (
 )
 
 // PairCount is one tracked pair and its windowed co-occurrence count, as
-// returned by ShardedTracker.Snapshot. Slot is the pair's arena slot within
-// its shard — stable for the pair's whole tracked lifetime — which the
-// engine forwards to the shift detector as a state-cache hint.
+// returned by ShardedTracker.AppendSnapshot. Slot is the pair's arena slot
+// within its shard — stable for the pair's whole tracked lifetime — which
+// the engine forwards to the shift detector as a state-cache hint.
 type PairCount struct {
 	Key   Key
 	Count float64
@@ -23,13 +21,10 @@ type PairCount struct {
 
 // trackerShard owns one partition of the pair space: an ID-keyed slot map
 // into a slab-allocated counter arena (one backing slice of buckets per
-// shard instead of one heap object per pair), and the lock that guards
-// them. The window clock is tracker-global (nowNano), not per shard, so
-// quiet shards expire their counters at the same times the serial Tracker
-// would.
+// shard instead of one heap object per pair). The window clock is
+// tracker-global (nowNano), not per shard, so quiet shards expire their
+// counters at the same times the serial Tracker would.
 type trackerShard struct {
-	//enblogue:lock pairsShard 50
-	mu    sync.Mutex
 	slots map[Key]int32
 	arena *window.CounterArena
 	// keys is the reverse index: keys[slot] names the pair occupying that
@@ -44,22 +39,26 @@ type trackerShard struct {
 	// amount. The sweep subtracts the seed when such a pair is re-evicted:
 	// the seed's mass never left the Count-Min sketch, so re-demoting it
 	// would compound the estimate on every promote→evict cycle. Nil until
-	// the first promotion; guarded by mu; entries are cleared when the pair
-	// is dropped.
+	// the first promotion; entries are cleared when the pair is dropped.
 	approx map[Key]float64
 	// evicted counts lifetime over-budget evictions from this shard;
 	// demoted counts those absorbed by the tail tier (equal to evicted
-	// while the tier is enabled, zero when disabled).
+	// while the tier is enabled, zero when disabled). Atomic: TailStats
+	// reads them from any goroutine.
 	evicted atomic.Int64
 	demoted atomic.Int64
 }
 
-// ShardedTracker is the concurrent counterpart of Tracker: the pair space is
-// partitioned by hash(Key) % Shards, each shard guarded by its own lock.
-// ObserveBatch — the only ingest routine — groups a run of documents'
-// candidate pairs by shard and takes each shard lock once per chunk;
-// readers (Cooccurrence, Snapshot, Keys) lock only the shards they touch,
-// so ingest and evaluation proceed in parallel on disjoint shards.
+// ShardedTracker is the sharded counterpart of Tracker: the pair space is
+// partitioned by hash(Key) % Shards so that evaluation can snapshot and
+// score the shards in parallel. ObserveBatch — the only ingest routine —
+// groups a run of documents' candidate pairs by shard and applies each
+// shard's group in document order.
+//
+// It is a single-owner structure: callers serialise every method (the
+// engine calls them all under its own lock), except that AppendSnapshot
+// may run concurrently on distinct shards, and ActivePairs and TailStats
+// are safe from any goroutine.
 //
 // Semantics are shard-count independent for a sequentially observed stream:
 // sweeps trigger on the same global document counts as the serial Tracker,
@@ -71,44 +70,36 @@ type trackerShard struct {
 type ShardedTracker struct {
 	cfg     Config
 	shards  []*trackerShard
-	npairs  atomic.Int64 // total tracked pairs across shards
-	nowNano atomic.Int64 // max observed event time, unix nanos
-	sinceGC atomic.Int64 // documents observed since the last sweep
-	// sweepMu serialises whole-tracker sweeps. It is taken before any
-	// shard lock (sweepLocked walks the shards under it), never after.
-	//
-	//enblogue:lock pairsSweep 40
-	sweepMu sync.Mutex
+	npairs  atomic.Int64 // total tracked pairs across shards; atomic for ActivePairs
+	nowNano int64        // max observed event time, unix nanos
+	sinceGC int64        // documents observed since the last sweep
 
 	// tails is the cold tier, one Tail per shard (nil when disabled): the
 	// sweep demotes every over-budget eviction victim into its shard's
 	// tail, and PromoteTail re-admits tail pairs whose estimates cross the
-	// admission floor. Each Tail carries its own mutex (lockdiscipline
-	// class tier, order 45) — demotion locks it after every shard lock has
-	// been released (holding only sweepMu, 40 < 45) and promotion locks it
-	// before taking shard locks (45 < 50), both ascending.
+	// admission floor.
 	tails []*tier.Tail
-	// floorBits is the admission floor as float64 bits: the windowed count
-	// of the largest pair the last over-budget sweep evicted. A tail pair
-	// must beat it to be promoted — i.e. its estimate must show it would
-	// have survived that eviction.
-	floorBits atomic.Uint64
-	// promotions counts lifetime tail→exact promotions.
-	promotions atomic.Int64
+	// floor is the admission floor: the windowed count of the largest pair
+	// the last over-budget sweep evicted. A tail pair must beat it to be
+	// promoted — i.e. its estimate must show it would have survived that
+	// eviction.
+	floor float64
+	// promotions counts lifetime tail→exact promotions; approxSeeded counts
+	// the tracked pairs whose counters are sketch-seeded (the entries of
+	// every shard's approx map). Both atomic for TailStats.
+	promotions   atomic.Int64
+	approxSeeded atomic.Int64
 	// onEvict, when set via SetOnEvict, observes every over-budget
 	// eviction with the victim's windowed count — the test seam for
 	// cross-validating tail estimates against exact ground truth. Called
-	// under sweepMu with no shard lock held.
+	// from inside the sweep; it must not call back into the tracker.
 	onEvict func(Key, float64)
-	// sweepAll and sweepVictims are the over-budget sweep's ranking and
-	// victim buffers, reused across sweeps so a tracker under sustained
-	// eviction pressure does not allocate per sweep. Guarded by sweepMu.
-	sweepAll     []counted[Key]
-	sweepVictims []counted[Key]
-	// sweepSeeds[i] is the sketch-seeded portion of sweepVictims[i]'s
-	// counter (zero for pairs never promoted), captured under the shard
-	// lock at drop time for the demotion pass. Guarded by sweepMu.
-	sweepSeeds []float64
+
+	// scratch is ObserveBatch's working set and sweepAll the over-budget
+	// sweep's ranking buffer, both reused across calls so the steady state
+	// allocates nothing.
+	scratch  batchScratch
+	sweepAll []counted[Key]
 }
 
 // NewShardedTracker returns a sharded pair tracker. cfg.Shards <= 1 yields a
@@ -127,6 +118,7 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 		}
 	}
 	tr := &ShardedTracker{cfg: c, shards: shards}
+	tr.scratch.byShard = make([][]keyAt, n)
 	if c.Tail != nil {
 		tcfg := *c.Tail
 		tcfg.Span = int64(c.Buckets) * int64(c.Resolution)
@@ -145,12 +137,6 @@ func (tr *ShardedTracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
 // TailEnabled reports whether the cold tier is active.
 func (tr *ShardedTracker) TailEnabled() bool { return tr.tails != nil }
 
-// floor returns the current admission floor (0 until the first
-// over-budget eviction).
-func (tr *ShardedTracker) floor() float64 {
-	return math.Float64frombits(tr.floorBits.Load())
-}
-
 // Shards returns the number of shards.
 func (tr *ShardedTracker) Shards() int { return len(tr.shards) }
 
@@ -161,33 +147,16 @@ func (tr *ShardedTracker) Span() time.Duration {
 
 // now returns the tracker-global clock: the max event time observed so far.
 func (tr *ShardedTracker) now() time.Time {
-	n := tr.nowNano.Load()
-	if n == 0 {
+	if tr.nowNano == 0 {
 		return time.Time{}
 	}
-	return time.Unix(0, n)
+	return time.Unix(0, tr.nowNano)
 }
 
-// advanceNowNano lifts the global clock to unix-nano timestamp n if n is
-// newer.
-func (tr *ShardedTracker) advanceNowNano(n int64) {
-	for {
-		cur := tr.nowNano.Load()
-		if n <= cur && cur != 0 {
-			return
-		}
-		if tr.nowNano.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// upsertLocked returns pair k's counter slot in sh, allocating it on first
-// sight. The caller must hold sh.mu.
+// upsert returns pair k's counter slot in sh, allocating it on first sight.
 //
-//enblogue:requires pairsShard
 //enblogue:hotpath
-func (tr *ShardedTracker) upsertLocked(sh *trackerShard, k Key) int32 {
+func (tr *ShardedTracker) upsert(sh *trackerShard, k Key) int32 {
 	slot, ok := sh.slots[k]
 	if !ok {
 		slot = sh.arena.Alloc()
@@ -201,129 +170,89 @@ func (tr *ShardedTracker) upsertLocked(sh *trackerShard, k Key) int32 {
 	return slot
 }
 
-// dropLocked removes pair k's slot from sh. The caller must hold sh.mu.
-//
-//enblogue:requires pairsShard
-func (tr *ShardedTracker) dropLocked(sh *trackerShard, k Key, slot int32) {
+// drop removes pair k's slot from sh and returns the sketch-seeded portion
+// of its counter (zero for pairs never promoted).
+func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 	delete(sh.slots, k)
-	delete(sh.approx, k)
+	seed, ok := sh.approx[k]
+	if ok {
+		delete(sh.approx, k)
+		tr.approxSeeded.Add(-1)
+	}
 	sh.keys[slot] = Key{}
 	sh.arena.Release(slot)
 	tr.npairs.Add(-1)
+	return seed
 }
 
-// sweepDue reports whether a sweep trigger is pending.
-func (tr *ShardedTracker) sweepDue() bool {
-	return tr.sinceGC.Load() >= int64(tr.cfg.SweepEvery) ||
-		tr.npairs.Load() > int64(tr.cfg.MaxPairs)
-}
-
-// Sweep advances every counter to the tracker clock, drops pairs whose
+// sweep advances every counter to the tracker clock, drops pairs whose
 // windows have emptied, and — if the tracker is still over MaxPairs —
 // evicts the pairs with the smallest windowed counts, ties broken by key,
-// ranked globally across all shards. Safe for concurrent use.
+// ranked globally across all shards, demoting each victim into its shard's
+// tail when the tier is enabled.
 //
-//enblogue:acquires pairsSweep
-//enblogue:acquires pairsShard
 //enblogue:acquires tier
-func (tr *ShardedTracker) Sweep() {
-	tr.sweepMu.Lock()
-	defer tr.sweepMu.Unlock()
-	tr.sweepLocked()
-}
-
-// sweepLocked is Sweep's body; callers must hold sweepMu.
-//
-//enblogue:requires pairsSweep
-//enblogue:acquires pairsShard
-//enblogue:acquires tier
-func (tr *ShardedTracker) sweepLocked() {
-	tr.sinceGC.Store(0)
+func (tr *ShardedTracker) sweep() {
+	tr.sinceGC = 0
 	now := tr.now()
 	if now.IsZero() {
 		return
 	}
 	for _, sh := range tr.shards {
-		sh.mu.Lock()
 		for slot, k := range sh.keys {
 			if k == (Key{}) {
 				continue
 			}
 			if sh.arena.ValueAt(int32(slot), now) == 0 {
-				tr.dropLocked(sh, k, int32(slot))
+				tr.drop(sh, k, int32(slot))
 			}
 		}
-		sh.mu.Unlock()
 	}
 	if tr.npairs.Load() <= int64(tr.cfg.MaxPairs) {
 		return
 	}
 	// Still over budget: rank all pairs globally and evict the smallest,
-	// with the same ordering every tracker uses (evictSmallest). Victims
-	// are collected (not demoted) inside the drop closure: demotion takes
-	// each tail's tier lock (order 45), which must never be acquired while
-	// a shard lock (order 50) is held.
+	// with the same ordering every tracker uses (evictSmallest).
 	all := tr.sweepAll[:0]
 	for _, sh := range tr.shards {
-		sh.mu.Lock()
 		//enblogue:unordered collects every pair; evictSmallest ranks by (count, key), a strict total order independent of input order
 		for k, slot := range sh.slots {
 			all = append(all, counted[Key]{k, sh.arena.Value(slot)})
 		}
-		sh.mu.Unlock()
 	}
-	victims := tr.sweepVictims[:0]
-	seeds := tr.sweepSeeds[:0]
 	evictSmallest(all, evictTarget(tr.cfg.MaxPairs), keyLess, func(k Key, count float64) {
-		sh := tr.shards[k.Shard(len(tr.shards))]
-		sh.mu.Lock()
-		if slot, ok := sh.slots[k]; ok {
-			seed := sh.approx[k] // zero for never-promoted pairs
-			tr.dropLocked(sh, k, slot)
-			sh.evicted.Add(1)
-			victims = append(victims, counted[Key]{k, count})
-			seeds = append(seeds, seed)
-		}
-		sh.mu.Unlock()
-	})
-	tr.sweepAll, tr.sweepVictims, tr.sweepSeeds = all, victims, seeds
-	if len(victims) == 0 {
-		return
-	}
-	// Victims arrive smallest-first, so the last one defines the admission
-	// floor: the count a tail pair's estimate must beat to earn its way
-	// back into the exact tier.
-	tr.floorBits.Store(math.Float64bits(victims[len(victims)-1].v))
-	if tr.tails != nil {
-		// Demote with no shard lock held (only sweepMu): sweepMu (40) →
-		// tier (45) is an ascending acquisition. Victim order is the
-		// deterministic eviction order, so per-shard summary contents are
-		// replay-identical too. A victim whose counter was sketch-seeded
-		// demotes only its excess over the seed — the seed's mass is still
-		// resident in the sketch, and re-adding it would double the
-		// estimate on every promote→evict cycle until inflated tail pairs
-		// crowd out genuinely heavy ones. The floor of one event keeps the
-		// pair in the heavy-hitter summary (and so promotable) even when
-		// nothing new was observed; the overshoot stays on the safe,
-		// upper-bound side.
-		nowNano := tr.nowNano.Load()
-		for i, v := range victims {
-			amt := v.v
-			if seeds[i] > 0 {
-				if amt = amt - seeds[i]; amt < 1 {
+		s := k.Shard(len(tr.shards))
+		sh := tr.shards[s]
+		seed := tr.drop(sh, k, sh.slots[k])
+		sh.evicted.Add(1)
+		// Victims arrive smallest-first, so the last one defines the
+		// admission floor: the count a tail pair's estimate must beat to
+		// earn its way back into the exact tier.
+		tr.floor = count
+		if tr.tails != nil {
+			// Victim order is the deterministic eviction order, so per-shard
+			// summary contents are replay-identical too. A victim whose
+			// counter was sketch-seeded demotes only its excess over the
+			// seed — the seed's mass is still resident in the sketch, and
+			// re-adding it would double the estimate on every promote→evict
+			// cycle until inflated tail pairs crowd out genuinely heavy ones.
+			// The floor of one event keeps the pair in the heavy-hitter
+			// summary (and so promotable) even when nothing new was
+			// observed; the overshoot stays on the safe, upper-bound side.
+			amt := count
+			if seed > 0 {
+				if amt = amt - seed; amt < 1 {
 					amt = 1
 				}
 			}
-			s := v.key.Shard(len(tr.shards))
-			tr.tails[s].Demote(nowNano, v.key.packed, uint64(amt))
-			tr.shards[s].demoted.Add(1)
+			tr.tails[s].Demote(tr.nowNano, k.packed, uint64(amt))
+			sh.demoted.Add(1)
 		}
-	}
-	if tr.onEvict != nil {
-		for _, v := range victims {
-			tr.onEvict(v.key, v.v)
+		if tr.onEvict != nil {
+			tr.onEvict(k, count)
 		}
-	}
+	})
+	tr.sweepAll = all
 }
 
 // PromoteTail re-admits every tail pair whose windowed estimate strictly
@@ -338,7 +267,6 @@ func (tr *ShardedTracker) sweepLocked() {
 // evaluation snapshots, so promoted pairs are scored in the same tick.
 //
 //enblogue:acquires tier
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	if tr.tails == nil {
 		return 0
@@ -347,15 +275,13 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	if headroom <= 0 {
 		return 0
 	}
-	nowNano := tr.nowNano.Load()
-	if nowNano == 0 {
+	if tr.nowNano == 0 {
 		// No document observed yet: the tail is necessarily empty.
 		return 0
 	}
-	floor := uint64(tr.floor())
 	var cands []tier.Candidate
 	for _, tl := range tr.tails {
-		cands = tl.AppendCandidates(nowNano, floor, cands)
+		cands = tl.AppendCandidates(tr.nowNano, uint64(tr.floor), cands)
 	}
 	if len(cands) == 0 {
 		return 0
@@ -369,13 +295,12 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	if len(cands) > headroom {
 		cands = cands[:headroom]
 	}
-	abs := nowNano / int64(tr.cfg.Resolution)
+	abs := tr.nowNano / int64(tr.cfg.Resolution)
 	for _, c := range cands {
 		k := Key{packed: c.Key}
 		s := k.Shard(len(tr.shards))
 		sh := tr.shards[s]
-		sh.mu.Lock()
-		slot := tr.upsertLocked(sh, k)
+		slot := tr.upsert(sh, k)
 		// If the pair re-emerged on its own since demotion, the counter
 		// holds only post-eviction events; the estimate covers the
 		// pre-eviction mass, so adding keeps the seeded total an upper
@@ -384,11 +309,13 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		if sh.approx == nil {
 			sh.approx = make(map[Key]float64)
 		}
+		if _, seeded := sh.approx[k]; !seeded {
+			tr.approxSeeded.Add(1)
+		}
 		// Accumulate, not assign: a pair promoted twice without an eviction
 		// in between (impossible today — Remove gates re-candidacy on a
 		// fresh demotion — but cheap to keep correct) carries both seeds.
 		sh.approx[k] += float64(c.Est)
-		sh.mu.Unlock()
 		tr.tails[s].Remove(c.Key)
 	}
 	tr.promotions.Add(int64(len(cands)))
@@ -397,13 +324,8 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 
 // ApproxSeeded reports whether pair k is currently tracked with a counter
 // seeded from a tail-tier estimate (an upper bound, not an exact count).
-//
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) ApproxSeeded(k Key) bool {
-	sh := tr.shards[k.Shard(len(tr.shards))]
-	sh.mu.Lock()
-	_, ok := sh.approx[k]
-	sh.mu.Unlock()
+	_, ok := tr.shards[k.Shard(len(tr.shards))].approx[k]
 	return ok
 }
 
@@ -422,21 +344,19 @@ type TailStats struct {
 	DemotedByShard    []int64 // of those, absorbed by the tail, per shard
 }
 
-// TailStats returns the current tier statistics. Safe for concurrent use.
+// TailStats returns the current tier statistics. Safe for concurrent use:
+// it reads only atomic counters and the tails, which lock themselves.
 //
 //enblogue:acquires tier
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) TailStats() TailStats {
 	ts := TailStats{
-		EvictedByShard: make([]int64, len(tr.shards)),
-		DemotedByShard: make([]int64, len(tr.shards)),
+		ApproxSeededPairs: int(tr.approxSeeded.Load()),
+		EvictedByShard:    make([]int64, len(tr.shards)),
+		DemotedByShard:    make([]int64, len(tr.shards)),
 	}
 	for i, sh := range tr.shards {
 		ts.EvictedByShard[i] = sh.evicted.Load()
 		ts.DemotedByShard[i] = sh.demoted.Load()
-		sh.mu.Lock()
-		ts.ApproxSeededPairs += len(sh.approx)
-		sh.mu.Unlock()
 	}
 	if tr.tails == nil {
 		return ts
@@ -455,66 +375,49 @@ func (tr *ShardedTracker) TailStats() TailStats {
 }
 
 // Cooccurrence returns the number of windowed documents carrying both tags
-// of the pair. Safe for concurrent use.
-//
-//enblogue:acquires pairsShard
+// of the pair.
 func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 	sh := tr.shards[k.Shard(len(tr.shards))]
-	now := tr.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	slot, ok := sh.slots[k]
 	if !ok {
 		return 0
 	}
-	return sh.arena.ValueAt(slot, now)
+	return sh.arena.ValueAt(slot, tr.now())
 }
 
 // Series returns the per-bucket co-occurrence counts of the pair, oldest
-// first, or nil if the pair is not tracked. Safe for concurrent use.
+// first, or nil if the pair is not tracked.
 func (tr *ShardedTracker) Series(k Key) []float64 {
 	sh := tr.shards[k.Shard(len(tr.shards))]
-	now := tr.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	slot, ok := sh.slots[k]
 	if !ok {
 		return nil
 	}
-	sh.arena.Observe(slot, now)
+	sh.arena.Observe(slot, tr.now())
 	return sh.arena.Series(slot)
 }
 
 // ActivePairs returns the number of pairs currently tracked across shards.
+// Safe for concurrent use.
 func (tr *ShardedTracker) ActivePairs() int { return int(tr.npairs.Load()) }
 
 // Keys returns all tracked pair keys across shards in unspecified order.
-//
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) Keys() []Key {
 	out := make([]Key, 0, tr.npairs.Load())
 	for _, sh := range tr.shards {
-		sh.mu.Lock()
 		//enblogue:unordered documented unspecified order; ranking consumers sort or select with a strict total order
 		for k := range sh.slots {
 			out = append(out, k)
 		}
-		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Snapshot returns shard i's pairs with counters advanced to the tracker
-// clock. It takes shard i's lock exactly once, making it the preferred read
-// path for per-shard evaluation workers.
-func (tr *ShardedTracker) Snapshot(i int) []PairCount {
-	return tr.AppendSnapshot(i, nil)
 }
 
 // AppendSnapshot appends shard i's pairs — counters advanced to the
 // tracker clock — to buf and returns it. Evaluation workers pass a
 // per-shard buffer reused across ticks (buf[:0]) so the steady-state tick
-// allocates nothing for snapshots.
+// allocates nothing for snapshots. Calls on distinct shards may run
+// concurrently (one evaluation worker per shard).
 //
 // Pairs are emitted in arena slot order (via the reverse key index), not
 // map order: the walk reads the counter slabs sequentially, and the order
@@ -523,13 +426,9 @@ func (tr *ShardedTracker) Snapshot(i int) []PairCount {
 // cannot affect rankings — per-pair evaluation is independent, and every
 // downstream selection (top-k heaps, final sorts) uses a strict total
 // order, so any input order yields the same ranking.
-//
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) AppendSnapshot(i int, buf []PairCount) []PairCount {
 	sh := tr.shards[i]
 	now := tr.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if cap(buf)-len(buf) < len(sh.slots) {
 		grown := make([]PairCount, len(buf), len(buf)+len(sh.slots))
 		copy(grown, buf)

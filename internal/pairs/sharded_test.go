@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -131,7 +130,7 @@ func TestShardedTrackerMaxPairsBudget(t *testing.T) {
 	}
 }
 
-// Snapshot must agree with Cooccurrence and cover each shard disjointly.
+// AppendSnapshot must agree with Cooccurrence and cover each shard disjointly.
 func TestShardedTrackerSnapshot(t *testing.T) {
 	tr := NewShardedTracker(Config{Buckets: 6, Resolution: time.Hour, Shards: 4})
 	stream := randomStream(11, 500, 30, 4)
@@ -140,7 +139,7 @@ func TestShardedTrackerSnapshot(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < tr.Shards(); i++ {
-		for _, pc := range tr.Snapshot(i) {
+		for _, pc := range tr.AppendSnapshot(i, nil) {
 			total++
 			if pc.Key.Shard(tr.Shards()) != i {
 				t.Errorf("pair %v in snapshot of wrong shard %d", pc.Key, i)
@@ -152,40 +151,6 @@ func TestShardedTrackerSnapshot(t *testing.T) {
 	}
 	if total != tr.ActivePairs() {
 		t.Errorf("snapshots cover %d pairs, ActivePairs = %d", total, tr.ActivePairs())
-	}
-}
-
-// Concurrent observers and readers must not race (run with -race) and must
-// conserve the pair budget.
-func TestShardedTrackerConcurrent(t *testing.T) {
-	tr := NewShardedTracker(Config{
-		Buckets: 6, Resolution: time.Hour, MaxPairs: 200, SweepEvery: 64, Shards: 4,
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			stream := randomStream(int64(w), 1000, 40, 4)
-			for i, tags := range stream {
-				tr.observe(shT0.Add(time.Duration(i)*time.Minute), tags, nil)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			for _, k := range tr.Keys() {
-				tr.Cooccurrence(k)
-			}
-			tr.ActivePairs()
-		}
-	}()
-	wg.Wait()
-	tr.Sweep()
-	if got := tr.ActivePairs(); got > 200 {
-		t.Errorf("ActivePairs = %d after concurrent load, want <= 200", got)
 	}
 }
 
@@ -212,25 +177,5 @@ func TestDistTrackerEviction(t *testing.T) {
 	// and that lookups still work).
 	if dt.Distribution("anchor") == nil && dt.Counters() > 0 {
 		t.Log("anchor distribution evicted; boundedness still holds")
-	}
-}
-
-func TestDistTrackerConcurrent(t *testing.T) {
-	dt := NewDistTracker(Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 100})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				dt.observe(shT0.Add(time.Duration(i)*time.Minute),
-					[]string{fmt.Sprintf("a%d", i%7), fmt.Sprintf("b%d", w), "c"})
-				dt.Similarity(fmt.Sprintf("a%d", i%7), "c")
-			}
-		}(w)
-	}
-	wg.Wait()
-	if dt.Counters() == 0 {
-		t.Error("no counters after concurrent load")
 	}
 }

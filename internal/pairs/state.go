@@ -32,20 +32,15 @@ type ShardedTrackerState struct {
 }
 
 // ExportState returns the tracker's full state with pairs sorted by
-// Key.Compare and every counter advanced to the tracker clock. Safe for
-// concurrent use, though callers wanting a consistent engine snapshot must
-// quiesce producers externally (the engine's ingest gate does).
-//
-//enblogue:acquires pairsShard
+// Key.Compare and every counter advanced to the tracker clock.
 func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 	st := ShardedTrackerState{
-		NowNano: tr.nowNano.Load(),
-		SinceGC: tr.sinceGC.Load(),
+		NowNano: tr.nowNano,
+		SinceGC: tr.sinceGC,
 		Pairs:   make([]PairState, 0, tr.npairs.Load()),
 	}
 	now := tr.now()
 	for _, sh := range tr.shards {
-		sh.mu.Lock()
 		var abs int64
 		if !now.IsZero() {
 			abs = sh.arena.BucketIndex(now)
@@ -62,7 +57,6 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 			}
 			st.Pairs = append(st.Pairs, PairState{Key: k, Window: sh.arena.ExportSlot(int32(slot))})
 		}
-		sh.mu.Unlock()
 	}
 	sort.Slice(st.Pairs, func(i, j int) bool { return st.Pairs[i].Key.Less(st.Pairs[j].Key) })
 	return st
@@ -71,10 +65,8 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 // RestoreState loads st into an empty tracker, assigning each pair to the
 // shard its key hashes to under this tracker's shard count. Restoring into a
 // tracker that has already observed documents is an error.
-//
-//enblogue:acquires pairsShard
 func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
-	if tr.npairs.Load() != 0 || tr.nowNano.Load() != 0 {
+	if tr.npairs.Load() != 0 || tr.nowNano != 0 {
 		return errors.New("pairs: restore into a non-empty tracker")
 	}
 	n := len(tr.shards)
@@ -83,27 +75,17 @@ func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
 			return errors.New("pairs: restore of a zero pair key")
 		}
 		sh := tr.shards[p.Key.Shard(n)]
-		sh.mu.Lock()
 		if _, dup := sh.slots[p.Key]; dup {
-			sh.mu.Unlock()
 			return fmt.Errorf("pairs: duplicate pair %s in restore state", p.Key)
 		}
-		slot := sh.arena.Alloc()
+		slot := tr.upsert(sh, p.Key)
 		if err := sh.arena.RestoreSlot(slot, p.Window); err != nil {
-			sh.arena.Release(slot)
-			sh.mu.Unlock()
+			tr.drop(sh, p.Key, slot)
 			return err
 		}
-		sh.slots[p.Key] = slot
-		for int(slot) >= len(sh.keys) {
-			sh.keys = append(sh.keys, Key{})
-		}
-		sh.keys[slot] = p.Key
-		tr.npairs.Add(1)
-		sh.mu.Unlock()
 	}
-	tr.nowNano.Store(st.NowNano)
-	tr.sinceGC.Store(st.SinceGC)
+	tr.nowNano = st.NowNano
+	tr.sinceGC = st.SinceGC
 	return nil
 }
 
@@ -129,11 +111,7 @@ type DistState struct {
 
 // ExportState returns the distribution tracker's full state with tags and
 // co-tags sorted and every counter advanced to the tracker clock.
-//
-//enblogue:acquires pairsDist
 func (dt *DistTracker) ExportState() DistState {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	st := DistState{
 		NowNano: dt.now.UnixNano(),
 		NowSet:  !dt.now.IsZero(),
@@ -161,11 +139,7 @@ func (dt *DistTracker) ExportState() DistState {
 }
 
 // RestoreState loads st into an empty distribution tracker.
-//
-//enblogue:acquires pairsDist
 func (dt *DistTracker) RestoreState(st DistState) error {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	if len(dt.byTag) != 0 || dt.counters != 0 {
 		return errors.New("pairs: restore into a non-empty distribution tracker")
 	}

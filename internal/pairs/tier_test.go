@@ -20,9 +20,10 @@ func tierTestConfig() Config {
 }
 
 // TestTailDemoteRepromoteSeedsUpperBound walks one pair through the full
-// two-tier cycle — evicted, demoted, demoted again, promoted back — and
-// checks that the repromoted counter carries the sketch-seeded upper bound
-// and the approximate flag.
+// two-tier cycle — evicted, demoted, demoted again, promoted back, evicted
+// once more — and checks that the repromoted counter carries the
+// sketch-seeded upper bound and the approximate flag, and that the flag
+// and the seeded-pair count go when the pair does.
 //
 // The construction is exact. Pair P ("a0","a1") has the smallest rendered
 // key, so whenever every tracked pair holds count 1, an over-budget sweep
@@ -110,6 +111,29 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	tr.observe(at, []string{"a0", "a1"}, nil)
 	if got := tr.Cooccurrence(p); got != demoted[p]+1 {
 		t.Fatalf("counter %v after one more observation, want %v", got, demoted[p]+1)
+	}
+
+	// Phase C: evict P again. Its count (3) beats every other pair's (1),
+	// so fresh pairs observed five times each crowd it out: each
+	// over-budget sweep evicts the smallest, and P goes once the older
+	// singletons have. Dropping P clears its approximate flag and the
+	// seeded-pair counter.
+	for i := 0; i < 100 && tr.ApproxSeeded(p); i++ {
+		for n := 0; n < 5; n++ {
+			single("zz", i)
+		}
+	}
+	if tr.ApproxSeeded(p) {
+		t.Fatal("P still flagged approximate after phase C")
+	}
+	if got := tr.Cooccurrence(p); got != 0 {
+		t.Fatalf("P still tracked with count %v after phase C", got)
+	}
+	if demoted[p] != 2+3 {
+		t.Fatalf("P evicted mass %v after phase C, want 5 (a third eviction at count 3)", demoted[p])
+	}
+	if got := tr.TailStats().ApproxSeededPairs; got != 0 {
+		t.Fatalf("approx-seeded pairs %d after P left, want 0", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package pairs
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"enblogue/internal/intern"
@@ -351,11 +350,10 @@ func (tr *Tracker) Correlation(k Key, m Measure, na, nb, n float64) float64 {
 // Memory is bounded: the total number of (tag, co-tag) counters is capped at
 // MaxPairs; when a sweep finds the tracker over budget, the counters with
 // the smallest windowed counts are evicted first — the same policy the
-// plain Tracker applies to pairs. Safe for concurrent use: all methods are
-// serialised by an internal mutex.
+// plain Tracker applies to pairs. Not safe for concurrent use: like
+// ShardedTracker it is single-owner, and the engine calls it under its own
+// lock.
 type DistTracker struct {
-	//enblogue:lock pairsDist 55
-	mu       sync.Mutex
 	cfg      Config
 	byTag    map[string]map[string]*window.Counter
 	counters int // total (tag, co-tag) counters across byTag
@@ -370,14 +368,9 @@ func NewDistTracker(cfg Config) *DistTracker {
 }
 
 // ObserveBatch records the co-tag distribution contributions of a run of
-// documents, in order, under one lock acquisition. The sweep trigger is
-// checked after every document, so the result does not depend on how a
-// stream is cut into batches.
-//
-//enblogue:acquires pairsDist
+// documents, in order. The sweep trigger is checked after every document,
+// so the result does not depend on how a stream is cut into batches.
 func (dt *DistTracker) ObserveBatch(docs []BatchDoc) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	for _, d := range docs {
 		if d.Time.After(dt.now) {
 			dt.now = d.Time
@@ -423,7 +416,7 @@ func distKeyLess(a, b distKey) bool {
 
 // sweep drops emptied counters and, if still over the MaxPairs budget,
 // evicts the smallest-count (tag, co-tag) entries first, ties broken by
-// (tag, co) order for determinism. Callers must hold dt.mu.
+// (tag, co) order for determinism.
 func (dt *DistTracker) sweep() {
 	dt.sinceGC = 0
 	//enblogue:unordered per-key advance-and-delete of emptied counters; each counter is touched independently, deletions commute
@@ -461,28 +454,11 @@ func (dt *DistTracker) sweep() {
 }
 
 // Counters returns the total number of (tag, co-tag) counters tracked.
-//
-//enblogue:acquires pairsDist
-func (dt *DistTracker) Counters() int {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return dt.counters
-}
+func (dt *DistTracker) Counters() int { return dt.counters }
 
 // Distribution returns tag's windowed co-tag counts as a map. The map is
 // freshly allocated.
-//
-//enblogue:acquires pairsDist
 func (dt *DistTracker) Distribution(tag string) map[string]float64 {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return dt.distributionLocked(tag)
-}
-
-// distributionLocked is Distribution's body; callers must hold dt.mu.
-//
-//enblogue:requires pairsDist
-func (dt *DistTracker) distributionLocked(tag string) map[string]float64 {
 	m, ok := dt.byTag[tag]
 	if !ok {
 		return nil
@@ -503,17 +479,9 @@ func (dt *DistTracker) distributionLocked(tag string) map[string]float64 {
 // relative-entropy correlation the paper sketches for distribution-valued
 // documents. The pair members themselves are excluded from both
 // distributions: the comparison asks whether a and b keep the same
-// *company*, and each is trivially its partner's company. Both snapshots
-// are taken under one lock acquisition, so a concurrent ObserveBatch cannot
-// land between them and skew the comparison.
-//
-//enblogue:acquires pairsDist
+// *company*, and each is trivially its partner's company.
 func (dt *DistTracker) Similarity(a, b string) float64 {
-	dt.mu.Lock()
-	da := dt.distributionLocked(a)
-	db := dt.distributionLocked(b)
-	dt.mu.Unlock()
-	return similarityExcluding(da, db, b, a)
+	return similarityExcluding(dt.Distribution(a), dt.Distribution(b), b, a)
 }
 
 // similarityExcluding is the shared Similarity/SimilarityFrom core: the
@@ -541,25 +509,21 @@ func lenExcluding(m map[string]float64, ex string) int {
 }
 
 // Snapshot returns every tag's windowed co-tag distribution, advanced to
-// the tracker clock, under a single lock acquisition. Parallel evaluation
-// workers take one snapshot per tick and compute similarities lock-free
-// via SimilarityFrom instead of serialising on the tracker mutex per pair.
-//
-//enblogue:acquires pairsDist
+// the tracker clock. Parallel evaluation workers take one snapshot per tick
+// and compute similarities from it via SimilarityFrom, never touching the
+// tracker (whose reads advance counters in place).
 func (dt *DistTracker) Snapshot() map[string]map[string]float64 {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
 	out := make(map[string]map[string]float64, len(dt.byTag))
 	//enblogue:unordered map-to-map copy keyed by tag; per-tag distributions are independent, insertion order is immaterial
 	for tag := range dt.byTag {
-		out[tag] = dt.distributionLocked(tag)
+		out[tag] = dt.Distribution(tag)
 	}
 	return out
 }
 
 // SimilarityFrom computes Similarity's result from a Snapshot, with the
-// same partner-exclusion semantics, without locking, copying, or mutating
-// the snapshot (snapshots are shared across evaluation workers). Values are
+// same partner-exclusion semantics, without copying or mutating the
+// snapshot (snapshots are shared across evaluation workers). Values are
 // identical to calling Similarity on the tracker at snapshot time.
 func SimilarityFrom(dists map[string]map[string]float64, a, b string) float64 {
 	return similarityExcluding(dists[a], dists[b], b, a)

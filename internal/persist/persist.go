@@ -25,8 +25,8 @@ import (
 //	wal-<epoch>.jsonl    WAL segment holding documents seq > <epoch>
 //
 // Epochs are zero-padded to 20 digits so lexicographic name order is epoch
-// order. WAL segments rotate exactly at snapshot epochs (under the engine's
-// ingest gate), so segment boundaries and snapshot coverage always agree:
+// order. WAL segments rotate exactly at snapshot epochs (under the engine
+// lock), so segment boundaries and snapshot coverage always agree:
 // recovery restores the newest valid snapshot and replays every record with
 // seq above its epoch, in order, asserting contiguity.
 
@@ -229,7 +229,7 @@ func (s *Store) RecordDoc(seq int64, it *stream.Item) {
 }
 
 // rotate closes the live WAL segment and opens the one for epoch. Invoked
-// by Engine.SnapshotState inside the ingest gate, so no document can land
+// by Engine.SnapshotState under the engine lock, so no document can land
 // between the state export and the segment switch.
 //
 //enblogue:acquires wal
@@ -261,7 +261,7 @@ func (s *Store) rotateLocked(epoch int64) error {
 }
 
 // Snapshot implements core.Durability: it exports the engine state (under
-// the ingest gate, rotating the WAL at the same instant), then encodes and
+// the engine lock, rotating the WAL at the same instant), then encodes and
 // writes the snapshot outside all engine locks via temp-file + rename.
 //
 //enblogue:acquires persistSnap

@@ -467,8 +467,9 @@ func TestTailSketchColdStartEmpty(t *testing.T) {
 	ref := core.New(tailConfig(2))
 	ref.ConsumeBatch(items)
 	mustEqualState(t, ref, b)
-	// ...while the tail cold-starts empty.
-	if after := b.TailStats(); after.TailPairs != 0 || after.Promotions != 0 {
+	// ...while the tail, and with it every approximate flag, cold-starts
+	// empty.
+	if after := b.TailStats(); after.TailPairs != 0 || after.Promotions != 0 || after.ApproxSeededPairs != 0 {
 		t.Fatalf("recovered tail not empty: %+v", after)
 	}
 }

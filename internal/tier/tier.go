@@ -31,10 +31,10 @@
 // emerging pairs.
 //
 // Each tracker shard owns one Tail guarded by its own mutex under the
-// lockdiscipline class `tier` (order 45): demotion acquires it while
-// holding the sweep lock (pairsSweep, 40) after all shard locks are
-// released, and promotion acquires it before taking shard locks
-// (pairsShard, 50) — both ascending.
+// lockdiscipline class `tier` (order 45). The tracker demotes and promotes
+// under the engine lock (engine, 10), so tier nests inside engine; the
+// mutex exists for Stats, which /v1 stats handlers call from their own
+// goroutines while the owner demotes.
 package tier
 
 import (
