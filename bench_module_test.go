@@ -1,6 +1,7 @@
 package enblogue_test
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"testing"
@@ -24,5 +25,28 @@ func TestBenchModuleBuilds(t *testing.T) {
 		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
 			t.Errorf("go %v: %v\n%s", args, err, out)
 		}
+	}
+}
+
+// TestPublicAPIUnchanged pins the root package's exported surface — the
+// user contract — to the committed api.txt, so a change to it is an
+// explicit, reviewable diff.
+func TestPublicAPIUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go doc")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go command on PATH")
+	}
+	got, err := exec.Command("go", "doc", "-short", ".").Output()
+	if err != nil {
+		t.Fatalf("go doc -short .: %v", err)
+	}
+	want, err := os.ReadFile("api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the public API differs from api.txt; if the change is intended, regenerate it with\n\tgo doc -short . > api.txt\ngot:\n%s", got)
 	}
 }

@@ -1,7 +1,8 @@
 // Command enbloguevet machine-checks the engine's invariants: the
 // determinism perimeter (detdiscipline), the lock annotation contract
-// (lockdiscipline), the zero-allocation ingest path (hotpathalloc), and
-// the frozen /v1 wire surface (wirestable). See DESIGN.md §9.
+// (lockdiscipline), the zero-allocation ingest path (hotpathalloc), the
+// frozen /v1 wire surface (wirestable), and an internal/ that carries
+// only what non-test code uses (deadsurface). See DESIGN.md §9.
 //
 // It loads the enclosing module from source, with no go command in the
 // loop, and runs the same check as `go test ./internal/analysis/`:

@@ -106,10 +106,10 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 	waitDeadline := time.Now().Add(5 * time.Second)
 	for {
 		var v server.RankingView
-		if b := srv.Hub().Last(); b != nil {
-			if err := json.Unmarshal(b, &v); err == nil && v.At.Equal(final.At) {
-				break
-			}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/rankings", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err == nil && v.At.Equal(final.At) {
+			break
 		}
 		if time.Now().After(waitDeadline) {
 			t.Fatal("server never published the final tick")

@@ -1,4 +1,4 @@
-// Package analysis registers the enbloguevet analyzer suite: four
+// Package analysis registers the enbloguevet analyzer suite: five
 // project-specific invariant checkers built on the dependency-free driver
 // in internal/analysis/driver. TestSuite runs them over the whole module,
 // so `go test ./...` fails on any violation. See DESIGN.md §9 for the
@@ -10,6 +10,7 @@ import (
 	_ "embed"
 	"fmt"
 
+	"enblogue/internal/analysis/deadsurface"
 	"enblogue/internal/analysis/detdiscipline"
 	"enblogue/internal/analysis/driver"
 	"enblogue/internal/analysis/hotpathalloc"
@@ -45,6 +46,7 @@ func Suite() ([]*driver.Analyzer, error) {
 		lockdiscipline.Analyzer,
 		hotpathalloc.Analyzer,
 		wirestable.New(m),
+		deadsurface.Analyzer,
 	}, nil
 }
 
@@ -75,7 +77,7 @@ func CheckModule(dir string) ([]string, error) {
 // from source — the `enbloguevet -write-wiremanifest` path.
 func GenerateWireManifest(modPath, modDir string) (wirestable.Manifest, error) {
 	l := driver.NewLoader(modPath, modDir)
-	paths, err := l.ModulePackages()
+	paths, _, err := l.ModulePackages()
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,9 @@
 //	                                          order-independent; reason is mandatory
 //	//enblogue:alloc-ok <reason>              (stmt line or line above)  waives one hotpath
 //	                                          allocation diagnostic; reason is mandatory
+//	//enblogue:reference <reason>             (decl doc)  keeps deliberate reference code that
+//	                                          only tests use; on a type it covers the methods;
+//	                                          reason is mandatory
 //
 // An annotation is a single comment line starting exactly with
 // "//enblogue:" (no space — mirroring //go:build), followed by a verb and
@@ -29,21 +32,13 @@ const Prefix = "//enblogue:"
 
 // An Ann is one parsed annotation.
 type Ann struct {
-	Verb string   // "requires", "acquires", "hotpath", "lock", "wire", "unordered", "alloc-ok"
+	Verb string   // "requires", "acquires", "hotpath", "lock", "wire", "unordered", "alloc-ok", "reference"
 	Args []string // remaining space-separated tokens
 	Pos  token.Pos
 }
 
-// Arg returns the i-th argument or "".
-func (a Ann) Arg(i int) string {
-	if i < len(a.Args) {
-		return a.Args[i]
-	}
-	return ""
-}
-
 // Reason returns the whole argument list joined — the free-text
-// justification of unordered / alloc-ok waivers.
+// justification of unordered / alloc-ok / reference waivers.
 func (a Ann) Reason() string { return strings.Join(a.Args, " ") }
 
 // Parse extracts annotations from one comment group (nil-safe).

@@ -39,26 +39,26 @@ type want struct {
 	matched bool
 }
 
-// Run loads testdata/src/<pkgname> (relative to the calling test's
-// directory), analyzes it, and asserts the diagnostics match the // want
-// expectations. Packages are loaded in the order given, sharing one fact
-// set, so a later package can exercise facts exported by an earlier one.
-func Run(t *testing.T, testdata string, a *driver.Analyzer, pkgnames ...string) {
+// Run checks each named fixture testdata/src/<name> (relative to the
+// calling test's directory) exactly as enbloguevet checks the module: the
+// fixture is a module whose path is <name>, its packages are analyzed in
+// dependency order, a subdirectory with its own go.mod is a use-only
+// root, and Finish runs last. The analyzer's Match is bypassed. The
+// reported diagnostics must match the // want expectations in the
+// fixture's files.
+//
+//enblogue:reference the fixture harness: only the analyzers' own tests call it
+func Run(t *testing.T, testdata string, a *driver.Analyzer, names ...string) {
 	t.Helper()
-	mod, modDir, err := driver.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := driver.NewLoader(mod, modDir)
-	facts := driver.NewFactSet()
-	for _, name := range pkgnames {
+	unmatched := *a
+	unmatched.Match = nil
+	for _, name := range names {
 		dir := filepath.Join(testdata, "src", name)
-		lp, err := l.LoadDir(dir, name)
+		fset, diags, err := driver.CheckModule([]*driver.Analyzer{&unmatched}, name, dir)
 		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
+			t.Fatalf("checking %s: %v", dir, err)
 		}
-		diags := driver.RunForTest(t, a, l.Fset, lp, facts)
-		checkWants(t, l.Fset, name, dir, diags)
+		checkWants(t, fset, name, dir, diags)
 	}
 }
 
@@ -93,7 +93,7 @@ func collectWants(t *testing.T, fset *token.FileSet, dir string) []*want {
 	t.Helper()
 	var wants []*want
 	fset.Iterate(func(f *token.File) bool {
-		if filepath.Dir(f.Name()) != dir {
+		if !strings.HasPrefix(f.Name(), dir+string(filepath.Separator)) {
 			return true
 		}
 		src, err := readFile(f.Name())

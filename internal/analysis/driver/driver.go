@@ -3,10 +3,11 @@
 // type-checked package through a Pass and reports Diagnostics. It exists
 // because this repository vendors nothing — the x/tools module is not
 // available offline — yet the engine's invariants (determinism, lock
-// discipline, hot-path allocation, wire stability) deserve a vet-grade
-// guardian. There is one drive mode: CheckModule loads the whole module
-// from source (source.go) and runs every analyzer over every package in
-// dependency order, sharing facts in-process.
+// discipline, hot-path allocation, wire stability, dead surface) deserve
+// a vet-grade guardian. There is one drive mode: CheckModule loads the
+// whole module from source (source.go) and runs every analyzer over every
+// package in dependency order, sharing facts in-process, then runs each
+// Finish hook once over the accumulated facts.
 package driver
 
 import (
@@ -14,7 +15,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // An Analyzer describes one invariant checker.
@@ -29,6 +29,12 @@ type Analyzer struct {
 	// Run performs the check. Diagnostics go through pass.Reportf; facts
 	// for downstream packages through pass.ExportFact.
 	Run func(pass *Pass) error
+	// Finish, when non-nil, runs once after the last package, for checks
+	// that need every package's facts (a declaration's uses come from its
+	// importers). Its Pass has no package: Files, Pkg and TypesInfo are
+	// nil and ExportFact must not be called. An analyzer with a Finish
+	// hook also runs on the use-only roots (see CheckModule).
+	Finish func(pass *Pass) error
 }
 
 // A Diagnostic is one reported invariant violation.
@@ -76,48 +82,33 @@ func (p *Pass) FactsWithPrefix(prefix string) []FactKV {
 // FactKV is one fact key/value pair.
 type FactKV struct{ Key, Value string }
 
-// runAnalyzers executes every matching analyzer against one package and
-// returns the diagnostics in (position, analyzer) order. The FactSet is
-// shared across packages by the calling driver; each run may both read
-// upstream facts and export its own.
-func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, facts *FactSet) ([]Diagnostic, error) {
+// runAnalyzers executes every matching analyzer against one package,
+// appending its diagnostics to diags. The FactSet is shared across
+// packages by CheckModule; each run may both read upstream facts and
+// export its own.
+func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, lp *LoadedPackage,
+	facts *FactSet, diags *[]Diagnostic) error {
 
-	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Match != nil && !a.Match(pkg.Path()) {
+		if a.Match != nil && !a.Match(lp.Pkg.Path()) {
 			continue
 		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			facts:     facts,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
+		pass := newPass(a, fset, facts, diags)
+		pass.Files, pass.Pkg, pass.TypesInfo = lp.Files, lp.Pkg, lp.Info
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path(), err)
+			return fmt.Errorf("%s: %s: %w", a.Name, lp.Pkg.Path(), err)
 		}
 	}
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, nil
+	return nil
 }
 
-// RunForTest runs one analyzer over a loaded package against a
-// caller-owned fact set, bypassing Match — the checktest harness's entry
-// point. The error return of the analyzer fails the test via errf.
-func RunForTest(errf interface{ Fatalf(string, ...any) }, a *Analyzer,
-	fset *token.FileSet, lp *LoadedPackage, facts *FactSet) []Diagnostic {
-
-	unmatched := *a
-	unmatched.Match = nil
-	diags, err := runAnalyzers([]*Analyzer{&unmatched}, fset, lp.Files, lp.Pkg, lp.Info, facts)
-	if err != nil {
-		errf.Fatalf("analyzer %s: %v", a.Name, err)
+func newPass(a *Analyzer, fset *token.FileSet, facts *FactSet, diags *[]Diagnostic) *Pass {
+	return &Pass{
+		Analyzer: a,
+		Fset:     fset,
+		facts:    facts,
+		report:   func(d Diagnostic) { *diags = append(*diags, d) },
 	}
-	return diags
 }
 
 // newTypesInfo returns a fully populated types.Info ready for Check.

@@ -112,7 +112,7 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	defer delete(l.loading, path)
 
 	dir := filepath.Join(l.modDir, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
-	lp, err := l.LoadDir(dir, path)
+	lp, err := l.loadDir(dir, path)
 	if err != nil {
 		return nil, err
 	}
@@ -120,10 +120,8 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 	return lp, nil
 }
 
-// LoadDir type-checks the package in an arbitrary directory under the
-// given import path. Unlike Load it does not memoise, so the checktest
-// harness uses it for testdata packages.
-func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
+// loadDir type-checks the package in dir under the given import path.
+func (l *Loader) loadDir(dir, path string) (*LoadedPackage, error) {
 	// go/build resolves build constraints for the host platform and
 	// splits test files out, with no go command and no network.
 	bp, err := build.Default.ImportDir(dir, 0)
@@ -152,10 +150,18 @@ func (l *Loader) LoadDir(dir, path string) (*LoadedPackage, error) {
 // ModulePackages returns the import paths of every package in the module,
 // in deterministic dependency-friendly (lexicographic) order. Like the go
 // command it skips testdata, hidden, and vendor-style directories, and
-// any subdirectory holding its own go.mod: that is another module.
-func (l *Loader) ModulePackages() ([]string, error) {
-	var paths []string
-	err := filepath.WalkDir(l.modDir, func(p string, d os.DirEntry, err error) error {
+// any subdirectory holding its own go.mod: that is another module, whose
+// root package path (modPath plus the relative directory) is returned in
+// nested instead.
+func (l *Loader) ModulePackages() (pkgs, nested []string, err error) {
+	importPath := func(dir string) string {
+		rel, _ := filepath.Rel(l.modDir, dir) // dir is under modDir: WalkDir yields it
+		if rel == "." {
+			return l.modPath
+		}
+		return l.modPath + "/" + filepath.ToSlash(rel)
+	}
+	err = filepath.WalkDir(l.modDir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -169,6 +175,7 @@ func (l *Loader) ModulePackages() ([]string, error) {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				nested = append(nested, importPath(p))
 				return filepath.SkipDir
 			}
 			return nil
@@ -176,31 +183,27 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		rel, err := filepath.Rel(l.modDir, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		ip := l.modPath
-		if rel != "." {
-			ip = l.modPath + "/" + filepath.ToSlash(rel)
-		}
-		paths = append(paths, ip)
+		pkgs = append(pkgs, importPath(filepath.Dir(p)))
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sort.Strings(paths)
-	return slices.Compact(paths), nil
+	sort.Strings(pkgs)
+	return slices.Compact(pkgs), nested, nil
 }
 
 // CheckModule loads every module package and runs the analyzers over each
 // in dependency order (imports before importers, so facts flow forward).
+// The root package of each nested module (bench/) is then loaded as a
+// use-only root: its imports of this module resolve to the packages
+// already loaded, so only the analyzers with a Finish hook run on it, to
+// count its uses of this module's objects. Last, every Finish hook runs.
 // It returns all diagnostics sorted by position. Like the Loader it sees
 // non-test files only.
 func CheckModule(analyzers []*Analyzer, modPath, modDir string) (*token.FileSet, []Diagnostic, error) {
 	l := NewLoader(modPath, modDir)
-	paths, err := l.ModulePackages()
+	paths, nested, err := l.ModulePackages()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,17 +217,33 @@ func CheckModule(analyzers []*Analyzer, modPath, modDir string) (*token.FileSet,
 		}
 		loaded[p] = lp
 	}
-	order := topoOrder(paths, loaded, modPath)
-
 	facts := NewFactSet()
 	var all []Diagnostic
-	for _, p := range order {
-		lp := loaded[p]
-		diags, err := runAnalyzers(analyzers, l.Fset, lp.Files, lp.Pkg, lp.Info, facts)
+	for _, p := range topoOrder(paths, loaded, modPath) {
+		if err := runAnalyzers(analyzers, l.Fset, loaded[p], facts, &all); err != nil {
+			return nil, nil, err
+		}
+	}
+	var finishers []*Analyzer
+	for _, a := range analyzers {
+		if a.Finish != nil {
+			finishers = append(finishers, a)
+		}
+	}
+	for _, p := range nested {
+		dir := filepath.Join(modDir, filepath.FromSlash(strings.TrimPrefix(p, modPath+"/")))
+		lp, err := l.loadDir(dir, p)
 		if err != nil {
 			return nil, nil, err
 		}
-		all = append(all, diags...)
+		if err := runAnalyzers(finishers, l.Fset, lp, facts, &all); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, a := range finishers {
+		if err := a.Finish(newPass(a, l.Fset, facts, &all)); err != nil {
+			return nil, nil, fmt.Errorf("%s: finish: %w", a.Name, err)
+		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Pos < all[j].Pos })
 	return l.Fset, all, nil

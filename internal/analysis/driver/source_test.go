@@ -9,7 +9,8 @@ import (
 
 // TestModulePackagesSkipsWhatGoListSkips builds a module whose only
 // package is its root, beside a nested module, a testdata package and a
-// hidden directory — none of which `go list ./...` reports.
+// hidden directory — none of which `go list ./...` reports. The nested
+// module comes back separately, as a use-only root.
 func TestModulePackagesSkipsWhatGoListSkips(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
@@ -36,11 +37,14 @@ func TestModulePackagesSkipsWhatGoListSkips(t *testing.T) {
 	if modPath != "example.com/m" || modDir != root {
 		t.Fatalf("ModuleRoot = %q, %q; want example.com/m, %q", modPath, modDir, root)
 	}
-	got, err := NewLoader(modPath, modDir).ModulePackages()
+	got, nested, err := NewLoader(modPath, modDir).ModulePackages()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"example.com/m"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ModulePackages = %q, want %q", got, want)
+	}
+	if want := []string{"example.com/m/nested"}; !reflect.DeepEqual(nested, want) {
+		t.Errorf("ModulePackages nested = %q, want %q", nested, want)
 	}
 }

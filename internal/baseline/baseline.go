@@ -112,9 +112,6 @@ func NewBurstDetector(cfg Config) *BurstDetector {
 	}
 }
 
-// Config returns the effective configuration.
-func (d *BurstDetector) Config() Config { return d.cfg }
-
 // Observe feeds one document's tag set at time t.
 func (d *BurstDetector) Observe(t time.Time, tags []string) {
 	if t.After(d.now) {
@@ -153,9 +150,6 @@ func (d *BurstDetector) sweep() {
 		}
 	}
 }
-
-// ActiveTags returns the number of tracked tags.
-func (d *BurstDetector) ActiveTags() int { return len(d.tags) }
 
 // Tick evaluates all tags at time t, returns the bursting ones sorted by
 // descending score, and folds the current counts into the historical

@@ -24,7 +24,7 @@ func newDet() *BurstDetector {
 
 func TestDefaults(t *testing.T) {
 	d := NewBurstDetector(Config{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.Threshold != 3 || cfg.MinCount != 5 || cfg.Alpha != 0.25 ||
 		cfg.GroupJaccard != 0.2 || cfg.Buckets != 48 {
 		t.Errorf("defaults = %+v", cfg)
@@ -266,8 +266,8 @@ func TestSweepBoundsMemory(t *testing.T) {
 		d.Observe(ts, []string{fmt.Sprintf("ephemeral%d", i)})
 		ts = ts.Add(time.Second)
 	}
-	if d.ActiveTags() >= 10000 {
-		t.Errorf("ActiveTags = %d, sweep never ran", d.ActiveTags())
+	if len(d.tags) >= 10000 {
+		t.Errorf("%d tags tracked, sweep never ran", len(d.tags))
 	}
 }
 

@@ -324,7 +324,10 @@ func TestEngineArchiveEndToEnd(t *testing.T) {
 		MinCooccurrence:  3,
 		TopK:             15,
 	}
-	truth := source.TruthPairs(events)
+	truth := map[pairs.Key]bool{}
+	for i := range events {
+		truth[events[i].Pair()] = true
+	}
 	e := New(cfg)
 	stop := recordRankings(e)
 	feedDocs(e, docs)

@@ -64,16 +64,6 @@ func (e *Engine) exportStateLocked() EngineState {
 	return st
 }
 
-// ExportState returns the engine's full state, quiescing ingest for the
-// duration of the in-memory export.
-//
-//enblogue:acquires engine
-func (e *Engine) ExportState() EngineState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.exportStateLocked()
-}
-
 // SnapshotState exports the engine's full state and, while ingest is still
 // quiesced, invokes rotate with the snapshot epoch (the exported document
 // count) — the persistence layer rotates its WAL segment there, so the

@@ -66,12 +66,6 @@ func (o *Ontology) IsA(typ, ancestor string) bool {
 	return false
 }
 
-// Known reports whether the ontology has registered typ.
-func (o *Ontology) Known(typ string) bool {
-	_, ok := o.super[text.Normalize(typ)]
-	return ok
-}
-
 // Entity is one canonical gazetteer entry.
 type Entity struct {
 	// Name is the canonical (normalized) entity name — the "unique name"
@@ -84,10 +78,9 @@ type Entity struct {
 // Gazetteer maps normalized phrases (up to maxWindow terms) to canonical
 // entities, with a redirect table for alternative namings.
 type Gazetteer struct {
-	entities  map[string]*Entity // canonical name → entity
-	phrases   map[string]string  // normalized phrase (incl. canonical) → canonical name
-	maxTerms  int
-	redirects int
+	entities map[string]*Entity // canonical name → entity
+	phrases  map[string]string  // normalized phrase (incl. canonical) → canonical name
+	maxTerms int
 }
 
 // NewGazetteer returns an empty gazetteer.
@@ -158,7 +151,6 @@ func (g *Gazetteer) AddRedirect(alias, title string) error {
 		g.maxTerms = n
 	}
 	g.phrases[from] = to
-	g.redirects++
 	return nil
 }
 
@@ -180,12 +172,6 @@ func (g *Gazetteer) lookupNormalized(phrase string) (*Entity, bool) {
 	}
 	return g.entities[canon], true
 }
-
-// Len returns the number of canonical entities.
-func (g *Gazetteer) Len() int { return len(g.entities) }
-
-// Redirects returns the number of registered redirects.
-func (g *Gazetteer) Redirects() int { return g.redirects }
 
 // MaxTerms returns the longest registered phrase length in terms.
 func (g *Gazetteer) MaxTerms() int { return g.maxTerms }

@@ -109,23 +109,6 @@ func (h *History) Record(r core.Ranking) error {
 	return nil
 }
 
-// Len returns the number of retained ticks.
-func (h *History) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.rankings)
-}
-
-// Span returns the covered time range, zero times when empty.
-func (h *History) Span() (from, to time.Time) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if len(h.rankings) == 0 {
-		return
-	}
-	return h.rankings[0].At, h.rankings[len(h.rankings)-1].At
-}
-
 // slice returns the retained rankings with At in [from, to]. Zero bounds
 // are open on that side.
 func (h *History) slice(from, to time.Time) []core.Ranking {
@@ -227,18 +210,4 @@ type TrajPoint struct {
 	At    time.Time
 	Rank  int
 	Score float64
-}
-
-// At returns the recorded ranking whose tick is the latest not after t, and
-// false when none qualifies — "how did the ranking look last Tuesday".
-func (h *History) At(t time.Time) (core.Ranking, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	i := sort.Search(len(h.rankings), func(i int) bool {
-		return h.rankings[i].At.After(t)
-	})
-	if i == 0 {
-		return core.Ranking{}, false
-	}
-	return h.rankings[i-1], true
 }

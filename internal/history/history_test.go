@@ -39,20 +39,16 @@ func ranking(at time.Time, scored ...float64) core.Ranking {
 
 func TestRecordAndSpan(t *testing.T) {
 	h := New(100)
-	if _, to := h.Span(); !to.IsZero() {
-		t.Error("empty history has a span")
-	}
 	for i := 0; i < 5; i++ {
 		if err := h.Record(ranking(t0.Add(time.Duration(i)*time.Hour), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if h.Len() != 5 {
-		t.Errorf("Len = %d", h.Len())
+	if len(h.rankings) != 5 {
+		t.Fatalf("%d ticks retained, want 5", len(h.rankings))
 	}
-	from, to := h.Span()
-	if !from.Equal(t0) || !to.Equal(t0.Add(4*time.Hour)) {
-		t.Errorf("Span = %v..%v", from, to)
+	if from, to := h.rankings[0].At, h.rankings[4].At; !from.Equal(t0) || !to.Equal(t0.Add(4*time.Hour)) {
+		t.Errorf("span = %v..%v", from, to)
 	}
 }
 
@@ -73,11 +69,10 @@ func TestEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(ranking(t0.Add(time.Duration(i)*time.Hour), float64(i)))
 	}
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", h.Len())
+	if len(h.rankings) != 3 {
+		t.Fatalf("%d ticks retained, want 3", len(h.rankings))
 	}
-	from, _ := h.Span()
-	if !from.Equal(t0.Add(7 * time.Hour)) {
+	if from := h.rankings[0].At; !from.Equal(t0.Add(7 * time.Hour)) {
 		t.Errorf("oldest retained = %v", from)
 	}
 }
@@ -188,21 +183,6 @@ func TestTrajectory(t *testing.T) {
 	}
 }
 
-func TestAt(t *testing.T) {
-	h := buildHistory(t)
-	if _, ok := h.At(t0.Add(-time.Minute)); ok {
-		t.Error("At before first tick should miss")
-	}
-	r, ok := h.At(t0.Add(90 * time.Minute))
-	if !ok || !r.At.Equal(t0.Add(time.Hour)) {
-		t.Errorf("At(90m) = %v, %v", r.At, ok)
-	}
-	r, _ = h.At(t0.Add(100 * time.Hour))
-	if !r.At.Equal(t0.Add(2 * time.Hour)) {
-		t.Errorf("At(far future) = %v", r.At)
-	}
-}
-
 func TestAggregateParse(t *testing.T) {
 	for _, a := range []Aggregate{MaxScore, MeanScore, LastScore} {
 		got, err := ParseAggregate(a.String())
@@ -235,12 +215,11 @@ func TestConcurrentRecordAndQuery(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
 			h.TopInRange(time.Time{}, time.Time{}, 5, MaxScore)
-			h.Span()
 		}
 	}()
 	wg.Wait()
-	if h.Len() != 500 {
-		t.Errorf("Len = %d", h.Len())
+	if len(h.rankings) != 500 {
+		t.Errorf("%d ticks retained, want 500", len(h.rankings))
 	}
 }
 
@@ -288,7 +267,7 @@ func TestHistoryWithEngine(t *testing.T) {
 		t.Fatalf("Record: %v", err)
 	}
 
-	if h.Len() == 0 {
+	if len(h.rankings) == 0 {
 		t.Fatal("no ticks recorded")
 	}
 	// The event pair should top the range covering hours 6-9 but be absent

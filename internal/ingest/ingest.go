@@ -49,8 +49,7 @@ type Queue struct {
 	closed   bool
 	timedOut bool // flush-interval timer fired for the current drain wait
 
-	dropped  atomic.Int64
-	enqueued atomic.Int64
+	dropped atomic.Int64
 }
 
 // New returns a queue with the given configuration. Size and MaxBatch are
@@ -93,7 +92,6 @@ func (q *Queue) Put(it *stream.Item) bool {
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = it
 	q.n++
-	q.enqueued.Add(1)
 	q.cond.Broadcast()
 	return true
 }
@@ -181,6 +179,3 @@ func (q *Queue) Depth() int {
 
 // Dropped returns the total items evicted under the DropOldest policy.
 func (q *Queue) Dropped() int64 { return q.dropped.Load() }
-
-// Enqueued returns the total items accepted by Put.
-func (q *Queue) Enqueued() int64 { return q.enqueued.Load() }

@@ -1,6 +1,5 @@
 // Package metrics provides the evaluation measures the experiments report:
-// precision/recall at k against injected ground truth, mean reciprocal
-// rank, and detection latency. The real datasets of the paper have no
+// precision at k against injected ground truth, and detection latency. The real datasets of the paper have no
 // ground truth; the synthetic generators do, which is what makes these
 // numbers computable at all.
 package metrics
@@ -30,56 +29,6 @@ func PrecisionAtK(ranked []string, relevant map[string]bool, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(k)
-}
-
-// RecallAtK returns the fraction of relevant IDs found in the first k
-// ranked results (distinct IDs — a duplicate appearance counts once);
-// 1 when there are no relevant IDs.
-func RecallAtK(ranked []string, relevant map[string]bool, k int) float64 {
-	if len(relevant) == 0 {
-		return 1
-	}
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	seen := make(map[string]bool, k)
-	for _, id := range ranked[:k] {
-		if relevant[id] {
-			seen[id] = true
-		}
-	}
-	return float64(len(seen)) / float64(len(relevant))
-}
-
-// MRR returns the mean reciprocal rank of the relevant IDs' first
-// appearances: 1/(1+rank of first relevant) averaged over... For a single
-// query list, this is simply the reciprocal rank of the best-placed
-// relevant ID; 0 when none appears.
-func MRR(ranked []string, relevant map[string]bool) float64 {
-	for i, id := range ranked {
-		if relevant[id] {
-			return 1 / float64(i+1)
-		}
-	}
-	return 0
-}
-
-// AveragePrecision returns AP: the mean of precision@i over the positions i
-// of relevant results, normalised by the number of relevant IDs; 0 when
-// there are none.
-func AveragePrecision(ranked []string, relevant map[string]bool) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	seen := make(map[string]bool, len(relevant))
-	var sum float64
-	for i, id := range ranked {
-		if relevant[id] && !seen[id] {
-			seen[id] = true
-			sum += float64(len(seen)) / float64(i+1)
-		}
-	}
-	return sum / float64(len(relevant))
 }
 
 // Detection records when a given topic ID first reached the top-k ranking.
@@ -149,12 +98,4 @@ func Summarize(ls []Latency) Summary {
 		s.MeanDelay = total / time.Duration(s.Detected)
 	}
 	return s
-}
-
-// Rate returns detected/events as a fraction, 1 when there were no events.
-func (s Summary) Rate() float64 {
-	if s.Events == 0 {
-		return 1
-	}
-	return float64(s.Detected) / float64(s.Events)
 }

@@ -61,13 +61,22 @@ func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc) {
 					if g, w := tr.Cooccurrence(k), ref.Cooccurrence(k); g != w {
 						t.Errorf("%v: windowed count %v, reference %v", k, g, w)
 					}
-					if g, w := tr.Series(k), ref.Series(k); !reflect.DeepEqual(g, w) {
+					if g, w := shardedSeries(tr, k), ref.Series(k); !reflect.DeepEqual(g, w) {
 						t.Errorf("%v: series %v, reference %v", k, g, w)
 					}
 				}
 			})
 		}
 	}
+}
+
+// shardedSeries reads pair k's per-bucket counts, oldest first, from its
+// shard's arena.
+func shardedSeries(tr *ShardedTracker, k Key) []float64 {
+	sh := tr.shards[k.Shard(len(tr.shards))]
+	slot := sh.slots[k]
+	sh.arena.Observe(slot, tr.now())
+	return sh.arena.Series(slot)
 }
 
 // TestObserveBatchMatchesSerial pins batch-cut invariance against the

@@ -159,7 +159,7 @@ func TestSimilarityFromMatchesCopyDelete(t *testing.T) {
 		if len(da) == 0 && len(db) == 0 {
 			want = 0
 		} else {
-			want = 1 - JSDistance(da, db)
+			want = 1 - jsd(da, db)
 		}
 
 		if got := SimilarityFrom(dists, a, b); got != want {

@@ -141,92 +141,22 @@ func (m Measure) Compute(nab, na, nb, n float64) float64 {
 	}
 }
 
-// unionSupport returns the sorted union of the two maps' keys (optionally
-// only those with positive mass). Iterating support in sorted order makes
-// the floating-point accumulation below reproducible: Go map iteration
-// order is randomised per run, and summation order changes results in the
-// last ulps — enough to flip a zero prediction error into a positive one.
-func unionSupport(p, q map[string]float64, positiveOnly bool) []string {
-	support := make([]string, 0, len(p)+len(q))
-	seen := make(map[string]bool, len(p)+len(q))
-	//enblogue:unordered collect-then-sort: support is sorted before returning
-	for k, v := range p {
-		if !positiveOnly || v > 0 {
-			support = append(support, k)
-			seen[k] = true
-		}
-	}
-	//enblogue:unordered collect-then-sort: support is sorted before returning
-	for k, v := range q {
-		if seen[k] {
-			continue
-		}
-		if !positiveOnly || v > 0 {
-			support = append(support, k)
-		}
-	}
-	sort.Strings(support)
-	return support
-}
-
-// KLDivergence returns the Kullback–Leibler divergence D(p‖q) between two
-// discrete distributions given as count maps, with add-lambda smoothing over
-// the union support. The paper: "we can apply information-theory measures
-// like relative entropy to assess the similarity of tag/term usage."
-// The result is deterministic in the map contents (summation runs in sorted
-// key order).
-func KLDivergence(p, q map[string]float64, lambda float64) float64 {
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-	support := unionSupport(p, q, false)
-	if len(support) == 0 {
-		return 0
-	}
+// jsDistance returns the Jensen–Shannon distance (square root of the JS
+// divergence, base-2) between two count maps, with key exp treated as
+// absent from p and key exq as absent from q: a symmetric, bounded [0, 1]
+// relative-entropy similarity. The exclusions are how DistTracker leaves
+// each pair member out of its partner's co-tag distribution without
+// copying either map per pair per tick — the inputs are shared snapshot
+// maps and are never mutated. The result is deterministic in the map
+// contents (summation runs in sorted key order).
+func jsDistance(p, q map[string]float64, exp, exq string) float64 {
+	support := unionSupportExcluding(p, q, exp, exq)
 	var pTotal, qTotal float64
 	for _, k := range support {
-		pTotal += p[k]
-		qTotal += q[k]
-	}
-	v := float64(len(support))
-	pTotal += lambda * v
-	qTotal += lambda * v
-	var d float64
-	for _, k := range support {
-		pk := (p[k] + lambda) / pTotal
-		qk := (q[k] + lambda) / qTotal
-		d += pk * math.Log(pk/qk)
-	}
-	if d < 0 {
-		d = 0 // numeric noise on identical distributions
-	}
-	return d
-}
-
-// JSDistance returns the Jensen–Shannon distance (square root of the JS
-// divergence, base-2) between two count maps: a symmetric, bounded [0, 1]
-// relative-entropy similarity suitable as a correlation signal. The result
-// is deterministic in the map contents (summation runs in sorted key
-// order).
-func JSDistance(p, q map[string]float64) float64 {
-	return jsDistance(p, q, "", "", false)
-}
-
-// jsDistance is JSDistance with an optional per-map exclusion key: when
-// useEx is set, key exp is treated as absent from p and key exq as absent
-// from q. This is how DistTracker excludes each pair member from its
-// partner's co-tag distribution without copying either map per pair per
-// tick — the inputs are shared snapshot maps and are never mutated. The
-// result is bit-identical to JSDistance on copies with the keys deleted:
-// the support set, and therefore the sorted summation order, is the same.
-func jsDistance(p, q map[string]float64, exp, exq string, useEx bool) float64 {
-	support := unionSupportExcluding(p, q, exp, exq, useEx)
-	var pTotal, qTotal float64
-	for _, k := range support {
-		if v := exclVal(p, k, exp, useEx); v > 0 {
+		if v := exclVal(p, k, exp); v > 0 {
 			pTotal += v
 		}
-		if v := exclVal(q, k, exq, useEx); v > 0 {
+		if v := exclVal(q, k, exq); v > 0 {
 			qTotal += v
 		}
 	}
@@ -238,8 +168,8 @@ func jsDistance(p, q map[string]float64, exp, exq string, useEx bool) float64 {
 	}
 	var js float64
 	for _, k := range support {
-		pk := exclVal(p, k, exp, useEx) / pTotal
-		qk := exclVal(q, k, exq, useEx) / qTotal
+		pk := exclVal(p, k, exp) / pTotal
+		qk := exclVal(q, k, exq) / qTotal
 		m := (pk + qk) / 2
 		if pk > 0 {
 			js += pk / 2 * math.Log2(pk/m)
@@ -257,31 +187,34 @@ func jsDistance(p, q map[string]float64, exp, exq string, useEx bool) float64 {
 	return math.Sqrt(js)
 }
 
-// exclVal reads m[k], treating key ex as absent when useEx is set.
-func exclVal(m map[string]float64, k, ex string, useEx bool) float64 {
-	if useEx && k == ex {
+// exclVal reads m[k], treating key ex as absent.
+func exclVal(m map[string]float64, k, ex string) float64 {
+	if k == ex {
 		return 0
 	}
 	return m[k]
 }
 
 // unionSupportExcluding returns the sorted union of the two maps' positive
-// keys, honouring the per-map exclusions. Unlike unionSupport it needs no
-// dedup map: a key from q is skipped when p already contributed it.
-func unionSupportExcluding(p, q map[string]float64, exp, exq string, useEx bool) []string {
+// keys, honouring the per-map exclusions. It needs no dedup map: a key
+// from q is skipped when p already contributed it. Sorting makes the
+// floating-point accumulation over it reproducible: Go map iteration order
+// is randomised per run, and summation order changes results in the last
+// ulps — enough to flip a zero prediction error into a positive one.
+func unionSupportExcluding(p, q map[string]float64, exp, exq string) []string {
 	support := make([]string, 0, len(p)+len(q))
 	//enblogue:unordered collect-then-sort: support is sorted before returning
 	for k, v := range p {
-		if v > 0 && !(useEx && k == exp) {
+		if v > 0 && k != exp {
 			support = append(support, k)
 		}
 	}
 	//enblogue:unordered collect-then-sort: support is sorted before returning
 	for k, v := range q {
-		if v <= 0 || (useEx && k == exq) {
+		if v <= 0 || k == exq {
 			continue
 		}
-		if pv, ok := p[k]; ok && pv > 0 && !(useEx && k == exp) {
+		if pv, ok := p[k]; ok && pv > 0 && k != exp {
 			continue // already contributed by p
 		}
 		support = append(support, k)

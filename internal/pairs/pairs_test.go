@@ -168,43 +168,22 @@ func TestParseMeasure(t *testing.T) {
 	}
 }
 
-func TestKLDivergence(t *testing.T) {
-	p := map[string]float64{"a": 10, "b": 10}
-	if d := KLDivergence(p, p, 0.01); d > 1e-9 {
-		t.Errorf("KL(p,p) = %v, want ~0", d)
-	}
-	q := map[string]float64{"a": 19, "b": 1}
-	d1 := KLDivergence(p, q, 0.01)
-	if d1 <= 0 {
-		t.Errorf("KL(p,q) = %v, want > 0", d1)
-	}
-	// Non-symmetric in general.
-	d2 := KLDivergence(q, p, 0.01)
-	if math.Abs(d1-d2) < 1e-12 {
-		t.Log("KL symmetric here (possible but unusual)")
-	}
-	if d := KLDivergence(nil, nil, 0); d != 0 {
-		t.Errorf("KL(nil,nil) = %v, want 0", d)
-	}
-	// Default lambda path.
-	if d := KLDivergence(p, q, 0); d <= 0 {
-		t.Errorf("KL with default lambda = %v, want > 0", d)
-	}
-}
+// jsd is the bounded Jensen–Shannon distance with no key excluded.
+func jsd(p, q map[string]float64) float64 { return jsDistance(p, q, "", "") }
 
 func TestJSDistance(t *testing.T) {
 	p := map[string]float64{"a": 5, "b": 5}
-	if d := JSDistance(p, p); d > 1e-9 {
+	if d := jsd(p, p); d > 1e-9 {
 		t.Errorf("JSD(p,p) = %v, want 0", d)
 	}
 	q := map[string]float64{"c": 7}
-	if d := JSDistance(p, q); math.Abs(d-1) > 1e-9 {
+	if d := jsd(p, q); math.Abs(d-1) > 1e-9 {
 		t.Errorf("JSD(disjoint) = %v, want 1", d)
 	}
-	if d := JSDistance(nil, nil); d != 0 {
+	if d := jsd(nil, nil); d != 0 {
 		t.Errorf("JSD(nil,nil) = %v, want 0", d)
 	}
-	if d := JSDistance(p, nil); d != 1 {
+	if d := jsd(p, nil); d != 1 {
 		t.Errorf("JSD(p,nil) = %v, want 1", d)
 	}
 }
@@ -214,7 +193,7 @@ func TestJSDistanceProperties(t *testing.T) {
 	f := func(av, bv, cv, dv uint8) bool {
 		p := map[string]float64{"a": float64(av), "b": float64(bv)}
 		q := map[string]float64{"b": float64(cv), "c": float64(dv)}
-		d1, d2 := JSDistance(p, q), JSDistance(q, p)
+		d1, d2 := jsd(p, q), jsd(q, p)
 		return math.Abs(d1-d2) < 1e-9 && d1 >= 0 && d1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -340,36 +319,6 @@ func TestTrackerSeries(t *testing.T) {
 	}
 }
 
-func TestTrackerKeysSorted(t *testing.T) {
-	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour})
-	tr.Observe(t0, []string{"c", "a", "b"}, allSeeds)
-	keys := tr.KeysSorted()
-	if len(keys) != 3 {
-		t.Fatalf("got %d keys", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1].String() >= keys[i].String() {
-			t.Errorf("keys not sorted: %v", keys)
-		}
-	}
-	if got := len(tr.Keys()); got != 3 {
-		t.Errorf("Keys len = %d", got)
-	}
-}
-
-func TestTrackerCorrelation(t *testing.T) {
-	tr := NewTracker(Config{Buckets: 24, Resolution: time.Hour})
-	for i := 0; i < 4; i++ {
-		tr.Observe(t0.Add(time.Duration(i)*time.Minute), []string{"a", "b"}, allSeeds)
-	}
-	// na = nb = 4, nab = 4 → Jaccard 1.
-	if got := tr.Correlation(MakeKey("a", "b"), Jaccard, 4, 4, 10); got != 1 {
-		t.Errorf("Correlation = %v, want 1", got)
-	}
-}
-
-// Property: co-occurrence counts from the tracker equal a naive recount for
-// in-window observations.
 func TestTrackerMatchesNaive(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -418,8 +367,9 @@ func TestDistTracker(t *testing.T) {
 		dt.observe(ts, []string{"b", "x"})
 		dt.observe(ts, []string{"c", "y"})
 	}
-	simAB := dt.Similarity("a", "b")
-	simAC := dt.Similarity("a", "c")
+	snap := dt.Snapshot()
+	simAB := SimilarityFrom(snap, "a", "b")
+	simAC := SimilarityFrom(snap, "a", "c")
 	if simAB <= simAC {
 		t.Errorf("Similarity(a,b)=%v not greater than Similarity(a,c)=%v", simAB, simAC)
 	}

@@ -134,16 +134,8 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 // set before the first ObserveBatch.
 func (tr *ShardedTracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
 
-// TailEnabled reports whether the cold tier is active.
-func (tr *ShardedTracker) TailEnabled() bool { return tr.tails != nil }
-
 // Shards returns the number of shards.
 func (tr *ShardedTracker) Shards() int { return len(tr.shards) }
-
-// Span returns the co-occurrence window span.
-func (tr *ShardedTracker) Span() time.Duration {
-	return time.Duration(tr.cfg.Buckets) * tr.cfg.Resolution
-}
 
 // now returns the tracker-global clock: the max event time observed so far.
 func (tr *ShardedTracker) now() time.Time {
@@ -322,13 +314,6 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	return len(cands)
 }
 
-// ApproxSeeded reports whether pair k is currently tracked with a counter
-// seeded from a tail-tier estimate (an upper bound, not an exact count).
-func (tr *ShardedTracker) ApproxSeeded(k Key) bool {
-	_, ok := tr.shards[k.Shard(len(tr.shards))].approx[k]
-	return ok
-}
-
 // TailStats is a point-in-time view of the cold tier and the eviction
 // counters feeding it, aggregated across shards. The per-shard slices are
 // always populated (eviction counting predates the tier and works with it
@@ -383,18 +368,6 @@ func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 		return 0
 	}
 	return sh.arena.ValueAt(slot, tr.now())
-}
-
-// Series returns the per-bucket co-occurrence counts of the pair, oldest
-// first, or nil if the pair is not tracked.
-func (tr *ShardedTracker) Series(k Key) []float64 {
-	sh := tr.shards[k.Shard(len(tr.shards))]
-	slot, ok := sh.slots[k]
-	if !ok {
-		return nil
-	}
-	sh.arena.Observe(slot, tr.now())
-	return sh.arena.Series(slot)
 }
 
 // ActivePairs returns the number of pairs currently tracked across shards.

@@ -167,7 +167,7 @@ func TestDistTrackerEviction(t *testing.T) {
 			fmt.Sprintf("fresh%d-a", d), fmt.Sprintf("fresh%d-b", d), "anchor",
 		}
 		dt.observe(shT0.Add(time.Duration(d)*time.Minute), tags)
-		if got := dt.Counters(); got > 40 {
+		if got := dt.counters; got > 40 {
 			t.Fatalf("doc %d: %d counters exceed budget 40", d, got)
 		}
 	}
@@ -175,7 +175,7 @@ func TestDistTrackerEviction(t *testing.T) {
 	// counters are never the smallest when fresher ones exist at equal
 	// count — eviction is by count then name, so just assert boundedness
 	// and that lookups still work).
-	if dt.Distribution("anchor") == nil && dt.Counters() > 0 {
+	if dt.Distribution("anchor") == nil && dt.counters > 0 {
 		t.Log("anchor distribution evicted; boundedness still holds")
 	}
 }

@@ -36,6 +36,10 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	demoted := map[Key]float64{}
 	events := 0
 	tr.SetOnEvict(func(k Key, count float64) { demoted[k] += count; events++ })
+	approxSeeded := func(k Key) bool {
+		_, ok := tr.shards[k.Shard(len(tr.shards))].approx[k]
+		return ok
+	}
 
 	at := shT0
 	single := func(prefix string, i int) {
@@ -75,7 +79,7 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	if got := tr.PromoteTail(at); got != 1 {
 		t.Fatalf("PromoteTail promoted %d pairs, want exactly P", got)
 	}
-	if !tr.ApproxSeeded(p) {
+	if !approxSeeded(p) {
 		t.Fatal("repromoted pair not flagged approximate")
 	}
 	if got := tr.Cooccurrence(p); got != demoted[p] {
@@ -118,12 +122,12 @@ func TestTailDemoteRepromoteSeedsUpperBound(t *testing.T) {
 	// over-budget sweep evicts the smallest, and P goes once the older
 	// singletons have. Dropping P clears its approximate flag and the
 	// seeded-pair counter.
-	for i := 0; i < 100 && tr.ApproxSeeded(p); i++ {
+	for i := 0; i < 100 && approxSeeded(p); i++ {
 		for n := 0; n < 5; n++ {
 			single("zz", i)
 		}
 	}
-	if tr.ApproxSeeded(p) {
+	if approxSeeded(p) {
 		t.Fatal("P still flagged approximate after phase C")
 	}
 	if got := tr.Cooccurrence(p); got != 0 {
@@ -145,8 +149,8 @@ func TestTailStatsWithTierDisabled(t *testing.T) {
 	cfg.Tail = nil
 	cfg.Shards = 4
 	tr := NewShardedTracker(cfg)
-	if tr.TailEnabled() {
-		t.Fatal("TailEnabled true without a tail config")
+	if tr.TailStats().Enabled {
+		t.Fatal("TailStats.Enabled true without a tail config")
 	}
 
 	at := shT0

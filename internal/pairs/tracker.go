@@ -170,13 +170,14 @@ func keyLess(a, b Key) bool { return a.Less(b) }
 // of tags that contain at least one seed tag"). Counters live in a shared
 // CounterArena slab rather than one heap object per pair. Not safe for
 // concurrent use.
+//
+//enblogue:reference the serial model batch_test and sharded_test check ShardedTracker against
 type Tracker struct {
 	cfg     Config
 	slots   map[Key]int32
 	arena   *window.CounterArena
 	now     time.Time
 	sinceGC int
-	evicted int64
 
 	// onEvict, when set, observes every over-budget eviction with the
 	// victim's windowed count at eviction time — the seam the cold tier
@@ -199,11 +200,6 @@ func NewTracker(cfg Config) *Tracker {
 		slots: make(map[Key]int32),
 		arena: window.NewCounterArena(c.Buckets, c.Resolution),
 	}
-}
-
-// Span returns the co-occurrence window span.
-func (tr *Tracker) Span() time.Duration {
-	return time.Duration(tr.cfg.Buckets) * tr.cfg.Resolution
 }
 
 // Observe records one document's tag set at time t, incrementing the
@@ -272,7 +268,6 @@ func (tr *Tracker) maybeSweep() {
 	evictSmallest(all, evictTarget(tr.cfg.MaxPairs), keyLess, func(k Key, count float64) {
 		tr.arena.Release(tr.slots[k])
 		delete(tr.slots, k)
-		tr.evicted++
 		if tr.onEvict != nil {
 			tr.onEvict(k, count)
 		}
@@ -282,9 +277,6 @@ func (tr *Tracker) maybeSweep() {
 // SetOnEvict installs the eviction observer; see the field doc. Must be
 // set before the first Observe.
 func (tr *Tracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
-
-// Evicted returns the lifetime count of over-budget evictions.
-func (tr *Tracker) Evicted() int64 { return tr.evicted }
 
 // Cooccurrence returns the number of windowed documents carrying both tags
 // of the pair.
@@ -319,27 +311,6 @@ func (tr *Tracker) Keys() []Key {
 		out = append(out, k)
 	}
 	return out
-}
-
-// KeysSorted returns all tracked pair keys sorted lexicographically by
-// their tag renderings, for deterministic iteration in evaluation ticks.
-func (tr *Tracker) KeysSorted() []Key {
-	out := tr.Keys()
-	sort.Slice(out, func(i, j int) bool {
-		a1, a2 := out[i].tags()
-		b1, b2 := out[j].tags()
-		if a1 != b1 {
-			return a1 < b1
-		}
-		return a2 < b2
-	})
-	return out
-}
-
-// Correlation evaluates measure m for the pair using the supplied per-tag
-// windowed counts and total document count.
-func (tr *Tracker) Correlation(k Key, m Measure, na, nb, n float64) float64 {
-	return m.Compute(tr.Cooccurrence(k), na, nb, n)
 }
 
 // DistTracker maintains, per tag, the windowed distribution of tags that
@@ -453,9 +424,6 @@ func (dt *DistTracker) sweep() {
 	})
 }
 
-// Counters returns the total number of (tag, co-tag) counters tracked.
-func (dt *DistTracker) Counters() int { return dt.counters }
-
 // Distribution returns tag's windowed co-tag counts as a map. The map is
 // freshly allocated.
 func (dt *DistTracker) Distribution(tag string) map[string]float64 {
@@ -472,31 +440,6 @@ func (dt *DistTracker) Distribution(tag string) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Similarity returns 1 − JSDistance between the co-tag distributions of the
-// two tags: 1 for identical usage, 0 for disjoint. This is the bounded
-// relative-entropy correlation the paper sketches for distribution-valued
-// documents. The pair members themselves are excluded from both
-// distributions: the comparison asks whether a and b keep the same
-// *company*, and each is trivially its partner's company.
-func (dt *DistTracker) Similarity(a, b string) float64 {
-	return similarityExcluding(dt.Distribution(a), dt.Distribution(b), b, a)
-}
-
-// similarityExcluding is the shared Similarity/SimilarityFrom core: the
-// bounded JS similarity of da (ignoring key exa) and db (ignoring key exb),
-// with neither input map copied or mutated. Two effectively empty
-// distributions mean no usage evidence at all — e.g. both tags' co-tag
-// counters were evicted under memory pressure — and score 0, not the 1.0
-// that "identical (empty) usage" would naively yield: a spurious perfect
-// correlation would register as a large prediction error and fabricate an
-// emergent topic.
-func similarityExcluding(da, db map[string]float64, exa, exb string) float64 {
-	if lenExcluding(da, exa) == 0 && lenExcluding(db, exb) == 0 {
-		return 0
-	}
-	return 1 - jsDistance(da, db, exa, exb, true)
 }
 
 // lenExcluding returns len(m) not counting key ex.
@@ -521,10 +464,24 @@ func (dt *DistTracker) Snapshot() map[string]map[string]float64 {
 	return out
 }
 
-// SimilarityFrom computes Similarity's result from a Snapshot, with the
-// same partner-exclusion semantics, without copying or mutating the
-// snapshot (snapshots are shared across evaluation workers). Values are
-// identical to calling Similarity on the tracker at snapshot time.
+// SimilarityFrom returns 1 − JS distance between the co-tag distributions
+// of tags a and b in a Snapshot: 1 for identical usage, 0 for disjoint.
+// This is the bounded relative-entropy correlation the paper sketches for
+// distribution-valued documents. The pair members themselves are excluded
+// from both distributions: the comparison asks whether a and b keep the
+// same *company*, and each is trivially its partner's company. Neither
+// snapshot map is copied or mutated (snapshots are shared across
+// evaluation workers).
+//
+// Two effectively empty distributions mean no usage evidence at all — e.g.
+// both tags' co-tag counters were evicted under memory pressure — and
+// score 0, not the 1.0 that "identical (empty) usage" would naively yield:
+// a spurious perfect correlation would register as a large prediction
+// error and fabricate an emergent topic.
 func SimilarityFrom(dists map[string]map[string]float64, a, b string) float64 {
-	return similarityExcluding(dists[a], dists[b], b, a)
+	da, db := dists[a], dists[b]
+	if lenExcluding(da, b) == 0 && lenExcluding(db, a) == 0 {
+		return 0
+	}
+	return 1 - jsDistance(da, db, b, a)
 }

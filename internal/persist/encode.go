@@ -105,7 +105,6 @@ func fingerprintOf(c core.Config) fingerprint {
 
 // ---- append-style encoder ----
 
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }

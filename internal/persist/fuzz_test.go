@@ -22,7 +22,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	e := core.New(cfg)
 	docs := testItems(f)
 	e.ConsumeBatch(docs[:1200])
-	st := e.ExportState()
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	e.Close()
 	f.Add(encodeSnapshot(cfg, &st))
 	// And structured near-misses: truncations and header damage.

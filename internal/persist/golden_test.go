@@ -52,7 +52,7 @@ func goldenState(shards int) ([]byte, core.Config) {
 	e := core.New(cfg)
 	defer e.Close()
 	e.ConsumeBatch(goldenItems())
-	st := e.ExportState()
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	return encodeSnapshot(cfg, &st), cfg
 }
 
@@ -100,7 +100,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if err := e.RestoreState(d.materialize()); err != nil {
 		t.Fatalf("restore golden snapshot: %v", err)
 	}
-	st := e.ExportState()
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	if !bytes.Equal(encodeSnapshot(cfg, &st), data) {
 		t.Fatal("golden snapshot did not survive a decode/restore/re-encode round trip")
 	}

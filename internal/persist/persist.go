@@ -154,7 +154,7 @@ func openStore(e *core.Engine) (*Store, error) {
 		create: osCreate,
 		rename: os.Rename,
 	}
-	res, err := recoverInto(cfg.Dir, e, engCfg, false)
+	res, err := recoverInto(cfg.Dir, e, engCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -423,28 +423,16 @@ type recoverResult struct {
 	warn      string    // non-fatal degradation, "" when recovery was clean
 }
 
-// Recover restores dir's durable state into e — newest valid snapshot, then
-// WAL replay — and returns the recovered document position. e must be a
-// freshly built engine with the exporter's semantic configuration and no
-// durability of its own (durability-enabled engines recover automatically
-// inside New). Unlike the attach path, Recover is strict: a torn trailing
-// WAL record (the normal crash artifact) stops replay cleanly, but any
-// sequence gap, mid-log corruption, or config mismatch is an error.
-func Recover(dir string, e *core.Engine) (int64, error) {
-	if _, err := recoverInto(dir, e, e.Config(), true); err != nil {
-		return 0, err
-	}
-	return e.DocsProcessed(), nil
-}
-
-// recoverInto is the shared recovery engine. strict turns every degradation
-// except a torn trailing record into an error; the attach path instead
-// collects them as warnings and recovers the longest trustworthy prefix.
-// Returned errors with the engine already partially restored cannot happen:
-// every candidate snapshot is fully validated (checksum, structure,
-// fingerprint) before any engine state is touched, and a restore failure
-// after validation is a hard error in both modes.
-func recoverInto(dir string, e *core.Engine, engCfg core.Config, strict bool) (recoverResult, error) {
+// recoverInto restores dir's durable state into e — newest valid snapshot,
+// then WAL replay. Every degradation (an unreadable or mismatched
+// snapshot, a mid-log corruption, a sequence gap) is collected as a
+// warning, and the longest trustworthy prefix is recovered; a torn
+// trailing WAL record, the normal crash artifact, stops replay cleanly
+// with no warning. Returned errors with the engine already partially
+// restored cannot happen: every candidate snapshot is fully validated
+// (checksum, structure, fingerprint) before any engine state is touched,
+// and a restore failure after validation is a hard error.
+func recoverInto(dir string, e *core.Engine, engCfg core.Config) (recoverResult, error) {
 	var res recoverResult
 	var warns []string
 	fp := fingerprintOf(engCfg)
@@ -463,9 +451,6 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config, strict bool) (r
 			err = fmt.Errorf("persist: %s was written under a different engine configuration (bump or match the config, or move the data directory aside)", name)
 		}
 		if err != nil {
-			if strict {
-				return res, err
-			}
 			warns = append(warns, err.Error())
 			continue
 		}
@@ -480,16 +465,15 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config, strict bool) (r
 		break
 	}
 
-	if err := replayWAL(dir, e, restored, strict, &warns); err != nil {
-		return res, err
-	}
+	replayWAL(dir, e, restored, &warns)
 	res.warn = strings.Join(warns, "; ")
 	return res, nil
 }
 
 // replayWAL feeds every WAL record above the restored position into e, in
-// batches, asserting the sequence is contiguous.
-func replayWAL(dir string, e *core.Engine, restored int64, strict bool, warns *[]string) error {
+// batches, stopping with a warning at the first unreadable segment,
+// corrupt record or sequence gap.
+func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 	segs := listEpochs(dir, walPrefix, walSuffix)
 	next := restored + 1
 	batch := make([]*stream.Item, 0, 1024)
@@ -503,11 +487,8 @@ func replayWAL(dir string, e *core.Engine, restored int64, strict bool, warns *[
 		data, err := os.ReadFile(filepath.Join(dir, walName(seg)))
 		if err != nil {
 			flush()
-			if strict {
-				return fmt.Errorf("persist: %w", err)
-			}
 			*warns = append(*warns, "wal read: "+err.Error())
-			return nil
+			return
 		}
 		lines := bytes.Split(data, []byte{'\n'})
 		for li, line := range lines {
@@ -521,14 +502,10 @@ func replayWAL(dir string, e *core.Engine, restored int64, strict bool, warns *[
 				// crash artifact: the write was cut mid-line. Everything
 				// before it is intact, so recovery stops exactly there.
 				if si == len(segs)-1 && blankAfter(lines, li) {
-					return nil
+					return
 				}
-				msg := fmt.Sprintf("wal segment %d line %d: %v", seg, li+1, derr)
-				if strict {
-					return fmt.Errorf("persist: %s", msg)
-				}
-				*warns = append(*warns, msg)
-				return nil
+				*warns = append(*warns, fmt.Sprintf("wal segment %d line %d: %v", seg, li+1, derr))
+				return
 			}
 			if seq < next {
 				// Covered by the restored snapshot (or by an earlier
@@ -537,12 +514,8 @@ func replayWAL(dir string, e *core.Engine, restored int64, strict bool, warns *[
 			}
 			if seq != next {
 				flush()
-				msg := fmt.Sprintf("wal segment %d: sequence gap, want %d got %d", seg, next, seq)
-				if strict {
-					return fmt.Errorf("persist: %s", msg)
-				}
-				*warns = append(*warns, msg)
-				return nil
+				*warns = append(*warns, fmt.Sprintf("wal segment %d: sequence gap, want %d got %d", seg, next, seq))
+				return
 			}
 			batch = append(batch, it)
 			next++
@@ -552,7 +525,6 @@ func replayWAL(dir string, e *core.Engine, restored int64, strict bool, warns *[
 		}
 	}
 	flush()
-	return nil
 }
 
 // blankAfter reports whether every line after index i is blank.

@@ -62,7 +62,7 @@ func durableConfig(cfg core.Config, dir string) core.Config {
 // semantic state produce identical bytes regardless of shard count, intern
 // order, or durability settings.
 func stateBytes(e *core.Engine) []byte {
-	st := e.ExportState()
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	return encodeSnapshot(e.Config(), &st)
 }
 
@@ -153,35 +153,9 @@ func TestRecoverAcrossShardCounts(t *testing.T) {
 	mustEqualState(t, reference(items, len(items), 8), b)
 }
 
-// TestRecoverStrict pins the strict entry point: Recover into a fresh
-// engine reports the exact document position and reproduces the state.
-func TestRecoverStrict(t *testing.T) {
-	items := testItems(t)
-	dir := t.TempDir()
-
-	a := core.New(durableConfig(testConfig(2), dir))
-	a.ConsumeBatch(items[:1000])
-	if err := a.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	a.ConsumeBatch(items[1000:1500])
-	a.Close()
-
-	b := core.New(testConfig(2))
-	defer b.Close()
-	pos, err := Recover(dir, b)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if pos != 1500 {
-		t.Fatalf("Recover position = %d, want 1500", pos)
-	}
-	mustEqualState(t, reference(items, 1500, 2), b)
-}
-
 // TestTornTailStopsCleanly cuts the final WAL record mid-line — the normal
-// crash artifact — and expects recovery (both modes) to stop exactly at
-// the last complete record with no error.
+// crash artifact — and expects recovery to stop exactly at the last
+// complete record with no warning.
 func TestTornTailStopsCleanly(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
@@ -202,21 +176,19 @@ func TestTornTailStopsCleanly(t *testing.T) {
 		t.Fatalf("truncate segment: %v", err)
 	}
 
-	b := core.New(testConfig(2))
+	b := core.New(durableConfig(testConfig(2), dir))
 	defer b.Close()
-	pos, err := Recover(dir, b)
-	if err != nil {
-		t.Fatalf("Recover with torn tail: %v", err)
+	if st, ok := b.DurabilityStats(); !ok || st.LastErr != "" {
+		t.Fatalf("recovery with torn tail warned: ok=%v lastErr=%q", ok, st.LastErr)
 	}
-	if pos != 799 {
+	if pos := b.DocsProcessed(); pos != 799 {
 		t.Fatalf("recovered position = %d, want 799 (torn record dropped)", pos)
 	}
 	mustEqualState(t, reference(items, 799, 2), b)
 }
 
-// TestSequenceGapIsStrictError deletes a middle WAL record: strict
-// recovery must refuse, the attach path must keep the trustworthy prefix
-// and surface a warning.
+// TestSequenceGapIsStrictError deletes a middle WAL record: recovery must
+// keep the trustworthy prefix and surface the gap as an error.
 func TestSequenceGapIsStrictError(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
@@ -237,12 +209,6 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 		t.Fatalf("rewrite segment: %v", err)
 	}
 
-	strict := core.New(testConfig(2))
-	defer strict.Close()
-	if _, err := Recover(dir, strict); err == nil || !strings.Contains(err.Error(), "sequence gap") {
-		t.Fatalf("strict Recover over a gap = %v, want sequence-gap error", err)
-	}
-
 	b := core.New(durableConfig(testConfig(2), dir))
 	defer b.Close()
 	if got := b.DocsProcessed(); got != 300 {
@@ -256,8 +222,8 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 }
 
 // TestFingerprintMismatch writes a snapshot under one semantic
-// configuration and recovers under another: strict mode errors, and the
-// error names the configuration, not a decoding failure.
+// configuration and recovers under another: the snapshot is skipped, and
+// the reported error names the configuration, not a decoding failure.
 func TestFingerprintMismatch(t *testing.T) {
 	items := testItems(t)
 	dir := t.TempDir()
@@ -271,10 +237,10 @@ func TestFingerprintMismatch(t *testing.T) {
 
 	cfg := testConfig(2)
 	cfg.WindowBuckets = 12 // semantic change: different window geometry
-	b := core.New(cfg)
+	b := core.New(durableConfig(cfg, dir))
 	defer b.Close()
-	if _, err := Recover(dir, b); err == nil || !strings.Contains(err.Error(), "configuration") {
-		t.Fatalf("Recover across configs = %v, want configuration error", err)
+	if st, ok := b.DurabilityStats(); !ok || !strings.Contains(st.LastErr, "configuration") {
+		t.Fatalf("recovery across configs: ok=%v lastErr=%q, want a configuration error", ok, st.LastErr)
 	}
 }
 

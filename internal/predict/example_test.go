@@ -16,8 +16,7 @@ func ExamplePredictor() {
 	forecast, _ := p.Predict()
 	fmt.Printf("forecast after trend: %.3f (actual next: 0.200)\n", forecast)
 
-	err, _ := predict.Error(p, 0.90) // a sudden jump instead
-	fmt.Printf("error on sudden jump: %.2f\n", err)
+	fmt.Printf("error on sudden jump: %.2f\n", 0.90-forecast) // a sudden jump instead
 	// Output:
 	// forecast after trend: 0.200 (actual next: 0.200)
 	// error on sudden jump: 0.70

@@ -10,7 +10,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 )
 
 // Predictor forecasts the next value of a series one step ahead.
@@ -471,15 +470,4 @@ func (s *Seasonal) Reset() {
 	s.r.reset()
 	s.last = 0
 	s.n = 0
-}
-
-// Error returns the absolute prediction error |actual − predicted|, or 0
-// when the predictor has no forecast yet; notReady reports that case so
-// callers can skip scoring during warm-up.
-func Error(p Predictor, actual float64) (err float64, notReady bool) {
-	pred, ok := p.Predict()
-	if !ok {
-		return 0, true
-	}
-	return math.Abs(actual - pred), false
 }

@@ -227,21 +227,6 @@ func TestKindRoundTrip(t *testing.T) {
 	}
 }
 
-func TestErrorHelper(t *testing.T) {
-	p := &Naive{}
-	if _, notReady := Error(p, 5); !notReady {
-		t.Error("Error should report notReady before observations")
-	}
-	p.Observe(3)
-	e, notReady := Error(p, 5)
-	if notReady || e != 2 {
-		t.Errorf("Error = %v,%v want 2,false", e, notReady)
-	}
-}
-
-// Property: every predictor, fed a constant series, converges to forecast
-// that constant (within tolerance), and never predicts NaN/Inf on finite
-// bounded input.
 func TestPredictorsConstantConvergence(t *testing.T) {
 	f := func(c8 uint8) bool {
 		c := float64(c8)
@@ -309,12 +294,12 @@ func TestStepChangeProducesError(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			p.Observe(0.1)
 		}
-		e, notReady := Error(p, 0.9)
-		if notReady {
+		pred, ok := p.Predict()
+		if !ok {
 			t.Errorf("%v: not ready after 20 observations", k)
 			continue
 		}
-		if e < 0.5 {
+		if e := math.Abs(0.9 - pred); e < 0.5 {
 			t.Errorf("%v: step error = %v, want >= 0.5", k, e)
 		}
 	}

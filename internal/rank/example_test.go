@@ -6,26 +6,6 @@ import (
 	"enblogue/internal/rank"
 )
 
-func ExampleTopK() {
-	tk := rank.NewTopK(3)
-	for _, e := range []rank.Entry{
-		{ID: "iceland+volcano", Score: 0.9},
-		{ID: "sports+final", Score: 0.2},
-		{ID: "election+recount", Score: 0.7},
-		{ID: "ht1+ht2", Score: 0.1},
-		{ID: "sigmod+athens", Score: 0.8},
-	} {
-		tk.Offer(e)
-	}
-	for i, e := range tk.Ranked() {
-		fmt.Printf("%d. %s (%.1f)\n", i+1, e.ID, e.Score)
-	}
-	// Output:
-	// 1. iceland+volcano (0.9)
-	// 2. sigmod+athens (0.8)
-	// 3. election+recount (0.7)
-}
-
 func ExampleDiff() {
 	prev := rank.List{{ID: "a", Score: 3}, {ID: "b", Score: 2}}
 	cur := rank.List{{ID: "b", Score: 5}, {ID: "c", Score: 1}}

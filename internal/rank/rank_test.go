@@ -8,89 +8,14 @@ import (
 	"testing/quick"
 )
 
-func TestTopKBasic(t *testing.T) {
-	tk := NewTopK(3)
-	for i, s := range []float64{1, 5, 3, 9, 2, 7} {
-		tk.Offer(Entry{ID: fmt.Sprintf("e%d", i), Score: s})
-	}
-	got := tk.Ranked().IDs()
-	want := []string{"e3", "e5", "e1"} // scores 9, 7, 5
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Ranked = %v, want %v", got, want)
-	}
-	if tk.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tk.Len())
-	}
-}
-
-func TestTopKUnderfilled(t *testing.T) {
-	tk := NewTopK(10)
-	tk.Offer(Entry{ID: "only", Score: 1})
-	got := tk.Ranked()
-	if len(got) != 1 || got[0].ID != "only" {
-		t.Errorf("Ranked = %v", got)
-	}
-}
-
-func TestTopKDeterministicTies(t *testing.T) {
-	tk := NewTopK(2)
-	tk.Offer(Entry{ID: "b", Score: 5})
-	tk.Offer(Entry{ID: "a", Score: 5})
-	tk.Offer(Entry{ID: "c", Score: 5})
-	got := tk.Ranked().IDs()
-	want := []string{"a", "b"} // lexicographically smallest kept
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("tied Ranked = %v, want %v", got, want)
-	}
-}
-
-func TestTopKPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewTopK(0) should panic")
-		}
-	}()
-	NewTopK(0)
-}
-
-// Property: TopK(k) over any offer sequence equals sorting all entries and
-// truncating to k.
-func TestTopKMatchesSort(t *testing.T) {
-	f := func(scores []float64, k8 uint8) bool {
-		k := int(k8%20) + 1
-		tk := NewTopK(k)
-		all := make(List, 0, len(scores))
-		for i, s := range scores {
-			if s != s { // NaN breaks ordering; skip
-				continue
-			}
-			e := Entry{ID: fmt.Sprintf("id%04d", i), Score: s}
-			tk.Offer(e)
-			all = append(all, e)
-		}
-		all.Sort()
-		if len(all) > k {
-			all = all[:k]
-		}
-		return reflect.DeepEqual(tk.Ranked(), all)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestListSortAndLookups(t *testing.T) {
-	l := List{{"b", 2}, {"a", 9}, {"c", 2}}
-	l.Sort()
+func TestListLookups(t *testing.T) {
+	l := List{{"a", 9}, {"b", 2}, {"c", 2}}
 	if !reflect.DeepEqual(l.IDs(), []string{"a", "b", "c"}) {
 		t.Errorf("sorted IDs = %v", l.IDs())
 	}
 	pos := l.Positions()
 	if pos["a"] != 0 || pos["b"] != 1 || pos["c"] != 2 {
 		t.Errorf("Positions = %v", pos)
-	}
-	if l.Rank("c") != 2 || l.Rank("zzz") != -1 {
-		t.Errorf("Rank wrong: c=%d zzz=%d", l.Rank("c"), l.Rank("zzz"))
 	}
 }
 
@@ -190,7 +115,6 @@ func TestDiffConsistency(t *testing.T) {
 				used[id] = true
 				l = append(l, Entry{ID: id, Score: rng.Float64()})
 			}
-			l.Sort()
 			return l
 		}
 		prev, cur := mk(), mk()
@@ -212,28 +136,12 @@ func TestDiffConsistency(t *testing.T) {
 	}
 }
 
-func BenchmarkTopKOffer(b *testing.B) {
-	tk := NewTopK(20)
-	rng := rand.New(rand.NewSource(5))
-	ids := make([]string, 1024)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("pair%d", i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tk.Offer(Entry{ID: ids[i%len(ids)], Score: rng.Float64()})
-	}
-}
-
 func BenchmarkKendallTau(b *testing.B) {
 	var a, c List
 	for i := 0; i < 50; i++ {
 		a = append(a, Entry{ID: fmt.Sprintf("e%d", i), Score: float64(i)})
 		c = append(c, Entry{ID: fmt.Sprintf("e%d", (i*7)%50), Score: float64(i)})
 	}
-	a.Sort()
-	c.Sort()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		KendallTau(a, c)

@@ -87,11 +87,12 @@ type AlertView struct {
 }
 
 // Hub fans ranking updates out to connected SSE clients. Slow clients drop
-// frames rather than stalling the broadcaster.
+// frames rather than stalling the broadcaster; the drops are counted.
 type Hub struct {
 	mu      sync.Mutex
 	clients map[chan []byte]bool
 	last    []byte
+	dropped int64 // frames not queued because a client's buffer was full
 }
 
 // NewHub returns an empty hub.
@@ -113,6 +114,7 @@ func (h *Hub) Broadcast(v interface{}) error {
 		select {
 		case ch <- data:
 		default: // client buffer full: drop this frame for that client
+			h.dropped++
 		}
 	}
 	return nil
@@ -144,11 +146,12 @@ func (h *Hub) ClientCount() int {
 	return len(h.clients)
 }
 
-// Last returns the most recently broadcast frame (nil before the first).
-func (h *Hub) Last() []byte {
+// FramesDropped returns the lifetime count of frames dropped for clients
+// whose buffer was full, one per frame per client.
+func (h *Hub) FramesDropped() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.last
+	return h.dropped
 }
 
 // DefaultTenant is the tenant the tenant-less /v1/* routes and the legacy
@@ -289,9 +292,6 @@ func (s *Server) Tenants() []string {
 // answering from the last published state.
 func (s *Server) Close() { s.cancel() }
 
-// Hub exposes the default tenant's broadcast hub (for tests and embedding).
-func (s *Server) Hub() *Hub { return s.defaultTenant().hub }
-
 // Registry exposes the default tenant's personalization registry.
 func (s *Server) Registry() *persona.Registry { return s.defaultTenant().registry }
 
@@ -303,17 +303,6 @@ func (s *Server) SetTenantHistoryTicks(n int) {
 	s.mu.Lock()
 	s.historyTicks = n
 	s.mu.Unlock()
-}
-
-// AttachEngine connects an engine to the default tenant's stats endpoint
-// and enables its per-profile stream subscriptions and item ingest.
-// AttachEngine does not feed rankings into the server; use Follow for
-// that, or wire PublishRanking yourself.
-func (s *Server) AttachEngine(e Engine) {
-	t := s.defaultTenant()
-	t.mu.Lock()
-	t.engine = e
-	t.mu.Unlock()
 }
 
 // AttachHistory connects a ranking history to the default tenant:
@@ -405,6 +394,7 @@ type StatsView struct {
 	Seeds           int       `json:"seeds"`
 	LastEventTime   time.Time `json:"lastEventTime"`
 	Clients         int       `json:"clients"`
+	FramesDropped   int64     `json:"framesDropped"`
 	Profiles        int       `json:"profiles"`
 	Subscriptions   int       `json:"subscriptions"`
 	RankingsDropped int64     `json:"rankingsDropped"`
@@ -569,10 +559,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	e := t.engine
 	t.mu.Unlock()
 	view := StatsView{
-		Clients:  t.hub.ClientCount(),
-		Profiles: t.registry.Len(),
-		Tenant:   t.name,
-		Uptime:   time.Since(t.created).Seconds(),
+		Clients:       t.hub.ClientCount(),
+		FramesDropped: t.hub.FramesDropped(),
+		Profiles:      t.registry.Len(),
+		Tenant:        t.name,
+		Uptime:        time.Since(t.created).Seconds(),
 	}
 	if e != nil {
 		view.DocsProcessed = e.DocsProcessed()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,8 +35,8 @@ func TestHubBroadcastAndLateJoin(t *testing.T) {
 	if err := h.Broadcast(map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if h.Last() == nil {
-		t.Fatal("Last nil after broadcast")
+	if h.last == nil {
+		t.Fatal("last frame nil after broadcast")
 	}
 	ch := h.subscribe()
 	defer h.unsubscribe(ch)
@@ -179,7 +180,7 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 
 	// Wait for the subscriber registration, then publish.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Hub().ClientCount() == 0 && time.Now().Before(deadline) {
+	for s.defaultTenant().hub.ClientCount() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	s.PublishRanking(sampleRanking())
@@ -198,6 +199,60 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 	}
 	if len(view.Topics) != 2 {
 		t.Errorf("streamed view = %+v", view)
+	}
+}
+
+// stalledWriter is an SSE client that has stopped reading: the first frame
+// write blocks until release is closed.
+type stalledWriter struct {
+	header  http.Header
+	stalled chan struct{} // closed once the first frame write blocks
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return len(p), nil
+}
+
+// A stalled SSE client holds one frame in its blocked write and eight in
+// its hub buffer; every further frame broadcast to it is dropped, and
+// /v1/stats reports exactly those.
+func TestStatsCountsFramesDroppedForStalledClient(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	w := &stalledWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx))
+	}()
+	defer func() { close(w.release); cancel(); <-done }()
+
+	hub := s.defaultTenant().hub
+	for deadline := time.Now().Add(2 * time.Second); hub.ClientCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("SSE client never subscribed")
+		}
+	}
+	s.PublishRanking(sampleRanking())
+	<-w.stalled
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.PublishRanking(sampleRanking())
+	}
+	var st StatsView
+	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(n - 8); st.FramesDropped != want {
+		t.Errorf("framesDropped = %d, want %d (%d frames beyond the 8-frame buffer)", st.FramesDropped, want, want)
 	}
 }
 

@@ -373,7 +373,7 @@ func TestTenantPublishIsolation(t *testing.T) {
 	if !vb.At.IsZero() || len(vb.Topics) != 0 {
 		t.Errorf("tenant b leaked a's ranking: %+v", vb)
 	}
-	if ta.hub.Last() == nil || tb.hub.Last() != nil {
+	if ta.hub.last == nil || tb.hub.last != nil {
 		t.Error("SSE hubs not isolated between tenants")
 	}
 }

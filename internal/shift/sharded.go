@@ -2,8 +2,6 @@ package shift
 
 import (
 	"time"
-
-	"enblogue/internal/pairs"
 )
 
 // Sharded partitions detector state across n independent Detectors, one per
@@ -35,17 +33,9 @@ func NewSharded(n int, cfg Config) *Sharded {
 	return &Sharded{dets: dets}
 }
 
-// Shards returns the number of shards.
-func (s *Sharded) Shards() int { return len(s.dets) }
-
 // Shard returns shard i's detector. The caller must only evaluate pairs
 // whose Key.Shard(Shards()) == i on it.
 func (s *Sharded) Shard(i int) *Detector { return s.dets[i] }
-
-// For returns the detector owning pair k.
-func (s *Sharded) For(k pairs.Key) *Detector {
-	return s.dets[k.Shard(len(s.dets))]
-}
 
 // BeginTick advances every shard detector's evaluation-round clock to t.
 // Call once at the start of each tick that will evaluate at least one pair.

@@ -13,6 +13,9 @@ import (
 // A sharded detector fed per-shard must produce exactly the scores a single
 // global detector produces, tick for tick — including the round-one warm-up
 // and the "implicit zero history" rule for pairs appearing on later rounds.
+// owner returns the shard detector that evaluates pair k.
+func owner(s *Sharded, k pairs.Key) *Detector { return s.Shard(k.Shard(len(s.dets))) }
+
 func TestShardedMatchesSingleDetector(t *testing.T) {
 	cfg := Config{
 		Predictor:       predict.KindMovingAverage,
@@ -48,7 +51,7 @@ func TestShardedMatchesSingleDetector(t *testing.T) {
 			corr := rng.Float64()
 			nab := float64(rng.Intn(6))
 			want := single.Evaluate(at, k, nab, corr*10, corr*12, 100)
-			got := sharded.For(k).Evaluate(at, k, nab, corr*10, corr*12, 100)
+			got := owner(sharded, k).Evaluate(at, k, nab, corr*10, corr*12, 100)
 			if got != want {
 				t.Fatalf("tick %d pair %v: sharded %+v != single %+v", tick, k, got, want)
 			}
@@ -80,7 +83,7 @@ func TestShardedBeginTickSyncsRounds(t *testing.T) {
 
 	// Round one: only k's shard evaluates anything.
 	sharded.BeginTick(base)
-	r1 := sharded.For(k).Evaluate(base, k, 3, 5, 5, 10)
+	r1 := owner(sharded, k).Evaluate(base, k, 3, 5, 5, 10)
 	if !r1.Warmup {
 		t.Fatalf("round-one evaluation not warm-up: %+v", r1)
 	}
@@ -99,7 +102,7 @@ func TestShardedBeginTickSyncsRounds(t *testing.T) {
 	}
 	at := base.Add(time.Hour)
 	sharded.BeginTick(at)
-	r2 := sharded.For(k2).Evaluate(at, k2, 3, 5, 5, 10)
+	r2 := owner(sharded, k2).Evaluate(at, k2, 3, 5, 5, 10)
 	if r2.Warmup {
 		t.Fatalf("late-shard first evaluation warmed up despite BeginTick: %+v", r2)
 	}

@@ -154,9 +154,6 @@ func NewDetector(cfg Config) *Detector {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // alloc returns a fresh zeroed slab position for pair k.
 func (d *Detector) alloc(k pairs.Key) (*state, int32) {
 	var i int32
@@ -227,6 +224,8 @@ func (d *Detector) BeginTick(t time.Time) {
 // documents with both tags, na/nb with each tag, n total. It updates the
 // pair's predictor with the measured correlation and returns the tick's
 // Topic. Call once per pair per tick, with monotonically non-decreasing t.
+//
+//enblogue:reference the one-pair entry the shift tests score through; sharded_test checks Sharded against it
 func (d *Detector) Evaluate(t time.Time, k pairs.Key, nab, na, nb, n float64) Topic {
 	var topic Topic
 	d.EvaluateCorrelationInto(t, k, -1, d.cfg.Measure.Compute(nab, na, nb, n), nab, -1, &topic)
@@ -254,6 +253,8 @@ func (d *Detector) EvaluateInto(t time.Time, k pairs.Key, hint int32, nab, na, n
 // as relative-entropy similarity over whole tag-set distributions
 // (pairs.DistTracker). nab is still the windowed co-occurrence count, used
 // for the significance floor. Semantics otherwise match Evaluate.
+//
+//enblogue:reference the distribution-mode counterpart of Evaluate, kept for a reference-engine oracle
 func (d *Detector) EvaluateCorrelation(t time.Time, k pairs.Key, corr, nab float64) Topic {
 	var topic Topic
 	d.EvaluateCorrelationInto(t, k, -1, corr, nab, -1, &topic)
@@ -393,29 +394,14 @@ func (d *Detector) EvaluateCorrelationInto(t time.Time, k pairs.Key, hint int32,
 	return true
 }
 
-// Score returns the current decayed score of pair k at time t without
-// updating any state.
-func (d *Detector) Score(t time.Time, k pairs.Key) float64 {
-	i, ok := d.index[k]
-	if !ok {
-		return 0
-	}
-	return d.states[i].decay.At(t)
-}
-
 // ActiveStates returns the number of pairs with detector state.
 func (d *Detector) ActiveStates() int { return len(d.index) }
-
-// Forget drops the state of pair k.
-func (d *Detector) Forget(k pairs.Key) {
-	if i, ok := d.index[k]; ok {
-		d.release(i)
-	}
-}
 
 // Sweep drops state for pairs not in keep and for pairs whose decayed score
 // at time t has fallen below minScore — both conditions bound memory to
 // pairs that still matter.
+//
+//enblogue:reference the keep-map sweep sweepstale_test checks SweepStale against
 func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64) {
 	for i := range d.states {
 		st := &d.states[i]

@@ -22,9 +22,18 @@ func newDet(t *testing.T) *Detector {
 	})
 }
 
+// score returns pair k's decayed score at time t without updating state.
+func score(d *Detector, t time.Time, k pairs.Key) float64 {
+	i, ok := d.index[k]
+	if !ok {
+		return 0
+	}
+	return d.states[i].decay.At(t)
+}
+
 func TestDefaults(t *testing.T) {
 	d := NewDetector(Config{})
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.HalfLife != DefaultHalfLife {
 		t.Errorf("HalfLife = %v, want %v", cfg.HalfLife, DefaultHalfLife)
 	}
@@ -59,7 +68,7 @@ func TestShiftRaisesScore(t *testing.T) {
 		d.Evaluate(ts, k, 1, 50, 20, 500)
 		ts = ts.Add(time.Hour)
 	}
-	before := d.Score(ts, k)
+	before := score(d, ts, k)
 	// Sudden jump in co-occurrence.
 	top := d.Evaluate(ts, k, 18, 50, 20, 500)
 	if top.Error <= 0 {
@@ -120,7 +129,7 @@ func TestScoreDecaysWithHalfLife(t *testing.T) {
 		t.Fatal("expected nonzero error after jump")
 	}
 	s0 := top.Score
-	s1 := d.Score(t0.Add(time.Minute+time.Hour), k)
+	s1 := score(d, t0.Add(time.Minute+time.Hour), k)
 	if math.Abs(s1-s0/2) > 1e-9 {
 		t.Errorf("after one half-life score = %v, want %v", s1, s0/2)
 	}
@@ -219,14 +228,7 @@ func TestNewPairMidStreamScoresAgainstZeroHistory(t *testing.T) {
 	}
 }
 
-func TestScoreUnknownPair(t *testing.T) {
-	d := newDet(t)
-	if got := d.Score(t0, pairs.MakeKey("x", "y")); got != 0 {
-		t.Errorf("Score of unknown pair = %v, want 0", got)
-	}
-}
-
-func TestForgetAndSweep(t *testing.T) {
+func TestSweep(t *testing.T) {
 	d := NewDetector(Config{
 		Measure: pairs.Jaccard, Predictor: predict.KindNaive,
 		HalfLife: time.Hour, MinCooccurrence: 1,
@@ -241,17 +243,13 @@ func TestForgetAndSweep(t *testing.T) {
 	if d.ActiveStates() != 3 {
 		t.Fatalf("ActiveStates = %d, want 3", d.ActiveStates())
 	}
-	d.Forget(k3)
-	if d.ActiveStates() != 2 {
-		t.Errorf("after Forget: %d states, want 2", d.ActiveStates())
-	}
 	// After many half-lives, scores are ~0; sweep with keep={k1}.
 	later := t0.Add(100 * time.Hour)
 	d.Sweep(later, map[pairs.Key]bool{k1: true}, 1e-6)
 	if d.ActiveStates() != 1 {
 		t.Errorf("after Sweep: %d states, want 1 (kept)", d.ActiveStates())
 	}
-	if d.Score(later, k2) != 0 {
+	if score(d, later, k2) != 0 {
 		t.Error("swept pair still has score")
 	}
 }

@@ -49,8 +49,8 @@ func TestSweepStaleMatchesKeepSet(t *testing.T) {
 			got.ActiveStates(), ref.ActiveStates())
 	}
 	for i := 0; i < 6; i++ {
-		g := got.Score(later, mk(i))
-		r := ref.Score(later, mk(i))
+		g := score(got, later, mk(i))
+		r := score(ref, later, mk(i))
 		if g != r {
 			t.Errorf("pair %d: score %v vs reference %v", i, g, r)
 		}

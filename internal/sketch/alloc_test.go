@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"hash/fnv"
-	"testing"
-)
+import "testing"
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -12,19 +9,11 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestSketchHashZeroAlloc pins the hand-rolled hash paths at zero
-// allocations per call. The previous hash64 used fnv.New64a + Write, which
-// allocated twice per call — two allocations per sketch row touched, on
-// what is now the tail tier's demotion path.
+// TestSketchHashZeroAlloc pins the tail tier's hash at zero allocations
+// per call: it runs once per sketch row touched on the demotion path.
 func TestSketchHashZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
-	key := "some-representative-tag"
 	var sink uint64
-	if n := testing.AllocsPerRun(200, func() {
-		sink += hash64(key, 3)
-	}); n != 0 {
-		t.Errorf("hash64 allocates %.1f per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(200, func() {
 		sink += hashU64(0x1234_5678_9abc_def0, 3)
 	}); n != 0 {
@@ -33,18 +22,12 @@ func TestSketchHashZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// TestCountMinIngestZeroAlloc pins the sketch ingest paths — string and
-// uint64-keyed — at zero allocations per Add/Count.
+// TestCountMinIngestZeroAlloc pins the sketch ingest path at zero
+// allocations per AddU64/CountU64.
 func TestCountMinIngestZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	c := NewCountMin(4, 1024)
 	var sink uint64
-	if n := testing.AllocsPerRun(200, func() {
-		c.Add("steady-state-tag", 1)
-		sink += c.Count("steady-state-tag")
-	}); n != 0 {
-		t.Errorf("string Add+Count allocates %.1f per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(200, func() {
 		c.AddU64(0xfeed_beef, 1)
 		sink += c.CountU64(0xfeed_beef)
@@ -70,29 +53,6 @@ func TestTopKU64SteadyStateZeroAlloc(t *testing.T) {
 		next++
 	}); n != 0 {
 		t.Errorf("TopKU64.Add allocates %.1f per call at capacity, want 0", n)
-	}
-}
-
-// TestHash64MatchesStdlibFNV proves the hand-rolled loop is bit-identical
-// to the hash/fnv implementation it replaced, so existing sketch contents
-// and row placements are unchanged.
-func TestHash64MatchesStdlibFNV(t *testing.T) {
-	ref := func(s string, salt uint64) uint64 {
-		h := fnv.New64a()
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(salt >> (8 * i))
-		}
-		h.Write(b[:])
-		h.Write([]byte(s))
-		return h.Sum64()
-	}
-	for _, s := range []string{"", "a", "sigmod", "αθήνα", "tag-with-a-longer-name"} {
-		for _, salt := range []uint64{0, 1, 2, 0x9e3779b97f4a7c15} {
-			if got, want := hash64(s, salt), ref(s, salt); got != want {
-				t.Errorf("hash64(%q, %#x) = %#x, want %#x", s, salt, got, want)
-			}
-		}
 	}
 }
 

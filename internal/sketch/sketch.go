@@ -1,45 +1,18 @@
 // Package sketch provides the synopses the paper's architecture calls out
 // ("plug-in options for sketching operators that map stream items into
 // synopses"), as the tail tier uses them: a Count-Min sketch for
-// approximate frequencies (string or interned 64-bit keys), a windowed
+// approximate frequencies of interned 64-bit keys, a windowed
 // two-generation Count-Min, and a weighted Space-Saving heavy-hitter
 // summary over interned keys.
 //
-// Rows are salted FNV-1a (string keys) or splitmix64 (64-bit keys), so the
-// package needs nothing outside the standard library.
+// Rows are salted with splitmix64, so the package needs nothing outside
+// the standard library.
 package sketch
 
 import (
 	"fmt"
 	"math"
 )
-
-// FNV-1a constants (hash/fnv), inlined so the hash loops below stay
-// allocation-free.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hash64 returns the FNV-1a hash of s salted with the given row salt. The
-// loop is hand-rolled instead of using hash/fnv because fnv.New64a heap-
-// allocates the hash state and h.Write([]byte(s)) copies the string — two
-// allocations per call on what used to be the only ingest path. The digest
-// is bit-identical to the previous hash/fnv implementation (salt bytes
-// little-endian first, then the string bytes), so sketch contents are
-// unchanged. Zero allocations, pinned by TestSketchHashZeroAlloc.
-func hash64(s string, salt uint64) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < 8; i++ {
-		h ^= (salt >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // hashU64 hashes an already-interned 64-bit key (a packed pairs.Key) with a
 // per-row salt using the splitmix64 finaliser. This is the tier's hot-path
@@ -86,27 +59,6 @@ func NewCountMinWithError(epsilon, delta float64) *CountMin {
 	width := int(math.Ceil(math.E / epsilon))
 	depth := int(math.Ceil(math.Log(1 / delta)))
 	return NewCountMin(depth, width)
-}
-
-// Add increments the count of key by n.
-func (c *CountMin) Add(key string, n uint64) {
-	for i := 0; i < c.depth; i++ {
-		j := hash64(key, uint64(i)) % uint64(c.width)
-		c.rows[i][j] += n
-	}
-	c.total += n
-}
-
-// Count returns the estimated count of key (never an underestimate).
-func (c *CountMin) Count(key string) uint64 {
-	min := uint64(math.MaxUint64)
-	for i := 0; i < c.depth; i++ {
-		j := hash64(key, uint64(i)) % uint64(c.width)
-		if v := c.rows[i][j]; v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // AddU64 increments the count of an already-interned 64-bit key by n. This

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"sort"
 )
 
 // EntryU64 is a heavy-hitter candidate from a TopKU64 summary.
@@ -87,15 +86,6 @@ func (t *TopKU64) Remove(key uint64) bool {
 	return true
 }
 
-// Count returns the estimated count for key and whether it is tracked.
-func (t *TopKU64) Count(key uint64) (uint64, bool) {
-	i, ok := t.index[key]
-	if !ok {
-		return 0, false
-	}
-	return t.entries[i].Count, true
-}
-
 // Contains reports whether key is tracked.
 func (t *TopKU64) Contains(key uint64) bool {
 	_, ok := t.index[key]
@@ -109,27 +99,6 @@ func (t *TopKU64) Len() int { return len(t.entries) }
 // deterministic (insertion order with swap-remove recycling), letting
 // callers walk the summary without materialising a sorted copy.
 func (t *TopKU64) At(i int) EntryU64 { return t.entries[i] }
-
-// AppendEntries appends the tracked entries to buf in slot order —
-// deterministic but unsorted; callers wanting rank order should sort the
-// result. Appending into a caller-owned buffer keeps read paths
-// allocation-free once the buffer has grown.
-func (t *TopKU64) AppendEntries(buf []EntryU64) []EntryU64 {
-	return append(buf, t.entries...)
-}
-
-// Entries returns the tracked keys sorted by estimated count descending,
-// ties broken by key for determinism.
-func (t *TopKU64) Entries() []EntryU64 {
-	out := append([]EntryU64(nil), t.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
 
 // Reset empties the summary, retaining capacity.
 func (t *TopKU64) Reset() {

@@ -75,6 +75,3 @@ func (w *WindowedCountMin) Mass() uint64 {
 
 // Epsilon returns the additive-error fraction of each generation sketch.
 func (w *WindowedCountMin) Epsilon() float64 { return w.cur.Epsilon() }
-
-// Gen returns the current generation index.
-func (w *WindowedCountMin) Gen() int64 { return w.gen }

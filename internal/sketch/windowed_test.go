@@ -2,22 +2,45 @@ package sketch
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// count returns key's estimated count and whether the summary tracks it.
+func count(tk *TopKU64, key uint64) (uint64, bool) {
+	i, ok := tk.index[key]
+	if !ok {
+		return 0, false
+	}
+	return tk.entries[i].Count, true
+}
+
+// entries returns the tracked entries sorted by estimated count
+// descending, ties broken by key.
+func entries(tk *TopKU64) []EntryU64 {
+	out := append([]EntryU64(nil), tk.entries...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
 
 func TestTopKU64WeightedExactUnderCapacity(t *testing.T) {
 	tk := NewTopKU64(8)
 	tk.Add(7, 10)
 	tk.Add(3, 4)
 	tk.Add(7, 5)
-	if got, ok := tk.Count(7); !ok || got != 15 {
+	if got, ok := count(tk, 7); !ok || got != 15 {
 		t.Errorf("Count(7) = %d,%v want 15,true", got, ok)
 	}
 	if tk.Len() != 2 {
 		t.Errorf("Len = %d, want 2", tk.Len())
 	}
-	es := tk.Entries()
+	es := entries(tk)
 	if es[0].Key != 7 || es[0].Count != 15 || es[0].Error != 0 {
 		t.Errorf("top entry = %+v, want {7 15 0}", es[0])
 	}
@@ -31,10 +54,10 @@ func TestTopKU64EvictionInheritsMinimum(t *testing.T) {
 	if tk.Contains(2) {
 		t.Error("evicted key 2 still tracked")
 	}
-	if got, _ := tk.Count(9); got != 7 {
+	if got, _ := count(tk, 9); got != 7 {
 		t.Errorf("Count(9) = %d, want 7", got)
 	}
-	es := tk.Entries()
+	es := entries(tk)
 	if es[1].Key != 9 || es[1].Error != 3 {
 		t.Errorf("newcomer entry = %+v, want Error 3", es[1])
 	}
@@ -56,7 +79,7 @@ func TestTopKFindsHeavyHitters(t *testing.T) {
 			tk.Add(uint64(1000+rng.Intn(5000)), 1)
 		}
 	}
-	es := tk.Entries()
+	es := entries(tk)
 	if es[0].Key != heavy1 || es[1].Key != heavy2 {
 		t.Errorf("top keys = %d, %d; want %d, %d", es[0].Key, es[1].Key, heavy1, heavy2)
 	}
@@ -92,7 +115,7 @@ func TestTopKU64Remove(t *testing.T) {
 	}
 	// Remaining keys still reachable through the index after swap-remove.
 	for _, k := range []uint64{1, 3, 4} {
-		if got, ok := tk.Count(k); !ok || got != k {
+		if got, ok := count(tk, k); !ok || got != k {
 			t.Errorf("Count(%d) = %d,%v after Remove", k, got, ok)
 		}
 	}
@@ -114,7 +137,7 @@ func TestTopKU64Bounds(t *testing.T) {
 			tk.Add(k, w)
 			truth[k] += w
 		}
-		for _, e := range tk.Entries() {
+		for _, e := range entries(tk) {
 			n := truth[e.Key]
 			if e.Count < n {
 				return false
@@ -169,7 +192,7 @@ func TestWindowedCountMinBackwardsAdvanceIgnored(t *testing.T) {
 	if got := w.EstimateU64(1); got < 50 {
 		t.Errorf("estimate after backwards Advance = %d, want ≥ 50", got)
 	}
-	if w.Gen() != 5 {
-		t.Errorf("Gen = %d, want 5", w.Gen())
+	if w.gen != 5 {
+		t.Errorf("gen = %d, want 5", w.gen)
 	}
 }

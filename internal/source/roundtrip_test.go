@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"enblogue/internal/pairs"
 )
 
 // Property: any generated document slice survives a JSONL round trip
@@ -107,7 +109,7 @@ func TestMergeProperty(t *testing.T) {
 	}
 }
 
-// Generators must produce documents whose pair events match TruthPairs:
+// Generators must produce documents whose pair events match the events:
 // every event pair co-occurs somewhere in the output.
 func TestArchiveCoversAllEventPairs(t *testing.T) {
 	start := t0
@@ -115,7 +117,10 @@ func TestArchiveCoversAllEventPairs(t *testing.T) {
 	docs := GenerateArchive(ArchiveConfig{
 		Seed: 5, Start: start, Days: 25, DocsPerDay: 50, Events: events,
 	})
-	truth := TruthPairs(events)
+	truth := map[pairs.Key]bool{}
+	for i := range events {
+		truth[events[i].Pair()] = true
+	}
 	covered := map[string]bool{}
 	for _, d := range docs {
 		has := map[string]bool{}

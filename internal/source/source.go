@@ -188,17 +188,3 @@ type Event struct {
 
 // Pair returns the canonical pair key of the event's tag pair.
 func (e *Event) Pair() pairs.Key { return pairs.MakeKey(e.Tags[0], e.Tags[1]) }
-
-// Active reports whether t falls inside the event span.
-func (e *Event) Active(t time.Time) bool {
-	return !t.Before(e.Start) && t.Before(e.Start.Add(e.Duration))
-}
-
-// TruthPairs returns the set of ground-truth emergent pairs of the events.
-func TruthPairs(events []Event) map[pairs.Key]bool {
-	out := make(map[pairs.Key]bool, len(events))
-	for i := range events {
-		out[events[i].Pair()] = true
-	}
-	return out
-}

@@ -3,8 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // Plan is a declarative query plan: a named chain of operator stages ending
@@ -50,10 +48,6 @@ func Private(newOp func() Operator) Stage {
 type Runner struct {
 	source Source
 	plans  []*Plan
-
-	mu      sync.Mutex
-	builtN  int // distinct operator instances constructed
-	sharedN int // stage slots served by a previously built instance
 }
 
 // NewRunner returns a runner over the given source.
@@ -65,14 +59,6 @@ func NewRunner(source Source) *Runner {
 func (r *Runner) Add(p *Plan) *Runner {
 	r.plans = append(r.plans, p)
 	return r
-}
-
-// Stats returns how many operator instances were constructed and how many
-// stage slots were satisfied by sharing, after Run.
-func (r *Runner) Stats() (built, shared int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.builtN, r.sharedN
 }
 
 // Run builds the shared DAG and pumps the source through it. It returns the
@@ -96,8 +82,6 @@ func (r *Runner) build() (*FanOut, error) {
 	root := &FanOut{}
 	// sharedOps maps prefix path → operator instance.
 	sharedOps := make(map[string]Operator)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, p := range r.plans {
 		if p.Sink == nil {
 			return nil, fmt.Errorf("stream: plan %q has no sink", p.Name)
@@ -114,17 +98,14 @@ func (r *Runner) build() (*FanOut, error) {
 				prefix = prefix + "/" + st.Key
 				if existing, ok := sharedOps[prefix]; ok {
 					op = existing
-					r.sharedN++
 					upstream = subscriber(op) // attach next stage below the shared instance
 					continue
 				}
 				op = st.New()
 				sharedOps[prefix] = op
-				r.builtN++
 			} else {
 				sharable = false
 				op = st.New()
-				r.builtN++
 			}
 			upstream.Subscribe(op)
 			upstream = subscriber(op)
@@ -140,13 +121,3 @@ type subscriberIface interface {
 }
 
 func subscriber(v subscriberIface) subscriberIface { return v }
-
-// PlanNames returns the registered plan names, sorted.
-func (r *Runner) PlanNames() []string {
-	names := make([]string, len(r.plans))
-	for i, p := range r.plans {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
-}

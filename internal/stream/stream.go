@@ -91,9 +91,6 @@ func (f *FanOut) Emit(it *Item) {
 	}
 }
 
-// Subscribers returns the number of attached sinks.
-func (f *FanOut) Subscribers() int { return len(f.sinks) }
-
 // Flush forwards the flush signal to all subscribers that implement Flusher.
 func (f *FanOut) Flush() {
 	for _, s := range f.sinks {

@@ -127,11 +127,6 @@ func NewTracker(cfg Config) *Tracker {
 	}
 }
 
-// Span returns the sliding-window span.
-func (tr *Tracker) Span() time.Duration {
-	return time.Duration(tr.cfg.Buckets) * tr.cfg.Resolution
-}
-
 // smallTagSet bounds the document sizes deduplicated by quadratic scan
 // instead of a per-document map — nearly every real document qualifies, so
 // the steady-state Observe allocates nothing. pairs.dedupTags applies the
@@ -210,76 +205,10 @@ func (tr *Tracker) sweep() {
 	}
 }
 
-// Count returns the number of windowed documents carrying tag.
-func (tr *Tracker) Count(tag string) float64 {
-	slot, ok := tr.slots[tag]
-	if !ok {
-		return 0
-	}
-	return tr.arena.PeekAbs(slot, tr.arena.BucketIndex(tr.now))
-}
-
 // DocCount returns the number of documents inside the window.
 func (tr *Tracker) DocCount() float64 {
 	tr.docs.Observe(tr.now)
 	return tr.docs.Value()
-}
-
-// Counts returns a snapshot of every tracked tag's windowed count, advanced
-// to the tracker clock. A lookup of an untracked tag in the returned map
-// yields 0, matching Count. The sharded engine takes one snapshot per
-// evaluation tick so its parallel shard workers read tag counts without
-// touching (and mutating) the tracker concurrently.
-func (tr *Tracker) Counts() map[string]float64 {
-	out := make(map[string]float64, len(tr.slots))
-	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
-			continue
-		}
-		if v := tr.arena.PeekAbs(int32(slot), abs); v > 0 {
-			out[tag] = v
-		}
-	}
-	return out
-}
-
-// ForEachCount invokes fn for every tracked tag with a positive windowed
-// count, advanced to the tracker clock, in unspecified order. It is the
-// allocation-free form of Counts: the sharded engine rebuilds its reusable
-// per-tick count index through it instead of materialising a fresh map
-// every tick.
-func (tr *Tracker) ForEachCount(fn func(tag string, n float64)) {
-	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
-			continue
-		}
-		if v := tr.arena.PeekAbs(int32(slot), abs); v > 0 {
-			fn(tag, v)
-		}
-	}
-}
-
-// Popularity returns the sliding-window popularity of tag: the fraction of
-// windowed documents that carry it.
-func (tr *Tracker) Popularity(tag string) float64 {
-	total := tr.DocCount()
-	if total == 0 {
-		return 0
-	}
-	return tr.Count(tag) / total
-}
-
-// Volatility returns the coefficient of variation (stddev / mean) of the
-// tag's per-bucket count series; 0 for unseen or constant tags.
-func (tr *Tracker) Volatility(tag string) float64 {
-	slot, ok := tr.slots[tag]
-	if !ok {
-		return 0
-	}
-	tr.arena.Observe(slot, tr.now)
-	return coefficientOfVariation(tr.arena.Series(slot))
 }
 
 func coefficientOfVariation(series []float64) float64 {
@@ -304,16 +233,6 @@ func coefficientOfVariation(series []float64) float64 {
 
 // ActiveTags returns the number of tags currently tracked.
 func (tr *Tracker) ActiveTags() int { return len(tr.slots) }
-
-// Stats returns the snapshot for a single tag.
-func (tr *Tracker) Stats(tag string) TagStat {
-	return TagStat{
-		Tag:        tag,
-		Count:      tr.Count(tag),
-		Popularity: tr.Popularity(tag),
-		Volatility: tr.Volatility(tag),
-	}
-}
 
 // Top returns the k highest-scoring tags under the criterion, ties broken
 // alphabetically for determinism. Tags with fewer than minCount windowed
@@ -501,8 +420,8 @@ func statPush(h []TagStat, base, k int, crit Criterion, s *TagStat) []TagStat {
 // engine reselects at evaluation ticks.
 //
 // The selector is safe for concurrent use: Reselect swaps in a freshly
-// built seed set under an internal lock, and readers (IsSeed, Seeds, Func)
-// see either the old or the new set, never a partial one.
+// built seed set under an internal lock, and readers (Seeds, Func) see
+// either the old or the new set, never a partial one.
 type SeedSelector struct {
 	K         int
 	Criterion Criterion
@@ -555,17 +474,9 @@ func (s *SeedSelector) ReselectFrom(top []TagStat) []string {
 	return ordered
 }
 
-// IsSeed reports whether tag is in the current seed set.
-func (s *SeedSelector) IsSeed(tag string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.current[tag]
-}
-
 // Func returns a predicate closed over the current seed set snapshot. Hot
 // paths that test many tags per document (pair candidate generation) should
-// grab one Func per document instead of paying a lock per IsSeed call. The
-// closure is cached per Reselect, so calling Func per document allocates
+// grab one Func per document instead of paying a lock per tag. The closure is cached per Reselect, so calling Func per document allocates
 // nothing.
 func (s *SeedSelector) Func() func(string) bool {
 	s.mu.RLock()

@@ -11,6 +11,17 @@ import (
 
 var t0 = time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 
+// stat returns tag's windowed statistics as Top computes them, or a zero
+// TagStat for a tag with no windowed documents.
+func stat(tr *Tracker, tag string) TagStat {
+	for _, s := range tr.Top(tr.ActiveTags(), ByHybrid, 0) {
+		if s.Tag == tag {
+			return s
+		}
+	}
+	return TagStat{Tag: tag}
+}
+
 func newTestTracker() *Tracker {
 	return NewTracker(Config{Buckets: 24, Resolution: time.Hour})
 }
@@ -19,13 +30,13 @@ func TestObserveAndCount(t *testing.T) {
 	tr := newTestTracker()
 	tr.Observe(t0, []string{"iceland", "volcano"})
 	tr.Observe(t0.Add(time.Hour), []string{"iceland"})
-	if got := tr.Count("iceland"); got != 2 {
+	if got := stat(tr, "iceland").Count; got != 2 {
 		t.Errorf("Count(iceland) = %v, want 2", got)
 	}
-	if got := tr.Count("volcano"); got != 1 {
+	if got := stat(tr, "volcano").Count; got != 1 {
 		t.Errorf("Count(volcano) = %v, want 1", got)
 	}
-	if got := tr.Count("absent"); got != 0 {
+	if got := stat(tr, "absent").Count; got != 0 {
 		t.Errorf("Count(absent) = %v, want 0", got)
 	}
 	if got := tr.DocCount(); got != 2 {
@@ -36,10 +47,10 @@ func TestObserveAndCount(t *testing.T) {
 func TestDuplicateTagsCountedOnce(t *testing.T) {
 	tr := newTestTracker()
 	tr.Observe(t0, []string{"a", "a", "", "a"})
-	if got := tr.Count("a"); got != 1 {
+	if got := stat(tr, "a").Count; got != 1 {
 		t.Errorf("Count(a) = %v, want 1 (dup tags in one doc)", got)
 	}
-	if got := tr.Count(""); got != 0 {
+	if got := stat(tr, "").Count; got != 0 {
 		t.Errorf("empty tag counted: %v", got)
 	}
 }
@@ -53,10 +64,10 @@ func TestPopularity(t *testing.T) {
 		}
 		tr.Observe(t0.Add(time.Duration(i)*time.Minute), tags)
 	}
-	if got := tr.Popularity("common"); got != 1.0 {
+	if got := stat(tr, "common").Popularity; got != 1.0 {
 		t.Errorf("Popularity(common) = %v, want 1", got)
 	}
-	if got := tr.Popularity("rare"); got != 0.3 {
+	if got := stat(tr, "rare").Popularity; got != 0.3 {
 		t.Errorf("Popularity(rare) = %v, want 0.3", got)
 	}
 }
@@ -65,10 +76,10 @@ func TestWindowExpiry(t *testing.T) {
 	tr := newTestTracker() // 24h window
 	tr.Observe(t0, []string{"old"})
 	tr.Observe(t0.Add(48*time.Hour), []string{"new"})
-	if got := tr.Count("old"); got != 0 {
+	if got := stat(tr, "old").Count; got != 0 {
 		t.Errorf("Count(old) = %v, want 0 after window slide", got)
 	}
-	if got := tr.Count("new"); got != 1 {
+	if got := stat(tr, "new").Count; got != 1 {
 		t.Errorf("Count(new) = %v, want 1", got)
 	}
 }
@@ -83,7 +94,7 @@ func TestSweepEvictsIdleTags(t *testing.T) {
 	if tr.ActiveTags() != 1 {
 		t.Errorf("ActiveTags = %d, want 1 (idle tag evicted)", tr.ActiveTags())
 	}
-	if tr.Count("live") == 0 {
+	if stat(tr, "live").Count == 0 {
 		t.Error("live tag lost by sweep")
 	}
 }
@@ -97,14 +108,14 @@ func TestVolatility(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.Observe(t0.Add(3*time.Hour), []string{"bursty"})
 	}
-	vs, vb := tr.Volatility("steady"), tr.Volatility("bursty")
+	vs, vb := stat(tr, "steady").Volatility, stat(tr, "bursty").Volatility
 	if vs != 0 {
 		t.Errorf("Volatility(steady) = %v, want 0", vs)
 	}
 	if vb <= vs {
 		t.Errorf("Volatility(bursty)=%v not greater than steady=%v", vb, vs)
 	}
-	if got := tr.Volatility("absent"); got != 0 {
+	if got := stat(tr, "absent").Volatility; got != 0 {
 		t.Errorf("Volatility(absent) = %v, want 0", got)
 	}
 }
@@ -184,7 +195,7 @@ func TestStatsSnapshot(t *testing.T) {
 	tr := newTestTracker()
 	tr.Observe(t0, []string{"x"})
 	tr.Observe(t0, []string{"y"})
-	s := tr.Stats("x")
+	s := stat(tr, "x")
 	if s.Tag != "x" || s.Count != 1 || s.Popularity != 0.5 {
 		t.Errorf("Stats = %+v", s)
 	}
@@ -207,8 +218,8 @@ func TestSeedSelector(t *testing.T) {
 	if !reflect.DeepEqual(seeds, []string{"hot", "warm"}) {
 		t.Errorf("seeds = %v, want [hot warm]", seeds)
 	}
-	if !sel.IsSeed("hot") || sel.IsSeed("cold") {
-		t.Error("IsSeed membership wrong")
+	if isSeed := sel.Func(); !isSeed("hot") || isSeed("cold") {
+		t.Error("seed membership wrong")
 	}
 	if !reflect.DeepEqual(sel.Seeds(), seeds) {
 		t.Error("Seeds() disagrees with Reselect result")
@@ -225,12 +236,13 @@ func TestSeedSelector(t *testing.T) {
 
 func TestSpanAndDefaults(t *testing.T) {
 	tr := NewTracker(Config{})
-	if tr.Span() != 48*time.Hour {
-		t.Errorf("default Span = %v, want 48h", tr.Span())
+	span := func(tr *Tracker) time.Duration { return time.Duration(tr.cfg.Buckets) * tr.cfg.Resolution }
+	if got := span(tr); got != 48*time.Hour {
+		t.Errorf("default span = %v, want 48h", got)
 	}
 	tr2 := NewTracker(Config{Buckets: 10, Resolution: time.Minute})
-	if tr2.Span() != 10*time.Minute {
-		t.Errorf("Span = %v, want 10m", tr2.Span())
+	if got := span(tr2); got != 10*time.Minute {
+		t.Errorf("span = %v, want 10m", got)
 	}
 }
 
@@ -252,11 +264,11 @@ func TestInvariants(t *testing.T) {
 		total := tr.DocCount()
 		for j := 0; j < 6; j++ {
 			tag := fmt.Sprintf("t%d", j)
-			c := tr.Count(tag)
+			c := stat(tr, tag).Count
 			if c > total {
 				return false
 			}
-			p := tr.Popularity(tag)
+			p := stat(tr, tag).Popularity
 			if p < 0 || p > 1 {
 				return false
 			}

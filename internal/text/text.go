@@ -115,26 +115,6 @@ func Terms(s string) []string {
 	return out
 }
 
-// Shingles returns all n-grams (as space-joined normalized strings) of the
-// token sequence, for n in [1, maxN]. Used to probe gazetteer phrases.
-func Shingles(toks []Token, maxN int) []string {
-	if maxN < 1 {
-		return nil
-	}
-	var out []string
-	for i := range toks {
-		var b strings.Builder
-		for n := 1; n <= maxN && i+n <= len(toks); n++ {
-			if n > 1 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(toks[i+n-1].Term)
-			out = append(out, b.String())
-		}
-	}
-	return out
-}
-
 // defaultStopwords is a compact English stopword list. It covers the function
 // words that dominate web text; generators and the tagger use it to avoid
 // treating glue words as content terms.
@@ -162,16 +142,4 @@ var defaultStopwords = map[string]bool{
 // IsStopword reports whether the normalized term is a stopword.
 func IsStopword(term string) bool {
 	return defaultStopwords[Normalize(term)]
-}
-
-// ContentTerms tokenizes s and returns its non-stopword terms.
-func ContentTerms(s string) []string {
-	toks := Tokenize(s)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if !IsStopword(t.Term) {
-			out = append(out, t.Term)
-		}
-	}
-	return out
 }

@@ -79,25 +79,6 @@ func TestNormalizeAll(t *testing.T) {
 	}
 }
 
-func TestShingles(t *testing.T) {
-	toks := Tokenize("a b c")
-	got := Shingles(toks, 2)
-	want := []string{"a", "a b", "b", "b c", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Shingles = %v, want %v", got, want)
-	}
-	if s := Shingles(toks, 0); s != nil {
-		t.Errorf("Shingles maxN=0 = %v, want nil", s)
-	}
-	// maxN larger than token count must not panic and must include the
-	// full-length shingle.
-	got = Shingles(Tokenize("x y"), 10)
-	want = []string{"x", "x y", "y"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Shingles long maxN = %v, want %v", got, want)
-	}
-}
-
 func TestStopwords(t *testing.T) {
 	for _, w := range []string{"the", "The", "AND", "of"} {
 		if !IsStopword(w) {
@@ -111,16 +92,6 @@ func TestStopwords(t *testing.T) {
 	}
 }
 
-func TestContentTerms(t *testing.T) {
-	got := ContentTerms("The eruption of the volcano in Iceland")
-	want := []string{"eruption", "volcano", "iceland"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ContentTerms = %v, want %v", got, want)
-	}
-}
-
-// Property: every token's offsets slice back to its raw text, terms are
-// lowercase, and positions are strictly increasing.
 func TestTokenizeProperties(t *testing.T) {
 	f := func(s string) bool {
 		toks := Tokenize(s)

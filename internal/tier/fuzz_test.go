@@ -31,13 +31,13 @@ func FuzzTierPromotion(f *testing.F) {
 			case 0:
 				tl.Demote(now, key, amt)
 				if amt > 0 {
-					if est := tl.Estimate(now, key); est < amt {
+					if est := estimate(tl, now, key); est < amt {
 						t.Fatalf("estimate %d < just-demoted count %d (key %d, now %d)",
 							est, amt, key, now)
 					}
 				}
 			case 1:
-				tl.Estimate(now, key)
+				estimate(tl, now, key)
 			case 2:
 				buf = tl.AppendCandidates(now, amt, buf[:0])
 				for _, c := range buf {

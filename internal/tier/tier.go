@@ -165,19 +165,6 @@ func (t *Tail) Demote(nowNano int64, key uint64, count uint64) {
 	t.mu.Unlock()
 }
 
-// Estimate returns the upper-bound windowed estimate for key at event time
-// nowNano: the Count-Min mass over the live generations, or zero if the
-// tail has absorbed nothing.
-//
-//enblogue:acquires tier
-func (t *Tail) Estimate(nowNano int64, key uint64) uint64 {
-	t.mu.Lock()
-	t.advanceLocked(nowNano)
-	est := t.cm.EstimateU64(key)
-	t.mu.Unlock()
-	return est
-}
-
 // AppendCandidates appends every summary pair whose windowed estimate
 // strictly exceeds floor, in deterministic slot order (callers wanting rank
 // order sort the result). The estimate attached is the Count-Min one — the

@@ -8,6 +8,15 @@ import (
 
 const span = int64(1_000_000) // small generation span for direct control
 
+// estimate reads key's windowed Count-Min estimate at event time nowNano —
+// the upper bound AppendCandidates attaches and the exact tier seeds from.
+func estimate(tl *Tail, nowNano int64, key uint64) uint64 {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	tl.advanceLocked(nowNano)
+	return tl.cm.EstimateU64(key)
+}
+
 func newTail(t testing.TB, topK int) *Tail {
 	t.Helper()
 	return New(Config{Epsilon: 0.01, Delta: 0.01, TopK: topK, Span: span})
@@ -17,10 +26,10 @@ func TestTailDemoteThenEstimateIsUpperBound(t *testing.T) {
 	tl := newTail(t, 8)
 	tl.Demote(10, 42, 7)
 	tl.Demote(20, 42, 3)
-	if est := tl.Estimate(30, 42); est < 10 {
+	if est := estimate(tl, 30, 42); est < 10 {
 		t.Fatalf("estimate %d underestimates true demoted mass 10", est)
 	}
-	if est := tl.Estimate(30, 99); est != 0 {
+	if est := estimate(tl, 30, 99); est != 0 {
 		t.Fatalf("never-demoted key estimates %d, want 0", est)
 	}
 }
@@ -71,7 +80,7 @@ func TestTailRemoveDropsCandidate(t *testing.T) {
 		t.Fatalf("removed key still a candidate: %v", got)
 	}
 	// The Count-Min mass survives removal: estimates stay upper bounds.
-	if est := tl.Estimate(10, 7); est < 100 {
+	if est := estimate(tl, 10, 7); est < 100 {
 		t.Fatalf("estimate %d dropped below demoted mass after removal", est)
 	}
 }
@@ -81,7 +90,7 @@ func TestTailSurvivesOneGenerationThenDecays(t *testing.T) {
 	tl.Demote(0, 7, 100) // generation 0
 
 	// One span later the pair is in prev: still estimable, still a candidate.
-	if est := tl.Estimate(span, 7); est < 100 {
+	if est := estimate(tl, span, 7); est < 100 {
 		t.Fatalf("estimate %d lost mass after one rotation", est)
 	}
 	if got := tl.AppendCandidates(span, 0, nil); len(got) != 1 || got[0].Key != 7 {
@@ -89,7 +98,7 @@ func TestTailSurvivesOneGenerationThenDecays(t *testing.T) {
 	}
 
 	// Two spans later everything has decayed.
-	if est := tl.Estimate(2*span, 7); est != 0 {
+	if est := estimate(tl, 2*span, 7); est != 0 {
 		t.Fatalf("estimate %d survived two rotations, want 0", est)
 	}
 	if s := tl.Stats(); s.Pairs != 0 || s.Mass != 0 {
@@ -101,10 +110,10 @@ func TestTailBackwardsTimeIgnored(t *testing.T) {
 	tl := newTail(t, 8)
 	tl.Demote(2*span, 7, 100) // generation 2
 	// A stale reader at generation 0 must not clear newer mass.
-	if est := tl.Estimate(0, 7); est < 100 {
+	if est := estimate(tl, 0, 7); est < 100 {
 		t.Fatalf("stale read cleared mass: estimate %d", est)
 	}
-	if est := tl.Estimate(2*span, 7); est < 100 {
+	if est := estimate(tl, 2*span, 7); est < 100 {
 		t.Fatalf("mass gone after stale read: estimate %d", est)
 	}
 }
@@ -158,7 +167,7 @@ func TestTailEstimatesWithinEpsilonOfTruth(t *testing.T) {
 	slack := uint64(0.005*float64(mass)) + 1
 	bad := 0
 	for key, want := range truth {
-		got := tl.Estimate(int64(n), key)
+		got := estimate(tl, int64(n), key)
 		if got < want {
 			t.Fatalf("tail underestimated %#x: %d < %d", key, got, want)
 		}

@@ -56,17 +56,6 @@ func NewCounterArena(nbuckets int, resolution time.Duration) *CounterArena {
 	return &CounterArena{res: resolution, nbuckets: nbuckets}
 }
 
-// Buckets returns the per-counter bucket count.
-func (a *CounterArena) Buckets() int { return a.nbuckets }
-
-// Span returns the window span covered by each counter.
-func (a *CounterArena) Span() time.Duration {
-	return time.Duration(a.nbuckets) * a.res
-}
-
-// Len returns the number of live slots.
-func (a *CounterArena) Len() int { return len(a.heads) - len(a.free) }
-
 // grow doubles the slab's slot capacity, re-laying every row at the new
 // stride. Amortised over the doubling schedule the per-slot cost is O(1).
 func (a *CounterArena) grow() {

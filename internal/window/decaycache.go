@@ -37,14 +37,10 @@ func (c *DecayCache) factorFor(hl, dt time.Duration) float64 {
 	return f
 }
 
-// AtCached is At with the exponential served from cache; see DecayCache.
-// A nil cache degrades to At.
-func (d *Decay) AtCached(t time.Time, c *DecayCache) float64 {
-	return d.AtCachedNano(t.UnixNano(), c)
-}
-
-// AtCachedNano is AtCached taking the time as unix nanoseconds — the
-// evaluation tick converts once and shares the integer across every pair.
+// AtCachedNano is AtNano with the exponential served from cache; see
+// DecayCache. A nil cache degrades to AtNano. The time is unix nanoseconds:
+// the evaluation tick converts once and shares the integer across every
+// pair.
 func (d *Decay) AtCachedNano(nano int64, c *DecayCache) float64 {
 	if !d.set || d.value == 0 {
 		return 0
@@ -52,13 +48,12 @@ func (d *Decay) AtCachedNano(nano int64, c *DecayCache) float64 {
 	return d.value * c.factorFor(d.halfLife, time.Duration(nano-d.atNano))
 }
 
-// UpdateCached is Update with the exponential served from cache; see
-// DecayCache. A nil cache degrades to Update.
-func (d *Decay) UpdateCached(t time.Time, v float64, c *DecayCache) float64 {
-	return d.UpdateCachedNano(t.UnixNano(), v, c)
-}
-
-// UpdateCachedNano is UpdateCached taking the time as unix nanoseconds.
+// UpdateCachedNano decays the stored value to unix-nano time nano and then
+// applies max with v: the stored value becomes max(decayed, v). This is
+// exactly the paper's topic score maintenance — the maximum of the current
+// prediction error and exponentially dampened past errors — computed
+// incrementally in O(1). It returns the new value. The exponential is
+// served from cache; see DecayCache. A nil cache computes it directly.
 func (d *Decay) UpdateCachedNano(nano int64, v float64, c *DecayCache) float64 {
 	cur := d.AtCachedNano(nano, c)
 	if v > cur {

@@ -50,14 +50,6 @@ func NewTimeBuckets(n int, resolution time.Duration) *TimeBuckets {
 	}
 }
 
-// Span returns the total duration covered by the window.
-func (w *TimeBuckets) Span() time.Duration {
-	return time.Duration(len(w.buckets)) * w.res
-}
-
-// Resolution returns the bucket width.
-func (w *TimeBuckets) Resolution() time.Duration { return w.res }
-
 // bucketIndex maps a timestamp to its absolute bucket number.
 func (w *TimeBuckets) bucketIndex(t time.Time) int64 {
 	return t.UnixNano() / int64(w.res)
@@ -126,36 +118,13 @@ func (w *TimeBuckets) Observe(t time.Time) {
 	w.advance(w.bucketIndex(t))
 }
 
-// AbsIndex returns the absolute bucket number containing t. Callers
-// advancing many same-resolution windows to one timestamp convert once and
-// share the result through ObserveAbs.
-func (w *TimeBuckets) AbsIndex(t time.Time) int64 { return w.bucketIndex(t) }
-
-// ObserveAbs is Observe taking a pre-computed absolute bucket number.
-func (w *TimeBuckets) ObserveAbs(abs int64) { w.advance(abs) }
-
 // Sum returns the sum of all values currently inside the window.
 func (w *TimeBuckets) Sum() float64 { return w.total }
 
-// Count returns the number of Add calls currently inside the window.
-func (w *TimeBuckets) Count() int64 { return w.n }
-
-// Mean returns the average added value inside the window, or 0 if empty.
-func (w *TimeBuckets) Mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.total / float64(w.n)
-}
-
-// Rate returns Sum divided by the window span in seconds: the per-second
-// arrival rate of mass into the window.
-func (w *TimeBuckets) Rate() float64 {
-	return w.total / w.Span().Seconds()
-}
-
 // Series returns the per-bucket sums oldest-first. The slice has one entry
 // per bucket and is freshly allocated.
+//
+//enblogue:reference the per-bucket model arena_test checks CounterArena.Series against
 func (w *TimeBuckets) Series() []float64 {
 	out := make([]float64, len(w.buckets))
 	if !w.headSet {
@@ -198,31 +167,15 @@ func (c *Counter) Inc(t time.Time) { c.tb.Add(t, 1) }
 // Observe advances the window to t, expiring old events.
 func (c *Counter) Observe(t time.Time) { c.tb.Observe(t) }
 
-// AbsIndex returns the absolute bucket number containing t; see
-// TimeBuckets.AbsIndex.
-func (c *Counter) AbsIndex(t time.Time) int64 { return c.tb.AbsIndex(t) }
-
-// ObserveAbs is Observe taking a pre-computed absolute bucket number.
-func (c *Counter) ObserveAbs(abs int64) { c.tb.ObserveAbs(abs) }
-
 // Value returns the number of events inside the window.
 func (c *Counter) Value() float64 { return c.tb.Sum() }
-
-// Rate returns events per second over the window span.
-func (c *Counter) Rate() float64 { return c.tb.Rate() }
-
-// Span returns the window span.
-func (c *Counter) Span() time.Duration { return c.tb.Span() }
-
-// Series returns per-bucket event counts, oldest first.
-func (c *Counter) Series() []float64 { return c.tb.Series() }
 
 // Decay is an exponentially decaying value with a fixed half-life: after one
 // half-life the stored value has halved. It implements the paper's damping
 // of past prediction errors ("an exponential decline factor with a half life
 // of approximately 2 days").
 //
-// The zero value is unusable; construct with NewDecay.
+// The zero value is unusable; construct with MakeDecay.
 //
 // Time is carried internally as unix nanoseconds: the detector's evaluation
 // tick updates one Decay per tracked pair, and an int64 stamp makes that
@@ -236,13 +189,6 @@ type Decay struct {
 	set      bool
 }
 
-// NewDecay returns a decaying value with the given half-life. It panics if
-// halfLife <= 0.
-func NewDecay(halfLife time.Duration) *Decay {
-	d := MakeDecay(halfLife)
-	return &d
-}
-
 // MakeDecay returns a decaying value by value, for embedding directly in a
 // larger struct (one allocation for the struct instead of one per Decay).
 // It panics if halfLife <= 0.
@@ -252,9 +198,6 @@ func MakeDecay(halfLife time.Duration) Decay {
 	}
 	return Decay{halfLife: halfLife}
 }
-
-// HalfLife returns the configured half-life.
-func (d *Decay) HalfLife() time.Duration { return d.halfLife }
 
 // Value returns the stored (undecayed) value: the value as of the last
 // update, which upper-bounds At for any later time. Evaluation loops use it
@@ -287,36 +230,6 @@ func (d *Decay) AtNano(nano int64) float64 {
 		return 0
 	}
 	return d.value * d.factor(time.Duration(nano-d.atNano))
-}
-
-// Update decays the stored value to time t and then applies max with v: the
-// stored value becomes max(decayed, v). This is exactly the paper's topic
-// score maintenance — the maximum of the current prediction error and
-// exponentially dampened past errors — computed incrementally in O(1).
-// It returns the new value.
-func (d *Decay) Update(t time.Time, v float64) float64 {
-	return d.UpdateNano(t.UnixNano(), v)
-}
-
-// UpdateNano is Update taking the time as unix nanoseconds; see AtNano.
-func (d *Decay) UpdateNano(nano int64, v float64) float64 {
-	cur := d.AtNano(nano)
-	if v > cur {
-		cur = v
-	}
-	d.value = cur
-	if !d.set || nano > d.atNano {
-		d.atNano = nano
-	}
-	d.set = true
-	return cur
-}
-
-// Set overwrites the value at time t, discarding history.
-func (d *Decay) Set(t time.Time, v float64) {
-	d.value = v
-	d.atNano = t.UnixNano()
-	d.set = true
 }
 
 // EWMA is an exponentially weighted moving average with smoothing factor

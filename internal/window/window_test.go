@@ -18,11 +18,8 @@ func TestTimeBucketsBasic(t *testing.T) {
 	if got := w.Sum(); got != 6 {
 		t.Errorf("Sum = %v, want 6", got)
 	}
-	if got := w.Count(); got != 3 {
-		t.Errorf("Count = %v, want 3", got)
-	}
-	if got := w.Mean(); got != 2 {
-		t.Errorf("Mean = %v, want 2", got)
+	if got := w.n; got != 3 {
+		t.Errorf("n = %v, want 3", got)
 	}
 }
 
@@ -44,8 +41,8 @@ func TestTimeBucketsExpiry(t *testing.T) {
 	if got := w.Sum(); got != 0 {
 		t.Errorf("after long gap: Sum = %v, want 0", got)
 	}
-	if got := w.Count(); got != 0 {
-		t.Errorf("after long gap: Count = %v, want 0", got)
+	if got := w.n; got != 0 {
+		t.Errorf("after long gap: n = %v, want 0", got)
 	}
 }
 
@@ -86,24 +83,11 @@ func TestTimeBucketsSeries(t *testing.T) {
 	}
 }
 
-func TestTimeBucketsSpanRate(t *testing.T) {
-	w := NewTimeBuckets(60, time.Second)
-	if w.Span() != time.Minute {
-		t.Errorf("Span = %v, want 1m", w.Span())
-	}
-	for i := 0; i < 60; i++ {
-		w.Add(t0.Add(time.Duration(i)*time.Second), 2)
-	}
-	if got := w.Rate(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Rate = %v, want 2", got)
-	}
-}
-
 func TestTimeBucketsPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero buckets":   func() { NewTimeBuckets(0, time.Second) },
 		"neg resolution": func() { NewTimeBuckets(1, -time.Second) },
-		"zero half-life": func() { NewDecay(0) },
+		"zero half-life": func() { MakeDecay(0) },
 		"bad alpha":      func() { NewEWMA(1.5) },
 	} {
 		func() {
@@ -166,14 +150,14 @@ func TestCounter(t *testing.T) {
 	if got := c.Value(); got != 0 {
 		t.Errorf("Value after expiry = %v, want 0", got)
 	}
-	if got := len(c.Series()); got != 10 {
+	if got := len(c.tb.Series()); got != 10 {
 		t.Errorf("Series length = %d, want 10", got)
 	}
 }
 
 func TestDecayHalving(t *testing.T) {
-	d := NewDecay(2 * 24 * time.Hour) // the paper's ~2-day half-life
-	d.Set(t0, 8)
+	d := MakeDecay(2 * 24 * time.Hour) // the paper's ~2-day half-life
+	d.UpdateCachedNano(t0.UnixNano(), 8, nil)
 	if got := d.At(t0); got != 8 {
 		t.Errorf("At(t0) = %v, want 8", got)
 	}
@@ -192,7 +176,7 @@ func TestDecayHalving(t *testing.T) {
 func TestDecayUpdateIsMaxOfDecayedHistory(t *testing.T) {
 	// Update must equal the brute-force max over the full error history.
 	half := time.Hour
-	d := NewDecay(half)
+	d := MakeDecay(half)
 	type obs struct {
 		at time.Time
 		v  float64
@@ -204,7 +188,7 @@ func TestDecayUpdateIsMaxOfDecayedHistory(t *testing.T) {
 		cur = cur.Add(time.Duration(rng.Intn(120)) * time.Minute)
 		v := rng.Float64() * 10
 		hist = append(hist, obs{cur, v})
-		got := d.Update(cur, v)
+		got := d.UpdateCachedNano(cur.UnixNano(), v, nil)
 		var want float64
 		for _, h := range hist {
 			decayed := h.v * math.Exp2(-cur.Sub(h.at).Seconds()/half.Seconds())
@@ -219,7 +203,7 @@ func TestDecayUpdateIsMaxOfDecayedHistory(t *testing.T) {
 }
 
 func TestDecayZeroBeforeSet(t *testing.T) {
-	d := NewDecay(time.Hour)
+	d := MakeDecay(time.Hour)
 	if got := d.At(t0); got != 0 {
 		t.Errorf("At before any update = %v, want 0", got)
 	}
@@ -281,9 +265,9 @@ func BenchmarkTimeBucketsAdd(b *testing.B) {
 }
 
 func BenchmarkDecayUpdate(b *testing.B) {
-	d := NewDecay(48 * time.Hour)
+	d := MakeDecay(48 * time.Hour)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Update(t0.Add(time.Duration(i)*time.Second), float64(i%17))
+		d.UpdateCachedNano(t0.Add(time.Duration(i)*time.Second).UnixNano(), float64(i%17), nil)
 	}
 }
