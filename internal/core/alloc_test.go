@@ -95,19 +95,25 @@ func TestConsumeSteadyStateAllocsSharded(t *testing.T) {
 	}
 }
 
-// With the tiered sketch tail enabled and eviction pressure live — the
-// pair budget is below the workload's pair count, so sweeps demote and
-// promotions re-admit continuously — ingest must stay within the
-// one-allocation-per-document acceptance bound. Demotion itself (sketch
-// ingest, summary upkeep) is allocation-free; the residual budget covers
-// the sweep's amortized victim collection.
+// tailPressureConfig runs the tiered sketch tail under eviction pressure:
+// the pair budget is below allocWorkload's pair count, so every pass over
+// it sweeps, evicts and demotes.
+func tailPressureConfig() Config {
+	cfg := testConfig()
+	cfg.TickEvery = 1000 * time.Hour // ticks only where a test calls Tick
+	cfg.MaxPairs = 40                // allocWorkload carries 71 distinct pairs
+	cfg.TailSketch = TailSketchConfig{Enabled: true, Epsilon: 0.01, Delta: 0.01, TopK: 64}
+	return cfg
+}
+
+// With the tiered sketch tail enabled and eviction pressure live, steady
+// ingest allocates nothing: the sweep ranks victims in a reused buffer
+// with an allocation-free selection, and demotion (sketch ingest, summary
+// upkeep) is allocation-free too.
 func TestConsumeSteadyStateAllocsTailSketch(t *testing.T) {
 	skipUnderRace(t)
-	cfg := testConfig()
+	cfg := tailPressureConfig()
 	cfg.Shards = 2
-	cfg.TickEvery = 1000 * time.Hour
-	cfg.MaxPairs = 40 // allocWorkload carries 71 distinct pairs
-	cfg.TailSketch = TailSketchConfig{Enabled: true, Epsilon: 0.01, Delta: 0.01, TopK: 64}
 	e := New(cfg)
 	items := allocWorkload(100)
 	for range [3]int{} {
@@ -120,8 +126,8 @@ func TestConsumeSteadyStateAllocsTailSketch(t *testing.T) {
 			e.Consume(it)
 		}
 	})
-	if avg > float64(len(items)) {
-		t.Errorf("tail-enabled Consume allocates %.1f per %d docs, want ≤1/doc", avg, len(items))
+	if avg != 0 {
+		t.Errorf("tail-enabled Consume allocates %.1f per %d docs, want 0", avg, len(items))
 	}
 }
 
@@ -182,6 +188,46 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 	if avg > 60 {
 		t.Errorf("tickLocked pass allocates %.1f, want bounded O(top-k)", avg)
 	}
+
+	// Tail on and over budget: each step ingests until a sweep has just
+	// evicted (leaving headroom under MaxPairs), then ticks, so every
+	// measured tick promotes. Ingest, sweep, demotion and promotion add
+	// nothing to what a tick without them allocates.
+	t.Run("tail", func(t *testing.T) {
+		cfg := tailPressureConfig()
+		cfg.Shards = 1
+		e := New(cfg)
+		items := allocWorkload(100)
+		at := e.LastEventTime()
+		step := func() {
+			for _, it := range items {
+				e.Consume(it)
+			}
+			for i := 0; e.pairsTr.ActivePairs() > 36; i++ { // evictTarget(40)
+				if i == 10*len(items) {
+					t.Fatal("no over-budget sweep in ten passes")
+				}
+				e.Consume(items[i%len(items)])
+			}
+			at = at.Add(time.Hour)
+			e.Tick(at)
+		}
+		for i := 0; i < 5; i++ {
+			step()
+		}
+		before := e.TailStats().Promotions
+		avg := testing.AllocsPerRun(20, step)
+		if got := e.TailStats().Promotions - before; got < 21 {
+			t.Fatalf("%d promotions over 21 ticks, want every tick to promote", got)
+		}
+		tickOnly := testing.AllocsPerRun(20, func() {
+			at = at.Add(time.Hour)
+			e.Tick(at)
+		})
+		if avg != tickOnly {
+			t.Errorf("ingest+promoting tick allocates %.1f, a bare tick %.1f: want the promotion path to add 0", avg, tickOnly)
+		}
+	})
 }
 
 // A dispatch whose ranking moves no subscribed tag must not allocate at

@@ -128,6 +128,25 @@ func compareJoined(a1, a2, b1, b2 string) int {
 	}
 }
 
+// renderPrefix packs the first eight bytes of the rendered "tag1+tag2"
+// key big-endian into a word, zero-padded past the end. The packing is
+// order-preserving: if prefix(k) < prefix(o) then k.Compare(o) < 0, since
+// the first differing byte either differs in both renderings or marks the
+// end of k's, which then is a proper prefix of o's. Equal prefixes say
+// nothing, and callers fall back to Compare.
+func (k Key) renderPrefix() uint64 {
+	a, b := k.tags()
+	n := len(a) + 1 + len(b)
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < n {
+			p |= uint64(joinedByte(a, b, i))
+		}
+	}
+	return p
+}
+
 // joinedByte returns byte i of the virtual string s1 + "+" + s2.
 func joinedByte(s1, s2 string, i int) byte {
 	if i < len(s1) {

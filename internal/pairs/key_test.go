@@ -12,9 +12,9 @@ import (
 // identical to a string-keyed implementation. The vocabulary includes tags
 // with bytes above and below '+' and prefix-of-each-other tags, the cases
 // where naive pairwise tag comparison would diverge from rendered-string
-// comparison.
+// comparison, and tags sharing eight or more leading bytes.
 func TestKeyCompareMatchesRenderedStrings(t *testing.T) {
-	vocab := []string{"a", "a!", "a2", "ab", "b", "+", "zz", "z+", "iceland", "ice"}
+	vocab := []string{"a", "a!", "a2", "ab", "b", "+", "zz", "z+", "iceland", "ice", "icelandic", "icelandia", "a\x00"}
 	var keys []Key
 	for i := range vocab {
 		for j := i; j < len(vocab); j++ {
@@ -29,6 +29,10 @@ func TestKeyCompareMatchesRenderedStrings(t *testing.T) {
 			}
 			if k1.Less(k2) != (want < 0) {
 				t.Fatalf("Less(%q, %q) inconsistent with Compare", k1, k2)
+			}
+			// The eight-byte rendered prefix never contradicts the order.
+			if p1, p2 := k1.renderPrefix(), k2.renderPrefix(); (p1 < p2 && want >= 0) || (p1 > p2 && want <= 0) {
+				t.Fatalf("renderPrefix(%q) = %#x, renderPrefix(%q) = %#x contradict Compare %d", k1, p1, k2, p2, want)
 			}
 		}
 	}

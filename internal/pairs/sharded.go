@@ -1,7 +1,6 @@
 package pairs
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -34,6 +33,14 @@ type trackerShard struct {
 	// instead of a map iteration; slot order is insertion-stable across
 	// ticks, which also keeps downstream detector-state access sequential.
 	keys []Key
+	// prefix caches each slot's Key.renderPrefix for the over-budget
+	// sweep, so a pair consults the interner once in its tracked lifetime
+	// rather than once per sweep. It stays nil until the first over-budget
+	// sweep — a tracker that never evicts never pays for it — and zero
+	// marks a slot whose prefix is not yet computed (drop resets it; a
+	// real prefix is zero only when a tag starts with eight NUL bytes, and
+	// is then merely recomputed).
+	prefix []uint64
 	// approx maps pairs whose counters were seeded from a tail-tier sketch
 	// estimate at promotion (upper bounds, not exact counts) to the seeded
 	// amount. The sweep subtracts the seed when such a pair is re-evicted:
@@ -95,11 +102,13 @@ type ShardedTracker struct {
 	// from inside the sweep; it must not call back into the tracker.
 	onEvict func(Key, float64)
 
-	// scratch is ObserveBatch's working set and sweepAll the over-budget
-	// sweep's ranking buffer, both reused across calls so the steady state
-	// allocates nothing.
+	// scratch is ObserveBatch's working set, sweepAll the sweep's ranking
+	// buffer, cands and ranked PromoteTail's candidates and their ranking,
+	// all reused across calls so the steady state allocates nothing.
 	scratch  batchScratch
-	sweepAll []counted[Key]
+	sweepAll []rankedPair
+	cands    []tier.Candidate
+	ranked   []rankedPair
 }
 
 // NewShardedTracker returns a sharded pair tracker. cfg.Shards <= 1 yields a
@@ -172,6 +181,9 @@ func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 		tr.approxSeeded.Add(-1)
 	}
 	sh.keys[slot] = Key{}
+	if int(slot) < len(sh.prefix) {
+		sh.prefix[slot] = 0
+	}
 	sh.arena.Release(slot)
 	tr.npairs.Add(-1)
 	return seed
@@ -181,7 +193,10 @@ func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 // windows have emptied, and — if the tracker is still over MaxPairs —
 // evicts the pairs with the smallest windowed counts, ties broken by key,
 // ranked globally across all shards, demoting each victim into its shard's
-// tail when the tier is enabled.
+// tail when the tier is enabled. One slot-ordered walk per shard does the
+// advancing, the dropping and — when the tracker entered the sweep over
+// budget, so eviction is possible — the collecting; selectSmallest then
+// ranks only the victims, in the order evictSmallest would.
 //
 //enblogue:acquires tier
 func (tr *ShardedTracker) sweep() {
@@ -190,37 +205,46 @@ func (tr *ShardedTracker) sweep() {
 	if now.IsZero() {
 		return
 	}
-	for _, sh := range tr.shards {
+	collect := tr.npairs.Load() > int64(tr.cfg.MaxPairs)
+	all := tr.sweepAll[:0]
+	for s, sh := range tr.shards {
+		if collect {
+			for len(sh.prefix) < len(sh.keys) {
+				sh.prefix = append(sh.prefix, 0)
+			}
+		}
+		abs := sh.arena.BucketIndex(now) // one conversion for the whole walk
 		for slot, k := range sh.keys {
 			if k == (Key{}) {
 				continue
 			}
-			if sh.arena.ValueAt(int32(slot), now) == 0 {
+			v := sh.arena.ValueAtAbs(int32(slot), abs)
+			if v == 0 {
 				tr.drop(sh, k, int32(slot))
+			} else if collect {
+				p := sh.prefix[slot]
+				if p == 0 {
+					p = k.renderPrefix()
+					sh.prefix[slot] = p
+				}
+				all = append(all, rankedPair{count: v, prefix: p, key: k, slot: int32(slot), shard: int32(s)})
 			}
 		}
 	}
-	if tr.npairs.Load() <= int64(tr.cfg.MaxPairs) {
+	tr.sweepAll = all
+	if len(all) <= tr.cfg.MaxPairs {
 		return
 	}
-	// Still over budget: rank all pairs globally and evict the smallest,
-	// with the same ordering every tracker uses (evictSmallest).
-	all := tr.sweepAll[:0]
-	for _, sh := range tr.shards {
-		//enblogue:unordered collects every pair; evictSmallest ranks by (count, key), a strict total order independent of input order
-		for k, slot := range sh.slots {
-			all = append(all, counted[Key]{k, sh.arena.Value(slot)})
-		}
-	}
-	evictSmallest(all, evictTarget(tr.cfg.MaxPairs), keyLess, func(k Key, count float64) {
-		s := k.Shard(len(tr.shards))
-		sh := tr.shards[s]
-		seed := tr.drop(sh, k, sh.slots[k])
+	victims := len(all) - evictTarget(tr.cfg.MaxPairs)
+	selectSmallest(all, victims)
+	for _, e := range all[:victims] {
+		sh := tr.shards[e.shard]
+		seed := tr.drop(sh, e.key, e.slot)
 		sh.evicted.Add(1)
 		// Victims arrive smallest-first, so the last one defines the
 		// admission floor: the count a tail pair's estimate must beat to
 		// earn its way back into the exact tier.
-		tr.floor = count
+		tr.floor = e.count
 		if tr.tails != nil {
 			// Victim order is the deterministic eviction order, so per-shard
 			// summary contents are replay-identical too. A victim whose
@@ -231,20 +255,19 @@ func (tr *ShardedTracker) sweep() {
 			// The floor of one event keeps the pair in the heavy-hitter
 			// summary (and so promotable) even when nothing new was
 			// observed; the overshoot stays on the safe, upper-bound side.
-			amt := count
+			amt := e.count
 			if seed > 0 {
 				if amt = amt - seed; amt < 1 {
 					amt = 1
 				}
 			}
-			tr.tails[s].Demote(tr.nowNano, k.packed, uint64(amt))
+			tr.tails[e.shard].Demote(tr.nowNano, e.key.packed, uint64(amt))
 			sh.demoted.Add(1)
 		}
 		if tr.onEvict != nil {
-			tr.onEvict(k, count)
+			tr.onEvict(e.key, e.count)
 		}
-	})
-	tr.sweepAll = all
+	}
 }
 
 // PromoteTail re-admits every tail pair whose windowed estimate strictly
@@ -271,33 +294,35 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		// No document observed yet: the tail is necessarily empty.
 		return 0
 	}
-	var cands []tier.Candidate
+	cands := tr.cands[:0]
 	for _, tl := range tr.tails {
 		cands = tl.AppendCandidates(tr.nowNano, uint64(tr.floor), cands)
 	}
+	tr.cands = cands
 	if len(cands) == 0 {
 		return 0
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Est != cands[j].Est {
-			return cands[i].Est > cands[j].Est
-		}
-		return Key{packed: cands[i].Key}.Less(Key{packed: cands[j].Key})
-	})
-	if len(cands) > headroom {
-		cands = cands[:headroom]
-	}
-	abs := tr.nowNano / int64(tr.cfg.Resolution)
+	// Rank by (−estimate, key) through the sweep's kernel: negating the
+	// estimate turns "best first" into "smallest first", and estimates are
+	// far below 2^53, so the float conversion is exact.
+	ranked := tr.ranked[:0]
 	for _, c := range cands {
 		k := Key{packed: c.Key}
-		s := k.Shard(len(tr.shards))
-		sh := tr.shards[s]
+		ranked = append(ranked, rankedPair{count: -float64(c.Est), prefix: k.renderPrefix(), key: k, shard: int32(k.Shard(len(tr.shards)))})
+	}
+	tr.ranked = ranked
+	n := min(headroom, len(ranked))
+	selectSmallest(ranked, n)
+	abs := tr.nowNano / int64(tr.cfg.Resolution)
+	for _, r := range ranked[:n] {
+		k, sh := r.key, tr.shards[r.shard]
+		est := -r.count
 		slot := tr.upsert(sh, k)
 		// If the pair re-emerged on its own since demotion, the counter
 		// holds only post-eviction events; the estimate covers the
 		// pre-eviction mass, so adding keeps the seeded total an upper
 		// bound on the true windowed count.
-		sh.arena.AddAbs(slot, abs, float64(c.Est))
+		sh.arena.AddAbs(slot, abs, est)
 		if sh.approx == nil {
 			sh.approx = make(map[Key]float64)
 		}
@@ -307,11 +332,11 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		// Accumulate, not assign: a pair promoted twice without an eviction
 		// in between (impossible today — Remove gates re-candidacy on a
 		// fresh demotion — but cheap to keep correct) carries both seeds.
-		sh.approx[k] += float64(c.Est)
-		tr.tails[s].Remove(c.Key)
+		sh.approx[k] += est
+		tr.tails[r.shard].Remove(k.packed)
 	}
-	tr.promotions.Add(int64(len(cands)))
-	return len(cands)
+	tr.promotions.Add(int64(n))
+	return n
 }
 
 // TailStats is a point-in-time view of the cold tier and the eviction

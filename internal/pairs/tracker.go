@@ -127,8 +127,9 @@ type counted[K any] struct {
 
 // evictTarget is the post-eviction size for an over-budget tracker: 10%
 // below MaxPairs (never below 1). The hysteresis keeps a saturated tracker
-// from re-triggering a full collect-and-sort sweep on every subsequent
-// document that adds one new entry.
+// from re-triggering an over-budget sweep — a walk of every tracked pair
+// plus a ranking of the victims — on every subsequent document that adds
+// one new entry.
 func evictTarget(maxPairs int) int {
 	t := maxPairs - maxPairs/10
 	if t < 1 {
@@ -139,12 +140,12 @@ func evictTarget(maxPairs int) int {
 
 // evictSmallest deletes the entries with the smallest counts (ties broken
 // by less on the keys, ascending) until at most keep remain, invoking drop
-// for each victim with its windowed count — the count is what the tail
-// tier absorbs on demotion, and victims arrive smallest-first so the last
-// drop carries the admission floor. Every tracker's over-budget eviction
-// routes through here so the ordering stays identical across the serial,
-// sharded, and distribution paths — the sharded engine's
-// bit-identical-rankings guarantee depends on it.
+// for each victim with its windowed count, smallest first. It is the plain
+// full sort the serial reference Tracker and DistTracker evict by;
+// ShardedTracker selects the same victims in the same order with its own
+// kernel (selectSmallest), and FuzzSweepMatchesSerial checks the two
+// against each other — the sharded engine's bit-identical-rankings
+// guarantee depends on their agreeing.
 func evictSmallest[K any](all []counted[K], keep int, less func(a, b K) bool, drop func(K, float64)) {
 	if len(all) <= keep {
 		return

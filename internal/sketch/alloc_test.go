@@ -64,3 +64,21 @@ func BenchmarkCountMinAddU64(b *testing.B) {
 		c.AddU64(uint64(i%1024), 1)
 	}
 }
+
+// BenchmarkTopKU64AddAtCapacity times the demotion path's summary update
+// at the tail tier's default capacity: every Add is a miss that evicts the
+// (Count, Key) minimum.
+func BenchmarkTopKU64AddAtCapacity(b *testing.B) {
+	const k = 512
+	tk := NewTopKU64(k)
+	for i := uint64(0); i < k; i++ {
+		tk.Add(i, i%7+1)
+	}
+	next := uint64(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk.Add(next, next%3+1)
+		next++
+	}
+}

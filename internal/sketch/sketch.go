@@ -3,7 +3,8 @@
 // synopses"), as the tail tier uses them: a Count-Min sketch for
 // approximate frequencies of interned 64-bit keys, a windowed
 // two-generation Count-Min, and a weighted Space-Saving heavy-hitter
-// summary over interned keys.
+// summary over interned keys, kept as an indexed min-heap so an update at
+// capacity costs O(log k).
 //
 // Rows are salted with splitmix64, so the package needs nothing outside
 // the standard library.

@@ -17,16 +17,18 @@ type EntryU64 struct {
 //
 //   - Add takes a weight, because a demoted pair arrives carrying its whole
 //     windowed count, not one occurrence at a time.
-//   - Entries live in a dense slice indexed by a key→slot map, so steady
-//     state Add performs no allocations and the min scan walks the slice
-//     in slot order — the victim is a deterministic function of the
-//     summary contents, never of map iteration order.
+//   - Entries live in an indexed binary min-heap on (Count, Key) — a strict
+//     total order, since keys are distinct — with a key→position map, so
+//     at capacity Add finds the victim at the root and restores the heap
+//     in O(log k), and steady-state Add performs no allocations. The victim
+//     is the (Count, Key) minimum, a function of the summary contents
+//     alone, never of insertion history or map iteration order.
 //   - Remove exists, because promotion pulls a key back into the exact tier
 //     and must stop it from being re-promoted until it is demoted again.
 type TopKU64 struct {
 	k       int
-	entries []EntryU64
-	index   map[uint64]int32 // key → slot in entries
+	entries []EntryU64       // min-heap on (Count, Key)
+	index   map[uint64]int32 // key → position in entries
 }
 
 // NewTopKU64 returns a summary with capacity k. It panics if k < 1.
@@ -49,41 +51,89 @@ func NewTopKU64(k int) *TopKU64 {
 func (t *TopKU64) Add(key uint64, w uint64) {
 	if i, ok := t.index[key]; ok {
 		t.entries[i].Count += w
+		t.down(int(i))
 		return
 	}
 	if len(t.entries) < t.k {
-		t.index[key] = int32(len(t.entries))
 		t.entries = append(t.entries, EntryU64{Key: key, Count: w})
+		t.up(len(t.entries) - 1)
 		return
 	}
-	m := 0
-	for i := 1; i < len(t.entries); i++ {
-		e, min := &t.entries[i], &t.entries[m]
-		if e.Count < min.Count || (e.Count == min.Count && e.Key < min.Key) {
-			m = i
-		}
-	}
-	old := t.entries[m]
+	old := t.entries[0]
 	delete(t.index, old.Key)
-	t.entries[m] = EntryU64{Key: key, Count: old.Count + w, Error: old.Count}
-	t.index[key] = int32(m)
+	t.entries[0] = EntryU64{Key: key, Count: old.Count + w, Error: old.Count}
+	t.down(0)
 }
 
-// Remove drops key from the summary (slot recycled via swap-remove) and
-// reports whether it was tracked.
+// Remove drops key from the summary and reports whether it was tracked.
 func (t *TopKU64) Remove(key uint64) bool {
 	i, ok := t.index[key]
 	if !ok {
 		return false
 	}
-	last := int32(len(t.entries) - 1)
-	if i != last {
-		t.entries[i] = t.entries[last]
-		t.index[t.entries[i].Key] = i
-	}
-	t.entries = t.entries[:last]
 	delete(t.index, key)
+	last := len(t.entries) - 1
+	if int(i) == last {
+		t.entries = t.entries[:last]
+		return true
+	}
+	// Move the last entry into the hole, then restore the heap around it.
+	t.entries[i] = t.entries[last]
+	t.entries = t.entries[:last]
+	t.down(int(i))
+	t.up(int(i))
 	return true
+}
+
+// entryLess is the heap order: (Count, Key) ascending.
+func entryLess(a, b *EntryU64) bool {
+	return a.Count < b.Count || (a.Count == b.Count && a.Key < b.Key)
+}
+
+// less reports whether the entry at heap position i orders before the one
+// at j.
+func (t *TopKU64) less(i, j int) bool { return entryLess(&t.entries[i], &t.entries[j]) }
+
+// up moves the entry at position i towards the root until its parent
+// orders before it, shifting the entries it passes down one level and
+// re-indexing every entry it moves, itself included.
+func (t *TopKU64) up(i int) {
+	e := t.entries[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !entryLess(&e, &t.entries[p]) {
+			break
+		}
+		t.entries[i] = t.entries[p]
+		t.index[t.entries[i].Key] = int32(i)
+		i = p
+	}
+	t.entries[i] = e
+	t.index[e.Key] = int32(i)
+}
+
+// down moves the entry at position i away from the root until both
+// children order after it — up's mirror image.
+func (t *TopKU64) down(i int) {
+	e := t.entries[i]
+	n := len(t.entries)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && t.less(r, c) {
+			c = r
+		}
+		if !entryLess(&t.entries[c], &e) {
+			break
+		}
+		t.entries[i] = t.entries[c]
+		t.index[t.entries[i].Key] = int32(i)
+		i = c
+	}
+	t.entries[i] = e
+	t.index[e.Key] = int32(i)
 }
 
 // Contains reports whether key is tracked.
@@ -95,9 +145,9 @@ func (t *TopKU64) Contains(key uint64) bool {
 // Len returns the number of tracked keys.
 func (t *TopKU64) Len() int { return len(t.entries) }
 
-// At returns the entry in slot i, 0 ≤ i < Len(). Slot order is
-// deterministic (insertion order with swap-remove recycling), letting
-// callers walk the summary without materialising a sorted copy.
+// At returns the entry at heap position i, 0 ≤ i < Len(). Heap order is
+// deterministic — a function of the sequence of Add and Remove calls —
+// letting callers walk the summary without materialising a sorted copy.
 func (t *TopKU64) At(i int) EntryU64 { return t.entries[i] }
 
 // Reset empties the summary, retaining capacity.

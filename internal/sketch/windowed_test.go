@@ -196,3 +196,86 @@ func TestWindowedCountMinBackwardsAdvanceIgnored(t *testing.T) {
 		t.Errorf("gen = %d, want 5", w.gen)
 	}
 }
+
+// linearTopK is the slice-and-scan Space-Saving summary TopKU64 replaced:
+// entries in insertion slots, the at-capacity victim found by a linear
+// scan for the (Count, Key) minimum. It is the model TestTopKU64MatchesLinear
+// checks the heap against.
+type linearTopK struct {
+	k       int
+	entries []EntryU64
+}
+
+func (t *linearTopK) add(key, w uint64) {
+	for i := range t.entries {
+		if t.entries[i].Key == key {
+			t.entries[i].Count += w
+			return
+		}
+	}
+	if len(t.entries) < t.k {
+		t.entries = append(t.entries, EntryU64{Key: key, Count: w})
+		return
+	}
+	m := 0
+	for i := 1; i < len(t.entries); i++ {
+		e, min := &t.entries[i], &t.entries[m]
+		if e.Count < min.Count || (e.Count == min.Count && e.Key < min.Key) {
+			m = i
+		}
+	}
+	old := t.entries[m]
+	t.entries[m] = EntryU64{Key: key, Count: old.Count + w, Error: old.Count}
+}
+
+func (t *linearTopK) remove(key uint64) bool {
+	for i := range t.entries {
+		if t.entries[i].Key == key {
+			last := len(t.entries) - 1
+			t.entries[i] = t.entries[last]
+			t.entries = t.entries[:last]
+			return true
+		}
+	}
+	return false
+}
+
+// Property: under any Add/Remove sequence — tiny key space and weights, so
+// count ties are the rule — the heap holds exactly the linear model's
+// entries: the same keys, each with the same Count and Error. The heap
+// invariant holds after every operation.
+func TestTopKU64MatchesLinear(t *testing.T) {
+	f := func(k uint8, ops []uint16) bool {
+		tk := NewTopKU64(int(k%8) + 1)
+		model := &linearTopK{k: tk.k}
+		for _, op := range ops {
+			key, w := uint64(op%24), uint64(op>>5)%3+1
+			if op>>14 == 3 { // a quarter of the ops remove
+				if tk.Remove(key) != model.remove(key) {
+					return false
+				}
+			} else {
+				tk.Add(key, w)
+				model.add(key, w)
+			}
+			for i := 1; i < tk.Len(); i++ {
+				if tk.less(i, (i-1)/2) {
+					return false
+				}
+			}
+		}
+		if tk.Len() != len(model.entries) {
+			return false
+		}
+		for _, want := range model.entries {
+			i, ok := tk.index[want.Key]
+			if !ok || tk.At(int(i)) != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -166,8 +166,8 @@ func (t *Tail) Demote(nowNano int64, key uint64, count uint64) {
 }
 
 // AppendCandidates appends every summary pair whose windowed estimate
-// strictly exceeds floor, in deterministic slot order (callers wanting rank
-// order sort the result). The estimate attached is the Count-Min one — the
+// strictly exceeds floor, in deterministic summary (heap) order; callers
+// wanting rank order rank the result. The estimate attached is the Count-Min one — the
 // value the exact tier seeds from — not the summary's own count. Appending
 // into a caller-owned buffer keeps the tick-time read allocation-free once
 // the buffer has grown.
