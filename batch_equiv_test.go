@@ -78,9 +78,9 @@ func (r *rankingRecorder) wait() []enblogue.Ranking {
 
 // consumeSerial replays items one Consume at a time and returns every
 // published ranking — the reference the batched paths must reproduce
-// bit-for-bit.
-func consumeSerial(items []*stream.Item, shards int) []enblogue.Ranking {
-	e := enblogue.New(enblogue.WithShards(shards))
+// bit-for-bit. opts are applied after the shard count.
+func consumeSerial(items []*stream.Item, shards int, opts ...enblogue.Option) []enblogue.Ranking {
+	e := enblogue.New(append([]enblogue.Option{enblogue.WithShards(shards)}, opts...)...)
 	rec := record(e)
 	for _, it := range items {
 		e.Consume(it)

@@ -50,10 +50,11 @@ func crashPoints(items []*stream.Item) map[string]int {
 // durable engine consumes items[:crash] in 64-doc batches with a forced
 // snapshot partway, then is abandoned mid-flight (no Close — the crash). A
 // second engine on the same directory recovers and finishes the stream;
-// its recorded rankings are returned.
-func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, crash int) []enblogue.Ranking {
+// its recorded rankings are returned. opts are applied to both engines.
+func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, crash int, opts ...enblogue.Option) []enblogue.Ranking {
 	t.Helper()
-	a := enblogue.New(enblogue.WithShards(shards), durableOpts(dir))
+	opts = append([]enblogue.Option{enblogue.WithShards(shards), durableOpts(dir)}, opts...)
+	a := enblogue.New(opts...)
 	snapAt := crash / 2
 	feed := func(e *enblogue.Engine, lo, hi int) {
 		for ; lo < hi; lo += 64 {
@@ -71,7 +72,7 @@ func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, cra
 	feed(a, snapAt, crash)
 	// Crash: abandon a without Flush or Close.
 
-	b := enblogue.New(enblogue.WithShards(shards), durableOpts(dir))
+	b := enblogue.New(opts...)
 	rec := record(b)
 	feed(b, crash, len(items))
 	b.Flush()
@@ -80,33 +81,43 @@ func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, cra
 }
 
 // TestRecoveredEngineBitIdentical is the headline durability proof: for
-// every workload × shard count × crash point, the recovered engine's
+// every workload × shard count × crash point, in the default mode and in
+// distribution mode (subtests suffixed "-dist"), the recovered engine's
 // post-crash rankings equal — reflect.DeepEqual, scores included — the
 // corresponding suffix of the rankings a never-crashed serial engine
 // publishes over the full stream.
 func TestRecoveredEngineBitIdentical(t *testing.T) {
+	modes := []struct {
+		suffix string
+		opts   []enblogue.Option
+	}{
+		{"", nil},
+		{"-dist", []enblogue.Option{enblogue.WithDistributionMode()}},
+	}
 	for name, items := range equivWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, shards := range []int{1, 8} {
-				want := consumeSerial(items, shards)
-				if len(want) == 0 {
-					t.Fatalf("reference replay of %q published no rankings", name)
-				}
-				for cpName, crash := range crashPoints(items) {
-					t.Run(fmt.Sprintf("shards-%d/crash-%s", shards, cpName), func(t *testing.T) {
-						got := crashAndRecover(t, items, t.TempDir(), shards, crash)
-						if len(got) == 0 {
-							t.Fatal("recovered engine published no rankings after the crash")
-						}
-						if len(got) > len(want) {
-							t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
-						}
-						// Ticks fired before the crash (and during the replay
-						// inside New, before any subscriber exists) are not
-						// recorded; everything after must match the reference
-						// suffix exactly, timestamps and scores included.
-						diffRankings(t, want[len(want)-len(got):], got)
-					})
+			for _, mode := range modes {
+				for _, shards := range []int{1, 8} {
+					want := consumeSerial(items, shards, mode.opts...)
+					if len(want) == 0 {
+						t.Fatalf("reference replay of %q published no rankings", name)
+					}
+					for cpName, crash := range crashPoints(items) {
+						t.Run(fmt.Sprintf("shards-%d%s/crash-%s", shards, mode.suffix, cpName), func(t *testing.T) {
+							got := crashAndRecover(t, items, t.TempDir(), shards, crash, mode.opts...)
+							if len(got) == 0 {
+								t.Fatal("recovered engine published no rankings after the crash")
+							}
+							if len(got) > len(want) {
+								t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
+							}
+							// Ticks fired before the crash (and during the replay
+							// inside New, before any subscriber exists) are not
+							// recorded; everything after must match the reference
+							// suffix exactly, timestamps and scores included.
+							diffRankings(t, want[len(want)-len(got):], got)
+						})
+					}
 				}
 			}
 		})
