@@ -7,9 +7,11 @@
 //
 // The detector flags individual tags whose arrival rate in the current
 // window significantly exceeds their historical expectation, then clusters
-// co-bursting tags into groups by windowed co-occurrence. It shares the
-// window substrate with enBlogue so head-to-head comparisons isolate the
-// algorithmic difference (per-tag bursts vs pair-correlation shifts).
+// co-bursting tags into groups by windowed co-occurrence. Its per-tag
+// counts live in a window.CounterArena and its co-occurrence counts in a
+// pairs.Tracker — the window substrate enBlogue counts with — so
+// head-to-head comparisons isolate the algorithmic difference (per-tag
+// bursts vs pair-correlation shifts).
 package baseline
 
 import (
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"enblogue/internal/pairs"
+	"enblogue/internal/predict"
 	"enblogue/internal/window"
 )
 
@@ -83,9 +86,11 @@ type Group struct {
 	At    time.Time
 }
 
+// tagState is one tag's windowed count (an arena slot) and its smoothed
+// historical expectation.
 type tagState struct {
-	counter  *window.Counter
-	expected *window.EWMA
+	slot     int32
+	expected *predict.EWMA
 }
 
 // BurstDetector tracks per-tag rates and detects bursts at tick time. Not
@@ -93,6 +98,7 @@ type tagState struct {
 type BurstDetector struct {
 	cfg     Config
 	tags    map[string]*tagState
+	counts  *window.CounterArena
 	cooc    *pairs.Tracker
 	now     time.Time
 	sinceGC int
@@ -103,8 +109,9 @@ type BurstDetector struct {
 func NewBurstDetector(cfg Config) *BurstDetector {
 	c := cfg.withDefaults()
 	return &BurstDetector{
-		cfg:  c,
-		tags: make(map[string]*tagState),
+		cfg:    c,
+		tags:   make(map[string]*tagState),
+		counts: window.NewCounterArena(c.Buckets, c.Resolution),
 		cooc: pairs.NewTracker(pairs.Config{
 			Buckets:    c.Buckets,
 			Resolution: c.Resolution,
@@ -126,12 +133,12 @@ func (d *BurstDetector) Observe(t time.Time, tags []string) {
 		st, ok := d.tags[tag]
 		if !ok {
 			st = &tagState{
-				counter:  window.NewCounter(d.cfg.Buckets, d.cfg.Resolution),
-				expected: window.NewEWMA(d.cfg.Alpha),
+				slot:     d.counts.Alloc(),
+				expected: predict.NewEWMA(d.cfg.Alpha),
 			}
 			d.tags[tag] = st
 		}
-		st.counter.Inc(t)
+		d.counts.Inc(st.slot, t)
 	}
 	// Track all-pairs co-occurrence for burst grouping.
 	d.cooc.Observe(t, tags, nil)
@@ -144,9 +151,9 @@ func (d *BurstDetector) Observe(t time.Time, tags []string) {
 func (d *BurstDetector) sweep() {
 	d.sinceGC = 0
 	for tag, st := range d.tags {
-		st.counter.Observe(d.now)
-		if st.counter.Value() == 0 && st.expected.Value() < 0.5 {
+		if exp, _ := st.expected.Predict(); d.counts.ValueAt(st.slot, d.now) == 0 && exp < 0.5 {
 			delete(d.tags, tag)
+			d.counts.Release(st.slot)
 		}
 	}
 }
@@ -160,11 +167,9 @@ func (d *BurstDetector) Tick(t time.Time) []Burst {
 	}
 	var out []Burst
 	for tag, st := range d.tags {
-		st.counter.Observe(t)
-		cur := st.counter.Value()
-		exp := st.expected.Value()
-		hadHistory := st.expected.Initialized()
-		st.expected.Add(cur)
+		cur := d.counts.ValueAt(st.slot, t)
+		exp, hadHistory := st.expected.Predict()
+		st.expected.Observe(cur)
 		if !hadHistory && d.ticks == 0 {
 			// The detector's very first tick has no history for anything:
 			// seed expectations silently. A tag first evaluated on a later

@@ -189,6 +189,34 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 		t.Errorf("tickLocked pass allocates %.1f, want bounded O(top-k)", avg)
 	}
 
+	// Distribution mode rebuilds the co-tag index every tick into buffers
+	// reused across ticks, so its tick allocates exactly what the default
+	// tick does.
+	t.Run("dist", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Shards = 1
+		cfg.DistributionMode = true
+		e := New(cfg)
+		for _, it := range items {
+			e.Consume(it)
+		}
+		at := e.LastEventTime()
+		for i := 0; i < 3; i++ {
+			at = at.Add(time.Hour)
+			e.Tick(at)
+		}
+		dist := testing.AllocsPerRun(20, func() {
+			at = at.Add(time.Hour)
+			e.Tick(at)
+		})
+		if len(e.CurrentRanking().Topics) == 0 {
+			t.Fatal("distribution-mode ticks ranked nothing; the comparison would be vacuous")
+		}
+		if dist != avg {
+			t.Errorf("distribution-mode tick allocates %.1f, the default tick %.1f: want the co-tag index to add 0", dist, avg)
+		}
+	})
+
 	// Tail on and over budget: each step ingests until a sweep has just
 	// evicted (leaving headroom under MaxPairs), then ticks, so every
 	// measured tick promotes. Ingest, sweep, demotion and promotion add

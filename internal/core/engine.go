@@ -88,8 +88,10 @@ type Config struct {
 	// DistributionMode switches correlation from set overlap to the
 	// paper's information-theoretic alternative: documents represented "by
 	// their entire tag sets", with pair correlation the Jensen–Shannon
-	// similarity of the two tags' co-tag usage distributions. Measure is
-	// ignored when set.
+	// similarity of the two tags' co-tag usage distributions. The
+	// distributions come from a second pair tracker that counts every
+	// pair, not only seed pairs, bounded by MaxPairs like the first.
+	// Measure is ignored when set.
 	DistributionMode bool
 	// Predictor forecasts correlations; its error is the shift signal.
 	// Default moving average.
@@ -260,7 +262,7 @@ type Engine struct {
 
 	tags    *tagstats.Tracker      // guarded by mu
 	pairsTr *pairs.ShardedTracker  // guarded by mu; shard i snapshotted by tick worker i
-	dist    *pairs.DistTracker     // non-nil in DistributionMode; guarded by mu
+	co      *pairs.ShardedTracker  // DistributionMode only: every pair, seed or not; guarded like pairsTr
 	det     *shift.Sharded         // shard i touched only by tick worker i, under mu
 	seeds   *tagstats.SeedSelector // internally locked
 
@@ -318,12 +320,13 @@ type Engine struct {
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
 	c := cfg.normalize()
-	var dist *pairs.DistTracker
+	var co *pairs.ShardedTracker
 	if c.DistributionMode {
-		dist = pairs.NewDistTracker(pairs.Config{
+		co = pairs.NewShardedTracker(pairs.Config{
 			Buckets:    c.WindowBuckets,
 			Resolution: c.WindowResolution,
 			MaxPairs:   c.MaxPairs,
+			Shards:     c.Shards,
 		})
 	}
 	tags := tagstats.NewTracker(tagstats.Config{
@@ -343,7 +346,7 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e := &Engine{
-		dist:   dist,
+		co:     co,
 		cfg:    c,
 		tick:   newTickScratch(c.Shards),
 		broker: newBroker(),
@@ -539,8 +542,8 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 			return
 		}
 		e.pairsTr.ObserveBatch(pend, isSeed)
-		if e.dist != nil {
-			e.dist.ObserveBatch(pend)
+		if e.co != nil {
+			e.co.ObserveBatch(pend, nil)
 		}
 		clear(pend) // release tag-slice references
 		pend = pend[:0]
@@ -824,7 +827,11 @@ type tickScratch struct {
 	countEpoch []uint32
 	epoch      uint32
 	snaps      [][]pairs.PairCount
-	tops       [][]shift.Topic
+	// coSnaps and co are the distribution-mode working set: the co
+	// tracker's per-shard snapshots and the co-tag index built from them.
+	coSnaps [][]pairs.PairCount
+	co      pairs.CoIndex
+	tops    [][]shift.Topic
 	// heapBuf and heapIdx are the per-shard topkPush working sets: kept
 	// topics and the index heap over them.
 	heapBuf [][]shift.Topic
@@ -838,6 +845,7 @@ type tickScratch struct {
 func newTickScratch(shards int) tickScratch {
 	return tickScratch{
 		snaps:   make([][]pairs.PairCount, shards),
+		coSnaps: make([][]pairs.PairCount, shards),
 		tops:    make([][]shift.Topic, shards),
 		heapBuf: make([][]shift.Topic, shards),
 		heapIdx: make([][]int32, shards),
@@ -889,36 +897,29 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 	}
 
 	n := e.tags.DocCount()
-	// One snapshot per tick of whatever the workers will read — tag counts
-	// or co-tag distributions — so the parallel shard workers never touch
-	// (and mutate, or serialise on) the shared trackers. The default-mode
-	// count index is keyed by interned tag ID and reused across ticks:
-	// workers then look pair members up by uint32 instead of hashing two
-	// strings per pair. Seed reselection is fused into the same pass over
-	// the tag statistics (one map iteration per tick, not two), selecting
-	// through a bounded heap with exactly Top's ordering.
+	// One snapshot per tick of whatever the workers will read, so the
+	// parallel shard workers never touch (and mutate, or serialise on) the
+	// shared trackers. The tag-count index is keyed by interned tag ID and
+	// reused across ticks: workers then look pair members up by uint32
+	// instead of hashing two strings per pair. Seed reselection is fused
+	// into the same pass over the tag statistics (one map iteration per
+	// tick, not two), selecting through a bounded heap with exactly Top's
+	// ordering.
 	ts := &e.tick
-	var seeds []string
-	var dists map[string]map[string]float64
-	if e.dist == nil {
-		ts.beginCounts()
-		ts.topStats = e.tags.TopAppend(e.seeds.K, e.seeds.Criterion, e.seeds.MinCount,
-			ts.topStats[:0], func(tag string, id uint32, v float64) {
-				// IDs resolve through intern.Find (installed as the tracker's
-				// resolver at construction), not Intern: ID assignment happens
-				// only on the ingest path, in first-seen stream order, so
-				// replays shard identically. A tag with no ID was never part
-				// of any candidate pair (only ≥2-tag documents intern), so its
-				// count can never be read by the evaluation below.
-				if id != tagstats.NoID {
-					ts.setCount(id, v)
-				}
-			})
-		seeds = e.seeds.ReselectFrom(ts.topStats)
-	} else {
-		seeds = e.seeds.Reselect(e.tags)
-		dists = e.dist.Snapshot()
-	}
+	ts.beginCounts()
+	ts.topStats = e.tags.TopAppend(e.seeds.K, e.seeds.Criterion, e.seeds.MinCount,
+		ts.topStats[:0], func(tag string, id uint32, v float64) {
+			// IDs resolve through intern.Find (installed as the tracker's
+			// resolver at construction), not Intern: ID assignment happens
+			// only on the ingest path, in first-seen stream order, so
+			// replays shard identically. A tag with no ID was never part
+			// of any candidate pair (only ≥2-tag documents intern), so its
+			// count can never be read by the evaluation below.
+			if id != tagstats.NoID {
+				ts.setCount(id, v)
+			}
+		})
+	seeds := e.seeds.ReselectFrom(ts.topStats)
 
 	// Promote tail-tier pairs whose estimates crossed the admission floor
 	// before taking evaluation snapshots, so a re-admitted pair is scored
@@ -936,7 +937,13 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 	nsh := e.pairsTr.Shards()
 	forEachShard(nsh, func(i int) {
 		ts.snaps[i] = e.pairsTr.AppendSnapshot(i, ts.snaps[i][:0])
+		if e.co != nil {
+			ts.coSnaps[i] = e.co.AppendSnapshot(i, ts.coSnaps[i][:0])
+		}
 	})
+	if e.co != nil {
+		ts.co.Build(ts.coSnaps)
+	}
 	total := 0
 	for _, s := range ts.snaps {
 		total += len(s)
@@ -961,12 +968,11 @@ func (e *Engine) tickLocked(t time.Time) Ranking {
 		floor := 0.0
 		for _, pc := range snap {
 			var filled bool
-			if e.dist != nil {
-				tag1, tag2 := pc.Key.Tags()
+			ida, idb := pc.Key.IDs()
+			if e.co != nil {
 				filled = det.EvaluateCorrelationInto(t, pc.Key, pc.Slot,
-					pairs.SimilarityFrom(dists, tag1, tag2), pc.Count, floor, &topic)
+					ts.co.Similarity(ida, idb), pc.Count, floor, &topic)
 			} else {
-				ida, idb := pc.Key.IDs()
 				filled = det.EvaluateInto(t, pc.Key, pc.Slot, pc.Count,
 					ts.count(ida), ts.count(idb), n, floor, &topic)
 			}

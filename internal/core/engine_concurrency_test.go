@@ -126,15 +126,18 @@ func TestEngineShardedMatchesSerialDistMode(t *testing.T) {
 // Seeds, ActivePairs, TailStats, and ExpandTopic — the live-server pattern.
 // Run under -race; the assertions are liveness/sanity, the race detector is
 // the test. The tail variant runs the sketch tier under a tight MaxPairs, so
-// eviction, demotion and promotion all happen while the readers run.
+// eviction, demotion and promotion all happen while the readers run; the
+// dist variant runs distribution mode, whose tick workers share one co-tag
+// index read-only.
 func TestEngineConcurrentConsumeAndTick(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		tail bool
-	}{{"exact", false}, {"tail", true}} {
+		name       string
+		tail, dist bool
+	}{{"exact", false, false}, {"tail", true, false}, {"dist", false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.Shards = 4
+			cfg.DistributionMode = tc.dist
 			if tc.tail {
 				// Fed sequentially, this stream promotes 3 pairs at 12.
 				cfg.MaxPairs = 12

@@ -11,9 +11,10 @@ import (
 
 // EngineState is the engine's full serializable state: everything that
 // affects future rankings. It aggregates the canonical per-subsystem states
-// (tags, pairs, detector, distributions — each sorted and clock-advanced by
-// its own exporter), so two engines holding the same logical state export
-// identical EngineStates regardless of shard count or internal slot layout.
+// (tags, pairs, co-occurrence pairs, detector — each sorted and
+// clock-advanced by its own exporter), so two engines holding the same
+// logical state export identical EngineStates regardless of shard count or
+// internal slot layout.
 // Rebuildable caches (tick scratch, ingest queue, broker subscriptions,
 // interned-ID assignments) are deliberately excluded; rankings are
 // ID-independent, so a restored engine that re-interns tags in a different
@@ -28,7 +29,7 @@ type EngineState struct {
 
 	Tags  tagstats.TrackerState
 	Pairs pairs.ShardedTrackerState
-	Dist  *pairs.DistState // non-nil exactly in DistributionMode
+	Co    *pairs.ShardedTrackerState // non-nil exactly in DistributionMode
 	Det   shift.DetectorState
 
 	Seeds []string // current seed set, best first
@@ -57,9 +58,9 @@ func (e *Engine) exportStateLocked() EngineState {
 	if !e.lastTick.IsZero() {
 		st.LastTickNano, st.LastTickSet = e.lastTick.UnixNano(), true
 	}
-	if e.dist != nil {
-		d := e.dist.ExportState()
-		st.Dist = &d
+	if e.co != nil {
+		co := e.co.ExportState()
+		st.Co = &co
 	}
 	return st
 }
@@ -98,7 +99,7 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if e.docs.Load() != 0 || e.lastSeenNano.Load() != 0 || !e.nextTick.IsZero() {
 		return errors.New("core: restore into an engine that has consumed documents")
 	}
-	if (st.Dist != nil) != (e.dist != nil) {
+	if (st.Co != nil) != (e.co != nil) {
 		return errors.New("core: distribution-mode mismatch between snapshot and engine")
 	}
 	if err := e.tags.RestoreState(st.Tags); err != nil {
@@ -107,8 +108,8 @@ func (e *Engine) RestoreState(st EngineState) error {
 	if err := e.pairsTr.RestoreState(st.Pairs); err != nil {
 		return err
 	}
-	if st.Dist != nil {
-		if err := e.dist.RestoreState(*st.Dist); err != nil {
+	if st.Co != nil {
+		if err := e.co.RestoreState(*st.Co); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,6 @@ package pairs
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
@@ -28,14 +27,15 @@ func seedEven(tag string) bool {
 
 // checkBatchesMatchReference feeds docs to the serial reference Tracker one
 // document at a time and to a ShardedTracker in batches of every listed
-// size, for every listed shard count, and requires the same tracked pairs
+// size, for every listed shard count, both under the candidate predicate
+// isSeed (nil tracks every pair), and requires the same tracked pairs
 // with the same windowed counts and per-bucket series. The reference shares
 // no ingest code with ObserveBatch: one map, no locks, no shards, no
 // chunking, its sweep trigger checked after every document.
-func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc) {
+func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc, isSeed func(string) bool) {
 	ref := NewTracker(cfg)
 	for _, d := range docs {
-		ref.Observe(d.Time, d.Tags, seedEven)
+		ref.Observe(d.Time, d.Tags, isSeed)
 	}
 	want := sortedKeys(ref.Keys())
 	if len(want) == 0 {
@@ -48,7 +48,7 @@ func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc) {
 				c.Shards = shards
 				tr := NewShardedTracker(c)
 				for lo := 0; lo < len(docs); lo += batch {
-					tr.ObserveBatch(docs[lo:min(lo+batch, len(docs))], seedEven)
+					tr.ObserveBatch(docs[lo:min(lo+batch, len(docs))], isSeed)
 				}
 				if got := tr.ActivePairs(); got != ref.ActivePairs() {
 					t.Errorf("ActivePairs = %d, reference %d", got, ref.ActivePairs())
@@ -84,7 +84,7 @@ func shardedSeries(tr *ShardedTracker, k Key) []float64 {
 // driven, and ObserveBatch ends a chunk wherever one could fire).
 func TestObserveBatchMatchesSerial(t *testing.T) {
 	docs := batchDocsFrom(randomStream(42, 3000, 60, 4))
-	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs)
+	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs, seedEven)
 }
 
 // TestObserveBatchMatchesSerialUnderEviction repeats the check with a pair
@@ -94,47 +94,14 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 // survive decides which topics can emerge.
 func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
 	docs := batchDocsFrom(randomStream(7, 4000, 120, 5))
-	checkBatchesMatchReference(t, Config{MaxPairs: 150, SweepEvery: 128}, docs)
+	checkBatchesMatchReference(t, Config{MaxPairs: 150, SweepEvery: 128}, docs, seedEven)
 }
 
-// TestDistTrackerObserveBatchCutInvariant pins the distribution-mode
-// equivalent: batches of one and batches of 64 must leave identical per-tag
-// co-tag distributions, since those distributions are the correlation
-// signal in distribution mode.
-func TestDistTrackerObserveBatchCutInvariant(t *testing.T) {
-	stream := randomStream(13, 1500, 40, 4)
-	docs := batchDocsFrom(stream)
-	cfg := Config{}
-	serial := NewDistTracker(cfg)
-	for _, d := range docs {
-		serial.observe(d.Time, d.Tags)
-	}
-	batched := NewDistTracker(cfg)
-	for lo := 0; lo < len(docs); lo += 64 {
-		hi := lo + 64
-		if hi > len(docs) {
-			hi = len(docs)
-		}
-		batched.ObserveBatch(docs[lo:hi])
-	}
-	// Compare through the public read: every tag's co-tag distribution at
-	// the final clock. Collect the tag universe from the stream itself.
-	tags := map[string]bool{}
-	for _, d := range docs {
-		for _, tag := range d.Tags {
-			tags[tag] = true
-		}
-	}
-	var names []string
-	for tag := range tags {
-		names = append(names, tag)
-	}
-	sort.Strings(names)
-	for _, tag := range names {
-		want := serial.Distribution(tag)
-		got := batched.Distribution(tag)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("distribution for %q diverges:\n got  %v\n want %v", tag, got, want)
-		}
-	}
+// TestObserveBatchMatchesSerialAllPairs repeats the check with no
+// candidate predicate, the configuration of distribution mode's co
+// tracker, whose counts are the co-tag distributions: batches of any size
+// must leave every tag's distribution as the serial reference's.
+func TestObserveBatchMatchesSerialAllPairs(t *testing.T) {
+	docs := batchDocsFrom(randomStream(13, 1500, 40, 4))
+	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs, nil)
 }

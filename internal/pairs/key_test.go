@@ -129,9 +129,10 @@ func TestDedupTagsLargeSet(t *testing.T) {
 	}
 }
 
-// SimilarityFrom (exclusion-threaded, no copies) must agree exactly with
-// the reference formulation: copy both distributions, delete the partner
-// keys, and run the bounded JS similarity.
+// The map-based reference refSimilarityFrom (exclusion-threaded, no copies)
+// must agree exactly with the plainer formulation: copy both
+// distributions, delete the partner keys, and run the bounded JS
+// similarity.
 func TestSimilarityFromMatchesCopyDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	vocab := []string{"a", "b", "c", "d", "e", "f"}
@@ -163,22 +164,23 @@ func TestSimilarityFromMatchesCopyDelete(t *testing.T) {
 		if len(da) == 0 && len(db) == 0 {
 			want = 0
 		} else {
-			want = 1 - jsd(da, db)
+			want = 1 - refJSDistance(da, db, "", "")
 		}
 
-		if got := SimilarityFrom(dists, a, b); got != want {
-			t.Fatalf("trial %d: SimilarityFrom(%s,%s) = %v, want %v", trial, a, b, got, want)
+		if got := refSimilarityFrom(dists, a, b); got != want {
+			t.Fatalf("trial %d: refSimilarityFrom(%s,%s) = %v, want %v", trial, a, b, got, want)
 		}
 	}
 }
 
-// SimilarityFrom must not mutate the shared snapshot.
+// refSimilarityFrom must not mutate the shared snapshot: the fuzz target
+// scores every pair of one snapshot against it.
 func TestSimilarityFromDoesNotMutateSnapshot(t *testing.T) {
 	dists := map[string]map[string]float64{
 		"a": {"b": 2, "x": 3},
 		"b": {"a": 1, "x": 3},
 	}
-	SimilarityFrom(dists, "a", "b")
+	refSimilarityFrom(dists, "a", "b")
 	if dists["a"]["b"] != 2 || dists["b"]["a"] != 1 || dists["a"]["x"] != 3 {
 		t.Errorf("snapshot mutated: %v", dists)
 	}

@@ -12,7 +12,6 @@ package pairs
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Measure identifies a correlation measure over windowed counts: nab
@@ -139,86 +138,4 @@ func (m Measure) Compute(nab, na, nb, n float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// jsDistance returns the Jensen–Shannon distance (square root of the JS
-// divergence, base-2) between two count maps, with key exp treated as
-// absent from p and key exq as absent from q: a symmetric, bounded [0, 1]
-// relative-entropy similarity. The exclusions are how DistTracker leaves
-// each pair member out of its partner's co-tag distribution without
-// copying either map per pair per tick — the inputs are shared snapshot
-// maps and are never mutated. The result is deterministic in the map
-// contents (summation runs in sorted key order).
-func jsDistance(p, q map[string]float64, exp, exq string) float64 {
-	support := unionSupportExcluding(p, q, exp, exq)
-	var pTotal, qTotal float64
-	for _, k := range support {
-		if v := exclVal(p, k, exp); v > 0 {
-			pTotal += v
-		}
-		if v := exclVal(q, k, exq); v > 0 {
-			qTotal += v
-		}
-	}
-	if pTotal == 0 || qTotal == 0 {
-		if pTotal == qTotal {
-			return 0
-		}
-		return 1
-	}
-	var js float64
-	for _, k := range support {
-		pk := exclVal(p, k, exp) / pTotal
-		qk := exclVal(q, k, exq) / qTotal
-		m := (pk + qk) / 2
-		if pk > 0 {
-			js += pk / 2 * math.Log2(pk/m)
-		}
-		if qk > 0 {
-			js += qk / 2 * math.Log2(qk/m)
-		}
-	}
-	if js < 0 {
-		js = 0
-	}
-	if js > 1 {
-		js = 1
-	}
-	return math.Sqrt(js)
-}
-
-// exclVal reads m[k], treating key ex as absent.
-func exclVal(m map[string]float64, k, ex string) float64 {
-	if k == ex {
-		return 0
-	}
-	return m[k]
-}
-
-// unionSupportExcluding returns the sorted union of the two maps' positive
-// keys, honouring the per-map exclusions. It needs no dedup map: a key
-// from q is skipped when p already contributed it. Sorting makes the
-// floating-point accumulation over it reproducible: Go map iteration order
-// is randomised per run, and summation order changes results in the last
-// ulps — enough to flip a zero prediction error into a positive one.
-func unionSupportExcluding(p, q map[string]float64, exp, exq string) []string {
-	support := make([]string, 0, len(p)+len(q))
-	//enblogue:unordered collect-then-sort: support is sorted before returning
-	for k, v := range p {
-		if v > 0 && k != exp {
-			support = append(support, k)
-		}
-	}
-	//enblogue:unordered collect-then-sort: support is sorted before returning
-	for k, v := range q {
-		if v <= 0 || k == exq {
-			continue
-		}
-		if pv, ok := p[k]; ok && pv > 0 && k != exp {
-			continue // already contributed by p
-		}
-		support = append(support, k)
-	}
-	sort.Strings(support)
-	return support
 }

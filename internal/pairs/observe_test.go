@@ -7,8 +7,3 @@ import "time"
 func (tr *ShardedTracker) observe(t time.Time, tags []string, isSeed func(string) bool) {
 	tr.ObserveBatch([]BatchDoc{{Time: t, Tags: tags}}, isSeed)
 }
-
-// observe is the DistTracker batch of one.
-func (dt *DistTracker) observe(t time.Time, tags []string) {
-	dt.ObserveBatch([]BatchDoc{{Time: t, Tags: tags}})
-}

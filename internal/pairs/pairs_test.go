@@ -168,9 +168,6 @@ func TestParseMeasure(t *testing.T) {
 	}
 }
 
-// jsd is the bounded Jensen–Shannon distance with no key excluded.
-func jsd(p, q map[string]float64) float64 { return jsDistance(p, q, "", "") }
-
 func TestJSDistance(t *testing.T) {
 	p := map[string]float64{"a": 5, "b": 5}
 	if d := jsd(p, p); d > 1e-9 {
@@ -355,44 +352,6 @@ func TestTrackerMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDistTracker(t *testing.T) {
-	dt := NewDistTracker(Config{Buckets: 24, Resolution: time.Hour})
-	// a and b share identical co-tag usage {x}; c co-occurs only with y.
-	for i := 0; i < 5; i++ {
-		ts := t0.Add(time.Duration(i) * time.Minute)
-		dt.observe(ts, []string{"a", "x"})
-		dt.observe(ts, []string{"b", "x"})
-		dt.observe(ts, []string{"c", "y"})
-	}
-	snap := dt.Snapshot()
-	simAB := SimilarityFrom(snap, "a", "b")
-	simAC := SimilarityFrom(snap, "a", "c")
-	if simAB <= simAC {
-		t.Errorf("Similarity(a,b)=%v not greater than Similarity(a,c)=%v", simAB, simAC)
-	}
-	if math.Abs(simAB-1) > 1e-9 {
-		t.Errorf("identical distributions similarity = %v, want 1", simAB)
-	}
-	d := dt.Distribution("a")
-	if d["x"] != 5 {
-		t.Errorf("Distribution(a) = %v", d)
-	}
-	if dt.Distribution("unknown") != nil {
-		t.Error("Distribution of unknown tag should be nil")
-	}
-}
-
-func TestDistTrackerSweep(t *testing.T) {
-	dt := NewDistTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 3})
-	dt.observe(t0, []string{"a", "b"})
-	for i := 0; i < 4; i++ {
-		dt.observe(t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"x", "y"})
-	}
-	if dt.Distribution("a") != nil && len(dt.Distribution("a")) > 0 {
-		t.Error("stale distribution not evicted")
 	}
 }
 

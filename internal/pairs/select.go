@@ -18,9 +18,10 @@ type rankedPair struct {
 }
 
 // compareRanked orders entries by (count, rendered key) ascending — the
-// order evictSmallest gives pairs. The prefix orders rendered keys
-// whenever it differs, so Key.Compare, which resolves both keys through
-// the interner and walks their bytes, runs only when the prefixes tie.
+// order the serial Tracker's full sort gives pairs. The prefix orders
+// rendered keys whenever it differs, so Key.Compare, which resolves both
+// keys through the interner and walks their bytes, runs only when the
+// prefixes tie.
 // Keys are distinct, so this is a strict total order.
 func compareRanked(a, b rankedPair) int {
 	switch {

@@ -196,7 +196,7 @@ func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 // tail when the tier is enabled. One slot-ordered walk per shard does the
 // advancing, the dropping and — when the tracker entered the sweep over
 // budget, so eviction is possible — the collecting; selectSmallest then
-// ranks only the victims, in the order evictSmallest would.
+// ranks only the victims, in the order the serial Tracker's sort would.
 //
 //enblogue:acquires tier
 func (tr *ShardedTracker) sweep() {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"enblogue/internal/window"
 )
@@ -86,84 +85,5 @@ func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
 	}
 	tr.nowNano = st.NowNano
 	tr.sinceGC = st.SinceGC
-	return nil
-}
-
-// DistCoState is one (tag, co-tag) counter's exported window.
-type DistCoState struct {
-	Co string
-	W  window.TimeBucketsState
-}
-
-// DistTagState is one tag's exported co-tag distribution.
-type DistTagState struct {
-	Tag string
-	Co  []DistCoState // sorted by Co
-}
-
-// DistState is the full serializable state of a DistTracker.
-type DistState struct {
-	Tags    []DistTagState // sorted by Tag
-	NowNano int64
-	NowSet  bool
-	SinceGC int64
-}
-
-// ExportState returns the distribution tracker's full state with tags and
-// co-tags sorted and every counter advanced to the tracker clock.
-func (dt *DistTracker) ExportState() DistState {
-	st := DistState{
-		NowNano: dt.now.UnixNano(),
-		NowSet:  !dt.now.IsZero(),
-		SinceGC: int64(dt.sinceGC),
-		Tags:    make([]DistTagState, 0, len(dt.byTag)),
-	}
-	if !st.NowSet {
-		st.NowNano = 0
-	}
-	//enblogue:unordered collects every tag for an explicit sort below; insertion order is immaterial
-	for tag, m := range dt.byTag {
-		ts := DistTagState{Tag: tag, Co: make([]DistCoState, 0, len(m))}
-		//enblogue:unordered collects every co-tag for an explicit sort below; see outer loop
-		for co, c := range m {
-			if st.NowSet {
-				c.Observe(dt.now) // canonicalise the head; expiry is lazy
-			}
-			ts.Co = append(ts.Co, DistCoState{Co: co, W: c.ExportState()})
-		}
-		sort.Slice(ts.Co, func(i, j int) bool { return ts.Co[i].Co < ts.Co[j].Co })
-		st.Tags = append(st.Tags, ts)
-	}
-	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
-	return st
-}
-
-// RestoreState loads st into an empty distribution tracker.
-func (dt *DistTracker) RestoreState(st DistState) error {
-	if len(dt.byTag) != 0 || dt.counters != 0 {
-		return errors.New("pairs: restore into a non-empty distribution tracker")
-	}
-	for _, ts := range st.Tags {
-		if _, dup := dt.byTag[ts.Tag]; dup {
-			return fmt.Errorf("pairs: duplicate tag %q in distribution restore state", ts.Tag)
-		}
-		m := make(map[string]*window.Counter, len(ts.Co))
-		for _, cs := range ts.Co {
-			if _, dup := m[cs.Co]; dup {
-				return fmt.Errorf("pairs: duplicate co-tag %q under %q in distribution restore state", cs.Co, ts.Tag)
-			}
-			c := window.NewCounter(dt.cfg.Buckets, dt.cfg.Resolution)
-			if err := c.RestoreState(cs.W); err != nil {
-				return err
-			}
-			m[cs.Co] = c
-			dt.counters++
-		}
-		dt.byTag[ts.Tag] = m
-	}
-	if st.NowSet {
-		dt.now = time.Unix(0, st.NowNano).UTC()
-	}
-	dt.sinceGC = int(st.SinceGC)
 	return nil
 }

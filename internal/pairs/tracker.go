@@ -62,8 +62,8 @@ const smallTagSet = 16
 // first-seen order; pair generation assumes a set. When the input is
 // already clean — the overwhelming case — the input slice itself is
 // returned, so callers must treat the result as transient and must not
-// mutate it. Shared by the serial, sharded, and distribution trackers so
-// candidate generation stays identical across them — the sharded engine's
+// mutate it. Shared by the serial and sharded trackers so candidate
+// generation stays identical across them — the sharded engine's
 // bit-identical-rankings guarantee depends on it.
 func dedupTags(tags []string) []string {
 	if len(tags) <= smallTagSet {
@@ -118,13 +118,6 @@ func dedupTags(tags []string) []string {
 // must stay identical across trackers — another leg of the
 // bit-identical-rankings guarantee.
 
-// counted pairs an evictable entry with its windowed count, for
-// deterministic smallest-first eviction.
-type counted[K any] struct {
-	key K
-	v   float64
-}
-
 // evictTarget is the post-eviction size for an over-budget tracker: 10%
 // below MaxPairs (never below 1). The hysteresis keeps a saturated tracker
 // from re-triggering an over-budget sweep — a walk of every tracked pair
@@ -137,33 +130,6 @@ func evictTarget(maxPairs int) int {
 	}
 	return t
 }
-
-// evictSmallest deletes the entries with the smallest counts (ties broken
-// by less on the keys, ascending) until at most keep remain, invoking drop
-// for each victim with its windowed count, smallest first. It is the plain
-// full sort the serial reference Tracker and DistTracker evict by;
-// ShardedTracker selects the same victims in the same order with its own
-// kernel (selectSmallest), and FuzzSweepMatchesSerial checks the two
-// against each other — the sharded engine's bit-identical-rankings
-// guarantee depends on their agreeing.
-func evictSmallest[K any](all []counted[K], keep int, less func(a, b K) bool, drop func(K, float64)) {
-	if len(all) <= keep {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v < all[j].v
-		}
-		return less(all[i].key, all[j].key)
-	})
-	for _, e := range all[:len(all)-keep] {
-		drop(e.key, e.v)
-	}
-}
-
-// keyLess is the eviction tie-break for pair keys: the rendered-string
-// order, computed without rendering (Key.Less).
-func keyLess(a, b Key) bool { return a.Less(b) }
 
 // Tracker maintains windowed co-occurrence counts for candidate tag pairs.
 // Candidates are generated per document: every unordered pair of distinct
@@ -260,19 +226,33 @@ func (tr *Tracker) maybeSweep() {
 	if len(tr.slots) <= tr.cfg.MaxPairs {
 		return
 	}
-	// Still over budget: evict the smallest co-occurrence counts.
-	all := make([]counted[Key], 0, len(tr.slots))
-	//enblogue:unordered collects every pair; evictSmallest ranks by (count, key), a strict total order independent of input order
-	for k, slot := range tr.slots {
-		all = append(all, counted[Key]{k, tr.arena.Value(slot)})
+	// Still over budget: evict the smallest co-occurrence counts, ties
+	// broken by Key.Less — the plain full sort ShardedTracker's selection
+	// kernel (selectSmallest) must reproduce victim for victim, which
+	// FuzzSweepMatchesSerial checks; the sharded engine's
+	// bit-identical-rankings guarantee depends on their agreeing.
+	type counted struct {
+		key Key
+		v   float64
 	}
-	evictSmallest(all, evictTarget(tr.cfg.MaxPairs), keyLess, func(k Key, count float64) {
-		tr.arena.Release(tr.slots[k])
-		delete(tr.slots, k)
-		if tr.onEvict != nil {
-			tr.onEvict(k, count)
+	all := make([]counted, 0, len(tr.slots))
+	//enblogue:unordered collects every pair; the sort ranks by (count, key), a strict total order independent of input order
+	for k, slot := range tr.slots {
+		all = append(all, counted{k, tr.arena.Value(slot)})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].v != all[j].v {
+			return all[i].v < all[j].v
 		}
+		return all[i].key.Less(all[j].key)
 	})
+	for _, e := range all[:len(all)-evictTarget(tr.cfg.MaxPairs)] {
+		tr.arena.Release(tr.slots[e.key])
+		delete(tr.slots, e.key)
+		if tr.onEvict != nil {
+			tr.onEvict(e.key, e.v)
+		}
+	}
 }
 
 // SetOnEvict installs the eviction observer; see the field doc. Must be
@@ -312,177 +292,4 @@ func (tr *Tracker) Keys() []Key {
 		out = append(out, k)
 	}
 	return out
-}
-
-// DistTracker maintains, per tag, the windowed distribution of tags that
-// co-occur with it — the "documents represented by their entire tag sets"
-// variant. Correlation between two tags is then a relative-entropy
-// similarity of their co-tag usage distributions.
-//
-// Memory is bounded: the total number of (tag, co-tag) counters is capped at
-// MaxPairs; when a sweep finds the tracker over budget, the counters with
-// the smallest windowed counts are evicted first — the same policy the
-// plain Tracker applies to pairs. Not safe for concurrent use: like
-// ShardedTracker it is single-owner, and the engine calls it under its own
-// lock.
-type DistTracker struct {
-	cfg      Config
-	byTag    map[string]map[string]*window.Counter
-	counters int // total (tag, co-tag) counters across byTag
-	now      time.Time
-	sinceGC  int
-}
-
-// NewDistTracker returns a distribution tracker with the given window.
-func NewDistTracker(cfg Config) *DistTracker {
-	c := cfg.withDefaults()
-	return &DistTracker{cfg: c, byTag: make(map[string]map[string]*window.Counter)}
-}
-
-// ObserveBatch records the co-tag distribution contributions of a run of
-// documents, in order. The sweep trigger is checked after every document,
-// so the result does not depend on how a stream is cut into batches.
-func (dt *DistTracker) ObserveBatch(docs []BatchDoc) {
-	for _, d := range docs {
-		if d.Time.After(dt.now) {
-			dt.now = d.Time
-		}
-		uniq := dedupTags(d.Tags)
-		for _, a := range uniq {
-			for _, b := range uniq {
-				if a == b {
-					continue
-				}
-				m, ok := dt.byTag[a]
-				if !ok {
-					m = make(map[string]*window.Counter)
-					dt.byTag[a] = m
-				}
-				c, ok := m[b]
-				if !ok {
-					c = window.NewCounter(dt.cfg.Buckets, dt.cfg.Resolution)
-					m[b] = c
-					dt.counters++
-				}
-				c.Inc(d.Time)
-			}
-		}
-		dt.sinceGC++
-		if dt.sinceGC >= dt.cfg.SweepEvery || dt.counters > dt.cfg.MaxPairs {
-			dt.sweep()
-		}
-	}
-}
-
-// distKey addresses one (tag, co-tag) counter for eviction.
-type distKey struct{ tag, co string }
-
-// distKeyLess orders (tag, co) pairs lexicographically — the eviction
-// tie-break for distribution counters.
-func distKeyLess(a, b distKey) bool {
-	if a.tag != b.tag {
-		return a.tag < b.tag
-	}
-	return a.co < b.co
-}
-
-// sweep drops emptied counters and, if still over the MaxPairs budget,
-// evicts the smallest-count (tag, co-tag) entries first, ties broken by
-// (tag, co) order for determinism.
-func (dt *DistTracker) sweep() {
-	dt.sinceGC = 0
-	//enblogue:unordered per-key advance-and-delete of emptied counters; each counter is touched independently, deletions commute
-	for tag, m := range dt.byTag {
-		//enblogue:unordered per-key advance-and-delete; see outer loop
-		for co, c := range m {
-			c.Observe(dt.now)
-			if c.Value() == 0 {
-				delete(m, co)
-				dt.counters--
-			}
-		}
-		if len(m) == 0 {
-			delete(dt.byTag, tag)
-		}
-	}
-	if dt.counters <= dt.cfg.MaxPairs {
-		return
-	}
-	all := make([]counted[distKey], 0, dt.counters)
-	//enblogue:unordered collects every counter; evictSmallest ranks by (count, key), a strict total order independent of input order
-	for tag, m := range dt.byTag {
-		//enblogue:unordered collect for deterministic global ranking; see outer loop
-		for co, c := range m {
-			all = append(all, counted[distKey]{distKey{tag, co}, c.Value()})
-		}
-	}
-	evictSmallest(all, evictTarget(dt.cfg.MaxPairs), distKeyLess, func(k distKey, _ float64) {
-		delete(dt.byTag[k.tag], k.co)
-		if len(dt.byTag[k.tag]) == 0 {
-			delete(dt.byTag, k.tag)
-		}
-		dt.counters--
-	})
-}
-
-// Distribution returns tag's windowed co-tag counts as a map. The map is
-// freshly allocated.
-func (dt *DistTracker) Distribution(tag string) map[string]float64 {
-	m, ok := dt.byTag[tag]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	//enblogue:unordered map-to-map copy; inserting into the result map is commutative, and consumers iterate it over sorted support
-	for co, c := range m {
-		c.Observe(dt.now)
-		if v := c.Value(); v > 0 {
-			out[co] = v
-		}
-	}
-	return out
-}
-
-// lenExcluding returns len(m) not counting key ex.
-func lenExcluding(m map[string]float64, ex string) int {
-	n := len(m)
-	if _, ok := m[ex]; ok {
-		n--
-	}
-	return n
-}
-
-// Snapshot returns every tag's windowed co-tag distribution, advanced to
-// the tracker clock. Parallel evaluation workers take one snapshot per tick
-// and compute similarities from it via SimilarityFrom, never touching the
-// tracker (whose reads advance counters in place).
-func (dt *DistTracker) Snapshot() map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(dt.byTag))
-	//enblogue:unordered map-to-map copy keyed by tag; per-tag distributions are independent, insertion order is immaterial
-	for tag := range dt.byTag {
-		out[tag] = dt.Distribution(tag)
-	}
-	return out
-}
-
-// SimilarityFrom returns 1 − JS distance between the co-tag distributions
-// of tags a and b in a Snapshot: 1 for identical usage, 0 for disjoint.
-// This is the bounded relative-entropy correlation the paper sketches for
-// distribution-valued documents. The pair members themselves are excluded
-// from both distributions: the comparison asks whether a and b keep the
-// same *company*, and each is trivially its partner's company. Neither
-// snapshot map is copied or mutated (snapshots are shared across
-// evaluation workers).
-//
-// Two effectively empty distributions mean no usage evidence at all — e.g.
-// both tags' co-tag counters were evicted under memory pressure — and
-// score 0, not the 1.0 that "identical (empty) usage" would naively yield:
-// a spurious perfect correlation would register as a large prediction
-// error and fabricate an emergent topic.
-func SimilarityFrom(dists map[string]map[string]float64, a, b string) float64 {
-	da, db := dists[a], dists[b]
-	if lenExcluding(da, b) == 0 && lenExcluding(db, a) == 0 {
-		return 0
-	}
-	return 1 - jsDistance(da, db, b, a)
 }

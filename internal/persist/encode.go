@@ -30,7 +30,7 @@ import (
 // (see TestSnapshotGoldenBytes for the procedure).
 const (
 	snapMagic     = "ENBSNAP1"
-	FormatVersion = 1
+	FormatVersion = 2
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -147,21 +147,6 @@ func appendFingerprint(b []byte, fp fingerprint) []byte {
 	return b
 }
 
-func appendTimeBuckets(b []byte, s window.TimeBucketsState) []byte {
-	b = appendU32(b, uint32(len(s.Buckets)))
-	for _, v := range s.Buckets {
-		b = appendF64(b, v)
-	}
-	for _, v := range s.Counts {
-		b = appendI64(b, v)
-	}
-	b = appendI64(b, s.Head)
-	b = appendBool(b, s.HeadSet)
-	b = appendF64(b, s.Total)
-	b = appendI64(b, s.N)
-	return b
-}
-
 // appendSlot encodes a slot column sparsely: bucket count, then only the
 // non-zero (position, value) entries — pair and tag windows are mostly
 // zeros.
@@ -214,6 +199,11 @@ func tagTableOf(st *core.EngineState) ([]string, map[string]uint32) {
 	for _, p := range st.Pairs.Pairs {
 		add(p.Key)
 	}
+	if st.Co != nil {
+		for _, p := range st.Co.Pairs {
+			add(p.Key)
+		}
+	}
 	for _, p := range st.Det.Pairs {
 		add(p.Key)
 	}
@@ -235,6 +225,19 @@ func appendKey(b []byte, k pairs.Key, idx map[string]uint32) []byte {
 	t1, t2 := k.Tags()
 	b = appendU32(b, idx[t1])
 	return appendU32(b, idx[t2])
+}
+
+// appendPairs encodes a pair tracker's state: clock, sweep counter, then
+// every pair's key and window column in the export's canonical order.
+func appendPairs(b []byte, st *pairs.ShardedTrackerState, idx map[string]uint32) []byte {
+	b = appendI64(b, st.NowNano)
+	b = appendI64(b, st.SinceGC)
+	b = appendU32(b, uint32(len(st.Pairs)))
+	for _, p := range st.Pairs {
+		b = appendKey(b, p.Key, idx)
+		b = appendSlot(b, p.Window)
+	}
+	return b
 }
 
 // encodeSnapshot serializes st (an engine's canonical state export) under
@@ -262,7 +265,7 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	b = appendBool(b, st.LastTickSet)
 
 	// Tag statistics.
-	b = appendTimeBuckets(b, st.Tags.Docs)
+	b = appendSlot(b, st.Tags.Docs)
 	b = appendI64(b, st.Tags.NowNano)
 	b = appendBool(b, st.Tags.NowSet)
 	b = appendI64(b, st.Tags.SinceGC)
@@ -273,13 +276,7 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	}
 
 	// Pair windows.
-	b = appendI64(b, st.Pairs.NowNano)
-	b = appendI64(b, st.Pairs.SinceGC)
-	b = appendU32(b, uint32(len(st.Pairs.Pairs)))
-	for _, p := range st.Pairs.Pairs {
-		b = appendKey(b, p.Key, idx)
-		b = appendSlot(b, p.Window)
-	}
+	b = appendPairs(b, &st.Pairs, idx)
 
 	// Detector.
 	b = appendI64(b, st.Det.CurTickNano)
@@ -294,21 +291,10 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 		b = appendPredict(b, p.Pred)
 	}
 
-	// Co-tag distributions (DistributionMode only).
-	b = appendBool(b, st.Dist != nil)
-	if st.Dist != nil {
-		b = appendI64(b, st.Dist.NowNano)
-		b = appendBool(b, st.Dist.NowSet)
-		b = appendI64(b, st.Dist.SinceGC)
-		b = appendU32(b, uint32(len(st.Dist.Tags)))
-		for _, ts := range st.Dist.Tags {
-			b = appendStr(b, ts.Tag)
-			b = appendU32(b, uint32(len(ts.Co)))
-			for _, cs := range ts.Co {
-				b = appendStr(b, cs.Co)
-				b = appendTimeBuckets(b, cs.W)
-			}
-		}
+	// Co-occurrence pairs (DistributionMode only).
+	b = appendBool(b, st.Co != nil)
+	if st.Co != nil {
+		b = appendPairs(b, st.Co, idx)
 	}
 
 	// Seeds.
@@ -462,33 +448,6 @@ func (r *reader) fingerprint() fingerprint {
 	return fp
 }
 
-// timeBuckets decodes a dense window; nbuckets must match the fingerprint's
-// window geometry.
-func (r *reader) timeBuckets(nbuckets int) window.TimeBucketsState {
-	n := r.count(8)
-	if r.err == nil && n != nbuckets {
-		r.fail("window with %d buckets, config says %d", n, nbuckets)
-	}
-	if r.err != nil {
-		return window.TimeBucketsState{}
-	}
-	s := window.TimeBucketsState{
-		Buckets: make([]float64, n),
-		Counts:  make([]int64, n),
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = r.f64()
-	}
-	for i := range s.Counts {
-		s.Counts[i] = r.i64()
-	}
-	s.Head = r.i64()
-	s.HeadSet = r.boolean()
-	s.Total = r.f64()
-	s.N = r.i64()
-	return s
-}
-
 func (r *reader) slot(nbuckets int) window.SlotState {
 	n := int(r.u32())
 	if r.err == nil && n != nbuckets {
@@ -555,6 +514,32 @@ func (r *reader) key(ntags int) decKey {
 	return k
 }
 
+// decPairs is a pair tracker's state in table-index form.
+type decPairs struct {
+	nowNano int64
+	sinceGC int64
+	keys    []decKey
+	windows []window.SlotState
+}
+
+// pairs decodes what appendPairs encodes.
+func (r *reader) pairs(ntags, nbuckets int) decPairs {
+	var p decPairs
+	p.nowNano = r.i64()
+	p.sinceGC = r.i64()
+	n := r.count(8 + 25)
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.key(ntags)
+		w := r.slot(nbuckets)
+		if r.err != nil {
+			break
+		}
+		p.keys = append(p.keys, k)
+		p.windows = append(p.windows, w)
+	}
+	return p
+}
+
 // decodedSnap is a fully validated snapshot, still in table-index form: no
 // interning and no engine mutation has happened. materialize resolves it
 // into a core.EngineState against a live intern table.
@@ -571,10 +556,8 @@ type decodedSnap struct {
 
 	tags tagstats.TrackerState
 
-	pairsNowNano int64
-	pairsSinceGC int64
-	pairKeys     []decKey
-	pairWindows  []window.SlotState
+	pairs decPairs
+	co    *decPairs // present iff the snapshot is from DistributionMode
 
 	detCurTickNano int64
 	detTickCount   int64
@@ -582,8 +565,6 @@ type decodedSnap struct {
 	detDecay       []window.DecayState
 	detSeen        []int64
 	detPred        []predict.State
-
-	dist *pairs.DistState
 
 	seeds []string
 
@@ -648,7 +629,7 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 	d.lastTickNano = r.i64()
 	d.lastTickSet = r.boolean()
 
-	d.tags.Docs = r.timeBuckets(nb)
+	d.tags.Docs = r.slot(nb)
 	d.tags.NowNano = r.i64()
 	d.tags.NowSet = r.boolean()
 	d.tags.SinceGC = r.i64()
@@ -672,18 +653,7 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 		d.tags.Tags = append(d.tags.Tags, ts)
 	}
 
-	d.pairsNowNano = r.i64()
-	d.pairsSinceGC = r.i64()
-	np := r.count(8 + 25)
-	for i := 0; i < np && r.err == nil; i++ {
-		k := r.key(len(d.table))
-		w := r.slot(nb)
-		if r.err != nil {
-			break
-		}
-		d.pairKeys = append(d.pairKeys, k)
-		d.pairWindows = append(d.pairWindows, w)
-	}
+	d.pairs = r.pairs(len(d.table), nb)
 
 	d.detCurTickNano = r.i64()
 	d.detTickCount = r.i64()
@@ -703,42 +673,8 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 	}
 
 	if r.boolean() {
-		dist := &pairs.DistState{}
-		dist.NowNano = r.i64()
-		dist.NowSet = r.boolean()
-		dist.SinceGC = r.i64()
-		ndt := r.count(8)
-		for i := 0; i < ndt && r.err == nil; i++ {
-			var ts pairs.DistTagState
-			ts.Tag = r.str()
-			if r.err == nil && ts.Tag == "" {
-				r.fail("empty tag in distribution state")
-				break
-			}
-			nco := r.count(4)
-			for j := 0; j < nco && r.err == nil; j++ {
-				var cs pairs.DistCoState
-				cs.Co = r.str()
-				cs.W = r.timeBuckets(nb)
-				if r.err != nil {
-					break
-				}
-				if cs.Co == "" || (j > 0 && ts.Co[j-1].Co >= cs.Co) {
-					r.fail("distribution co-tags not sorted/unique under %q", ts.Tag)
-					break
-				}
-				ts.Co = append(ts.Co, cs)
-			}
-			if r.err != nil {
-				break
-			}
-			if i > 0 && dist.Tags[i-1].Tag >= ts.Tag {
-				r.fail("distribution tags not sorted/unique at %d", i)
-				break
-			}
-			dist.Tags = append(dist.Tags, ts)
-		}
-		d.dist = dist
+		co := r.pairs(len(d.table), nb)
+		d.co = &co
 	}
 
 	ns := r.count(4)

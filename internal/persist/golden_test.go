@@ -13,11 +13,11 @@ import (
 )
 
 // goldenHash is the committed SHA-256 of the canonical snapshot encoding of
-// goldenState under FormatVersion 1. It pins the on-disk format: if this
+// goldenState under FormatVersion 2. It pins the on-disk format: if this
 // test fails, snapshots written by older builds can no longer be read back
 // byte-compatibly. That is sometimes the right call — but it must be a
 // call, not an accident. See the failure message for the procedure.
-const goldenHash = "a734b45638210238a72901520fa5021cd44ce0557d93434e170ac3be225e48cc"
+const goldenHash = "6fe8f27f6d0f77dca93d3a5ca5bc7fd6fab36603c06a6c8844d44b90a8f21062"
 
 // goldenItems is a fixed workload crafted inline (no generator dependency)
 // that exercises tags, entities, pairs, and seed warmup while staying
@@ -58,7 +58,7 @@ func goldenState(shards int) ([]byte, core.Config) {
 
 // TestGoldenSnapshotBytes pins three layers of byte stability: the same
 // state encodes identically across runs, across shard counts, and to the
-// exact bytes every build of FormatVersion 1 has produced.
+// exact bytes every build of FormatVersion 2 has produced.
 func TestGoldenSnapshotBytes(t *testing.T) {
 	run1, _ := goldenState(1)
 	run2, _ := goldenState(1)

@@ -537,6 +537,19 @@ func blankAfter(lines [][]byte, i int) bool {
 	return true
 }
 
+// state resolves p's keys through keyOf into a pair tracker state.
+func (p *decPairs) state(keyOf func(decKey) pairs.Key) pairs.ShardedTrackerState {
+	st := pairs.ShardedTrackerState{
+		NowNano: p.nowNano,
+		SinceGC: p.sinceGC,
+		Pairs:   make([]pairs.PairState, len(p.keys)),
+	}
+	for i, k := range p.keys {
+		st.Pairs[i] = pairs.PairState{Key: keyOf(k), Window: p.windows[i]}
+	}
+	return st
+}
+
 // materialize resolves a validated decoded snapshot into a live
 // core.EngineState, interning the tag table and rebuilding packed pair
 // keys. Intern IDs assigned here generally differ from the exporting
@@ -553,16 +566,12 @@ func (d *decodedSnap) materialize() core.EngineState {
 		LastTickNano: d.lastTickNano,
 		LastTickSet:  d.lastTickSet,
 		Tags:         d.tags,
-		Dist:         d.dist,
+		Pairs:        d.pairs.state(keyOf),
 		Seeds:        d.seeds,
 	}
-	st.Pairs = pairs.ShardedTrackerState{
-		NowNano: d.pairsNowNano,
-		SinceGC: d.pairsSinceGC,
-		Pairs:   make([]pairs.PairState, len(d.pairKeys)),
-	}
-	for i, k := range d.pairKeys {
-		st.Pairs.Pairs[i] = pairs.PairState{Key: keyOf(k), Window: d.pairWindows[i]}
+	if d.co != nil {
+		co := d.co.state(keyOf)
+		st.Co = &co
 	}
 	st.Det = shift.DetectorState{
 		CurTickNano: d.detCurTickNano,

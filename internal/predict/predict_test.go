@@ -60,6 +60,29 @@ func TestEWMAPredictor(t *testing.T) {
 	}
 }
 
+// Property: the EWMA forecast always lies between the min and max of the
+// observations folded in so far.
+func TestEWMAPredictorBounded(t *testing.T) {
+	f := func(xs []float64, alphaRaw uint8) bool {
+		p := NewEWMA((float64(alphaRaw%99) + 1) / 100)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return true
+			}
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+			p.Observe(x)
+			if v, _ := p.Predict(); v < lo-1e-9 || v > hi+1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHoltTracksLinearTrend(t *testing.T) {
 	p := NewHolt(0.5, 0.3)
 	if _, ok := p.Predict(); ok {

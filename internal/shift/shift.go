@@ -251,7 +251,7 @@ func (d *Detector) EvaluateInto(t time.Time, k pairs.Key, hint int32, nab, na, n
 // EvaluateCorrelation scores pair k against a correlation computed by the
 // caller — the hook for the paper's alternative correlation notions, such
 // as relative-entropy similarity over whole tag-set distributions
-// (pairs.DistTracker). nab is still the windowed co-occurrence count, used
+// (pairs.CoIndex). nab is still the windowed co-occurrence count, used
 // for the significance floor. Semantics otherwise match Evaluate.
 //
 //enblogue:reference the distribution-mode counterpart of Evaluate, kept for a reference-engine oracle
@@ -411,7 +411,7 @@ func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64)
 		if keep != nil && keep[st.key] {
 			continue
 		}
-		if st.decay.At(t) < minScore {
+		if st.decay.AtCachedNano(t.UnixNano(), nil) < minScore {
 			d.release(int32(i))
 		}
 	}
@@ -428,8 +428,8 @@ func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64)
 // frozen while stale, so the first keep decision caches a conservative
 // deadline (Decay.KeepUntilNano) and later sweeps compare an integer
 // instead of recomputing the exponential; the actual expiry decision is
-// always made by the real At check once the deadline has passed, so the
-// kept/dropped outcome per tick is identical to checking At every time.
+// always made by the real decayed read once the deadline has passed, so the
+// kept/dropped outcome per tick is identical to reading it every time.
 func (d *Detector) SweepStale(t time.Time, minScore float64) {
 	tn := t.UnixNano()
 	for i := range d.states {
@@ -440,7 +440,7 @@ func (d *Detector) SweepStale(t time.Time, minScore float64) {
 		if st.keepUntilNano != 0 && tn < st.keepUntilNano {
 			continue // provably still at or above minScore
 		}
-		if st.decay.At(t) < minScore {
+		if st.decay.AtCachedNano(tn, nil) < minScore {
 			d.release(int32(i))
 		} else {
 			st.keepUntilNano = st.decay.KeepUntilNano(minScore)

@@ -28,7 +28,7 @@ func score(d *Detector, t time.Time, k pairs.Key) float64 {
 	if !ok {
 		return 0
 	}
-	return d.states[i].decay.At(t)
+	return d.states[i].decay.AtCachedNano(t.UnixNano(), nil)
 }
 
 func TestDefaults(t *testing.T) {

@@ -24,8 +24,8 @@ type TagState struct {
 
 // TrackerState is the full serializable state of a Tracker.
 type TrackerState struct {
-	Tags    []TagState // sorted by Tag
-	Docs    window.TimeBucketsState
+	Tags    []TagState       // sorted by Tag
+	Docs    window.SlotState // the windowed document total
 	NowNano int64
 	NowSet  bool
 	SinceGC int64
@@ -45,9 +45,9 @@ func (tr *Tracker) ExportState() TrackerState {
 	} else {
 		// Advance to the shared clock so exported heads agree across slots —
 		// expiry is lazy, so this changes only the representation.
-		tr.docs.Observe(tr.now)
+		tr.docs.ValueAt(docSlot, tr.now)
 	}
-	st.Docs = tr.docs.ExportState()
+	st.Docs = tr.docs.ExportSlot(docSlot)
 	var abs int64
 	if st.NowSet {
 		abs = tr.arena.BucketIndex(tr.now)
@@ -71,7 +71,7 @@ func (tr *Tracker) RestoreState(st TrackerState) error {
 	if len(tr.slots) != 0 || tr.sinceGC != 0 || !tr.now.IsZero() {
 		return errors.New("tagstats: restore into a non-empty tracker")
 	}
-	if err := tr.docs.RestoreState(st.Docs); err != nil {
+	if err := tr.docs.RestoreSlot(docSlot, st.Docs); err != nil {
 		return err
 	}
 	for _, ts := range st.Tags {

@@ -100,7 +100,8 @@ type Tracker struct {
 	revIDs  []uint32
 	resolve func(tag string) (uint32, bool)
 	arena   *window.CounterArena
-	docs    *window.Counter
+	// docs holds the windowed document total in its one slot, docSlot.
+	docs    *window.CounterArena
 	sinceGC int
 	now     time.Time
 }
@@ -119,13 +120,18 @@ func (tr *Tracker) SetTagIDResolver(fn func(tag string) (uint32, bool)) {
 // NewTracker returns a tracker with the given configuration.
 func NewTracker(cfg Config) *Tracker {
 	c := cfg.withDefaults()
+	docs := window.NewCounterArena(c.Buckets, c.Resolution)
+	docs.Alloc() // docSlot
 	return &Tracker{
 		cfg:   c,
 		slots: make(map[string]int32),
 		arena: window.NewCounterArena(c.Buckets, c.Resolution),
-		docs:  window.NewCounter(c.Buckets, c.Resolution),
+		docs:  docs,
 	}
 }
+
+// docSlot is the document total's slot in Tracker.docs.
+const docSlot = 0
 
 // smallTagSet bounds the document sizes deduplicated by quadratic scan
 // instead of a per-document map — nearly every real document qualifies, so
@@ -140,9 +146,10 @@ func (tr *Tracker) Observe(t time.Time, tags []string) {
 	if t.After(tr.now) {
 		tr.now = t
 	}
-	tr.docs.Inc(t)
-	// One timestamp-to-bucket conversion per document, shared by every tag.
+	// One timestamp-to-bucket conversion per document, shared by the
+	// document total and every tag.
 	abs := tr.arena.BucketIndex(t)
+	tr.docs.IncAbs(docSlot, abs)
 	if len(tags) <= smallTagSet {
 	small:
 		for i, tag := range tags {
@@ -207,8 +214,7 @@ func (tr *Tracker) sweep() {
 
 // DocCount returns the number of documents inside the window.
 func (tr *Tracker) DocCount() float64 {
-	tr.docs.Observe(tr.now)
-	return tr.docs.Value()
+	return tr.docs.ValueAt(docSlot, tr.now)
 }
 
 func coefficientOfVariation(series []float64) float64 {

@@ -10,7 +10,7 @@ import (
 // the state of every counter lives in a handful of shared backing slices
 // (one bucket slab plus per-slot headers) instead of one heap object per
 // counter. A tracker shard that follows a hundred thousand pairs holds one
-// CounterArena, not a hundred thousand *Counter allocations — better cache
+// CounterArena, not a hundred thousand counter allocations — better cache
 // locality on the tick-time scan over all slots, and near-zero GC scanning
 // (the slabs contain no pointers).
 //
@@ -21,12 +21,13 @@ import (
 // clock), so the expiry scan reads one dense row sequentially instead of
 // striding across per-slot sub-slabs one cache line per slot.
 //
-// Each slot reproduces Counter/TimeBuckets semantics exactly for unit
-// increments: Inc credits the bucket containing t, buckets older than the
-// span are lazily zeroed as time advances, increments older than the window
-// are dropped. Because every increment adds exactly 1.0, the running total
-// stays exact (float64 is exact for integers up to 2^53) and no separate
-// event count is needed.
+// Each slot is one sliding-window event counter: Inc credits the bucket
+// containing t, buckets older than the span are lazily zeroed as time
+// advances, increments older than the window are dropped. Out-of-order
+// increments that still land inside the window count in their own bucket.
+// Because every increment adds exactly 1.0, the running total stays exact
+// (float64 is exact for integers up to 2^53) and no separate event count
+// is needed.
 //
 // Slots are fixed-size, so freed slots are recycled through a free list.
 // Not safe for concurrent use; callers shard and lock around it.
@@ -117,7 +118,7 @@ func (a *CounterArena) bucketIndex(t time.Time) int64 {
 func (a *CounterArena) BucketIndex(t time.Time) int64 { return a.bucketIndex(t) }
 
 // advance moves slot's window head to cover abs, zeroing buckets that fall
-// out of the window — the arena transcription of TimeBuckets.advance.
+// out of the window; an abs at or behind the head changes nothing.
 func (a *CounterArena) advance(slot int32, abs int64) {
 	head := a.heads[slot]
 	if head == headUnset {

@@ -11,8 +11,9 @@ var arT0 = time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 // live returns the number of allocated, unreleased slots.
 func live(a *CounterArena) int { return len(a.heads) - len(a.free) }
 
-// The arena must reproduce Counter semantics exactly under an arbitrary
-// interleaving of increments, advances, and out-of-order timestamps.
+// The arena must reproduce the naive per-event counter exactly under an
+// arbitrary interleaving of increments, reads, out-of-order timestamps and
+// full-window jumps, slot by slot.
 func TestCounterArenaMatchesCounter(t *testing.T) {
 	const nbuckets = 12
 	res := time.Hour
@@ -20,10 +21,10 @@ func TestCounterArenaMatchesCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
 	const slots = 8
-	refs := make([]*Counter, slots)
+	refs := make([]*naiveCounter, slots)
 	ids := make([]int32, slots)
 	for i := range refs {
-		refs[i] = NewCounter(nbuckets, res)
+		refs[i] = &naiveCounter{n: nbuckets, res: res}
 		ids[i] = a.Alloc()
 	}
 	now := arT0
@@ -38,27 +39,21 @@ func TestCounterArenaMatchesCounter(t *testing.T) {
 		default:
 			now = now.Add(time.Duration(rng.Intn(90)) * time.Minute)
 		}
-		refs[i].Inc(now)
+		refs[i].inc(now)
 		a.Inc(ids[i], now)
 		if step%37 == 0 {
 			j := rng.Intn(slots)
-			refs[j].Observe(now)
-			if got, want := a.ValueAt(ids[j], now), refs[j].Value(); got != want {
+			if got, want := a.ValueAt(ids[j], now), refs[j].valueAt(now); got != want {
 				t.Fatalf("step %d slot %d: Value = %v, want %v", step, j, got, want)
 			}
 		}
 	}
 	for i := range refs {
-		refs[i].Observe(now)
-		if got, want := a.ValueAt(ids[i], now), refs[i].Value(); got != want {
+		if got, want := a.ValueAt(ids[i], now), refs[i].valueAt(now); got != want {
 			t.Fatalf("slot %d: final Value = %v, want %v", i, got, want)
 		}
-		ref := refs[i].tb.Series()
-		got := a.Series(ids[i])
-		for b := range ref {
-			if got[b] != ref[b] {
-				t.Fatalf("slot %d: Series = %v, want %v", i, got, ref)
-			}
+		if got, want := a.Series(ids[i]), refs[i].series(); !equalSeries(got, want) {
+			t.Fatalf("slot %d: Series = %v, want %v", i, got, want)
 		}
 	}
 }

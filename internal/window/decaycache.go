@@ -37,10 +37,13 @@ func (c *DecayCache) factorFor(hl, dt time.Duration) float64 {
 	return f
 }
 
-// AtCachedNano is AtNano with the exponential served from cache; see
-// DecayCache. A nil cache degrades to AtNano. The time is unix nanoseconds:
-// the evaluation tick converts once and shares the integer across every
-// pair.
+// AtCachedNano returns the decayed value as of unix-nano time nano without
+// modifying state, the exponential served from cache (see DecayCache; a
+// nil cache computes it directly). Times before the last update return the
+// stored value undecayed (the decay never "rewinds"). A zero stored value
+// short-circuits: pairs that never erred skip the exponential entirely.
+// The evaluation tick converts its time once and shares the integer
+// across every pair.
 func (d *Decay) AtCachedNano(nano int64, c *DecayCache) float64 {
 	if !d.set || d.value == 0 {
 		return 0
@@ -68,16 +71,16 @@ func (d *Decay) UpdateCachedNano(nano int64, v float64, c *DecayCache) float64 {
 }
 
 // KeepUntilNano returns a conservative unix-nano deadline strictly before
-// which At is guaranteed to stay at or above minScore, or 0 when no such
+// which AtCachedNano is guaranteed to stay at or above minScore, or 0 when no such
 // guarantee can be given (unset value, value already at or below minScore,
 // or non-positive minScore). The exact crossing is at dt* = halfLife ·
 // log2(value/minScore) past the last update; returning 99% of dt* leaves a
 // relative margin that dwarfs the rounding error of the log/exp round-trip,
-// so a caller that skips the real At check while now < deadline can never
+// so a caller that skips the real read while now < deadline can never
 // skip past an actual crossing. Sweeps use this to avoid recomputing an
 // exponential per stale entry per tick: one log2 buys a long run of
 // deadline comparisons, and the final expire decision is still made by the
-// real At check once the deadline passes.
+// real read once the deadline passes.
 func (d *Decay) KeepUntilNano(minScore float64) int64 {
 	if !d.set || minScore <= 0 || d.value <= minScore {
 		return 0

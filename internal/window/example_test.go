@@ -25,15 +25,16 @@ func ExampleDecay() {
 	// later, fresh 0.5 beats decayed: 0.50
 }
 
-func ExampleCounter() {
-	c := window.NewCounter(24, time.Hour) // 24-hour sliding window
+func ExampleCounterArena() {
+	a := window.NewCounterArena(24, time.Hour) // 24-hour sliding windows
+	tag := a.Alloc()                           // one counter slot
 	t0 := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
-		c.Inc(t0.Add(time.Duration(i) * time.Hour))
+		a.Inc(tag, t0.Add(time.Duration(i)*time.Hour))
 	}
-	fmt.Println("events in window:", c.Value())
-	c.Observe(t0.Add(48 * time.Hour)) // two days later: all expired
-	fmt.Println("after sliding away:", c.Value())
+	fmt.Println("events in window:", a.Value(tag))
+	// Two days later every event has slid out.
+	fmt.Println("after sliding away:", a.ValueAt(tag, t0.Add(48*time.Hour)))
 	// Output:
 	// events in window: 10
 	// after sliding away: 0

@@ -5,80 +5,11 @@ import "fmt"
 // This file is the window package's durability surface: full-fidelity
 // export/restore of every stateful primitive, used by internal/persist to
 // build versioned engine snapshots. Exports are canonical — bucket series
-// are emitted oldest-first, independent of the circular buffer's physical
-// layout — so two windows holding the same logical state serialize to the
-// same bytes regardless of how they arrived there. Restores are exact
-// inverses: a restored window is bit-identical in every observable value
-// (and in every stored float, so incremental-rounding history round-trips).
-
-// TimeBucketsState is the full serializable state of a TimeBuckets window.
-// Buckets and Counts are oldest-first (index len-1 is the head bucket).
-type TimeBucketsState struct {
-	Buckets []float64
-	Counts  []int64
-	Head    int64
-	HeadSet bool
-	Total   float64
-	N       int64
-}
-
-// ExportState returns the window's state with the bucket series rotated to
-// oldest-first order. The slices are freshly allocated.
-func (w *TimeBuckets) ExportState() TimeBucketsState {
-	s := TimeBucketsState{
-		Buckets: make([]float64, len(w.buckets)),
-		Counts:  make([]int64, len(w.buckets)),
-		Head:    w.head,
-		HeadSet: w.headSet,
-		Total:   w.total,
-		N:       w.n,
-	}
-	if !w.headSet {
-		return s
-	}
-	n := int64(len(w.buckets))
-	for i := int64(0); i < n; i++ {
-		slot := int(mod(w.head-(n-1)+i, n))
-		s.Buckets[i] = w.buckets[slot]
-		s.Counts[i] = w.counts[slot]
-	}
-	return s
-}
-
-// RestoreState overwrites the window with s. The window must have been
-// constructed with the same bucket count as the exporter; a length mismatch
-// is an error and leaves the window unchanged.
-func (w *TimeBuckets) RestoreState(s TimeBucketsState) error {
-	if len(s.Buckets) != len(w.buckets) || len(s.Counts) != len(w.buckets) {
-		return fmt.Errorf("window: restore with %d/%d buckets into a %d-bucket window",
-			len(s.Buckets), len(s.Counts), len(w.buckets))
-	}
-	for i := range w.buckets {
-		w.buckets[i] = 0
-		w.counts[i] = 0
-	}
-	w.headSet = s.HeadSet
-	w.total = s.Total
-	w.n = s.N
-	if !s.HeadSet {
-		w.head = 0
-		return nil
-	}
-	w.head = s.Head
-	n := int64(len(w.buckets))
-	for i := int64(0); i < n; i++ {
-		slot := int(mod(s.Head-(n-1)+i, n))
-		w.buckets[slot] = s.Buckets[i]
-		w.counts[slot] = s.Counts[i]
-	}
-	return nil
-}
-
-// ExportState returns the counter's underlying window state.
-func (c *Counter) ExportState() TimeBucketsState { return c.tb.ExportState() }
-
-// RestoreState overwrites the counter's underlying window state.
-func (c *Counter) RestoreState(s TimeBucketsState) error { return c.tb.RestoreState(s) }
+// are emitted oldest-first, independent of the slab's physical layout — so
+// two windows holding the same logical state serialize to the same bytes
+// regardless of how they arrived there. Restores are exact inverses: a
+// restored window is bit-identical in every observable value (and in every
+// stored float, so incremental-rounding history round-trips).
 
 // DecayState is the dynamic state of a Decay value; the half-life itself is
 // configuration and travels separately (the restorer is constructed with it).

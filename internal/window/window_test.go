@@ -10,85 +10,151 @@ import (
 
 var t0 = time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 
-func TestTimeBucketsBasic(t *testing.T) {
-	w := NewTimeBuckets(4, time.Minute)
-	w.Add(t0, 1)
-	w.Add(t0.Add(30*time.Second), 2) // same bucket
-	w.Add(t0.Add(time.Minute), 3)
-	if got := w.Sum(); got != 6 {
-		t.Errorf("Sum = %v, want 6", got)
+// naiveCounter is the per-event model of one sliding-window counter that
+// the arena tests check CounterArena slots against: it keeps every
+// accepted event's absolute bucket and recounts on every read. The head is
+// the newest bucket any increment or read has reached; an increment older
+// than the window behind the head is dropped, a late one inside it counts.
+type naiveCounter struct {
+	n       int64
+	res     time.Duration
+	head    int64
+	headSet bool
+	events  []int64
+}
+
+func (c *naiveCounter) advance(abs int64) {
+	if !c.headSet || abs > c.head {
+		c.head, c.headSet = abs, true
 	}
-	if got := w.n; got != 3 {
-		t.Errorf("n = %v, want 3", got)
+}
+
+func (c *naiveCounter) inc(t time.Time) {
+	abs := t.UnixNano() / int64(c.res)
+	c.advance(abs)
+	if abs > c.head-c.n {
+		c.events = append(c.events, abs)
+	}
+}
+
+func (c *naiveCounter) valueAt(t time.Time) float64 {
+	c.advance(t.UnixNano() / int64(c.res))
+	var v float64
+	for _, e := range c.events {
+		if e > c.head-c.n {
+			v++
+		}
+	}
+	return v
+}
+
+// series returns the per-bucket counts oldest-first, all zero before the
+// first increment or read.
+func (c *naiveCounter) series() []float64 {
+	out := make([]float64, c.n)
+	if !c.headSet {
+		return out
+	}
+	for _, e := range c.events {
+		if i := e - (c.head - c.n + 1); i >= 0 && i < c.n {
+			out[i]++
+		}
+	}
+	return out
+}
+
+// The tests named for time buckets pin the bucketed sliding-window
+// semantics every arena slot implements.
+
+func TestTimeBucketsBasic(t *testing.T) {
+	a := NewCounterArena(4, time.Minute)
+	s := a.Alloc()
+	a.Inc(s, t0)
+	a.Inc(s, t0.Add(30*time.Second)) // same bucket
+	a.Inc(s, t0.Add(time.Minute))
+	if got := a.ValueAt(s, t0.Add(time.Minute)); got != 3 {
+		t.Errorf("Value = %v, want 3", got)
 	}
 }
 
 func TestTimeBucketsExpiry(t *testing.T) {
-	w := NewTimeBuckets(3, time.Minute)
-	w.Add(t0, 10)
-	w.Add(t0.Add(1*time.Minute), 20)
-	w.Add(t0.Add(2*time.Minute), 30)
-	if got := w.Sum(); got != 60 {
-		t.Fatalf("Sum = %v, want 60", got)
+	a := NewCounterArena(3, time.Minute)
+	s := a.Alloc()
+	for m, n := range []int{1, 2, 3} {
+		for i := 0; i < n; i++ {
+			a.Inc(s, t0.Add(time.Duration(m)*time.Minute))
+		}
+	}
+	if got := a.Value(s); got != 6 {
+		t.Fatalf("Value = %v, want 6", got)
 	}
 	// Advancing one bucket expires the t0 bucket.
-	w.Observe(t0.Add(3 * time.Minute))
-	if got := w.Sum(); got != 50 {
-		t.Errorf("after 1 step: Sum = %v, want 50", got)
+	if got := a.ValueAt(s, t0.Add(3*time.Minute)); got != 5 {
+		t.Errorf("after 1 step: Value = %v, want 5", got)
 	}
 	// Jumping far beyond the span clears everything.
-	w.Observe(t0.Add(100 * time.Minute))
-	if got := w.Sum(); got != 0 {
-		t.Errorf("after long gap: Sum = %v, want 0", got)
+	if got := a.ValueAt(s, t0.Add(100*time.Minute)); got != 0 {
+		t.Errorf("after long gap: Value = %v, want 0", got)
 	}
-	if got := w.n; got != 0 {
-		t.Errorf("after long gap: n = %v, want 0", got)
+	if got := a.Series(s); got[0]+got[1]+got[2] != 0 {
+		t.Errorf("after long gap: Series = %v, want all zero", got)
 	}
 }
 
 func TestTimeBucketsOutOfOrder(t *testing.T) {
-	w := NewTimeBuckets(5, time.Minute)
-	w.Add(t0.Add(4*time.Minute), 1)
+	a := NewCounterArena(5, time.Minute)
+	s := a.Alloc()
+	a.Inc(s, t0.Add(4*time.Minute))
 	// In-window late arrival: counted.
-	w.Add(t0.Add(2*time.Minute), 1)
-	if got := w.Sum(); got != 2 {
-		t.Errorf("late in-window: Sum = %v, want 2", got)
+	a.Inc(s, t0.Add(2*time.Minute))
+	if got := a.Value(s); got != 2 {
+		t.Errorf("late in-window: Value = %v, want 2", got)
 	}
 	// Arrival older than the window: dropped.
-	w.Add(t0.Add(-10*time.Minute), 5)
-	if got := w.Sum(); got != 2 {
-		t.Errorf("too-old arrival: Sum = %v, want 2", got)
+	a.Inc(s, t0.Add(-10*time.Minute))
+	if got := a.Value(s); got != 2 {
+		t.Errorf("too-old arrival: Value = %v, want 2", got)
 	}
 }
 
 func TestTimeBucketsSeries(t *testing.T) {
-	w := NewTimeBuckets(3, time.Minute)
-	w.Add(t0, 1)
-	w.Add(t0.Add(time.Minute), 2)
-	w.Add(t0.Add(2*time.Minute), 3)
-	got := w.Series()
+	a := NewCounterArena(3, time.Minute)
+	s := a.Alloc()
+	for m, n := range []int{1, 2, 3} {
+		for i := 0; i < n; i++ {
+			a.Inc(s, t0.Add(time.Duration(m)*time.Minute))
+		}
+	}
 	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Series = %v, want %v", got, want)
-		}
+	if got := a.Series(s); !equalSeries(got, want) {
+		t.Fatalf("Series = %v, want %v", got, want)
 	}
-	w.Add(t0.Add(3*time.Minute), 4)
-	got = w.Series()
+	for i := 0; i < 4; i++ {
+		a.Inc(s, t0.Add(3*time.Minute))
+	}
 	want = []float64{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Series after slide = %v, want %v", got, want)
+	if got := a.Series(s); !equalSeries(got, want) {
+		t.Fatalf("Series after slide = %v, want %v", got, want)
+	}
+}
+
+func equalSeries(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
+	return true
 }
 
 func TestTimeBucketsPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero buckets":   func() { NewTimeBuckets(0, time.Second) },
-		"neg resolution": func() { NewTimeBuckets(1, -time.Second) },
+		"zero buckets":   func() { NewCounterArena(0, time.Second) },
+		"neg resolution": func() { NewCounterArena(1, -time.Second) },
 		"zero half-life": func() { MakeDecay(0) },
-		"bad alpha":      func() { NewEWMA(1.5) },
 	} {
 		func() {
 			defer func() {
@@ -101,37 +167,22 @@ func TestTimeBucketsPanics(t *testing.T) {
 	}
 }
 
-// Property: for monotone timestamp sequences, the windowed sum equals a
-// naive recount of the values whose bucket lies within the last n buckets.
+// Property: for monotone timestamp sequences, a slot's windowed count
+// equals a naive recount of the events whose bucket lies within the last n
+// buckets.
 func TestTimeBucketsMatchesNaive(t *testing.T) {
 	f := func(seed int64, nEvents uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 8
-		res := time.Second
-		w := NewTimeBuckets(n, res)
-		type ev struct {
-			abs int64
-			v   float64
-		}
-		var evs []ev
+		a := NewCounterArena(8, time.Second)
+		s := a.Alloc()
+		ref := &naiveCounter{n: 8, res: time.Second}
 		cur := t0
 		for i := 0; i < int(nEvents); i++ {
 			cur = cur.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
-			v := float64(rng.Intn(10))
-			w.Add(cur, v)
-			evs = append(evs, ev{cur.UnixNano() / int64(res), v})
+			a.Inc(s, cur)
+			ref.inc(cur)
 		}
-		if len(evs) == 0 {
-			return w.Sum() == 0
-		}
-		head := evs[len(evs)-1].abs
-		var want float64
-		for _, e := range evs {
-			if e.abs > head-int64(n) {
-				want += e.v
-			}
-		}
-		return math.Abs(w.Sum()-want) < 1e-6
+		return a.ValueAt(s, cur) == ref.valueAt(cur)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -139,18 +190,18 @@ func TestTimeBucketsMatchesNaive(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter(10, time.Second)
+	a := NewCounterArena(10, time.Second)
+	s := a.Alloc()
 	for i := 0; i < 5; i++ {
-		c.Inc(t0.Add(time.Duration(i) * time.Second))
+		a.Inc(s, t0.Add(time.Duration(i)*time.Second))
 	}
-	if got := c.Value(); got != 5 {
+	if got := a.Value(s); got != 5 {
 		t.Errorf("Value = %v, want 5", got)
 	}
-	c.Observe(t0.Add(30 * time.Second))
-	if got := c.Value(); got != 0 {
+	if got := a.ValueAt(s, t0.Add(30*time.Second)); got != 0 {
 		t.Errorf("Value after expiry = %v, want 0", got)
 	}
-	if got := len(c.tb.Series()); got != 10 {
+	if got := len(a.Series(s)); got != 10 {
 		t.Errorf("Series length = %d, want 10", got)
 	}
 }
@@ -158,17 +209,17 @@ func TestCounter(t *testing.T) {
 func TestDecayHalving(t *testing.T) {
 	d := MakeDecay(2 * 24 * time.Hour) // the paper's ~2-day half-life
 	d.UpdateCachedNano(t0.UnixNano(), 8, nil)
-	if got := d.At(t0); got != 8 {
-		t.Errorf("At(t0) = %v, want 8", got)
+	if got := d.AtCachedNano(t0.UnixNano(), nil); got != 8 {
+		t.Errorf("value at t0 = %v, want 8", got)
 	}
-	if got := d.At(t0.Add(2 * 24 * time.Hour)); math.Abs(got-4) > 1e-9 {
+	if got := d.AtCachedNano(t0.Add(2*24*time.Hour).UnixNano(), nil); math.Abs(got-4) > 1e-9 {
 		t.Errorf("after one half-life = %v, want 4", got)
 	}
-	if got := d.At(t0.Add(4 * 24 * time.Hour)); math.Abs(got-2) > 1e-9 {
+	if got := d.AtCachedNano(t0.Add(4*24*time.Hour).UnixNano(), nil); math.Abs(got-2) > 1e-9 {
 		t.Errorf("after two half-lives = %v, want 2", got)
 	}
 	// Decay never rewinds for earlier timestamps.
-	if got := d.At(t0.Add(-time.Hour)); got != 8 {
+	if got := d.AtCachedNano(t0.Add(-time.Hour).UnixNano(), nil); got != 8 {
 		t.Errorf("before set = %v, want 8", got)
 	}
 }
@@ -204,63 +255,8 @@ func TestDecayUpdateIsMaxOfDecayedHistory(t *testing.T) {
 
 func TestDecayZeroBeforeSet(t *testing.T) {
 	d := MakeDecay(time.Hour)
-	if got := d.At(t0); got != 0 {
-		t.Errorf("At before any update = %v, want 0", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Error("Initialized before Add")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first Add = %v, want 10 (seeds with first value)", got)
-	}
-	if got := e.Add(0); got != 5 {
-		t.Errorf("second Add = %v, want 5", got)
-	}
-	if got := e.Value(); got != 5 {
-		t.Errorf("Value = %v, want 5", got)
-	}
-}
-
-// Property: EWMA output always lies between the min and max of observations.
-func TestEWMABounded(t *testing.T) {
-	f := func(xs []float64, alphaRaw uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		alpha := (float64(alphaRaw%99) + 1) / 100
-		e := NewEWMA(alpha)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-			v := e.Add(x)
-			if v < lo-1e-9 || v > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkTimeBucketsAdd(b *testing.B) {
-	w := NewTimeBuckets(3600, time.Second)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Add(t0.Add(time.Duration(i)*time.Millisecond), 1)
+	if got := d.AtCachedNano(t0.UnixNano(), nil); got != 0 {
+		t.Errorf("value before any update = %v, want 0", got)
 	}
 }
 

@@ -123,6 +123,8 @@ func WithMeasure(m Measure) Option {
 // WithDistributionMode switches correlation from set overlap to the
 // paper's information-theoretic alternative: pair correlation becomes the
 // Jensen–Shannon similarity of the two tags' co-tag usage distributions.
+// The distributions come from a second pair tracker that counts every
+// pair, seed or not, bounded by the same WithMaxPairs budget as the first.
 // Overrides WithMeasure.
 func WithDistributionMode() Option {
 	return func(c *core.Config) { c.DistributionMode = true }
