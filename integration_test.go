@@ -100,21 +100,13 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Errorf("engine consumed %d items, want %d", n, len(loaded))
 	}
 
-	// The Follow feed publishes asynchronously from the broker dispatcher;
-	// wait until the server has broadcast the stream's final tick before
-	// asserting on history and served state.
-	waitDeadline := time.Now().Add(5 * time.Second)
-	for {
-		var v server.RankingView
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/rankings", nil))
-		if err := json.Unmarshal(rec.Body.Bytes(), &v); err == nil && v.At.Equal(final.At) {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatal("server never published the final tick")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The runner flushed the engine at end of stream, and Flush returns
+	// only after the Follow feed has published the final tick.
+	var served server.RankingView
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/rankings", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil || !served.At.Equal(final.At) {
+		t.Fatalf("server serves the tick at %v after Flush, want the final %v (err %v)", served.At, final.At, err)
 	}
 
 	// 5. History answers range queries: the event pair tops the range

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sync"
@@ -37,17 +38,20 @@ import (
 // not the number of subscribers that see them.
 //
 // Delivery runs on a dedicated dispatcher goroutine, never under the
-// engine's tick/bookkeeping lock, and is non-blocking toward subscribers:
-// every subscription has a bounded channel with drop-oldest semantics for
-// slow consumers, and drops are counted per subscription. A slow subscriber
-// therefore always observes the newest notifications and can never stall
-// the engine, the dispatcher, or its sibling subscribers.
+// engine's tick/bookkeeping lock, and is non-blocking toward channel
+// subscribers: every subscription has a bounded channel with drop-oldest
+// semantics for slow consumers, and drops are counted per subscription. A
+// slow subscriber therefore always observes the newest notifications and
+// can never stall the engine, the dispatcher, or its sibling subscribers.
+// A sink subscription (SubSink) is the one exception: the dispatcher calls
+// it synchronously, so it never drops, and broker.wait covers its work.
 
 // subConfig holds per-subscription settings assembled from SubOptions. It
 // lives only for the duration of Subscribe: the subscription keeps just
 // what dispatch reads.
 type subConfig struct {
 	buffer        int
+	sink          func(*Notification)
 	topK          int
 	profile       *persona.Profile
 	anyTags       []string
@@ -64,6 +68,19 @@ type SubOption func(*subConfig)
 // dropped to make room for the newest.
 func SubBuffer(n int) SubOption {
 	return func(c *subConfig) { c.buffer = n }
+}
+
+// SubSink delivers the subscription's notifications by calling fn on the
+// dispatcher goroutine instead of sending them on its channel. The sinks
+// of one tick run after its channel sends, outside every broker lock, in
+// subscription order, and a tick counts as dispatched — for Engine.Flush
+// and Hub.Flush — only once they have returned. A sink subscription has no
+// buffer, never drops, and its channel only closes. fn must not call the
+// engine's Flush, Close or PublishRanking, which wait for the dispatcher;
+// a slow fn delays every later tick's delivery. fn may still run once
+// after Close returns, for a tick that was already being delivered.
+func SubSink(fn func(*Notification)) SubOption {
+	return func(c *subConfig) { c.sink = fn }
 }
 
 // SubTopK trims every delivered view to its best k topics. Zero (the
@@ -131,7 +148,10 @@ type Subscription struct {
 	profile *persona.Profile // nil unless a non-empty persona is attached
 	m       *matcher         // nil for full (unpredicated) subscriptions
 	ch      chan *Notification
-	done    chan struct{} // nil unless a context watcher needs it
+	sink    func(*Notification) // nil unless SubSink; then ch is never sent on
+	// stop detaches the context.AfterFunc that closes a context-bound
+	// subscription; nil otherwise. Written under the broker lock.
+	stop    func() bool
 	once    sync.Once
 	dropped atomic.Int64
 
@@ -160,31 +180,17 @@ func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 // safe to call concurrently with delivery.
 func (s *Subscription) Close() {
 	s.once.Do(func() {
-		if s.done != nil {
-			close(s.done)
-		}
 		s.broker.remove(s)
+		s.stopWatch()
 	})
 }
 
-// personaTopics renders topics re-ranked through persona.Rerank (so broker
-// views and registry views can never diverge), preserving the full
-// shift.Topic diagnostics. The returned slice is freshly allocated.
-func personaTopics(topics []shift.Topic, p *persona.Profile) []shift.Topic {
-	ptopics := make([]persona.Topic, len(topics))
-	byPair := make(map[pairs.Key]shift.Topic, len(topics))
-	for i, t := range topics {
-		ptopics[i] = persona.Topic{Pair: t.Pair, Score: t.Score}
-		byPair[t.Pair] = t
+// stopWatch detaches the context callback, if any. Callers reach it after
+// taking the broker lock, which orders it after subscribe's write of stop.
+func (s *Subscription) stopWatch() {
+	if s.stop != nil {
+		s.stop()
 	}
-	reranked := persona.Rerank(ptopics, p)
-	out := make([]shift.Topic, len(reranked))
-	for i, pt := range reranked {
-		t := byPair[pt.Pair]
-		t.Score = pt.Score
-		out[i] = t
-	}
-	return out
 }
 
 // deliverySlot pairs a subscription with the notification built for it
@@ -228,6 +234,7 @@ type broker struct {
 	candBuf     []*Subscription
 	fullBuf     []*Subscription
 	slotBuf     []deliverySlot
+	sinkBuf     []deliverySlot
 	// Per-candidate scratch: the tick's position index, the evaluated set,
 	// the view's and its entrants' rank positions, the left pairs, and a
 	// persona view's materialised topics.
@@ -265,8 +272,8 @@ func newBroker() *broker {
 // subscribe registers a new subscription, compiling its predicate options
 // (if any) into a matcher and indexing it. A nil context is treated as
 // context.Background(); otherwise cancelling the context closes the
-// subscription. Subscribing to a closed broker returns an already-closed
-// subscription.
+// subscription through context.AfterFunc. Subscribing to a closed broker
+// returns an already-closed subscription.
 func (b *broker) subscribe(ctx context.Context, opts ...SubOption) *Subscription {
 	cfg := subConfig{buffer: 16}
 	for _, o := range opts {
@@ -274,7 +281,10 @@ func (b *broker) subscribe(ctx context.Context, opts ...SubOption) *Subscription
 			o(&cfg)
 		}
 	}
-	if cfg.buffer < 1 {
+	switch {
+	case cfg.sink != nil:
+		cfg.buffer = 0
+	case cfg.buffer < 1:
 		cfg.buffer = 1
 	}
 	s := &Subscription{
@@ -282,24 +292,16 @@ func (b *broker) subscribe(ctx context.Context, opts ...SubOption) *Subscription
 		topK:   cfg.topK,
 		m:      compileMatcher(&cfg),
 		ch:     make(chan *Notification, cfg.buffer),
+		sink:   cfg.sink,
 	}
 	if p := cfg.profile; p != nil && !p.Empty() {
 		s.profile = p
 	}
-	watched := ctx != nil && ctx.Done() != nil
-	if watched {
-		s.done = make(chan struct{})
-	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.nextID++
 	s.id = b.nextID
 	if b.closed {
-		b.mu.Unlock()
-		s.once.Do(func() {
-			if s.done != nil {
-				close(s.done)
-			}
-		})
 		close(s.ch)
 		return s
 	}
@@ -308,15 +310,10 @@ func (b *broker) subscribe(ctx context.Context, opts ...SubOption) *Subscription
 	// Index while still holding mu so a dispatch between map insert and
 	// index registration cannot observe a half-registered subscription.
 	b.idx.add(s)
-	b.mu.Unlock()
-	if watched {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Close()
-			case <-s.done:
-			}
-		}()
+	if ctx != nil && ctx.Done() != nil {
+		// Under mu: a Close fired by an already-done ctx waits for mu in
+		// remove, so it reads stop only after this write.
+		s.stop = context.AfterFunc(ctx, s.Close)
 	}
 	return s
 }
@@ -466,10 +463,11 @@ func topicsContain(topics []shift.Topic, k pairs.Key) bool {
 // only the touched predicated subscriptions from the index, build
 // notifications outside every lock, then send non-blocking with
 // drop-oldest under b.mu (channel close in remove/close is safe exactly
-// because sends happen under b.mu). The position index is built only when
-// there is a predicated candidate to evaluate against it. A tick that
-// moves no subscribed tag and has no full subscribers completes without
-// allocating.
+// because sends happen under b.mu), and finally call the sinks, in
+// subscription order, with no broker lock held. The position index is
+// built only when there is a predicated candidate to evaluate against it.
+// A tick that moves no subscribed tag and has no full subscribers
+// completes without allocating.
 func (b *broker) deliver(r Ranking) {
 	b.seq++
 	changed := b.diffRanking(r.Topics)
@@ -503,6 +501,7 @@ func (b *broker) deliver(r Ranking) {
 	}
 	b.matchedLast.Store(int64(len(slots)))
 
+	sinks := b.sinkBuf[:0]
 	b.mu.Lock()
 	for i := range slots {
 		s := slots[i].s
@@ -510,6 +509,10 @@ func (b *broker) deliver(r Ranking) {
 			continue // closed while the notifications were being built
 		}
 		n := slots[i].n
+		if s.sink != nil {
+			sinks = append(sinks, slots[i])
+			continue
+		}
 		select {
 		case s.ch <- n:
 			continue
@@ -533,9 +536,16 @@ func (b *broker) deliver(r Ranking) {
 	}
 	b.mu.Unlock()
 
+	slices.SortFunc(sinks, func(x, y deliverySlot) int { return cmp.Compare(x.s.id, y.s.id) })
+	for _, d := range sinks {
+		d.s.sink(d.n)
+	}
+
 	b.prevView = appendMarks(b.prevView[:0], r.Topics)
 	clear(slots)
 	b.slotBuf = slots
+	clear(sinks)
+	b.sinkBuf = sinks
 }
 
 // fullNotification builds an unpredicated subscription's notification:
@@ -546,7 +556,7 @@ func (s *Subscription) fullNotification(r *Ranking, entered, left []pairs.Key) *
 	topics := r.Topics
 	owned := false
 	if s.profile != nil {
-		topics = personaTopics(topics, s.profile)
+		topics = persona.RerankTopics(topics, s.profile)
 		owned = true
 	}
 	if k := s.topK; k > 0 && len(topics) > k {
@@ -639,7 +649,7 @@ func (b *broker) personaView(s *Subscription, topics []shift.Topic, at []int32) 
 		view = append(view, topics[i])
 	}
 	b.viewBuf = view
-	owned := personaTopics(view, s.profile)
+	owned := persona.RerankTopics(view, s.profile)
 	if k := s.topK; k > 0 && len(owned) > k {
 		owned = owned[:k]
 	}
@@ -704,8 +714,8 @@ func (c *payloadCache) reset() {
 }
 
 // wait blocks until every ranking published before the call has been fully
-// dispatched (subscriptions fed). It must not be called from the
-// dispatcher goroutine itself — the dispatcher cannot drain itself.
+// dispatched: channels fed and sinks returned. It must not be called from
+// the dispatcher goroutine itself — the dispatcher cannot drain itself.
 func (b *broker) wait() {
 	b.qmu.Lock()
 	target := b.pubSeq
@@ -743,10 +753,6 @@ func (b *broker) close() {
 	// running it under the lock could deadlock. remove itself is safe — the
 	// map entry is already gone, so the channel is never closed twice.
 	for _, s := range detached {
-		s.once.Do(func() {
-			if s.done != nil {
-				close(s.done)
-			}
-		})
+		s.once.Do(s.stopWatch)
 	}
 }

@@ -66,6 +66,56 @@ func TestBrokerBroadcastMatchesCurrentRanking(t *testing.T) {
 	}
 }
 
+// Sinks run on the dispatcher: when Flush returns, every sink has seen
+// every tick up to the final one, in tick order and with no drop, the
+// sinks of one tick in subscription order; Close closes a sink's channel.
+func TestBrokerSinksRunBeforeFlushReturns(t *testing.T) {
+	e := New(testConfig())
+	ref := e.Subscribe(context.Background(), SubBuffer(1024))
+	var order []int
+	var got []time.Time
+	sinks := make([]*Subscription, 3)
+	for i := range sinks {
+		sinks[i] = e.Subscribe(context.Background(), SubSink(func(n *Notification) {
+			order = append(order, i)
+			if i == 0 {
+				got = append(got, n.At())
+			}
+		}))
+	}
+	feedDocs(e, brokerStream())
+	// No lock: Flush is the happens-before edge, and -race checks it.
+	if len(got) == 0 || !got[len(got)-1].Equal(e.CurrentRanking().At) {
+		t.Fatalf("sink saw %d ticks, the last at %v; want the final tick %v", len(got), got, e.CurrentRanking().At)
+	}
+	for j, i := range order {
+		if i != j%len(sinks) {
+			t.Fatalf("sink call %d went to sink %d, want %d: %v", j, i, j%len(sinks), order)
+		}
+	}
+	e.Close()
+	var want []time.Time
+	for n := range ref.Notifications() {
+		want = append(want, n.At())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sink saw %d ticks, a channel subscriber %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("sink tick %d at %v, channel subscriber's at %v", i, got[i], want[i])
+		}
+	}
+	for _, s := range sinks {
+		if s.Dropped() != 0 {
+			t.Errorf("sink dropped %d", s.Dropped())
+		}
+		if _, ok := <-s.Notifications(); ok {
+			t.Error("sink channel delivered a notification")
+		}
+	}
+}
+
 // Many subscribers — some with personas — consume concurrently while
 // multiple producers ingest. Run under -race; assertions are sanity, the
 // race detector is the real test.
@@ -184,8 +234,8 @@ func TestBrokerContextCancellation(t *testing.T) {
 	}
 	feedDocs(e, background(t0, 3, 25))
 	cancel()
-	// The channel closes once the cancellation goroutine runs; draining it
-	// must terminate rather than block forever.
+	// context.AfterFunc closes the subscription on a goroutine of its own,
+	// so this is a failure bound: draining must end, not block forever.
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -336,7 +386,7 @@ func TestBrokerCloseIdempotentAndLateSubscribe(t *testing.T) {
 		if ok {
 			t.Fatal("late subscription received a ranking from a closed broker")
 		}
-	case <-time.After(time.Second):
+	default: // Subscribe on a closed broker returns the channel closed
 		t.Fatal("late subscription channel not closed")
 	}
 	sub.Close() // closing an already-detached subscription must be safe

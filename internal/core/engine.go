@@ -438,8 +438,7 @@ func (e *Engine) RankingsDropped() int64 { return e.broker.droppedTotal.Load() }
 // entirely — the ranking is NOT recorded as engine state (CurrentRanking
 // is unaffected) — and exists for benchmarks and replay tooling that need
 // to drive the subscription-dispatch path with synthetic ticks. Must not
-// be called from a subscription consumer (the dispatcher cannot drain
-// itself).
+// be called from a SubSink (the dispatcher cannot drain itself).
 func (e *Engine) PublishRanking(r Ranking) {
 	e.broker.publish(r)
 	e.broker.wait()
@@ -452,8 +451,7 @@ func (e *Engine) PublishRanking(r Ranking) {
 // itself remains usable for Consume/Tick/CurrentRanking, but no further
 // rankings are delivered to subscribers. Call Flush first if the final
 // partial tick should still be delivered. Idempotent; must not be called
-// from inside a subscription consumer that the dispatcher is feeding
-// synchronously.
+// from a SubSink, which the dispatcher calls synchronously.
 func (e *Engine) Close() {
 	if q := e.ingest.Load(); q != nil {
 		q.Close()
@@ -669,9 +667,10 @@ func (e *Engine) IngestDropped() int64 {
 // evaluation at (or after) that time already ran, in which case
 // re-evaluating would only feed every pair's predictor a duplicate
 // observation. Flush then blocks until every ranking published so far has
-// been fully delivered (subscription channels fed), establishing a
-// happens-before edge: state visible to the dispatcher before Flush is
-// safely readable after Flush returns.
+// been fully delivered: subscription channels fed and every SubSink
+// returned. That is a happens-before edge: whatever a sink did with a tick
+// (a server's published view, history and SSE frames) is visible once
+// Flush returns.
 //
 //enblogue:acquires engine
 func (e *Engine) Flush() {

@@ -219,7 +219,7 @@ func hammerConsumeAndTick(t *testing.T, e *Engine) {
 
 	done := make(chan struct{})
 	go func() {
-		time.Sleep(2 * time.Second)
+		time.Sleep(2 * time.Second) // the hammer's run length, not a wait for a condition
 		close(done)
 	}()
 	<-done

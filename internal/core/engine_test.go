@@ -23,25 +23,17 @@ func feedDocs(e *Engine, docs []source.Document) {
 	e.Flush()
 }
 
-// recordRankings subscribes to e with a buffer far beyond any test
-// workload's tick count and drains on a goroutine. The returned stop
-// function flushes the engine, detaches the subscription, joins the
-// drainer, and hands back every delivered ranking in tick order.
+// recordRankings logs every ranking e delivers, through a sink on its
+// dispatcher. The returned stop function flushes the engine, detaches the
+// sink, and hands back every delivered ranking in tick order.
 func recordRankings(e *Engine) func() []Ranking {
-	sub := e.Subscribe(context.Background(), SubBuffer(1<<16))
 	var got []Ranking
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rn := range sub.Notifications() {
-			r := rn.Ranking()
-			got = append(got, r)
-		}
-	}()
+	sub := e.Subscribe(context.Background(), SubSink(func(n *Notification) {
+		got = append(got, n.Ranking())
+	}))
 	return func() []Ranking {
 		e.Flush()
 		sub.Close()
-		<-done
 		return got
 	}
 }

@@ -189,7 +189,7 @@ func (h *Hub) snapshot() []*Engine {
 
 // Flush flushes every open tenant: each runs a final evaluation tick at its
 // own last observed event time and blocks until its published rankings are
-// delivered.
+// delivered, sinks included (see Engine.Flush).
 func (h *Hub) Flush() {
 	for _, e := range h.snapshot() {
 		e.Flush()

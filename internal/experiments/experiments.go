@@ -58,21 +58,19 @@ type tickLog struct {
 }
 
 // runEngine feeds docs through a fresh engine with cfg and returns the tick
-// log, collected through a broker subscription.
+// log, collected by a sink on the engine's dispatcher: it sees every tick,
+// and Flush returns only after the sink has logged the last one.
 func runEngine(cfg core.Config, docs []source.Document) *tickLog {
 	log := &tickLog{}
 	e := core.New(cfg)
-	// Sized beyond any experiment's tick count so no tick is dropped.
-	sub := e.Subscribe(context.Background(), core.SubBuffer(1<<14))
+	defer e.Close()
+	e.Subscribe(context.Background(), core.SubSink(func(n *core.Notification) {
+		log.rankings = append(log.rankings, n.Ranking())
+	}))
 	for i := range docs {
 		e.Consume(docs[i].Item())
 	}
 	e.Flush()
-	e.Close()
-	for rn := range sub.Notifications() {
-		r := rn.Ranking()
-		log.rankings = append(log.rankings, r)
-	}
 	return log
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"enblogue/internal/pairs"
+	"enblogue/internal/shift"
 	"enblogue/internal/text"
 )
 
@@ -130,6 +131,27 @@ func Rerank(topics []Topic, p *Profile) []Topic {
 		}
 		return out[i].Pair.String() < out[j].Pair.String()
 	})
+	return out
+}
+
+// RerankTopics is Rerank over full ranked topics: the order and the
+// preference-weighted scores are Rerank's, and each topic keeps its other
+// fields (correlation, co-occurrence). The returned slice is freshly
+// allocated.
+func RerankTopics(topics []shift.Topic, p *Profile) []shift.Topic {
+	ptopics := make([]Topic, len(topics))
+	byPair := make(map[pairs.Key]shift.Topic, len(topics))
+	for i, t := range topics {
+		ptopics[i] = Topic{Pair: t.Pair, Score: t.Score}
+		byPair[t.Pair] = t
+	}
+	reranked := Rerank(ptopics, p)
+	out := make([]shift.Topic, len(reranked))
+	for i, pt := range reranked {
+		t := byPair[pt.Pair]
+		t.Score = pt.Score
+		out[i] = t
+	}
 	return out
 }
 

@@ -27,12 +27,14 @@ import (
 	"enblogue/internal/history"
 	"enblogue/internal/persona"
 	"enblogue/internal/rank"
+	"enblogue/internal/shift"
 	"enblogue/internal/stream"
 )
 
-// Engine is the engine surface the server consumes: stats counters, the
-// subscription broker, and the ingest sink behind POST items. Both
-// *core.Engine and the public enblogue engine satisfy it.
+// Engine is the engine surface the server consumes: stats counters
+// (durability and the tiered tail included), the subscription broker, and
+// the ingest sink behind POST items. Both *core.Engine and the public
+// enblogue engine satisfy it.
 type Engine interface {
 	DocsProcessed() int64
 	ActivePairs() int
@@ -47,6 +49,8 @@ type Engine interface {
 	ConsumeBatch(items []*stream.Item)
 	IngestDepth() int
 	IngestDropped() int64
+	DurabilityStats() (core.DurabilityStats, bool)
+	TailStats() core.TailStats
 }
 
 // TopicView is the wire form of one ranked emergent topic.
@@ -161,25 +165,29 @@ const DefaultTenant = "default"
 
 // tenantState is one tenant's complete front-end state: its SSE hub,
 // profile registry, alert watcher, history ring, last published view, and
-// followed engine. Tenants share nothing, so a slow or bursty tenant
-// cannot delay another's broadcasts.
+// followed engine. Tenants share nothing: each followed engine publishes
+// on its own dispatcher, so a slow or bursty tenant cannot delay another's
+// broadcasts.
 type tenantState struct {
 	name    string
 	created time.Time
 	hub     *Hub
-	// ctx ends when the tenant is removed or the server closes; SSE
-	// handlers and follow feeds for this tenant select on it.
+	// ctx ends when the tenant is removed or the server closes; it bounds
+	// the follow feed, and SSE handlers for this tenant select on it.
 	ctx      context.Context
 	cancel   context.CancelFunc
 	registry *persona.Registry
 
-	mu         sync.Mutex
-	watcher    *persona.Watcher
-	lastView   RankingView
+	mu       sync.Mutex
+	watcher  *persona.Watcher
+	lastView RankingView
+	// lastTopics are lastView's topics as ranked, which GET
+	// rankings?profile= re-ranks on demand.
+	lastTopics []shift.Topic
 	prevIDs    rank.List
 	history    *history.History
 	engine     Engine
-	feedCancel context.CancelFunc // stops a previous Follow's feed on re-follow
+	feed       *core.Subscription // the followed engine's sink; closed on re-follow
 }
 
 // Server exposes the enBlogue front-end endpoints. The stable, versioned
@@ -206,8 +214,8 @@ type tenantState struct {
 // stream,profiles,stats} routes are permanent aliases onto the "default"
 // tenant, so single-stream deployments need never mention tenants.
 type Server struct {
-	// ctx bounds server-side subscriptions (Follow feeds, per-profile
-	// streams); Close cancels it.
+	// ctx bounds the tenants' follow feeds and parked SSE streams; Close
+	// cancels it.
 	ctx     context.Context
 	cancel  context.CancelFunc
 	started time.Time
@@ -326,13 +334,16 @@ func (s *Server) Follow(e Engine) { _ = s.FollowTenant(DefaultTenant, e) }
 // engine knowing the server exists. A newly created non-default tenant
 // gets its own history ring (SetTenantHistoryTicks). The feed stops when
 // the tenant is removed, the server is Closed, or the engine's broker
-// shuts down; re-following a tenant replaces its previous feed.
+// shuts down; re-following a tenant closes its previous feed.
 //
-// Delivery follows the broker's drop-oldest contract: if publishing (per
-// profile rerank + history record + JSON broadcast) ever falls more than
-// the buffer behind a bursty replay, the oldest ticks are skipped rather
-// than stalling the engine — history then has gaps. Drops are observable
-// as rankingsDropped in the tenant's stats.
+// The feed is a sink on the engine's dispatcher (core.SubSink): publishing
+// (per-profile rerank, history record, JSON broadcast) runs there, one
+// tick at a time and in tick order. A followed tenant therefore never
+// drops a tick, its history has no gaps, and the engine's Flush returns
+// only once /v1/rankings, the history and every connected SSE client's
+// hub buffer hold the final tick. SSE clients too slow to drain that
+// buffer lose frames, counted as framesDropped; the engine never waits
+// for them.
 func (s *Server) FollowTenant(name string, e Engine) error {
 	if err := core.ValidateTenantName(name); err != nil {
 		return err
@@ -342,33 +353,25 @@ func (s *Server) FollowTenant(name string, e Engine) error {
 	ticks := s.historyTicks
 	s.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(t.ctx)
 	t.mu.Lock()
-	if t.feedCancel != nil {
-		t.feedCancel()
-	}
-	t.engine = e
-	t.feedCancel = cancel
 	if t.history == nil && t.name != DefaultTenant && ticks > 0 {
 		t.history = history.New(ticks)
 	}
 	t.mu.Unlock()
-
-	// Sized far beyond any realistic tick backlog; publishing is cheap
-	// relative to a tick interval.
-	sub := e.Subscribe(ctx, core.SubBuffer(4096))
-	go func() {
-		for rn := range sub.Notifications() {
-			r := rn.Ranking()
-			s.publish(t, r)
-		}
-	}()
+	feed := e.Subscribe(t.ctx, core.SubSink(func(n *core.Notification) { s.publish(t, n.Ranking()) }))
+	t.mu.Lock()
+	prev := t.feed
+	t.engine, t.feed = e, feed
+	t.mu.Unlock()
+	if prev != nil {
+		prev.Close()
+	}
 	return nil
 }
 
 // removeTenant drops the named tenant's state and cancels its context,
-// ending its follow feed and parked SSE streams. The default tenant is
-// never removed. Reports whether the tenant existed.
+// closing its follow feed and ending its parked SSE streams. The default
+// tenant is never removed. Reports whether the tenant existed.
 func (s *Server) removeTenant(name string) bool {
 	if name == DefaultTenant {
 		return false
@@ -421,20 +424,33 @@ type StatsView struct {
 	Uptime              float64 `json:"uptime"`
 }
 
-// toViews converts topics to wire form.
-func toViews(topics []persona.Topic) []TopicView {
+// topicViews converts ranked topics to wire form, numbering ranks from 1.
+// With a profile, the topics are first re-ranked through
+// persona.RerankTopics, so every view keeps its correlation and
+// co-occurrence: the broadcast, each profile's view in the broadcast
+// frame, GET rankings?profile= and the per-profile stream all agree.
+func topicViews(topics []shift.Topic, p *persona.Profile) []TopicView {
+	if p != nil {
+		topics = persona.RerankTopics(topics, p)
+	}
 	out := make([]TopicView, len(topics))
 	for i, t := range topics {
 		out[i] = TopicView{
-			Rank: i + 1, Tag1: t.Pair.Tag1(), Tag2: t.Pair.Tag2(), Score: t.Score,
+			Rank:         i + 1,
+			Tag1:         t.Pair.Tag1(),
+			Tag2:         t.Pair.Tag2(),
+			Score:        t.Score,
+			Correlation:  t.Correlation,
+			Cooccurrence: t.Cooccurrence,
 		}
 	}
 	return out
 }
 
 // PublishRanking converts an engine ranking to wire form and broadcasts it
-// on the default tenant. Follow feeds it from a broker subscription;
-// callers doing their own wiring may invoke it directly.
+// on the default tenant. Follow feeds it from the engine's dispatcher;
+// callers doing their own wiring may invoke it directly. The server keeps
+// r (history, rankings?profile=), so callers must not modify it later.
 func (s *Server) PublishRanking(r core.Ranking) { s.publish(s.defaultTenant(), r) }
 
 // publish converts one tenant's ranking to wire form — including each of
@@ -449,26 +465,19 @@ func (s *Server) publish(t *tenantState, r core.Ranking) {
 		// here means mis-wired publishers, surfaced by dropping the tick.
 		_ = h.Record(r)
 	}
-	view := RankingView{At: r.At, Seeds: r.Seeds}
-	var ptopics []persona.Topic
-	var cur rank.List
+	view := RankingView{At: r.At, Seeds: r.Seeds, Topics: topicViews(r.Topics, nil)}
+	ptopics := make([]persona.Topic, len(r.Topics))
+	cur := make(rank.List, len(r.Topics))
 	for i, tp := range r.Topics {
-		view.Topics = append(view.Topics, TopicView{
-			Rank:         i + 1,
-			Tag1:         tp.Pair.Tag1(),
-			Tag2:         tp.Pair.Tag2(),
-			Score:        tp.Score,
-			Correlation:  tp.Correlation,
-			Cooccurrence: tp.Cooccurrence,
-		})
-		ptopics = append(ptopics, persona.Topic{Pair: tp.Pair, Score: tp.Score})
-		cur = append(cur, rank.Entry{ID: tp.Pair.String(), Score: tp.Score})
+		ptopics[i] = persona.Topic{Pair: tp.Pair, Score: tp.Score}
+		cur[i] = rank.Entry{ID: tp.Pair.String(), Score: tp.Score}
 	}
-	views := t.registry.RerankAll(ptopics)
-	if len(views) > 0 {
-		view.Profiles = make(map[string][]TopicView, len(views))
-		for name, ts := range views {
-			view.Profiles[name] = toViews(ts)
+	if names := t.registry.Names(); len(names) > 0 {
+		view.Profiles = make(map[string][]TopicView, len(names))
+		for _, name := range names {
+			if p := t.registry.Get(name); p != nil {
+				view.Profiles[name] = topicViews(r.Topics, p)
+			}
 		}
 	}
 
@@ -482,6 +491,7 @@ func (s *Server) publish(t *tenantState, r core.Ranking) {
 	}
 	t.prevIDs = cur
 	t.lastView = view
+	t.lastTopics = r.Topics
 	t.mu.Unlock()
 
 	// Broadcast errors mean a marshaling bug, not a client problem; the
@@ -577,33 +587,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		view.MatchedLastTick = e.MatchedLastTick()
 		view.IngestDepth = e.IngestDepth()
 		view.IngestDropped = e.IngestDropped()
-		// Durability is optional (both on the engine build and in the Engine
-		// interface, which predates it), so it is surfaced via assertion:
-		// engines without persistence report zero values.
-		if d, ok := e.(interface {
-			DurabilityStats() (core.DurabilityStats, bool)
-		}); ok {
-			if ds, on := d.DurabilityStats(); on {
-				view.SnapshotEpoch = ds.SnapshotEpoch
-				view.WALSegments = ds.WALSegments
-				view.WALBytes = ds.WALBytes
-				view.LastSnapshotAt = ds.LastSnapshotAt
-			}
+		if ds, on := e.DurabilityStats(); on {
+			view.SnapshotEpoch = ds.SnapshotEpoch
+			view.WALSegments = ds.WALSegments
+			view.WALBytes = ds.WALBytes
+			view.LastSnapshotAt = ds.LastSnapshotAt
 		}
-		// The tiered tail is likewise optional on the Engine interface; the
-		// per-shard eviction counters are populated even when the tier is
-		// disabled (TailEnabled false, tier fields zero).
-		if tt, ok := e.(interface{ TailStats() core.TailStats }); ok {
-			ts := tt.TailStats()
-			view.TailEnabled = ts.Enabled
-			view.TailPairs = ts.TailPairs
-			view.TailEpsilon = ts.Epsilon
-			view.EstimatedErrorBound = ts.ErrorBound
-			view.Promotions = ts.Promotions
-			view.ApproxSeededPairs = ts.ApproxSeededPairs
-			view.EvictedByShard = ts.EvictedByShard
-			view.DemotedByShard = ts.DemotedByShard
-		}
+		// The per-shard eviction counters are populated even when the tier
+		// is disabled (TailEnabled false, tier fields zero).
+		ts := e.TailStats()
+		view.TailEnabled = ts.Enabled
+		view.TailPairs = ts.TailPairs
+		view.TailEpsilon = ts.Epsilon
+		view.EstimatedErrorBound = ts.ErrorBound
+		view.Promotions = ts.Promotions
+		view.ApproxSeededPairs = ts.ApproxSeededPairs
+		view.EvictedByShard = ts.EvictedByShard
+		view.DemotedByShard = ts.DemotedByShard
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(view); err != nil {
@@ -620,34 +620,55 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, indexHTML)
 }
 
+// handleEvents serves the tenant's broadcast SSE feed: the hub's frames,
+// the latest one first.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantOr404(w, r)
 	if t == nil {
 		return
 	}
+	serveSSE(w, r, t, func() (<-chan []byte, func()) {
+		ch := t.hub.subscribe()
+		return ch, func() { t.hub.unsubscribe(ch) }
+	}, func(frame []byte) ([]byte, error) { return frame, nil })
+}
+
+// serveSSE answers an SSE request: it subscribes, then sends the
+// event-stream headers, then writes one data frame per value received
+// until the channel closes, the client disconnects, or the tenant ends
+// (removed, or the server closing — so http.Server.Shutdown can drain
+// instead of timing out on parked handlers). Subscribing before the
+// headers go out means a client whose response has arrived receives every
+// later frame.
+func serveSSE[T any](w http.ResponseWriter, r *http.Request, t *tenantState,
+	subscribe func() (<-chan T, func()), frame func(T) ([]byte, error)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	ch, unsubscribe := subscribe()
+	defer unsubscribe()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush() // deliver headers now so clients see the stream open
-	ch := t.hub.subscribe()
-	defer t.hub.unsubscribe(ch)
+	fl.Flush()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case <-t.ctx.Done():
-			// Tenant removed or server closing: end the stream so
-			// http.Server.Shutdown can drain instead of timing out on
-			// parked SSE handlers.
 			return
-		case frame := <-ch:
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", frame); err != nil {
+		case v, ok := <-ch:
+			if !ok {
+				return
+			}
+			data, err := frame(v)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
 				return
 			}
 			fl.Flush()

@@ -67,7 +67,7 @@ func TestHubSlowClientDropsFrames(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(2 * time.Second):
+	case <-time.After(2 * time.Second): // a failure bound: a blocked Broadcast never returns
 		t.Fatal("broadcast blocked on slow client")
 	}
 }
@@ -166,6 +166,7 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// A failure bound, not a wait: the frame is published before the read.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/stream", nil)
@@ -178,11 +179,7 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	// Wait for the subscriber registration, then publish.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.defaultTenant().hub.ClientCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The handler subscribed before sending the headers just received.
 	s.PublishRanking(sampleRanking())
 
 	rd := bufio.NewReader(resp.Body)
@@ -206,14 +203,20 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 // write blocks until release is closed.
 type stalledWriter struct {
 	header  http.Header
+	hub     *Hub
+	clients int           // the hub's client count when the headers went out
+	opened  chan struct{} // closed when the response headers are written
 	stalled chan struct{} // closed once the first frame write blocks
 	release chan struct{}
 	once    sync.Once
 }
 
 func (w *stalledWriter) Header() http.Header { return w.header }
-func (w *stalledWriter) WriteHeader(int)     {}
 func (w *stalledWriter) Flush()              {}
+func (w *stalledWriter) WriteHeader(int) {
+	w.clients = w.hub.ClientCount()
+	close(w.opened)
+}
 func (w *stalledWriter) Write(p []byte) (int, error) {
 	w.once.Do(func() { close(w.stalled) })
 	<-w.release
@@ -226,7 +229,8 @@ func (w *stalledWriter) Write(p []byte) (int, error) {
 func TestStatsCountsFramesDroppedForStalledClient(t *testing.T) {
 	s := New()
 	h := s.Handler()
-	w := &stalledWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	w := &stalledWriter{header: http.Header{}, hub: s.defaultTenant().hub,
+		opened: make(chan struct{}), stalled: make(chan struct{}), release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -235,11 +239,9 @@ func TestStatsCountsFramesDroppedForStalledClient(t *testing.T) {
 	}()
 	defer func() { close(w.release); cancel(); <-done }()
 
-	hub := s.defaultTenant().hub
-	for deadline := time.Now().Add(2 * time.Second); hub.ClientCount() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("SSE client never subscribed")
-		}
+	<-w.opened
+	if w.clients != 1 {
+		t.Fatalf("hub had %d clients when the headers went out; the handler must subscribe first", w.clients)
 	}
 	s.PublishRanking(sampleRanking())
 	<-w.stalled

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"strings"
 
 	"enblogue/internal/core"
-	"enblogue/internal/pairs"
 	"enblogue/internal/persona"
 )
 
@@ -46,23 +44,6 @@ func profileView(p *persona.Profile) ProfileView {
 	}
 }
 
-// rankingToView converts a broker-delivered ranking to wire form (no
-// profiles map, moves, or alerts — those belong to the broadcast frame).
-func rankingToView(r core.Ranking) RankingView {
-	view := RankingView{At: r.At, Seeds: r.Seeds}
-	for i, t := range r.Topics {
-		view.Topics = append(view.Topics, TopicView{
-			Rank:         i + 1,
-			Tag1:         t.Pair.Tag1(),
-			Tag2:         t.Pair.Tag2(),
-			Score:        t.Score,
-			Correlation:  t.Correlation,
-			Cooccurrence: t.Cooccurrence,
-		})
-	}
-	return view
-}
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -81,7 +62,7 @@ func (s *Server) handleV1Rankings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.mu.Lock()
-	view := t.lastView
+	view, topics := t.lastView, t.lastTopics
 	t.mu.Unlock()
 	name := r.URL.Query().Get("profile")
 	if name == "" {
@@ -95,29 +76,7 @@ func (s *Server) handleV1Rankings(w http.ResponseWriter, r *http.Request) {
 	}
 	// Rerank the broadcast snapshot on demand so a profile registered
 	// after the last tick still gets a personalized answer immediately.
-	// Diagnostics (correlation, cooccurrence) are carried through the
-	// rerank so this endpoint agrees with /v1/stream?profile= frames.
-	topics := make([]persona.Topic, 0, len(view.Topics))
-	byPair := make(map[pairs.Key]TopicView, len(view.Topics))
-	for _, tv := range view.Topics {
-		k := pairs.MakeKey(tv.Tag1, tv.Tag2)
-		topics = append(topics, persona.Topic{Pair: k, Score: tv.Score})
-		byPair[k] = tv
-	}
-	reranked := persona.Rerank(topics, p)
-	out := make([]TopicView, len(reranked))
-	for i, pt := range reranked {
-		orig := byPair[pt.Pair]
-		out[i] = TopicView{
-			Rank:         i + 1,
-			Tag1:         pt.Pair.Tag1(),
-			Tag2:         pt.Pair.Tag2(),
-			Score:        pt.Score,
-			Correlation:  orig.Correlation,
-			Cooccurrence: orig.Cooccurrence,
-		}
-	}
-	writeJSON(w, http.StatusOK, RankingView{At: view.At, Seeds: view.Seeds, Topics: out})
+	writeJSON(w, http.StatusOK, RankingView{At: view.At, Seeds: view.Seeds, Topics: topicViews(topics, p)})
 }
 
 // predicateOpts parses the stream predicate query parameters —
@@ -205,41 +164,18 @@ func (s *Server) handleV1Stream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no engine attached; per-profile and predicate streams unavailable", http.StatusServiceUnavailable)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	// The subscription ends when the client disconnects OR the tenant goes
-	// away (removed, or the whole server closes) — otherwise a parked
-	// profile stream would pin http.Server.Shutdown until its timeout.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(t.ctx, cancel)
-	defer stop()
 	subOpts := append(predOpts, core.SubBuffer(8))
 	if p != nil {
 		subOpts = append(subOpts, core.SubProfile(p))
 	}
-	sub := e.Subscribe(ctx, subOpts...)
-	defer sub.Close()
-	for rkn := range sub.Notifications() {
-		rk := rkn.Ranking()
-		frame, err := json.Marshal(rankingToView(rk))
-		if err != nil {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", frame); err != nil {
-			return
-		}
-		fl.Flush()
-	}
+	serveSSE(w, r, t, func() (<-chan *core.Notification, func()) {
+		sub := e.Subscribe(r.Context(), subOpts...)
+		return sub.Notifications(), sub.Close
+	}, func(n *core.Notification) ([]byte, error) {
+		// No profiles map, moves or alerts: those belong to the broadcast frame.
+		rk := n.Ranking()
+		return json.Marshal(RankingView{At: rk.At, Seeds: rk.Seeds, Topics: topicViews(rk.Topics, nil)})
+	})
 }
 
 // handleV1ProfilesList serves GET [/v1/tenants/{tenant}]/v1/profiles: the

@@ -2,15 +2,18 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"enblogue/internal/core"
+	"enblogue/internal/history"
 	"enblogue/internal/persona"
 	"enblogue/internal/stream"
 )
@@ -149,8 +152,69 @@ func TestUnversionedRoutesGone(t *testing.T) {
 	}
 }
 
-// serverStream feeds a real engine; Follow must publish every tick to the
-// server, and per-profile SSE streams must carry re-ranked views.
+// openSSE opens an SSE stream and returns a scanner over its lines. The
+// request returns once the response headers arrive, and the server
+// subscribes before it sends them, so the stream holds every frame
+// published after openSSE returns. The stream closes at test cleanup.
+func openSSE(t *testing.T, url string) *bufio.Scanner {
+	t.Helper()
+	// A failure bound, not a wait: the tests read only frames already
+	// published, so only a broken server lets a read reach it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close(); cancel() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	return bufio.NewScanner(resp.Body)
+}
+
+// frameAt reads SSE frames until one is stamped at, failing if the stream
+// ends first.
+func frameAt(t *testing.T, sc *bufio.Scanner, at time.Time) RankingView {
+	t.Helper()
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var v RankingView
+		if err := json.Unmarshal([]byte(data), &v); err != nil {
+			t.Fatalf("bad SSE frame: %v", err)
+		}
+		if v.At.Equal(at) {
+			return v
+		}
+	}
+	t.Fatalf("stream ended before a frame at %v: %v", at, sc.Err())
+	return RankingView{}
+}
+
+// rankingAt fetches a RankingView and fails unless it is stamped at.
+func rankingAt(t *testing.T, h http.Handler, path string, at time.Time) RankingView {
+	t.Helper()
+	w := get(t, h, path)
+	var v RankingView
+	if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
+		t.Fatalf("GET %s = %d: %v", path, w.Code, err)
+	}
+	if !v.At.Equal(at) {
+		t.Fatalf("GET %s at %v, want %v", path, v.At, at)
+	}
+	return v
+}
+
+// Follow must publish every tick to the server, and per-profile SSE
+// streams must carry re-ranked views.
 func TestV1FollowEngineAndProfileStream(t *testing.T) {
 	e := core.New(core.Config{
 		WindowBuckets:    12,
@@ -161,7 +225,7 @@ func TestV1FollowEngineAndProfileStream(t *testing.T) {
 		TopK:             5,
 	})
 	s := New()
-	defer s.Close()
+	t.Cleanup(s.Close)
 	s.Follow(e)
 	h := s.Handler()
 
@@ -171,15 +235,8 @@ func TestV1FollowEngineAndProfileStream(t *testing.T) {
 
 	// Per-profile SSE stream: run the handler against a live request.
 	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/stream?profile=pol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status = %d", resp.StatusCode)
-	}
+	t.Cleanup(srv.Close)
+	sse := openSSE(t, srv.URL+"/v1/stream?profile=pol")
 
 	id := 0
 	feed := func(hr, mi int, tags ...string) {
@@ -199,50 +256,17 @@ func TestV1FollowEngineAndProfileStream(t *testing.T) {
 		feed(4, mi, "politics", "scandal")
 	}
 	e.Flush()
+	final := e.CurrentRanking().At
+	rankingAt(t, h, "/v1/rankings", final)
 
-	// The Follow feed is asynchronous; wait for the server to publish.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		w := get(t, h, "/v1/rankings")
-		var view RankingView
-		_ = json.Unmarshal(w.Body.Bytes(), &view)
-		if !view.At.IsZero() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Follow never published a ranking")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The profile boosts "scandal": a matching topic must lead the final
+	// tick's frame (boost 7 dwarfs raw scores here).
+	view := frameAt(t, sse, final)
+	if len(view.Topics) == 0 {
+		t.Fatal("final profile frame has no topics")
 	}
-
-	// Read one SSE frame off the profile stream.
-	sc := bufio.NewScanner(resp.Body)
-	frameCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "data: ") {
-				frameCh <- strings.TrimPrefix(line, "data: ")
-				return
-			}
-		}
-	}()
-	select {
-	case frame := <-frameCh:
-		var view RankingView
-		if err := json.Unmarshal([]byte(frame), &view); err != nil {
-			t.Fatalf("bad SSE frame: %v", err)
-		}
-		// The profile boosts "scandal"; if topics exist, a matching topic
-		// must lead (boost 7 dwarfs raw scores here).
-		if len(view.Topics) > 0 {
-			lead := view.Topics[0]
-			if lead.Tag1 != "scandal" && lead.Tag2 != "scandal" {
-				t.Errorf("profile stream not re-ranked, lead topic %s+%s", lead.Tag1, lead.Tag2)
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no SSE frame on profile stream")
+	if lead := view.Topics[0]; lead.Tag1 != "scandal" && lead.Tag2 != "scandal" {
+		t.Errorf("profile stream not re-ranked, lead topic %s+%s", lead.Tag1, lead.Tag2)
 	}
 
 	// Stats must reflect the engine and its subscriptions.
@@ -253,6 +277,89 @@ func TestV1FollowEngineAndProfileStream(t *testing.T) {
 	}
 	if stats.DocsProcessed == 0 || stats.Subscriptions == 0 {
 		t.Errorf("stats = %+v, want docs and subscriptions > 0", stats)
+	}
+}
+
+// TestFlushPublishesThroughServer pins the delivery contract: once a
+// followed engine's Flush returns, the server has published its final
+// tick. GET rankings, the history and every SSE client connected before
+// ingest hold it, each read once with no retry. It covers the default
+// tenant and a tenant created over POST /v1/tenants, each with an
+// unfiltered and a ?profile= client.
+func TestFlushPublishesThroughServer(t *testing.T) {
+	hub := testHub()
+	t.Cleanup(hub.Close)
+	s := New()
+	t.Cleanup(s.Close)
+	s.AttachOpener(hubOpener{hub})
+	s.AttachHistory(history.New(64))
+	def, err := hub.Open(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Follow(def)
+	h := s.Handler()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	if w := postJSON(t, h, "/v1/tenants", `{"name":"news"}`); w.Code != http.StatusCreated {
+		t.Fatalf("create tenant = %d", w.Code)
+	}
+
+	// Six hours of chatter and an hour of scandal: a tick per hour of event
+	// time, seven with Flush's, so no client's eight-frame buffer can fill.
+	body := jsonlItems(t, 6)
+	for mi := 0; mi < 60; mi += 6 {
+		body += fmt.Sprintf(`{"time":%q,"id":"s-%02d","tags":["politics","scandal"]}`+"\n",
+			t0.Add(4*time.Hour+time.Duration(mi)*time.Minute).Format(time.RFC3339), mi)
+	}
+	for _, tenant := range []string{DefaultTenant, "news"} {
+		t.Run(tenant, func(t *testing.T) {
+			base := "/v1/tenants/" + tenant
+			if w := postJSON(t, h, base+"/profiles", `{"name":"pol","keywords":["scandal"],"boost":7}`); w.Code != http.StatusCreated {
+				t.Fatalf("create profile = %d", w.Code)
+			}
+			all := openSSE(t, srv.URL+base+"/stream")
+			pol := openSSE(t, srv.URL+base+"/stream?profile=pol")
+			if w := postJSON(t, h, base+"/items", body); w.Code != http.StatusOK {
+				t.Fatalf("POST items = %d: %s", w.Code, w.Body)
+			}
+			e, ok := hub.Get(tenant)
+			if !ok {
+				t.Fatal("hub lost the tenant engine")
+			}
+			e.Flush()
+			final := e.CurrentRanking()
+			if len(final.Topics) == 0 {
+				t.Fatal("final ranking has no topics")
+			}
+
+			rankingAt(t, h, base+"/rankings", final.At)
+			lead := final.Topics[0].Pair
+			at := final.At.Format(time.RFC3339)
+			var traj []TrajectoryPointView
+			w := get(t, h, base+"/rankings/trajectory?tag1="+lead.Tag1()+"&tag2="+lead.Tag2()+"&from="+at+"&to="+at)
+			if err := json.Unmarshal(w.Body.Bytes(), &traj); err != nil {
+				t.Fatalf("trajectory = %d: %v", w.Code, err)
+			}
+			if len(traj) != 1 || !traj[0].At.Equal(final.At) || traj[0].Rank != 0 {
+				t.Fatalf("history at the final tick = %+v, want the lead at rank 0", traj)
+			}
+
+			frame := frameAt(t, all, final.At)
+			personal := frameAt(t, pol, final.At)
+			// The broadcast frame's profile view, the profile stream and
+			// GET rankings?profile= are one view, diagnostics included.
+			want := rankingAt(t, h, base+"/rankings?profile=pol", final.At).Topics
+			if !reflect.DeepEqual(frame.Profiles["pol"], want) {
+				t.Errorf("frame profiles[pol] = %+v\nGET ?profile=pol = %+v", frame.Profiles["pol"], want)
+			}
+			if !reflect.DeepEqual(personal.Topics, want) {
+				t.Errorf("profile stream = %+v\nGET ?profile=pol = %+v", personal.Topics, want)
+			}
+			if want[0].Correlation == 0 || want[0].Cooccurrence == 0 {
+				t.Errorf("profile view lost its diagnostics: %+v", want[0])
+			}
+		})
 	}
 }
 
