@@ -46,37 +46,83 @@ func crashPoints(items []*stream.Item) map[string]int {
 	}
 }
 
+// forcedTicks are the crash cells whose engine takes a forced tick after
+// its snapshot and before the crash, through Flush or through Tick. A
+// forced tick changes detector state, so recovery matches only if the WAL
+// logged it at its stream position.
+var forcedTicks = map[string]func(t *testing.T, e *enblogue.Engine){
+	"after-flush": func(t *testing.T, e *enblogue.Engine) {
+		e.Flush()
+		if at := e.LastEventTime(); !e.CurrentRanking().At.Equal(at) {
+			t.Fatalf("Flush ran no tick at %v; the cell would test nothing", at)
+		}
+	},
+	"after-tick": func(t *testing.T, e *enblogue.Engine) {
+		at := e.LastEventTime()
+		if r := e.Tick(at); !r.At.Equal(at) {
+			t.Fatalf("Tick(%v) was refused; the cell would test nothing", at)
+		}
+	},
+}
+
+// feedBatches consumes items[lo:hi] in 64-doc batches.
+func feedBatches(e *enblogue.Engine, items []*stream.Item, lo, hi int) {
+	for ; lo < hi; lo += 64 {
+		e.ConsumeBatch(items[lo:min(lo+64, hi)])
+	}
+}
+
 // crashAndRecover simulates the crash protocol on one workload cell: a
 // durable engine consumes items[:crash] in 64-doc batches with a forced
 // snapshot partway, then is abandoned mid-flight (no Close — the crash). A
+// non-nil force runs between the snapshot and the crash, at forcedAt. A
 // second engine on the same directory recovers and finishes the stream;
 // its recorded rankings are returned. opts are applied to both engines.
-func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, crash int, opts ...enblogue.Option) []enblogue.Ranking {
+func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, crash int,
+	force func(*testing.T, *enblogue.Engine), opts ...enblogue.Option) []enblogue.Ranking {
 	t.Helper()
 	opts = append([]enblogue.Option{enblogue.WithShards(shards), durableOpts(dir)}, opts...)
 	a := enblogue.New(opts...)
 	snapAt := crash / 2
-	feed := func(e *enblogue.Engine, lo, hi int) {
-		for ; lo < hi; lo += 64 {
-			end := lo + 64
-			if end > hi {
-				end = hi
-			}
-			e.ConsumeBatch(items[lo:end])
-		}
-	}
-	feed(a, 0, snapAt)
+	feedBatches(a, items, 0, snapAt)
 	if err := a.Snapshot(); err != nil {
 		t.Fatalf("forced snapshot at %d: %v", snapAt, err)
 	}
-	feed(a, snapAt, crash)
+	if force != nil {
+		at := forcedAt(crash)
+		feedBatches(a, items, snapAt, at)
+		force(t, a)
+		snapAt = at
+	}
+	feedBatches(a, items, snapAt, crash)
 	// Crash: abandon a without Flush or Close.
 
 	b := enblogue.New(opts...)
 	rec := record(b)
-	feed(b, crash, len(items))
+	feedBatches(b, items, crash, len(items))
 	b.Flush()
 	b.Close()
+	return rec.wait()
+}
+
+// forcedAt is where a forced-tick cell crashing at crash takes its tick:
+// halfway between the snapshot (crash/2) and the crash.
+func forcedAt(crash int) int { return crash * 3 / 4 }
+
+// consumeForced is consumeSerial with force applied after items[:at].
+func consumeForced(t *testing.T, items []*stream.Item, shards, at int,
+	force func(*testing.T, *enblogue.Engine), opts ...enblogue.Option) []enblogue.Ranking {
+	e := enblogue.New(append([]enblogue.Option{enblogue.WithShards(shards)}, opts...)...)
+	rec := record(e)
+	for _, it := range items[:at] {
+		e.Consume(it)
+	}
+	force(t, e)
+	for _, it := range items[at:] {
+		e.Consume(it)
+	}
+	e.Flush()
+	e.Close()
 	return rec.wait()
 }
 
@@ -85,7 +131,9 @@ func crashAndRecover(t *testing.T, items []*stream.Item, dir string, shards, cra
 // distribution mode (subtests suffixed "-dist"), the recovered engine's
 // post-crash rankings equal — reflect.DeepEqual, scores included — the
 // corresponding suffix of the rankings a never-crashed serial engine
-// publishes over the full stream.
+// publishes over the full stream. The crash-after-flush and
+// crash-after-tick cells take a forced tick between the snapshot and the
+// crash, and their reference takes the same tick at the same position.
 func TestRecoveredEngineBitIdentical(t *testing.T) {
 	modes := []struct {
 		suffix string
@@ -93,6 +141,20 @@ func TestRecoveredEngineBitIdentical(t *testing.T) {
 	}{
 		{"", nil},
 		{"-dist", []enblogue.Option{enblogue.WithDistributionMode()}},
+	}
+	check := func(t *testing.T, want, got []enblogue.Ranking) {
+		t.Helper()
+		if len(got) == 0 {
+			t.Fatal("recovered engine published no rankings after the crash")
+		}
+		if len(got) > len(want) {
+			t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
+		}
+		// Ticks fired before the crash (and during the replay inside New,
+		// before any subscriber exists) are not recorded; everything after
+		// must match the reference suffix exactly, timestamps and scores
+		// included.
+		diffRankings(t, want[len(want)-len(got):], got)
 	}
 	for name, items := range equivWorkloads(t) {
 		t.Run(name, func(t *testing.T) {
@@ -104,18 +166,14 @@ func TestRecoveredEngineBitIdentical(t *testing.T) {
 					}
 					for cpName, crash := range crashPoints(items) {
 						t.Run(fmt.Sprintf("shards-%d%s/crash-%s", shards, mode.suffix, cpName), func(t *testing.T) {
-							got := crashAndRecover(t, items, t.TempDir(), shards, crash, mode.opts...)
-							if len(got) == 0 {
-								t.Fatal("recovered engine published no rankings after the crash")
-							}
-							if len(got) > len(want) {
-								t.Fatalf("recovered engine published %d rankings, more than the %d-tick reference", len(got), len(want))
-							}
-							// Ticks fired before the crash (and during the replay
-							// inside New, before any subscriber exists) are not
-							// recorded; everything after must match the reference
-							// suffix exactly, timestamps and scores included.
-							diffRankings(t, want[len(want)-len(got):], got)
+							check(t, want, crashAndRecover(t, items, t.TempDir(), shards, crash, nil, mode.opts...))
+						})
+					}
+					crash := len(items) / 2
+					for fName, force := range forcedTicks {
+						t.Run(fmt.Sprintf("shards-%d%s/crash-%s", shards, mode.suffix, fName), func(t *testing.T) {
+							want := consumeForced(t, items, shards, forcedAt(crash), force, mode.opts...)
+							check(t, want, crashAndRecover(t, items, t.TempDir(), shards, crash, force, mode.opts...))
 						})
 					}
 				}

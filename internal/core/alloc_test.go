@@ -186,7 +186,7 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 	// (hundreds here). The bound is ~3x the warmed steady state, far below
 	// the per-pair regime.
 	if avg > 60 {
-		t.Errorf("tickLocked pass allocates %.1f, want bounded O(top-k)", avg)
+		t.Errorf("forced tick allocates %.1f, want bounded O(top-k)", avg)
 	}
 
 	// Distribution mode rebuilds the co-tag index every tick into buffers
@@ -231,7 +231,7 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 			for _, it := range items {
 				e.Consume(it)
 			}
-			for i := 0; e.pairsTr.ActivePairs() > 36; i++ { // evictTarget(40)
+			for i := 0; e.ActivePairs() > 36; i++ { // evictTarget(40)
 				if i == 10*len(items) {
 					t.Fatal("no over-budget sweep in ten passes")
 				}
@@ -256,6 +256,29 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 			t.Errorf("ingest+promoting tick allocates %.1f, a bare tick %.1f: want the promotion path to add 0", avg, tickOnly)
 		}
 	})
+}
+
+// The tick's tag-count index grows with the interned vocabulary. Growth
+// is geometric, so a vocabulary that arrives one new maximum ID at a time
+// costs O(log n) reallocations of its two slices, not one per ID.
+func TestTickScratchCountsGrowGeometrically(t *testing.T) {
+	skipUnderRace(t)
+	const n = 1 << 16
+	avg := testing.AllocsPerRun(5, func() {
+		ts := newTickScratch(1)
+		ts.beginCounts()
+		for id := uint32(0); id < n; id++ {
+			ts.setCount(id, float64(id))
+		}
+		if ts.count(n-1) != n-1 {
+			t.Fatal("setCount lost the newest ID")
+		}
+	})
+	// Two slices, each reallocated about log2(n) = 16 times under append's
+	// growth, plus the scratch's own per-shard slices.
+	if avg > 80 {
+		t.Errorf("ascending IDs 0…%d cost %.0f allocations, want O(log n)", n-1, avg)
+	}
 }
 
 // A dispatch whose ranking moves no subscribed tag must not allocate at

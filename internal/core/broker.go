@@ -77,7 +77,10 @@ func SubBuffer(n int) SubOption {
 // and Hub.Flush — only once they have returned. A sink subscription has no
 // buffer, never drops, and its channel only closes. fn must not call the
 // engine's Flush, Close or PublishRanking, which wait for the dispatcher;
-// a slow fn delays every later tick's delivery. fn may still run once
+// a slow fn delays every later tick's delivery. fn may call the engine's
+// readers: CurrentRanking takes no lock, and DocsProcessed, ActivePairs,
+// TailStats, Seeds and LastEventTime take the engine lock, which no engine
+// method holds while it waits for the dispatcher. fn may still run once
 // after Close returns, for a tick that was already being delivered.
 func SubSink(fn func(*Notification)) SubOption {
 	return func(c *subConfig) { c.sink = fn }

@@ -66,12 +66,18 @@ type DurabilityStats struct {
 	LastErr string
 }
 
-// WALRecorder receives every ingested document, in consumption order, under
-// the engine bookkeeping lock. seq is the document's 1-based position in the
-// stream (DocsProcessed after counting it); implementations must be cheap
-// and must not call back into the engine.
+// WALRecorder receives the engine's inputs in the order the machine
+// accepts them, under the engine bookkeeping lock: every ingested document,
+// and every forced tick (Tick, Flush) the machine's guard accepts.
+// Event-driven ticks follow from the documents and are not recorded.
+// Implementations must be cheap and must not call back into the engine.
 type WALRecorder interface {
+	// RecordDoc records one document. seq is its 1-based position in the
+	// stream (DocsProcessed after counting it).
 	RecordDoc(seq int64, it *stream.Item)
+	// RecordTick records a forced tick at t. seq is the number of
+	// documents consumed before it.
+	RecordTick(seq int64, t time.Time)
 }
 
 // Durability is the engine's handle on its persistence layer.
@@ -115,8 +121,10 @@ func (e *Engine) attachDurability() {
 		// failing loudly over rather than silently running non-durable.
 		panic("core: durability setup failed: " + err.Error())
 	}
-	e.wal = w
-	e.dur = d
+	e.wal, e.dur = w, d
+	if w != nil {
+		e.m.logDoc = w.RecordDoc
+	}
 }
 
 // ErrNoDurability is returned by Snapshot on engines built without a

@@ -9,32 +9,30 @@
 //
 // The engine core is sharded: the pair space is partitioned by hash(Key) %
 // Shards, each shard owning its slice of the co-occurrence counters and of
-// the detector state behind its own lock. ConsumeBatch — the one ingest
-// path; Consume is a batch of one — groups a run of documents' candidate
-// pairs by shard, and every evaluation tick scores all shards in parallel
-// — one worker per shard — before merging the per-shard top-k partial
-// rankings deterministically. Rankings are bit-identical for
-// every shard count on a sequentially consumed stream; see DESIGN.md for
-// the argument. All exported Engine methods are safe for concurrent use.
+// the detector state, all held by one lock-free machine (machine.go) that
+// the Engine shell owns under a single mutex. ConsumeBatch — the one
+// ingest path; Consume is a batch of one — groups a run of documents'
+// candidate pairs by shard, and every evaluation tick scores all shards in
+// parallel — one worker per shard — before merging the per-shard top-k
+// partial rankings deterministically. Rankings are bit-identical for every
+// shard count on a sequentially consumed stream; see DESIGN.md for the
+// argument. All exported Engine methods are safe for concurrent use.
 package core
 
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"enblogue/internal/entity"
 	"enblogue/internal/ingest"
-	"enblogue/internal/intern"
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
 	"enblogue/internal/shift"
 	"enblogue/internal/stream"
 	"enblogue/internal/tagstats"
-	"enblogue/internal/tier"
 )
 
 // Config parameterises an Engine. The zero value is usable: it yields the
@@ -260,43 +258,23 @@ func (r Ranking) IDs() []string {
 type Engine struct {
 	cfg Config
 
-	tags    *tagstats.Tracker      // guarded by mu
-	pairsTr *pairs.ShardedTracker  // guarded by mu; shard i snapshotted by tick worker i
-	co      *pairs.ShardedTracker  // DistributionMode only: every pair, seed or not; guarded like pairsTr
-	det     *shift.Sharded         // shard i touched only by tick worker i, under mu
-	seeds   *tagstats.SeedSelector // internally locked
+	// mu is the machine's one owner: ingest (for a whole batch), forced
+	// ticks, state export and restore, and every reader take it. Nothing
+	// that holds mu waits on the dispatcher, so a SubSink may call readers.
+	//
+	//enblogue:lock engine 10
+	mu sync.Mutex
+	m  *machine // guarded by mu
 
-	docs atomic.Int64
-	// lastSeenNano is the newest consumed event timestamp in unix nanos (0
-	// before the first document). Written under mu, read lock-free so
-	// LastEventTime is callable from anywhere.
-	lastSeenNano atomic.Int64
+	// last is the published ranking: stored under mu on every tick, loaded
+	// lock-free by CurrentRanking. Nil before the first tick.
+	last atomic.Pointer[Ranking]
 
 	// wal and dur are the durability attachments (nil when Durability.Dir
 	// is unset), assigned once during New — after recovery replay, so
-	// replayed documents are not re-logged — and immutable afterwards.
+	// replayed inputs are not re-logged — and immutable afterwards.
 	wal WALRecorder
 	dur Durability
-
-	// mu serialises ingest (event clock, tick boundaries, tag statistics,
-	// the WAL record and the pair observation of every document),
-	// evaluation ticks and state exports against each other, so an export
-	// never sees a half-applied document.
-	//
-	//enblogue:lock engine 10
-	mu       sync.Mutex
-	nextTick time.Time
-	lastTick time.Time // newest evaluation time, guards forced-Tick rewinds
-
-	// tick holds the per-tick working set — snapshot, keep-set, and top-k
-	// buffers per shard plus the ID-keyed tag-count index — reused across
-	// ticks so a steady-state evaluation pass allocates almost nothing.
-	// Only tickLocked touches it, under mu.
-	tick tickScratch
-
-	// batchDocs is ConsumeBatch's pending-document buffer, reused across
-	// calls. Only ConsumeBatch touches it, under mu.
-	batchDocs []pairs.BatchDoc
 
 	// ingest is the optional ring-buffer queue in front of ConsumeBatch,
 	// started lazily by the first Enqueue. ingestDone closes when the
@@ -304,13 +282,6 @@ type Engine struct {
 	ingestOnce sync.Once
 	ingest     atomic.Pointer[ingest.Queue]
 	ingestDone chan struct{}
-
-	// rankMu guards only the published ranking snapshot; it nests inside
-	// engine (tickLocked publishes while holding mu).
-	//
-	//enblogue:lock rank 20
-	rankMu sync.Mutex
-	last   Ranking
 
 	// broker fans every tick's ranking out to subscribers from a
 	// dispatcher goroutine, outside all engine locks.
@@ -320,56 +291,13 @@ type Engine struct {
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
 	c := cfg.normalize()
-	var co *pairs.ShardedTracker
-	if c.DistributionMode {
-		co = pairs.NewShardedTracker(pairs.Config{
-			Buckets:    c.WindowBuckets,
-			Resolution: c.WindowResolution,
-			MaxPairs:   c.MaxPairs,
-			Shards:     c.Shards,
-		})
-	}
-	tags := tagstats.NewTracker(tagstats.Config{
-		Buckets:    c.WindowBuckets,
-		Resolution: c.WindowResolution,
-	})
-	// The interning table is the engine's tag-ID domain; letting the tag
-	// tracker cache resolved IDs per slot spares the evaluation tick one
-	// string hash per active tag (see tagstats.SetTagIDResolver).
-	tags.SetTagIDResolver(intern.Find)
-	var tailCfg *tier.Config
-	if c.TailSketch.Enabled {
-		tailCfg = &tier.Config{
-			Epsilon: c.TailSketch.Epsilon,
-			Delta:   c.TailSketch.Delta,
-			TopK:    c.TailSketch.TopK,
-		}
-	}
 	e := &Engine{
-		co:     co,
 		cfg:    c,
-		tick:   newTickScratch(c.Shards),
+		m:      newMachine(c, forEachShard),
 		broker: newBroker(),
-		tags:   tags,
-		pairsTr: pairs.NewShardedTracker(pairs.Config{
-			Buckets:    c.WindowBuckets,
-			Resolution: c.WindowResolution,
-			MaxPairs:   c.MaxPairs,
-			Shards:     c.Shards,
-			Tail:       tailCfg,
-		}),
-		det: shift.NewSharded(c.Shards, shift.Config{
-			Measure:         c.Measure,
-			Predictor:       c.Predictor,
-			PredictorConfig: c.PredictorConfig,
-			HalfLife:        c.HalfLife,
-			MinCooccurrence: c.MinCooccurrence,
-			UpOnly:          c.UpOnly,
-		}),
-		seeds: tagstats.NewSeedSelector(c.SeedCount, c.SeedCriterion, c.SeedMinCount),
 	}
 	// Recovery and WAL attachment happen last: the engine is fully built,
-	// and e.wal is still nil while the hook replays prior documents, so the
+	// and e.wal is still nil while the hook replays prior inputs, so the
 	// replay is not re-logged.
 	e.attachDurability()
 	return e
@@ -379,10 +307,22 @@ func New(cfg Config) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // DocsProcessed returns the number of consumed documents.
-func (e *Engine) DocsProcessed() int64 { return e.docs.Load() }
+//
+//enblogue:acquires engine
+func (e *Engine) DocsProcessed() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.m.docs
+}
 
 // ActivePairs returns the number of tracked candidate pairs.
-func (e *Engine) ActivePairs() int { return e.pairsTr.ActivePairs() }
+//
+//enblogue:acquires engine
+func (e *Engine) ActivePairs() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.m.pairsTr.ActivePairs()
+}
 
 // TailStats is the tiered-memory statistics view; see pairs.TailStats.
 type TailStats = pairs.TailStats
@@ -390,20 +330,30 @@ type TailStats = pairs.TailStats
 // TailStats returns the cold-tier and eviction statistics. The per-shard
 // eviction counters are live even with the tier disabled (Enabled false,
 // tier fields zero).
-func (e *Engine) TailStats() TailStats { return e.pairsTr.TailStats() }
+//
+//enblogue:acquires engine
+func (e *Engine) TailStats() TailStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.m.pairsTr.TailStats()
+}
 
 // Shards returns the number of engine shards.
-func (e *Engine) Shards() int { return e.pairsTr.Shards() }
+func (e *Engine) Shards() int { return e.cfg.Shards }
 
 // Seeds returns a copy of the current seed tag set, best first.
+//
+//enblogue:acquires engine
 func (e *Engine) Seeds() []string {
-	return append([]string(nil), e.seeds.Seeds()...)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]string(nil), e.m.seeds.Seeds()...)
 }
 
 // Subscribe registers a live notification feed: evaluation ticks are
 // delivered to the returned subscription's channel from the engine's
 // dispatcher goroutine, outside all engine locks, so consumers may call
-// back into the engine freely. Options attach a persona profile (the
+// back into the engine freely (a SubSink only as its doc allows). Options attach a persona profile (the
 // subscriber then receives its personalized re-ranking), a compiled
 // predicate (SubTags/SubAllTags/SubMinScore/SubEmergenceOnly — the
 // subscription then receives only ticks where its filtered view changed,
@@ -447,10 +397,12 @@ func (e *Engine) PublishRanking(r Ranking) {
 // Close shuts the ingest queue (if started) and the broker down: the queue
 // stops accepting items, its drainer consumes whatever is already queued
 // and exits, then the broker waits for in-flight deliveries to drain,
-// stops the dispatcher, and closes every subscription channel. The engine
+// stops the dispatcher, and closes every subscription channel. Close runs
+// no tick: call Flush first if the final partial tick should still be
+// delivered. The WAL logs that tick too, so an engine recovered after
+// Flush (or Tick) and Close equals the engine before Close. The engine
 // itself remains usable for Consume/Tick/CurrentRanking, but no further
-// rankings are delivered to subscribers. Call Flush first if the final
-// partial tick should still be delivered. Idempotent; must not be called
+// rankings are delivered to subscribers. Idempotent; must not be called
 // from a SubSink, which the dispatcher calls synchronously.
 func (e *Engine) Close() {
 	if q := e.ingest.Load(); q != nil {
@@ -467,25 +419,13 @@ func (e *Engine) Close() {
 
 // LastEventTime returns the newest event timestamp consumed so far (zero
 // before the first document). Live servers use it to drive wall-clock Ticks
-// at the stream's own clock. Lock-free.
+// at the stream's own clock.
+//
+//enblogue:acquires engine
 func (e *Engine) LastEventTime() time.Time {
-	n := e.lastSeenNano.Load()
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
-}
-
-// itemTags resolves the tag set the engine operates on for an item.
-func (e *Engine) itemTags(it *stream.Item) []string {
-	if !e.cfg.UseEntities {
-		return it.Tags
-	}
-	if e.cfg.Tagger != nil && len(it.Entities) == 0 && it.Text != "" {
-		it = it.Clone()
-		it.Entities = e.cfg.Tagger.Entities(it.Text)
-	}
-	return it.AllTags()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.m.lastSeen
 }
 
 // Consume implements stream.Sink: it feeds one tuple through the engine as
@@ -504,22 +444,10 @@ func (e *Engine) Consume(it *stream.Item) {
 }
 
 // ConsumeBatch is the engine's one ingest path: it feeds a run of items
-// through seed statistics and pair tracking, firing evaluation ticks as
-// event time passes tick boundaries, and pays the bookkeeping lock once per
-// batch.
-//
-// Rankings are invariant under how a stream is cut into batches, batches of
-// one included. The batch is processed as segments delimited by the two
-// events that change what a pair observation means: an evaluation tick
-// (ticks snapshot pair counters) and a seed reselection (it changes the
-// candidate predicate for documents observed after it). Documents
-// accumulate as pending pair observations and are flushed through
-// pairs.ShardedTracker.ObserveBatch before either event, under the
-// predicate that was current when they arrived — so every document is
-// observed under the same predicate, and every tick sees the same counters,
-// wherever the batch boundaries fall. Within a segment the only
-// per-document coupling is sweep timing, which ObserveBatch fixes per
-// document count, not per call (see its doc comment).
+// through the machine, which logs each document to the WAL and fires
+// evaluation ticks as event time passes tick boundaries, and pays the
+// bookkeeping lock once per batch. Rankings are invariant under how a
+// stream is cut into batches (see machine.consume).
 //
 // Safe for concurrent use with every other engine method; callers serialise
 // on the bookkeeping lock for the whole batch, pair observation included.
@@ -532,69 +460,18 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 		return
 	}
 	e.mu.Lock()
-	pend := e.batchDocs[:0]
-	isSeed := e.seeds.Func()
-	//enblogue:alloc-ok one closure per ConsumeBatch call, amortised over the whole batch; TestConsumeBatchSteadyStateAllocs pins the per-item count
-	flush := func() {
-		if len(pend) == 0 {
-			return
-		}
-		e.pairsTr.ObserveBatch(pend, isSeed)
-		if e.co != nil {
-			e.co.ObserveBatch(pend, nil)
-		}
-		clear(pend) // release tag-slice references
-		pend = pend[:0]
-	}
-	for _, it := range items {
-		if it == nil {
-			continue
-		}
-		t := it.Time
-		tags := e.itemTags(it)
-
-		if t.After(e.LastEventTime()) {
-			e.lastSeenNano.Store(t.UnixNano())
-		}
-		// Fire any ticks the stream has moved past. A pathological time jump
-		// (archive gap) fast-forwards rather than replaying empty ticks.
-		if e.nextTick.IsZero() {
-			e.nextTick = t.Add(e.cfg.TickEvery)
-		}
-		if gap := t.Sub(e.nextTick); gap > 100*e.cfg.TickEvery {
-			flush()
-			e.tickLocked(e.nextTick)
-			e.nextTick = t.Add(e.cfg.TickEvery)
-			isSeed = e.seeds.Func()
-		}
-		for !e.nextTick.After(t) {
-			flush()
-			e.tickLocked(e.nextTick)
-			e.nextTick = e.nextTick.Add(e.cfg.TickEvery)
-			isSeed = e.seeds.Func()
-		}
-
-		e.tags.Observe(t, tags)
-		docs := e.docs.Add(1)
-		if e.wal != nil {
-			// The raw item is logged (pre-itemTags), so replay re-derives entity
-			// tags identically instead of trusting a stale derivation.
-			e.wal.RecordDoc(docs, it)
-		}
-		if len(e.seeds.Seeds()) == 0 && docs >= int64(e.cfg.SeedWarmupDocs) {
-			// Bootstrap the seed set once enough documents have arrived, so
-			// pair tracking starts before the first tick. Earlier documents
-			// flush under the old predicate; this one is observed under the
-			// new.
-			flush()
-			e.seeds.Reselect(e.tags)
-			isSeed = e.seeds.Func()
-		}
-		pend = append(pend, pairs.BatchDoc{Time: t, Tags: tags})
-	}
-	flush()
-	e.batchDocs = pend[:0]
+	e.m.consume(items, e.publish)
 	e.mu.Unlock()
+}
+
+// publish makes r the current ranking and hands it to the broker, which
+// delivers it on the dispatcher goroutine, outside e.mu, so consumers may
+// call back into the engine.
+//
+//enblogue:requires engine
+func (e *Engine) publish(r Ranking) {
+	e.last.Store(&r)
+	e.broker.publish(r)
 }
 
 // Enqueue appends one item to the engine's bounded ingest queue and returns
@@ -663,11 +540,12 @@ func (e *Engine) IngestDropped() int64 {
 
 // Flush implements stream.Flusher: it first waits for the ingest queue (if
 // started) to drain — every item enqueued before Flush is consumed — then
-// runs a final evaluation tick at the last observed event time — unless an
-// evaluation at (or after) that time already ran, in which case
-// re-evaluating would only feed every pair's predictor a duplicate
-// observation. Flush then blocks until every ranking published so far has
-// been fully delivered: subscription channels fed and every SubSink
+// forces an evaluation tick at the last observed event time, through the
+// same guard as Tick: a tick at or before the newest evaluation is skipped,
+// since re-evaluating would only feed every pair's predictor a duplicate
+// observation. A tick Flush runs is logged to the WAL like a Tick. Flush
+// releases the engine lock and then blocks until every ranking published so
+// far has been fully delivered: subscription channels fed and every SubSink
 // returned. That is a happens-before edge: whatever a sink did with a tick
 // (a server's published view, history and SSE frames) is visible once
 // Flush returns.
@@ -678,9 +556,7 @@ func (e *Engine) Flush() {
 		q.WaitIdle()
 	}
 	e.mu.Lock()
-	if at := e.LastEventTime(); !at.IsZero() && at.After(e.lastTick) {
-		e.tickLocked(at)
-	}
+	e.tickLocked(e.m.lastSeen)
 	e.mu.Unlock()
 	e.broker.wait()
 }
@@ -691,16 +567,34 @@ func (e *Engine) Flush() {
 // evaluation already run is ignored (the current ranking is returned
 // unchanged): a wall-clock ticker that loaded LastEventTime just before an
 // event-driven tick fired must not rewind the published ranking or feed
-// the predictors a duplicate observation.
+// the predictors a duplicate observation. An accepted tick is logged to
+// the WAL, so recovery replays it at the same stream position.
 //
 //enblogue:acquires engine
 func (e *Engine) Tick(t time.Time) Ranking {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !t.After(e.lastTick) {
-		return e.CurrentRanking()
+	if r, ok := e.tickLocked(t); ok {
+		return r.Clone()
 	}
-	return e.tickLocked(t).Clone()
+	return e.CurrentRanking()
+}
+
+// tickLocked offers the machine a forced tick at t. When the machine's
+// guard accepts it, the tick is logged to the WAL — after the documents
+// consumed so far — and its ranking published.
+//
+//enblogue:requires engine
+func (e *Engine) tickLocked(t time.Time) (Ranking, bool) {
+	r, ok := e.m.tick(t)
+	if !ok {
+		return r, false
+	}
+	if e.wal != nil {
+		e.wal.RecordTick(e.m.docs, t)
+	}
+	e.publish(r)
+	return r, true
 }
 
 // forEachShard runs fn(0..n-1), returning when all complete. Work fans out
@@ -732,301 +626,13 @@ func forEachShard(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// topicCmp is the engine's deterministic ranking order as a three-way
-// comparator: descending score, ties broken by the pair rendering (compared
-// through Key.Less, which orders exactly like the rendered strings without
-// building them).
-func topicCmp(a, b *shift.Topic) int {
-	if a.Score != b.Score {
-		if a.Score > b.Score {
-			return -1
-		}
-		return 1
-	}
-	if a.Pair.Less(b.Pair) {
-		return -1
-	}
-	if b.Pair.Less(a.Pair) {
-		return 1
-	}
-	return 0
-}
-
-// sortTopics orders topics under topicCmp.
-func sortTopics(topics []shift.Topic) {
-	slices.SortFunc(topics, func(a, b shift.Topic) int {
-		return topicCmp(&a, &b)
-	})
-}
-
-// topicWorse reports whether a ranks strictly below b in the engine's
-// deterministic ranking order: lower score, ties by pair rendering
-// descending.
-func topicWorse(a, b *shift.Topic) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return b.Pair.Less(a.Pair)
-}
-
-// topkPush folds t into a bounded min-heap of capacity k whose root is the
-// worst kept topic under topicWorse. Kept topics live in buf while the heap
-// itself is idx, an array of positions into buf: sift operations swap int32
-// indexes instead of ~100-byte Topic structs, and comparisons read buf in
-// place. Selecting the per-shard top-k this way replaces the former sort of
-// every scored topic per shard per tick (O(p log p)) with O(p log k), and
-// both slices are reused across ticks. The ranking order is a strict total
-// order (scores tie-broken by distinct pair keys), so the kept set — later
-// materialised in topicCmp order — is exactly the prefix a full
-// sort-and-trim would keep.
-func topkPush(buf []shift.Topic, idx []int32, k int, t *shift.Topic) ([]shift.Topic, []int32) {
-	if len(idx) < k {
-		buf = append(buf, *t)
-		idx = append(idx, int32(len(buf)-1))
-		for i := len(idx) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !topicWorse(&buf[idx[i]], &buf[idx[p]]) {
-				break
-			}
-			idx[i], idx[p] = idx[p], idx[i]
-			i = p
-		}
-		return buf, idx
-	}
-	if !topicWorse(&buf[idx[0]], t) {
-		return buf, idx // t is no better than the worst kept topic
-	}
-	buf[idx[0]] = *t
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(idx) && topicWorse(&buf[idx[l]], &buf[idx[m]]) {
-			m = l
-		}
-		if r < len(idx) && topicWorse(&buf[idx[r]], &buf[idx[m]]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		idx[i], idx[m] = idx[m], idx[i]
-		i = m
-	}
-	return buf, idx
-}
-
-// tickScratch is the engine's reusable per-tick working set; see the
-// Engine.tick field. Tag counts live in a dense epoch-tagged index keyed by
-// interned tag ID: setCount stamps an entry with the current tick's epoch,
-// count reads entries stamped this epoch and returns 0 for anything older —
-// so "clearing" the index between ticks is one integer increment, and the
-// per-pair lookup is two array reads instead of a string-keyed map probe.
-type tickScratch struct {
-	counts     []float64
-	countEpoch []uint32
-	epoch      uint32
-	snaps      [][]pairs.PairCount
-	// coSnaps and co are the distribution-mode working set: the co
-	// tracker's per-shard snapshots and the co-tag index built from them.
-	coSnaps [][]pairs.PairCount
-	co      pairs.CoIndex
-	tops    [][]shift.Topic
-	// heapBuf and heapIdx are the per-shard topkPush working sets: kept
-	// topics and the index heap over them.
-	heapBuf [][]shift.Topic
-	heapIdx [][]int32
-	merged  []shift.Topic
-	// topStats is the seed-selection buffer handed to tagstats.TopAppend,
-	// reused across ticks like every other buffer here.
-	topStats []tagstats.TagStat
-}
-
-func newTickScratch(shards int) tickScratch {
-	return tickScratch{
-		snaps:   make([][]pairs.PairCount, shards),
-		coSnaps: make([][]pairs.PairCount, shards),
-		tops:    make([][]shift.Topic, shards),
-		heapBuf: make([][]shift.Topic, shards),
-		heapIdx: make([][]int32, shards),
-	}
-}
-
-// beginCounts starts a fresh count epoch.
-func (ts *tickScratch) beginCounts() { ts.epoch++ }
-
-// setCount records tag id's windowed count for the current epoch, growing
-// the index as the interned vocabulary grows.
-func (ts *tickScratch) setCount(id uint32, v float64) {
-	if int(id) >= len(ts.counts) {
-		grown := make([]float64, id+1)
-		copy(grown, ts.counts)
-		ts.counts = grown
-		grownE := make([]uint32, id+1)
-		copy(grownE, ts.countEpoch)
-		ts.countEpoch = grownE
-	}
-	ts.counts[id] = v
-	ts.countEpoch[id] = ts.epoch
-}
-
-// count returns tag id's windowed count for the current epoch, 0 if the
-// tag was not recorded this tick.
-func (ts *tickScratch) count(id uint32) float64 {
-	if int(id) >= len(ts.countEpoch) || ts.countEpoch[id] != ts.epoch {
-		return 0
-	}
-	return ts.counts[id]
-}
-
-// tickLocked reselects seeds, evaluates every candidate pair — all shards
-// in parallel, one worker per shard — merges the per-shard top-k partial
-// rankings, publishes the result, and sweeps dead detector state. The
-// caller must hold e.mu.
-//
-// The merge is exact: a topic in the global top-k is necessarily in its own
-// shard's top-k, so concatenating the per-shard prefixes and re-sorting
-// with the same comparator yields the same ranking a single global sort
-// would.
-//
-//enblogue:requires engine
-//enblogue:acquires rank
-func (e *Engine) tickLocked(t time.Time) Ranking {
-	if t.After(e.lastTick) {
-		e.lastTick = t
-	}
-
-	n := e.tags.DocCount()
-	// One snapshot per tick of whatever the workers will read, so the
-	// parallel shard workers never touch (and mutate, or serialise on) the
-	// shared trackers. The tag-count index is keyed by interned tag ID and
-	// reused across ticks: workers then look pair members up by uint32
-	// instead of hashing two strings per pair. Seed reselection is fused
-	// into the same pass over the tag statistics (one map iteration per
-	// tick, not two), selecting through a bounded heap with exactly Top's
-	// ordering.
-	ts := &e.tick
-	ts.beginCounts()
-	ts.topStats = e.tags.TopAppend(e.seeds.K, e.seeds.Criterion, e.seeds.MinCount,
-		ts.topStats[:0], func(tag string, id uint32, v float64) {
-			// IDs resolve through intern.Find (installed as the tracker's
-			// resolver at construction), not Intern: ID assignment happens
-			// only on the ingest path, in first-seen stream order, so
-			// replays shard identically. A tag with no ID was never part
-			// of any candidate pair (only ≥2-tag documents intern), so its
-			// count can never be read by the evaluation below.
-			if id != tagstats.NoID {
-				ts.setCount(id, v)
-			}
-		})
-	seeds := e.seeds.ReselectFrom(ts.topStats)
-
-	// Promote tail-tier pairs whose estimates crossed the admission floor
-	// before taking evaluation snapshots, so a re-admitted pair is scored
-	// in this same tick. No-op while the tail sketch is disabled. Runs at
-	// tick time, not ingest time: promotion scans the per-shard summaries,
-	// which would be wasted work on the per-document path, and tick
-	// boundaries are event-time deterministic, so promotion points replay
-	// identically.
-	e.pairsTr.PromoteTail(t)
-
-	// Snapshot every shard's pairs first, then decide the round advance
-	// from the snapshots themselves: the workers evaluate exactly these
-	// pairs, so the shard detectors' evaluation-round clocks advance
-	// precisely when a single global detector would.
-	nsh := e.pairsTr.Shards()
-	forEachShard(nsh, func(i int) {
-		ts.snaps[i] = e.pairsTr.AppendSnapshot(i, ts.snaps[i][:0])
-		if e.co != nil {
-			ts.coSnaps[i] = e.co.AppendSnapshot(i, ts.coSnaps[i][:0])
-		}
-	})
-	if e.co != nil {
-		ts.co.Build(ts.coSnaps)
-	}
-	total := 0
-	for _, s := range ts.snaps {
-		total += len(s)
-	}
-	if total > 0 {
-		e.det.BeginTick(t)
-	}
-
-	eval := func(i int) {
-		snap := ts.snaps[i]
-		det := e.det.Shard(i)
-		hbuf, hidx := ts.heapBuf[i][:0], ts.heapIdx[i][:0]
-		// One Topic reused across the whole shard: the detector assigns
-		// every field when it fills it, and topkPush copies only when the
-		// topic is actually kept. The running heap root is fed back to the
-		// detector as the admission floor, so a pair that provably cannot
-		// reach the shard's current top-k (its undecayed score bound is
-		// below the root) updates its predictor state and returns without
-		// ever materialising a Topic or computing an exponential — the
-		// selected set is exactly what an unfloored evaluation would select.
-		var topic shift.Topic
-		floor := 0.0
-		for _, pc := range snap {
-			var filled bool
-			ida, idb := pc.Key.IDs()
-			if e.co != nil {
-				filled = det.EvaluateCorrelationInto(t, pc.Key, pc.Slot,
-					ts.co.Similarity(ida, idb), pc.Count, floor, &topic)
-			} else {
-				filled = det.EvaluateInto(t, pc.Key, pc.Slot, pc.Count,
-					ts.count(ida), ts.count(idb), n, floor, &topic)
-			}
-			if filled && topic.Score > 0 {
-				hbuf, hidx = topkPush(hbuf, hidx, e.cfg.TopK, &topic)
-				if len(hidx) == e.cfg.TopK {
-					floor = hbuf[hidx[0]].Score
-				}
-			}
-		}
-		// Materialise the kept set best-first: sort the index heap (int32
-		// swaps, in-place reads) and copy each topic out once.
-		slices.SortFunc(hidx, func(a, b int32) int { return topicCmp(&hbuf[a], &hbuf[b]) })
-		top := ts.tops[i][:0]
-		for _, j := range hidx {
-			top = append(top, hbuf[j])
-		}
-		// Every pair just evaluated carries seen == t, so the stale sweep
-		// is exactly the old keep-map sweep without building a keep set.
-		det.SweepStale(t, 1e-9)
-		ts.heapBuf[i], ts.heapIdx[i], ts.tops[i] = hbuf, hidx, top
-	}
-	forEachShard(nsh, eval)
-
-	ts.merged = ts.merged[:0]
-	for _, shardTop := range ts.tops {
-		ts.merged = append(ts.merged, shardTop...)
-	}
-	sortTopics(ts.merged)
-	m := ts.merged
-	if len(m) > e.cfg.TopK {
-		m = m[:e.cfg.TopK]
-	}
-	// The published ranking owns a fresh slice: the merge buffer is reused
-	// next tick, while the Ranking escapes to the broker and history.
-	topics := append([]shift.Topic(nil), m...)
-
-	r := Ranking{At: t, Seeds: seeds, Topics: topics}
-	e.rankMu.Lock()
-	e.last = r
-	e.rankMu.Unlock()
-	// Hand the ranking to the broker; delivery to subscriptions happens
-	// on the dispatcher goroutine, outside e.mu, so consumers may call
-	// back into the engine.
-	e.broker.publish(r)
-	return r
-}
-
-// CurrentRanking returns a defensive copy of the most recent ranking. Safe
-// for concurrent use with the consuming goroutine; mutating the returned
-// slices cannot corrupt the engine's published state.
-//
-//enblogue:acquires rank
+// CurrentRanking returns a defensive copy of the most recent ranking. It
+// takes no lock, so it is safe from any goroutine, a SubSink included;
+// mutating the returned slices cannot corrupt the engine's published state.
 func (e *Engine) CurrentRanking() Ranking {
-	e.rankMu.Lock()
-	defer e.rankMu.Unlock()
-	return e.last.Clone()
+	r := e.last.Load()
+	if r == nil {
+		return Ranking{}
+	}
+	return r.Clone()
 }

@@ -36,47 +36,91 @@ type EngineState struct {
 	Last  Ranking  // most recent published ranking
 }
 
-// exportStateLocked gathers the full engine state. Caller holds e.mu, which
-// ingest holds across a whole batch, so no producer is mid-document: docs,
-// tag statistics, pair counters, and the WAL position all agree.
-//
-//enblogue:requires engine
-//enblogue:acquires rank
-func (e *Engine) exportStateLocked() EngineState {
+// exportState gathers the machine's full state; the shell adds the
+// published ranking. The caller holds e.mu, which ingest holds across a
+// whole batch, so no producer is mid-document: docs, tag statistics, pair
+// counters, and the WAL position all agree.
+func (m *machine) exportState() EngineState {
 	st := EngineState{
-		Docs:         e.docs.Load(),
-		LastSeenNano: e.lastSeenNano.Load(),
-		Tags:         e.tags.ExportState(),
-		Pairs:        e.pairsTr.ExportState(),
-		Det:          e.det.ExportState(),
-		Seeds:        append([]string(nil), e.seeds.Seeds()...),
-		Last:         e.CurrentRanking(),
+		Docs:  m.docs,
+		Tags:  m.tags.ExportState(),
+		Pairs: m.pairsTr.ExportState(),
+		Det:   m.det.ExportState(),
+		Seeds: append([]string(nil), m.seeds.Seeds()...),
 	}
-	if !e.nextTick.IsZero() {
-		st.NextTickNano, st.NextTickSet = e.nextTick.UnixNano(), true
+	if !m.lastSeen.IsZero() {
+		st.LastSeenNano = m.lastSeen.UnixNano()
 	}
-	if !e.lastTick.IsZero() {
-		st.LastTickNano, st.LastTickSet = e.lastTick.UnixNano(), true
+	if !m.nextTick.IsZero() {
+		st.NextTickNano, st.NextTickSet = m.nextTick.UnixNano(), true
 	}
-	if e.co != nil {
-		co := e.co.ExportState()
+	if !m.lastTick.IsZero() {
+		st.LastTickNano, st.LastTickSet = m.lastTick.UnixNano(), true
+	}
+	if m.co != nil {
+		co := m.co.ExportState()
 		st.Co = &co
 	}
 	return st
 }
 
+// restoreState loads st into a machine that has consumed nothing.
+func (m *machine) restoreState(st EngineState) error {
+	if m.docs != 0 || !m.lastSeen.IsZero() || !m.nextTick.IsZero() {
+		return errors.New("core: restore into an engine that has consumed documents")
+	}
+	if (st.Co != nil) != (m.co != nil) {
+		return errors.New("core: distribution-mode mismatch between snapshot and engine")
+	}
+	if err := m.tags.RestoreState(st.Tags); err != nil {
+		return err
+	}
+	if err := m.pairsTr.RestoreState(st.Pairs); err != nil {
+		return err
+	}
+	if st.Co != nil {
+		if err := m.co.RestoreState(*st.Co); err != nil {
+			return err
+		}
+	}
+	if err := m.det.RestoreState(st.Det); err != nil {
+		return err
+	}
+	if len(st.Seeds) > 0 {
+		// SeedSelector state is just the ordered tag set; ReselectFrom reads
+		// only the Tag field.
+		stats := make([]tagstats.TagStat, len(st.Seeds))
+		for i, s := range st.Seeds {
+			stats[i] = tagstats.TagStat{Tag: s}
+		}
+		m.seeds.ReselectFrom(stats)
+	}
+	m.docs = st.Docs
+	if st.LastSeenNano != 0 {
+		m.lastSeen = time.Unix(0, st.LastSeenNano).UTC()
+	}
+	if st.NextTickSet {
+		m.nextTick = time.Unix(0, st.NextTickNano).UTC()
+	}
+	if st.LastTickSet {
+		m.lastTick = time.Unix(0, st.LastTickNano).UTC()
+	}
+	return nil
+}
+
 // SnapshotState exports the engine's full state and, while ingest is still
 // quiesced, invokes rotate with the snapshot epoch (the exported document
 // count) — the persistence layer rotates its WAL segment there, so the
-// segment boundary aligns exactly with the snapshot: every document after
-// the epoch is in the new segment and only there. Encoding and file I/O
+// segment boundary aligns exactly with the snapshot: every input after
+// the snapshot is in the new segment and only there. Encoding and file I/O
 // belong outside this call.
 //
 //enblogue:acquires engine
 func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.exportStateLocked()
+	st := e.m.exportState()
+	st.Last = e.CurrentRanking()
 	if rotate != nil {
 		if err := rotate(st.Docs); err != nil {
 			return EngineState{}, err
@@ -92,50 +136,13 @@ func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, err
 // tuning are free to differ.
 //
 //enblogue:acquires engine
-//enblogue:acquires rank
 func (e *Engine) RestoreState(st EngineState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.docs.Load() != 0 || e.lastSeenNano.Load() != 0 || !e.nextTick.IsZero() {
-		return errors.New("core: restore into an engine that has consumed documents")
-	}
-	if (st.Co != nil) != (e.co != nil) {
-		return errors.New("core: distribution-mode mismatch between snapshot and engine")
-	}
-	if err := e.tags.RestoreState(st.Tags); err != nil {
+	if err := e.m.restoreState(st); err != nil {
 		return err
-	}
-	if err := e.pairsTr.RestoreState(st.Pairs); err != nil {
-		return err
-	}
-	if st.Co != nil {
-		if err := e.co.RestoreState(*st.Co); err != nil {
-			return err
-		}
-	}
-	if err := e.det.RestoreState(st.Det); err != nil {
-		return err
-	}
-	if len(st.Seeds) > 0 {
-		// SeedSelector state is just the ordered tag set; ReselectFrom reads
-		// only the Tag field.
-		stats := make([]tagstats.TagStat, len(st.Seeds))
-		for i, s := range st.Seeds {
-			stats[i] = tagstats.TagStat{Tag: s}
-		}
-		e.seeds.ReselectFrom(stats)
-	}
-	e.docs.Store(st.Docs)
-	e.lastSeenNano.Store(st.LastSeenNano)
-	if st.NextTickSet {
-		e.nextTick = time.Unix(0, st.NextTickNano).UTC()
-	}
-	if st.LastTickSet {
-		e.lastTick = time.Unix(0, st.LastTickNano).UTC()
 	}
 	r := st.Last.Clone()
-	e.rankMu.Lock()
-	e.last = r
-	e.rankMu.Unlock()
+	e.last.Store(&r)
 	return nil
 }

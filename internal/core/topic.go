@@ -28,14 +28,14 @@ func (e *Engine) ExpandTopic(k pairs.Key, maxExtra int) []string {
 	co1 := make(map[string]float64)
 	co2 := make(map[string]float64)
 	e.mu.Lock()
-	for _, kk := range e.pairsTr.Keys() {
+	for _, kk := range e.m.pairsTr.Keys() {
 		if o, ok := kk.Other(tag1); ok && o != tag2 {
-			if c := e.pairsTr.Cooccurrence(kk); c > 0 {
+			if c := e.m.pairsTr.Cooccurrence(kk); c > 0 {
 				co1[o] = c
 			}
 		}
 		if o, ok := kk.Other(tag2); ok && o != tag1 {
-			if c := e.pairsTr.Cooccurrence(kk); c > 0 {
+			if c := e.m.pairsTr.Cooccurrence(kk); c > 0 {
 				co2[o] = c
 			}
 		}

@@ -59,7 +59,6 @@ type batchScratch struct {
 // prepared in document order, so interned-ID assignment — and therefore
 // shard placement — does not depend on the cut either.
 //
-//enblogue:acquires tier
 //enblogue:hotpath
 func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
 	if len(docs) == 0 {
@@ -73,7 +72,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 		if maxDocs < 1 {
 			maxDocs = 1
 		}
-		headroom := int64(tr.cfg.MaxPairs) - tr.npairs.Load()
+		headroom := int64(tr.cfg.MaxPairs - tr.npairs)
 
 		// Plan the chunk: generate candidate increments doc by doc until a
 		// sweep trigger could fire.
@@ -145,7 +144,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 
 		// The per-document sweep check, at the chunk boundary.
 		tr.sinceGC += int64(j - i)
-		if tr.sinceGC >= int64(tr.cfg.SweepEvery) || tr.npairs.Load() > int64(tr.cfg.MaxPairs) {
+		if tr.sinceGC >= int64(tr.cfg.SweepEvery) || tr.npairs > tr.cfg.MaxPairs {
 			tr.sweep()
 		}
 		i = j

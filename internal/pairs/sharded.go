@@ -1,7 +1,6 @@
 package pairs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"enblogue/internal/tier"
@@ -50,10 +49,9 @@ type trackerShard struct {
 	approx map[Key]float64
 	// evicted counts lifetime over-budget evictions from this shard;
 	// demoted counts those absorbed by the tail tier (equal to evicted
-	// while the tier is enabled, zero when disabled). Atomic: TailStats
-	// reads them from any goroutine.
-	evicted atomic.Int64
-	demoted atomic.Int64
+	// while the tier is enabled, zero when disabled).
+	evicted int64
+	demoted int64
 }
 
 // ShardedTracker is the sharded counterpart of Tracker: the pair space is
@@ -62,10 +60,10 @@ type trackerShard struct {
 // groups a run of documents' candidate pairs by shard and applies each
 // shard's group in document order.
 //
-// It is a single-owner structure: callers serialise every method (the
-// engine calls them all under its own lock), except that AppendSnapshot
-// may run concurrently on distinct shards, and ActivePairs and TailStats
-// are safe from any goroutine.
+// It is a single-owner structure: callers serialise every method, readers
+// such as ActivePairs and TailStats included (the engine calls them all
+// under its own lock), except that AppendSnapshot may run concurrently on
+// distinct shards.
 //
 // Semantics are shard-count independent for a sequentially observed stream:
 // sweeps trigger on the same global document counts as the serial Tracker,
@@ -77,9 +75,9 @@ type trackerShard struct {
 type ShardedTracker struct {
 	cfg     Config
 	shards  []*trackerShard
-	npairs  atomic.Int64 // total tracked pairs across shards; atomic for ActivePairs
-	nowNano int64        // max observed event time, unix nanos
-	sinceGC int64        // documents observed since the last sweep
+	npairs  int   // total tracked pairs across shards
+	nowNano int64 // max observed event time, unix nanos
+	sinceGC int64 // documents observed since the last sweep
 
 	// tails is the cold tier, one Tail per shard (nil when disabled): the
 	// sweep demotes every over-budget eviction victim into its shard's
@@ -93,9 +91,9 @@ type ShardedTracker struct {
 	floor float64
 	// promotions counts lifetime tail→exact promotions; approxSeeded counts
 	// the tracked pairs whose counters are sketch-seeded (the entries of
-	// every shard's approx map). Both atomic for TailStats.
-	promotions   atomic.Int64
-	approxSeeded atomic.Int64
+	// every shard's approx map).
+	promotions   int64
+	approxSeeded int
 	// onEvict, when set via SetOnEvict, observes every over-budget
 	// eviction with the victim's windowed count — the test seam for
 	// cross-validating tail estimates against exact ground truth. Called
@@ -166,7 +164,7 @@ func (tr *ShardedTracker) upsert(sh *trackerShard, k Key) int32 {
 			sh.keys = append(sh.keys, Key{})
 		}
 		sh.keys[slot] = k
-		tr.npairs.Add(1)
+		tr.npairs++
 	}
 	return slot
 }
@@ -178,14 +176,14 @@ func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 	seed, ok := sh.approx[k]
 	if ok {
 		delete(sh.approx, k)
-		tr.approxSeeded.Add(-1)
+		tr.approxSeeded--
 	}
 	sh.keys[slot] = Key{}
 	if int(slot) < len(sh.prefix) {
 		sh.prefix[slot] = 0
 	}
 	sh.arena.Release(slot)
-	tr.npairs.Add(-1)
+	tr.npairs--
 	return seed
 }
 
@@ -197,15 +195,13 @@ func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
 // advancing, the dropping and — when the tracker entered the sweep over
 // budget, so eviction is possible — the collecting; selectSmallest then
 // ranks only the victims, in the order the serial Tracker's sort would.
-//
-//enblogue:acquires tier
 func (tr *ShardedTracker) sweep() {
 	tr.sinceGC = 0
 	now := tr.now()
 	if now.IsZero() {
 		return
 	}
-	collect := tr.npairs.Load() > int64(tr.cfg.MaxPairs)
+	collect := tr.npairs > tr.cfg.MaxPairs
 	all := tr.sweepAll[:0]
 	for s, sh := range tr.shards {
 		if collect {
@@ -240,7 +236,7 @@ func (tr *ShardedTracker) sweep() {
 	for _, e := range all[:victims] {
 		sh := tr.shards[e.shard]
 		seed := tr.drop(sh, e.key, e.slot)
-		sh.evicted.Add(1)
+		sh.evicted++
 		// Victims arrive smallest-first, so the last one defines the
 		// admission floor: the count a tail pair's estimate must beat to
 		// earn its way back into the exact tier.
@@ -262,7 +258,7 @@ func (tr *ShardedTracker) sweep() {
 				}
 			}
 			tr.tails[e.shard].Demote(tr.nowNano, e.key.packed, uint64(amt))
-			sh.demoted.Add(1)
+			sh.demoted++
 		}
 		if tr.onEvict != nil {
 			tr.onEvict(e.key, e.count)
@@ -280,13 +276,11 @@ func (tr *ShardedTracker) sweep() {
 // summaries; their sketch mass decays on the generation schedule. Returns
 // the number of pairs promoted. The engine calls this at tick time, before
 // evaluation snapshots, so promoted pairs are scored in the same tick.
-//
-//enblogue:acquires tier
 func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	if tr.tails == nil {
 		return 0
 	}
-	headroom := tr.cfg.MaxPairs - int(tr.npairs.Load())
+	headroom := tr.cfg.MaxPairs - tr.npairs
 	if headroom <= 0 {
 		return 0
 	}
@@ -327,7 +321,7 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 			sh.approx = make(map[Key]float64)
 		}
 		if _, seeded := sh.approx[k]; !seeded {
-			tr.approxSeeded.Add(1)
+			tr.approxSeeded++
 		}
 		// Accumulate, not assign: a pair promoted twice without an eviction
 		// in between (impossible today — Remove gates re-candidacy on a
@@ -335,7 +329,7 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		sh.approx[k] += est
 		tr.tails[r.shard].Remove(k.packed)
 	}
-	tr.promotions.Add(int64(n))
+	tr.promotions += int64(n)
 	return n
 }
 
@@ -354,25 +348,22 @@ type TailStats struct {
 	DemotedByShard    []int64 // of those, absorbed by the tail, per shard
 }
 
-// TailStats returns the current tier statistics. Safe for concurrent use:
-// it reads only atomic counters and the tails, which lock themselves.
-//
-//enblogue:acquires tier
+// TailStats returns the current tier statistics.
 func (tr *ShardedTracker) TailStats() TailStats {
 	ts := TailStats{
-		ApproxSeededPairs: int(tr.approxSeeded.Load()),
+		ApproxSeededPairs: tr.approxSeeded,
 		EvictedByShard:    make([]int64, len(tr.shards)),
 		DemotedByShard:    make([]int64, len(tr.shards)),
 	}
 	for i, sh := range tr.shards {
-		ts.EvictedByShard[i] = sh.evicted.Load()
-		ts.DemotedByShard[i] = sh.demoted.Load()
+		ts.EvictedByShard[i] = sh.evicted
+		ts.DemotedByShard[i] = sh.demoted
 	}
 	if tr.tails == nil {
 		return ts
 	}
 	ts.Enabled = true
-	ts.Promotions = tr.promotions.Load()
+	ts.Promotions = tr.promotions
 	var mass uint64
 	for _, tl := range tr.tails {
 		s := tl.Stats()
@@ -396,12 +387,11 @@ func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 }
 
 // ActivePairs returns the number of pairs currently tracked across shards.
-// Safe for concurrent use.
-func (tr *ShardedTracker) ActivePairs() int { return int(tr.npairs.Load()) }
+func (tr *ShardedTracker) ActivePairs() int { return tr.npairs }
 
 // Keys returns all tracked pair keys across shards in unspecified order.
 func (tr *ShardedTracker) Keys() []Key {
-	out := make([]Key, 0, tr.npairs.Load())
+	out := make([]Key, 0, tr.npairs)
 	for _, sh := range tr.shards {
 		//enblogue:unordered documented unspecified order; ranking consumers sort or select with a strict total order
 		for k := range sh.slots {

@@ -36,7 +36,7 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 	st := ShardedTrackerState{
 		NowNano: tr.nowNano,
 		SinceGC: tr.sinceGC,
-		Pairs:   make([]PairState, 0, tr.npairs.Load()),
+		Pairs:   make([]PairState, 0, tr.npairs),
 	}
 	now := tr.now()
 	for _, sh := range tr.shards {
@@ -65,7 +65,7 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 // shard its key hashes to under this tracker's shard count. Restoring into a
 // tracker that has already observed documents is an error.
 func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
-	if tr.npairs.Load() != 0 || tr.nowNano != 0 {
+	if tr.npairs != 0 || tr.nowNano != 0 {
 		return errors.New("pairs: restore into a non-empty tracker")
 	}
 	n := len(tr.shards)

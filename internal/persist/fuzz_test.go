@@ -51,28 +51,38 @@ func FuzzWALDecode(f *testing.F) {
 	for i, it := range samples {
 		f.Add(appendWALRecord(nil, int64(i+1), it))
 	}
+	f.Add(appendTickRecord(nil, 0, time.Unix(0, 1234567890).UTC()))
+	f.Add(appendTickRecord(nil, 42, time.Unix(1700000000, 7).UTC()))
+	f.Add([]byte(`{"seq":-1,"tick":5}`))
+	f.Add([]byte(`{"seq":3,"tick":5,"tags":["a"]}`))
 	f.Add([]byte(`{"seq":0}`))
 	f.Add([]byte(`{"seq":1,"t":"not a number"}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		seq, it, err := decodeWALLine(line)
+		rec, err := decodeWALLine(line)
 		if err != nil {
 			return
 		}
-		if seq <= 0 {
-			t.Fatalf("decode accepted non-positive seq %d", seq)
-		}
-		if it == nil {
-			t.Fatal("decode returned nil item without error")
-		}
 		// Accepted records must survive the engine's own round trip: the
-		// re-encoded line decodes to the same sequence number.
-		re := appendWALRecord(nil, seq, it)
-		seq2, _, err := decodeWALLine(re)
-		if err != nil || seq2 != seq {
-			t.Fatalf("re-encode of accepted record failed: seq %d -> %d, err %v", seq, seq2, err)
+		// re-encoded line decodes to the same record kind and sequence
+		// number, and a tick to the same instant.
+		var re []byte
+		if rec.item == nil {
+			if rec.seq < 0 {
+				t.Fatalf("decode accepted a tick with negative seq %d", rec.seq)
+			}
+			re = appendTickRecord(nil, rec.seq, rec.tick)
+		} else {
+			if rec.seq <= 0 {
+				t.Fatalf("decode accepted a document with non-positive seq %d", rec.seq)
+			}
+			re = appendWALRecord(nil, rec.seq, rec.item)
+		}
+		rec2, err := decodeWALLine(re)
+		if err != nil || rec2.seq != rec.seq || (rec2.item == nil) != (rec.item == nil) || !rec2.tick.Equal(rec.tick) {
+			t.Fatalf("re-encode of accepted record failed: %+v -> %+v, err %v", rec, rec2, err)
 		}
 	})
 }

@@ -22,13 +22,15 @@ import (
 // gives each tenant a subdirectory):
 //
 //	snap-<epoch>.snap    full engine snapshot taken at document count <epoch>
-//	wal-<epoch>.jsonl    WAL segment holding documents seq > <epoch>
+//	wal-<epoch>.jsonl    WAL segment holding the inputs logged after that
+//	                     snapshot: documents seq > <epoch>, forced ticks
+//	                     seq >= <epoch>
 //
 // Epochs are zero-padded to 20 digits so lexicographic name order is epoch
 // order. WAL segments rotate exactly at snapshot epochs (under the engine
 // lock), so segment boundaries and snapshot coverage always agree:
-// recovery restores the newest valid snapshot and replays every record with
-// seq above its epoch, in order, asserting contiguity.
+// recovery restores the newest valid snapshot and replays every record
+// after it, in file order, asserting contiguity.
 
 const (
 	snapPrefix = "snap-"
@@ -66,7 +68,8 @@ type walFile interface {
 }
 
 // Store is the persistence layer attached to one engine: it records every
-// ingested document to the WAL (as the engine's WALRecorder) and writes
+// engine input — documents and forced ticks — to the WAL (as the engine's
+// WALRecorder) and writes
 // snapshots on demand and on a background ticker (as its Durability
 // handle). A Store is built by Attach during core.New, after recovery.
 type Store struct {
@@ -90,14 +93,13 @@ type Store struct {
 	//enblogue:lock persistSnap 5
 	snapMu sync.Mutex
 
-	// mu guards the live WAL segment and the stats fields. RecordDoc runs
-	// under the engine bookkeeping lock, and rotation happens inside the
-	// engine's snapshot gate, so this class sits above engine.
+	// mu guards the live WAL segment and the stats fields. RecordDoc and
+	// RecordTick run under the engine bookkeeping lock, and rotation happens
+	// inside the engine's snapshot gate, so this class sits above engine.
 	//
 	//enblogue:lock wal 15
 	mu         sync.Mutex
 	walF       walFile
-	walEpoch   int64
 	buf        []byte // reusable record-encode buffer
 	lastSync   time.Time
 	snapEpoch  int64
@@ -165,10 +167,7 @@ func openStore(e *core.Engine) (*Store, error) {
 	// may already exist (crash between rotation and snapshot write); its
 	// records are ≤ the recovered position and appending continues the
 	// sequence contiguously, so replay handles both layouts.
-	s.mu.Lock()
-	err = s.rotateLocked(e.DocsProcessed())
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.rotate(e.DocsProcessed()); err != nil {
 		return nil, err
 	}
 	if s.cfg.SnapshotEvery > 0 {
@@ -204,11 +203,30 @@ func (s *Store) snapshotLoop() {
 //enblogue:acquires wal
 func (s *Store) RecordDoc(seq int64, it *stream.Item) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.buf = appendWALRecord(s.buf[:0], seq, it)
+	s.appendLocked()
+	s.mu.Unlock()
+}
+
+// RecordTick implements core.WALRecorder: it appends one forced-tick
+// record to the live WAL segment, under the same policy as RecordDoc.
+//
+//enblogue:acquires wal
+func (s *Store) RecordTick(seq int64, t time.Time) {
+	s.mu.Lock()
+	s.buf = appendTickRecord(s.buf[:0], seq, t)
+	s.appendLocked()
+	s.mu.Unlock()
+}
+
+// appendLocked writes the record encoded in s.buf to the live segment and
+// syncs as the fsync policy asks.
+//
+//enblogue:requires wal
+func (s *Store) appendLocked() {
 	if s.closed || s.walF == nil {
 		return
 	}
-	s.buf = appendWALRecord(s.buf[:0], seq, it)
 	if _, err := s.walF.Write(s.buf); err != nil {
 		s.lastErr = "wal append: " + err.Error()
 		return
@@ -229,18 +247,13 @@ func (s *Store) RecordDoc(seq int64, it *stream.Item) {
 }
 
 // rotate closes the live WAL segment and opens the one for epoch. Invoked
-// by Engine.SnapshotState under the engine lock, so no document can land
+// by Engine.SnapshotState under the engine lock, so no input can land
 // between the state export and the segment switch.
 //
 //enblogue:acquires wal
 func (s *Store) rotate(epoch int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rotateLocked(epoch)
-}
-
-//enblogue:requires wal
-func (s *Store) rotateLocked(epoch int64) error {
 	if s.walF != nil {
 		s.walF.Sync() //nolint:errcheck // best effort; the close error matters more
 		if err := s.walF.Close(); err != nil {
@@ -256,7 +269,6 @@ func (s *Store) rotateLocked(epoch int64) error {
 		return fmt.Errorf("persist: wal open: %w", err)
 	}
 	s.walF = f
-	s.walEpoch = epoch
 	return nil
 }
 
@@ -471,8 +483,11 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config) (recoverResult,
 }
 
 // replayWAL feeds every WAL record above the restored position into e, in
-// batches, stopping with a warning at the first unreadable segment,
-// corrupt record or sequence gap.
+// file order, stopping with a warning at the first unreadable segment,
+// corrupt record or sequence gap. Documents go through ConsumeBatch in
+// batches; a forced tick goes through Tick, whose guard drops a tick the
+// restored snapshot already covers (its time is at or before the
+// snapshot's newest evaluation).
 func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 	segs := listEpochs(dir, walPrefix, walSuffix)
 	next := restored + 1
@@ -495,7 +510,7 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
-			seq, it, derr := decodeWALLine(line)
+			rec, derr := decodeWALLine(line)
 			if derr != nil {
 				flush()
 				// A torn final record in the final segment is the normal
@@ -507,20 +522,30 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 				*warns = append(*warns, fmt.Sprintf("wal segment %d line %d: %v", seg, li+1, derr))
 				return
 			}
-			if seq < next {
-				// Covered by the restored snapshot (or by an earlier
-				// segment after a crash between rotation and snapshot).
-				continue
+			// A document record must be the next document; a tick record
+			// follows the document before that, or one the snapshot covers.
+			want := next
+			if rec.item == nil {
+				want = next - 1
 			}
-			if seq != next {
+			if rec.seq > want {
 				flush()
-				*warns = append(*warns, fmt.Sprintf("wal segment %d: sequence gap, want %d got %d", seg, next, seq))
+				*warns = append(*warns, fmt.Sprintf("wal segment %d: sequence gap, want %d got %d", seg, want, rec.seq))
 				return
 			}
-			batch = append(batch, it)
-			next++
-			if len(batch) == cap(batch) {
+			switch {
+			case rec.item == nil:
 				flush()
+				e.Tick(rec.tick)
+			case rec.seq < next:
+				// Covered by the restored snapshot (or by an earlier
+				// segment after a crash between rotation and snapshot).
+			default:
+				batch = append(batch, rec.item)
+				next++
+				if len(batch) == cap(batch) {
+					flush()
+				}
 			}
 		}
 	}

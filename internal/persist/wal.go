@@ -10,15 +10,21 @@ import (
 	"enblogue/internal/stream"
 )
 
-// The write-ahead log is JSONL: one object per consumed document,
+// The write-ahead log is JSONL and records the engine machine's two inputs.
+// A consumed document is
 //
 //	{"seq":N,"t":<unix nanos>,"id":"...","tags":[...],"entities":[...],"text":"...","src":"..."}
 //
-// with empty fields omitted. seq is the document's 1-based stream position
-// (DocsProcessed after counting it); records within a segment are strictly
-// seq-ascending and contiguous. The append encoder is hand-rolled so the
-// steady-state ingest path allocates nothing per document: it appends into a
-// reusable buffer that is handed to the file in a single Write.
+// with empty fields omitted; seq is the document's 1-based stream position
+// (DocsProcessed after counting it), and document records within a segment
+// are strictly seq-ascending and contiguous. A forced tick is
+//
+//	{"seq":N,"tick":<unix nanos>}
+//
+// where N is the number of documents consumed before it. The append
+// encoder is hand-rolled so the steady-state ingest path allocates nothing
+// per document: it appends into a reusable buffer that is handed to the
+// file in a single Write.
 
 // appendWALRecord appends one record line (terminating newline included).
 func appendWALRecord(b []byte, seq int64, it *stream.Item) []byte {
@@ -40,6 +46,15 @@ func appendWALRecord(b []byte, seq int64, it *stream.Item) []byte {
 		b = append(b, `,"src":`...)
 		b = appendJSONString(b, it.Source)
 	}
+	return append(b, "}\n"...)
+}
+
+// appendTickRecord appends one forced-tick record line.
+func appendTickRecord(b []byte, seq int64, t time.Time) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, `,"tick":`...)
+	b = strconv.AppendInt(b, t.UnixNano(), 10)
 	return append(b, "}\n"...)
 }
 
@@ -92,7 +107,8 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// walRecord is the decode-side shape of one WAL line.
+// walRecord is the decode-side shape of one WAL line. Tick is set only on
+// a forced-tick record.
 type walRecord struct {
 	Seq      int64    `json:"seq"`
 	T        int64    `json:"t"`
@@ -101,24 +117,42 @@ type walRecord struct {
 	Entities []string `json:"entities"`
 	Text     string   `json:"text"`
 	Src      string   `json:"src"`
+	Tick     *int64   `json:"tick"`
 }
 
-// decodeWALLine parses one WAL line into (seq, item). Arbitrary bytes
-// return an error, never panic. Replay is not a hot path, so the standard
-// JSON decoder is fine here.
-func decodeWALLine(line []byte) (int64, *stream.Item, error) {
+// walEntry is one decoded WAL record: a document (item set) or a forced
+// tick at tick (item nil).
+type walEntry struct {
+	seq  int64
+	item *stream.Item
+	tick time.Time
+}
+
+// decodeWALLine parses one WAL line. Arbitrary bytes return an error, never
+// panic. Replay is not a hot path, so the standard JSON decoder is fine
+// here.
+func decodeWALLine(line []byte) (walEntry, error) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
-		return 0, nil, fmt.Errorf("persist: empty WAL line")
+		return walEntry{}, fmt.Errorf("persist: empty WAL line")
 	}
 	var rec walRecord
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
-		return 0, nil, fmt.Errorf("persist: bad WAL line: %w", err)
+		return walEntry{}, fmt.Errorf("persist: bad WAL line: %w", err)
+	}
+	if rec.Tick != nil {
+		// A tick follows its seq-th document, so seq 0 (a tick before any
+		// document) is valid; a tick carries no document fields.
+		if rec.Seq < 0 || rec.T != 0 || rec.ID != "" || rec.Tags != nil ||
+			rec.Entities != nil || rec.Text != "" || rec.Src != "" {
+			return walEntry{}, fmt.Errorf("persist: bad WAL line: tick record with seq %d or document fields", rec.Seq)
+		}
+		return walEntry{seq: rec.Seq, tick: nanoTime(*rec.Tick)}, nil
 	}
 	if rec.Seq <= 0 {
-		return 0, nil, fmt.Errorf("persist: bad WAL line: seq %d", rec.Seq)
+		return walEntry{}, fmt.Errorf("persist: bad WAL line: seq %d", rec.Seq)
 	}
 	it := &stream.Item{
 		Time:     nanoTime(rec.T),
@@ -128,7 +162,7 @@ func decodeWALLine(line []byte) (int64, *stream.Item, error) {
 		Text:     rec.Text,
 		Source:   rec.Src,
 	}
-	return rec.Seq, it, nil
+	return walEntry{seq: rec.Seq, item: it}, nil
 }
 
 // nanoTime converts unix nanos to a UTC time.Time. The engine compares

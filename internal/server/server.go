@@ -90,13 +90,15 @@ type AlertView struct {
 	Score float64 `json:"score"`
 }
 
-// Hub fans ranking updates out to connected SSE clients. Slow clients drop
-// frames rather than stalling the broadcaster; the drops are counted.
+// Hub fans ranking updates out to connected SSE clients. A slow client
+// loses its oldest queued frame rather than stalling the broadcaster — the
+// broker's drop-oldest policy — so it always ends on the newest frame; the
+// drops are counted.
 type Hub struct {
 	mu      sync.Mutex
 	clients map[chan []byte]bool
 	last    []byte
-	dropped int64 // frames not queued because a client's buffer was full
+	dropped int64 // queued frames discarded because a client's buffer was full
 }
 
 // NewHub returns an empty hub.
@@ -117,7 +119,15 @@ func (h *Hub) Broadcast(v interface{}) error {
 	for ch := range h.clients {
 		select {
 		case ch <- data:
-		default: // client buffer full: drop this frame for that client
+		default:
+			// Client buffer full: discard its oldest frame and queue this
+			// one. Only holders of h.mu send, so once a slot is free the
+			// send cannot block, even if the client drained meanwhile.
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- data
 			h.dropped++
 		}
 	}
@@ -150,8 +160,8 @@ func (h *Hub) ClientCount() int {
 	return len(h.clients)
 }
 
-// FramesDropped returns the lifetime count of frames dropped for clients
-// whose buffer was full, one per frame per client.
+// FramesDropped returns the lifetime count of queued frames discarded for
+// clients whose buffer was full, one per frame per client.
 func (h *Hub) FramesDropped() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -200,7 +200,8 @@ func TestSSEStreamDeliversFrames(t *testing.T) {
 }
 
 // stalledWriter is an SSE client that has stopped reading: the first frame
-// write blocks until release is closed.
+// write blocks until release is closed. Every frame written after that is
+// passed on through frames.
 type stalledWriter struct {
 	header  http.Header
 	hub     *Hub
@@ -208,6 +209,7 @@ type stalledWriter struct {
 	opened  chan struct{} // closed when the response headers are written
 	stalled chan struct{} // closed once the first frame write blocks
 	release chan struct{}
+	frames  chan []byte
 	once    sync.Once
 }
 
@@ -220,34 +222,43 @@ func (w *stalledWriter) WriteHeader(int) {
 func (w *stalledWriter) Write(p []byte) (int, error) {
 	w.once.Do(func() { close(w.stalled) })
 	<-w.release
+	w.frames <- append([]byte(nil), p...)
 	return len(p), nil
 }
 
 // A stalled SSE client holds one frame in its blocked write and eight in
-// its hub buffer; every further frame broadcast to it is dropped, and
-// /v1/stats reports exactly those.
+// its hub buffer; every further frame broadcast to it pushes out the
+// oldest queued one, and /v1/stats counts exactly those. Once released,
+// the client reads the newest eight, ending on the final tick.
 func TestStatsCountsFramesDroppedForStalledClient(t *testing.T) {
 	s := New()
 	h := s.Handler()
 	w := &stalledWriter{header: http.Header{}, hub: s.defaultTenant().hub,
-		opened: make(chan struct{}), stalled: make(chan struct{}), release: make(chan struct{})}
+		opened: make(chan struct{}), stalled: make(chan struct{}), release: make(chan struct{}),
+		frames: make(chan []byte, 16)}
+	release := sync.OnceFunc(func() { close(w.release) })
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx))
 	}()
-	defer func() { close(w.release); cancel(); <-done }()
+	defer func() { release(); cancel(); <-done }()
 
 	<-w.opened
 	if w.clients != 1 {
 		t.Fatalf("hub had %d clients when the headers went out; the handler must subscribe first", w.clients)
 	}
-	s.PublishRanking(sampleRanking())
+	tick := func(i int) core.Ranking {
+		r := sampleRanking()
+		r.At = t0.Add(time.Duration(i) * time.Hour)
+		return r
+	}
+	s.PublishRanking(tick(0))
 	<-w.stalled
 	const n = 20
-	for i := 0; i < n; i++ {
-		s.PublishRanking(sampleRanking())
+	for i := 1; i <= n; i++ {
+		s.PublishRanking(tick(i))
 	}
 	var st StatsView
 	if err := json.Unmarshal(get(t, h, "/v1/stats").Body.Bytes(), &st); err != nil {
@@ -255,6 +266,21 @@ func TestStatsCountsFramesDroppedForStalledClient(t *testing.T) {
 	}
 	if want := int64(n - 8); st.FramesDropped != want {
 		t.Errorf("framesDropped = %d, want %d (%d frames beyond the 8-frame buffer)", st.FramesDropped, want, want)
+	}
+
+	release()
+	var last RankingView
+	for i := 0; i < 9; i++ { // the blocked frame, then the eight buffered
+		data, ok := strings.CutPrefix(string(<-w.frames), "data: ")
+		if !ok {
+			t.Fatalf("frame %d is not an SSE data line", i)
+		}
+		if err := json.Unmarshal([]byte(strings.TrimSpace(data)), &last); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if want := tick(n).At; !last.At.Equal(want) {
+		t.Errorf("released client's last frame is at %v, want the final tick at %v", last.At, want)
 	}
 }
 

@@ -305,12 +305,14 @@ func TestFlushPublishesThroughServer(t *testing.T) {
 		t.Fatalf("create tenant = %d", w.Code)
 	}
 
-	// Six hours of chatter and an hour of scandal: a tick per hour of event
-	// time, seven with Flush's, so no client's eight-frame buffer can fill.
-	body := jsonlItems(t, 6)
+	// Twelve hours of chatter and an hour of scandal: a tick per hour of
+	// event time, thirteen with Flush's — more than an SSE client's
+	// eight-frame buffer holds, so a client that falls behind must still
+	// end on the final tick.
+	body := jsonlItems(t, 12)
 	for mi := 0; mi < 60; mi += 6 {
 		body += fmt.Sprintf(`{"time":%q,"id":"s-%02d","tags":["politics","scandal"]}`+"\n",
-			t0.Add(4*time.Hour+time.Duration(mi)*time.Minute).Format(time.RFC3339), mi)
+			t0.Add(10*time.Hour+time.Duration(mi)*time.Minute).Format(time.RFC3339), mi)
 	}
 	for _, tenant := range []string{DefaultTenant, "news"} {
 		t.Run(tenant, func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"enblogue/internal/window"
@@ -425,18 +424,17 @@ func statPush(h []TagStat, base, k int, crit Criterion, s *TagStat) []TagStat {
 // Tracker. Reselecting on every document would be wasted work; the paper's
 // engine reselects at evaluation ticks.
 //
-// The selector is safe for concurrent use: Reselect swaps in a freshly
-// built seed set under an internal lock, and readers (Seeds, Func) see
-// either the old or the new set, never a partial one.
+// Like Tracker it is not safe for concurrent use; callers serialise access
+// (the engine holds its bookkeeping lock). Reselect installs a freshly
+// built seed set, so a predicate or seed slice handed out earlier keeps the
+// set it was built from.
 type SeedSelector struct {
 	K         int
 	Criterion Criterion
 	MinCount  float64
 
-	mu      sync.RWMutex
-	current map[string]bool
 	ordered []string
-	// fn is the cached predicate closed over current; rebuilt once per
+	// fn is the predicate over the current seed set, built once per
 	// Reselect so the per-document Func call allocates no closure.
 	fn func(string) bool
 }
@@ -444,13 +442,11 @@ type SeedSelector struct {
 // NewSeedSelector returns a selector for the top-k tags under crit with the
 // given minimum windowed count.
 func NewSeedSelector(k int, crit Criterion, minCount float64) *SeedSelector {
-	current := make(map[string]bool)
 	return &SeedSelector{
 		K:         k,
 		Criterion: crit,
 		MinCount:  minCount,
-		current:   current,
-		fn:        func(tag string) bool { return current[tag] },
+		fn:        func(string) bool { return false },
 	}
 }
 
@@ -472,28 +468,14 @@ func (s *SeedSelector) ReselectFrom(top []TagStat) []string {
 		current[st.Tag] = true
 		ordered = append(ordered, st.Tag)
 	}
-	s.mu.Lock()
-	s.current = current
 	s.ordered = ordered
 	s.fn = func(tag string) bool { return current[tag] }
-	s.mu.Unlock()
 	return ordered
 }
 
-// Func returns a predicate closed over the current seed set snapshot. Hot
-// paths that test many tags per document (pair candidate generation) should
-// grab one Func per document instead of paying a lock per tag. The closure is cached per Reselect, so calling Func per document allocates
-// nothing.
-func (s *SeedSelector) Func() func(string) bool {
-	s.mu.RLock()
-	fn := s.fn
-	s.mu.RUnlock()
-	return fn
-}
+// Func returns a predicate closed over the current seed set. The closure
+// is cached per Reselect, so calling Func per document allocates nothing.
+func (s *SeedSelector) Func() func(string) bool { return s.fn }
 
 // Seeds returns the current ordered seed set. Callers must not mutate it.
-func (s *SeedSelector) Seeds() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ordered
-}
+func (s *SeedSelector) Seeds() []string { return s.ordered }

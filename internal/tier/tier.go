@@ -30,16 +30,13 @@
 // granularity of decay, and admission errs toward keeping potentially
 // emerging pairs.
 //
-// Each tracker shard owns one Tail guarded by its own mutex under the
-// lockdiscipline class `tier` (order 45). The tracker demotes and promotes
-// under the engine lock (engine, 10), so tier nests inside engine; the
-// mutex exists for Stats, which /v1 stats handlers call from their own
-// goroutines while the owner demotes.
+// Each tracker shard owns one Tail, and only that shard's owner touches it:
+// the tracker demotes, promotes and reads Stats under the engine lock, so a
+// Tail needs no lock of its own.
 package tier
 
 import (
 	"fmt"
-	"sync"
 
 	"enblogue/internal/sketch"
 )
@@ -90,11 +87,9 @@ type Stats struct {
 	Demoted uint64  // lifetime demotions absorbed
 }
 
-// Tail is one shard's cold tier. All methods are safe for concurrent use;
-// the internal mutex belongs to the lockdiscipline class `tier` (order 45).
+// Tail is one shard's cold tier. It is not safe for concurrent use: its
+// owner serialises every method, Stats included.
 type Tail struct {
-	//enblogue:lock tier 45
-	mu   sync.Mutex
 	span int64
 	cm   *sketch.WindowedCountMin
 	// cur and prev are the two summary generations, rotated in lockstep
@@ -122,12 +117,9 @@ func New(cfg Config) *Tail {
 	}
 }
 
-// advanceLocked rotates the generations to the one containing nowNano.
+// advance rotates the generations to the one containing nowNano.
 // Backwards moves are ignored: a stale reader must not clear newer mass.
-// Callers must hold t.mu.
-//
-//enblogue:requires tier
-func (t *Tail) advanceLocked(nowNano int64) {
+func (t *Tail) advance(nowNano int64) {
 	gen := nowNano / t.span
 	if t.started && gen <= t.gen {
 		return
@@ -151,18 +143,15 @@ func (t *Tail) advanceLocked(nowNano int64) {
 // nowNano, carrying its windowed co-occurrence count. Zero-count demotions
 // are ignored (nothing to remember).
 //
-//enblogue:acquires tier
 //enblogue:hotpath
 func (t *Tail) Demote(nowNano int64, key uint64, count uint64) {
 	if count == 0 {
 		return
 	}
-	t.mu.Lock()
-	t.advanceLocked(nowNano)
+	t.advance(nowNano)
 	t.cm.AddU64(key, count)
 	t.cur.Add(key, count)
 	t.demoted++
-	t.mu.Unlock()
 }
 
 // AppendCandidates appends every summary pair whose windowed estimate
@@ -171,11 +160,8 @@ func (t *Tail) Demote(nowNano int64, key uint64, count uint64) {
 // value the exact tier seeds from — not the summary's own count. Appending
 // into a caller-owned buffer keeps the tick-time read allocation-free once
 // the buffer has grown.
-//
-//enblogue:acquires tier
 func (t *Tail) AppendCandidates(nowNano int64, floor uint64, buf []Candidate) []Candidate {
-	t.mu.Lock()
-	t.advanceLocked(nowNano)
+	t.advance(nowNano)
 	for i := 0; i < t.cur.Len(); i++ {
 		e := t.cur.At(i)
 		if est := t.cm.EstimateU64(e.Key); est > floor {
@@ -191,27 +177,19 @@ func (t *Tail) AppendCandidates(nowNano int64, floor uint64, buf []Candidate) []
 			buf = append(buf, Candidate{Key: e.Key, Est: est})
 		}
 	}
-	t.mu.Unlock()
 	return buf
 }
 
 // Remove drops key from the heavy-hitter summaries after promotion, so it
 // cannot be promoted again until it is demoted again. Its Count-Min mass
 // remains until it rotates out — estimates stay upper bounds.
-//
-//enblogue:acquires tier
 func (t *Tail) Remove(key uint64) {
-	t.mu.Lock()
 	t.cur.Remove(key)
 	t.prev.Remove(key)
-	t.mu.Unlock()
 }
 
 // Stats returns a point-in-time view of the tail.
-//
-//enblogue:acquires tier
 func (t *Tail) Stats() Stats {
-	t.mu.Lock()
 	pairs := t.cur.Len()
 	for i := 0; i < t.prev.Len(); i++ {
 		if !t.cur.Contains(t.prev.At(i).Key) {
@@ -224,6 +202,5 @@ func (t *Tail) Stats() Stats {
 		Epsilon: t.cm.Epsilon(),
 		Demoted: t.demoted,
 	}
-	t.mu.Unlock()
 	return s
 }

@@ -11,9 +11,7 @@ const span = int64(1_000_000) // small generation span for direct control
 // estimate reads key's windowed Count-Min estimate at event time nowNano —
 // the upper bound AppendCandidates attaches and the exact tier seeds from.
 func estimate(tl *Tail, nowNano int64, key uint64) uint64 {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	tl.advanceLocked(nowNano)
+	tl.advance(nowNano)
 	return tl.cm.EstimateU64(key)
 }
 
