@@ -131,6 +131,51 @@ func TestConsumeSteadyStateAllocsTailSketch(t *testing.T) {
 	}
 }
 
+// wideWorkload builds documents of 40 tags each: 30 distinct tags from a
+// 60-tag vocabulary, eight repeats and two empty tags — past any small-set
+// dedup shortcut, so only an allocation-free dedup of any size passes.
+func wideWorkload(n int) []*stream.Item {
+	items := make([]*stream.Item, n)
+	for i := range items {
+		tags := make([]string, 0, 40)
+		for j := 0; j < 30; j++ {
+			tags = append(tags, fmt.Sprintf("w%d", (i*7+j)%60))
+		}
+		tags = append(tags, tags[:8]...)
+		tags = append(tags, "", "")
+		rand.New(rand.NewSource(int64(i))).Shuffle(len(tags), func(a, b int) { tags[a], tags[b] = tags[b], tags[a] })
+		items[i] = &stream.Item{Time: t0.Add(time.Duration(i) * time.Second), DocID: fmt.Sprintf("d%d", i), Tags: tags}
+	}
+	return items
+}
+
+// Wide documents — 40 tags with repeats and empty tags — ingest without
+// allocating once the vocabulary, pairs and buffers are warm.
+func TestConsumeWideDocsSteadyStateAllocs(t *testing.T) {
+	skipUnderRace(t)
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.TickEvery = 1000 * time.Hour
+	e := New(cfg)
+	items := wideWorkload(100)
+	for range [3]int{} {
+		for _, it := range items {
+			e.Consume(it)
+		}
+	}
+	if e.ActivePairs() == 0 {
+		t.Fatal("no pairs tracked; the workload does not reach pair planning")
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		for _, it := range items {
+			e.Consume(it)
+		}
+	})
+	if avg > 3 {
+		t.Errorf("steady-state Consume of 40-tag documents allocates %.1f per %d docs, want ~0", avg, len(items))
+	}
+}
+
 func TestConsumeBatchSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, shards := range []int{1, 4} {

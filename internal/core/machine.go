@@ -47,11 +47,15 @@ type machine struct {
 	lastTick time.Time
 
 	// scratch is the per-tick working set — snapshot, keep-set, and top-k
-	// buffers per shard plus the ID-keyed tag-count index — and batchDocs
-	// is consume's pending-document buffer; both are reused across calls so
-	// the steady state allocates almost nothing.
+	// buffers per shard plus the ID-keyed tag-count index. dedup turns each
+	// document's tags into its ID set, docIDs; batchDocs and batchIDs hold
+	// consume's pending documents and their IDs. All are reused across
+	// calls so the steady state allocates almost nothing.
 	scratch   tickScratch
-	batchDocs []pairs.BatchDoc
+	dedup     intern.Dedup
+	docIDs    []uint32
+	batchDocs []pairs.Doc
+	batchIDs  []uint32
 }
 
 // newMachine builds the machine for a normalized configuration.
@@ -60,10 +64,6 @@ func newMachine(c Config, run func(n int, fn func(int))) *machine {
 		Buckets:    c.WindowBuckets,
 		Resolution: c.WindowResolution,
 	})
-	// The interning table is the engine's tag-ID domain; letting the tag
-	// tracker cache resolved IDs per slot spares the evaluation tick one
-	// string hash per active tag (see tagstats.SetTagIDResolver).
-	tags.SetTagIDResolver(intern.Find)
 	var tailCfg *tier.Config
 	if c.TailSketch.Enabled {
 		tailCfg = &tier.Config{
@@ -117,41 +117,45 @@ func (m *machine) itemTags(it *stream.Item) []string {
 // firing an evaluation tick — handed to emit — each time event time passes
 // a tick boundary. Nil items are skipped.
 //
+// Each document's tags are interned and deduplicated once, here
+// (intern.Dedup); tag counts and pair planning both take that one ID set,
+// so no later stage hashes a tag string.
+//
 // Rankings are invariant under how a stream is cut into batches, batches of
 // one included. The batch is processed as segments delimited by the two
 // events that change what a pair observation means: an evaluation tick
 // (ticks snapshot pair counters) and a seed reselection (it changes the
 // candidate predicate for documents observed after it). Documents
 // accumulate as pending pair observations and are flushed through
-// pairs.ShardedTracker.ObserveBatch before either event, under the
-// predicate that was current when they arrived — so every document is
-// observed under the same predicate, and every tick sees the same counters,
-// wherever the batch boundaries fall. Within a segment the only
-// per-document coupling is sweep timing, which ObserveBatch fixes per
-// document count, not per call (see its doc comment).
+// pairs.ShardedTracker.ObserveIDs before either event, under the seed set
+// that was current when they arrived — so every document is observed under
+// the same seeds, and every tick sees the same counters, wherever the batch
+// boundaries fall. Within a segment the only per-document coupling is sweep
+// timing, which ObserveIDs fixes per document count, not per call (see its
+// doc comment).
 //
 //enblogue:hotpath
 func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
-	pend := m.batchDocs[:0]
-	isSeed := m.seeds.Func()
+	pend, ids := m.batchDocs[:0], m.batchIDs[:0]
+	// The seed set is updated in place by reselection, which every flush
+	// precedes.
+	seeds := m.seeds.Set()
 	//enblogue:alloc-ok one closure per consume call, amortised over the whole batch; TestConsumeBatchSteadyStateAllocs pins the per-item count
 	flush := func() {
 		if len(pend) == 0 {
 			return
 		}
-		m.pairsTr.ObserveBatch(pend, isSeed)
+		m.pairsTr.ObserveIDs(pend, seeds)
 		if m.co != nil {
-			m.co.ObserveBatch(pend, nil)
+			m.co.ObserveIDs(pend, nil)
 		}
-		clear(pend) // release tag-slice references
-		pend = pend[:0]
+		pend, ids = pend[:0], ids[:0]
 	}
 	for _, it := range items {
 		if it == nil {
 			continue
 		}
 		t := it.Time
-		tags := m.itemTags(it)
 
 		if t.After(m.lastSeen) {
 			m.lastSeen = t.UTC()
@@ -170,10 +174,10 @@ func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
 			} else {
 				m.nextTick = m.nextTick.Add(m.cfg.TickEvery)
 			}
-			isSeed = m.seeds.Func()
 		}
 
-		m.tags.Observe(t, tags)
+		m.docIDs = m.dedup.Append(m.docIDs[:0], m.itemTags(it))
+		m.tags.ObserveIDs(t, m.docIDs)
 		m.docs++
 		if m.logDoc != nil {
 			// The raw item is logged (pre-itemTags), so replay re-derives
@@ -187,12 +191,16 @@ func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
 			// new.
 			flush()
 			m.seeds.Reselect(m.tags)
-			isSeed = m.seeds.Func()
 		}
-		pend = append(pend, pairs.BatchDoc{Time: t, Tags: tags})
+		// The pending document's IDs live in ids until its flush. A later
+		// append may move ids; the document keeps the array its IDs were
+		// copied into, and append never rewrites existing elements.
+		lo := len(ids)
+		ids = append(ids, m.docIDs...)
+		pend = append(pend, pairs.Doc{Time: t, IDs: ids[lo:len(ids):len(ids)]})
 	}
 	flush()
-	m.batchDocs = pend[:0]
+	m.batchDocs, m.batchIDs = pend[:0], ids[:0]
 }
 
 // tick is the forced-tick input: it evaluates at t unless an evaluation at
@@ -227,23 +235,13 @@ func (m *machine) evaluate(t time.Time) Ranking {
 	// shared trackers. The tag-count index is keyed by interned tag ID and
 	// reused across ticks: workers then look pair members up by uint32
 	// instead of hashing two strings per pair. Seed reselection is fused
-	// into the same pass over the tag statistics (one map iteration per
+	// into the same pass over the tag statistics (one slot-ordered walk per
 	// tick, not two), selecting through a bounded heap with exactly Top's
 	// ordering.
 	ts := &m.scratch
 	ts.beginCounts()
-	ts.topStats = m.tags.TopAppend(m.seeds.K, m.seeds.Criterion, m.seeds.MinCount,
-		ts.topStats[:0], func(tag string, id uint32, v float64) {
-			// IDs resolve through intern.Find (installed as the tracker's
-			// resolver at construction), not Intern: ID assignment happens
-			// only on the ingest path, in first-seen stream order, so
-			// replays shard identically. A tag with no ID was never part
-			// of any candidate pair (only ≥2-tag documents intern), so its
-			// count can never be read by the evaluation below.
-			if id != tagstats.NoID {
-				ts.setCount(id, v)
-			}
-		})
+	ts.topStats = m.tags.TopAppendIDs(m.seeds.K, m.seeds.Criterion, m.seeds.MinCount,
+		ts.topStats[:0], ts.setCount)
 	seeds := m.seeds.ReselectFrom(ts.topStats)
 
 	// Promote tail-tier pairs whose estimates crossed the admission floor
@@ -442,7 +440,7 @@ type tickScratch struct {
 	heapBuf [][]shift.Topic
 	heapIdx [][]int32
 	merged  []shift.Topic
-	// topStats is the seed-selection buffer handed to tagstats.TopAppend,
+	// topStats is the seed-selection buffer handed to tagstats.TopAppendIDs,
 	// reused across ticks like every other buffer here.
 	topStats []tagstats.TagStat
 }

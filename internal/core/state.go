@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"enblogue/internal/intern"
 	"enblogue/internal/pairs"
 	"enblogue/internal/shift"
 	"enblogue/internal/tagstats"
@@ -88,10 +89,10 @@ func (m *machine) restoreState(st EngineState) error {
 	}
 	if len(st.Seeds) > 0 {
 		// SeedSelector state is just the ordered tag set; ReselectFrom reads
-		// only the Tag field.
+		// only the Tag and ID fields.
 		stats := make([]tagstats.TagStat, len(st.Seeds))
 		for i, s := range st.Seeds {
-			stats[i] = tagstats.TagStat{Tag: s}
+			stats[i] = tagstats.TagStat{Tag: s, ID: intern.Intern(s)}
 		}
 		m.seeds.ReselectFrom(stats)
 	}

@@ -6,8 +6,15 @@ import (
 	"enblogue/internal/intern"
 )
 
-// BatchDoc is one document of an observation batch: its event time and tag
-// set.
+// Doc is one document of an observation batch in interned form: its event
+// time and its tag set as intern.Dedup produces it — distinct tag IDs.
+type Doc struct {
+	Time time.Time
+	IDs  []uint32
+}
+
+// BatchDoc is one document of an observation batch as tag strings, the
+// input of ObserveBatch.
 type BatchDoc struct {
 	Time time.Time
 	Tags []string
@@ -21,22 +28,54 @@ type keyAt struct {
 	abs int64
 }
 
-// batchScratch is ObserveBatch's working set, owned by the tracker and
-// reused across calls so the steady state allocates nothing: per-document
-// interned IDs and seed flags, the chunk's candidate increments in document
-// order, and the per-shard groups (one per shard, sized at construction).
+// batchScratch is ObserveIDs' working set, owned by the tracker and reused
+// across calls so the steady state allocates nothing: per-document seed
+// flags, the chunk's candidate increments in document order, and the
+// per-shard groups (one per shard, sized at construction). dedup, ids,
+// docs and seeds are ObserveBatch's, for turning strings into IDs.
 type batchScratch struct {
-	ids     []uint32
 	seed    []bool
 	keys    []keyAt
 	byShard [][]keyAt
+
+	dedup intern.Dedup
+	ids   []uint32
+	docs  []Doc
+	seeds intern.Set
 }
 
-// ObserveBatch is the tracker's only ingest routine (one document is a batch
-// of one). For each document, in order, it deduplicates and interns the
-// tags, generates the candidate pairs (those with at least one tag
-// satisfying isSeed; nil isSeed tracks all pairs) and increments their
-// counters, applying each chunk shard by shard.
+// ObserveBatch is ObserveIDs for documents given as tag strings under a
+// string seed predicate (nil tracks all pairs): it interns and
+// deduplicates each document's tags (intern.Dedup), collects the batch's
+// tags that satisfy isSeed into an ID set, and calls ObserveIDs.
+func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
+	sc := &tr.scratch
+	sc.ids, sc.docs = sc.ids[:0], sc.docs[:0]
+	for _, d := range docs {
+		lo := len(sc.ids)
+		sc.ids = sc.dedup.Append(sc.ids, d.Tags)
+		// A later append may move sc.ids; this slice keeps the array it was
+		// cut from, whose elements append never rewrites.
+		sc.docs = append(sc.docs, Doc{Time: d.Time, IDs: sc.ids[lo:len(sc.ids):len(sc.ids)]})
+	}
+	if isSeed == nil {
+		tr.ObserveIDs(sc.docs, nil)
+		return
+	}
+	sc.seeds.Reset()
+	for _, id := range sc.ids {
+		if isSeed(intern.Lookup(id)) {
+			sc.seeds.Add(id)
+		}
+	}
+	tr.ObserveIDs(sc.docs, &sc.seeds)
+}
+
+// ObserveIDs is the tracker's ingest routine (one document is a batch of
+// one; ObserveBatch is its string form). For each document, in order, it
+// generates the candidate pairs of the document's tag IDs — those with at
+// least one member in seeds; nil seeds tracks all pairs — and increments
+// their counters, applying each chunk shard by shard.
 //
 // Batch-cut invariance. The state after a document sequence does not depend
 // on how the sequence was cut into calls, and equals what the serial
@@ -55,12 +94,10 @@ type batchScratch struct {
 // Within a chunk increments commute: each (pair, bucket) increment is
 // applied once and counters are read only at sweep time or later, so
 // grouping by shard changes nothing observable. The clock is lifted to the
-// chunk's newest timestamp before the post-chunk sweep check. Documents are
-// prepared in document order, so interned-ID assignment — and therefore
-// shard placement — does not depend on the cut either.
+// chunk's newest timestamp before the post-chunk sweep check.
 //
 //enblogue:hotpath
-func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool) {
+func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 	if len(docs) == 0 {
 		return
 	}
@@ -86,23 +123,20 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 		for j < len(docs) && int64(j-i) < maxDocs {
 			d := docs[j]
 			start := len(sc.keys)
-			if len(d.Tags) >= 2 {
-				uniq := dedupTags(d.Tags)
-				sc.ids = sc.ids[:0]
+			if ids := d.IDs; len(ids) >= 2 {
 				sc.seed = sc.seed[:0]
-				for _, tag := range uniq {
-					sc.ids = append(sc.ids, intern.Intern(tag))
-					if isSeed != nil {
-						sc.seed = append(sc.seed, isSeed(tag))
+				if seeds != nil {
+					for _, id := range ids {
+						sc.seed = append(sc.seed, seeds.Has(id))
 					}
 				}
 				abs := arena.BucketIndex(d.Time)
-				for a := 0; a < len(sc.ids); a++ {
-					for b := a + 1; b < len(sc.ids); b++ {
-						if isSeed != nil && !sc.seed[a] && !sc.seed[b] {
+				for a := 0; a < len(ids); a++ {
+					for b := a + 1; b < len(ids); b++ {
+						if seeds != nil && !sc.seed[a] && !sc.seed[b] {
 							continue
 						}
-						sc.keys = append(sc.keys, keyAt{KeyFromIDs(sc.ids[a], sc.ids[b]), abs})
+						sc.keys = append(sc.keys, keyAt{KeyFromIDs(ids[a], ids[b]), abs})
 					}
 				}
 			}

@@ -30,8 +30,8 @@ func seedEven(tag string) bool {
 // size, for every listed shard count, both under the candidate predicate
 // isSeed (nil tracks every pair), and requires the same tracked pairs
 // with the same windowed counts and per-bucket series. The reference shares
-// no ingest code with ObserveBatch: one map, no locks, no shards, no
-// chunking, its sweep trigger checked after every document.
+// only the tag-set rule (intern.Dedup) with ObserveIDs: one map, no locks,
+// no shards, no chunking, its sweep trigger checked after every document.
 func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc, isSeed func(string) bool) {
 	ref := NewTracker(cfg)
 	for _, d := range docs {
@@ -74,7 +74,7 @@ func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc, isSee
 // shard's arena.
 func shardedSeries(tr *ShardedTracker, k Key) []float64 {
 	sh := tr.shards[k.Shard(len(tr.shards))]
-	slot := sh.slots[k]
+	slot, _ := sh.table.get(k.packed)
 	sh.arena.Observe(slot, tr.now())
 	return sh.arena.Series(slot)
 }

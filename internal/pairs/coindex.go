@@ -12,7 +12,7 @@ import (
 // CoIndex is the co-tag distribution view behind distribution mode —
 // documents represented "by their entire tag sets". A tag's co-tag
 // distribution is its row of the unfiltered pair-count matrix, which is
-// what a ShardedTracker fed every pair (ObserveBatch with a nil predicate)
+// what a ShardedTracker fed every pair (ObserveIDs with nil seeds)
 // holds. Build lays those counts out in CSR form once per tick: rows in
 // tag-string order, each row's co-tags in tag-string order, so the
 // Jensen–Shannon sum runs in one fixed order whatever the intern or shard

@@ -173,8 +173,10 @@ func (k Key) Shard(n int) int {
 // in first-seen stream order, so replaying the same stream in two runs
 // yields the same IDs and therefore the same shard assignment — the
 // property the previous string-FNV hash provided, now at word cost.
-func (k Key) hash() uint64 {
-	h := k.packed
+func (k Key) hash() uint64 { return mix64(k.packed) }
+
+// mix64 is splitmix64's finaliser.
+func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27

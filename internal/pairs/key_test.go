@@ -1,7 +1,6 @@
 package pairs
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -71,61 +70,6 @@ func TestKeyRenderOrderIndependentOfInterning(t *testing.T) {
 		if k.Tag1() != lo || k.Tag2() != hi {
 			t.Fatalf("render order wrong: %q + %q", k.Tag1(), k.Tag2())
 		}
-	}
-}
-
-func TestDedupTags(t *testing.T) {
-	cases := []struct {
-		in, want []string
-	}{
-		{[]string{"a", "b"}, []string{"a", "b"}},
-		{[]string{"a", "a", "b"}, []string{"a", "b"}},
-		{[]string{"", "a", "", "b", "a"}, []string{"a", "b"}},
-		{[]string{"a"}, []string{"a"}},
-		{nil, nil},
-	}
-	for _, tc := range cases {
-		got := dedupTags(tc.in)
-		if len(got) != len(tc.want) {
-			t.Fatalf("dedupTags(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("dedupTags(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		}
-	}
-}
-
-// A clean small tag set must come back as the input slice itself — the
-// zero-allocation fast path.
-func TestDedupTagsCleanInputNoCopy(t *testing.T) {
-	in := []string{"x", "y", "z"}
-	got := dedupTags(in)
-	if &got[0] != &in[0] || len(got) != len(in) {
-		t.Error("clean input was copied")
-	}
-	if n := testing.AllocsPerRun(100, func() { dedupTags(in) }); n != 0 {
-		t.Errorf("clean dedupTags allocates %.1f, want 0", n)
-	}
-}
-
-// The map path (> smallTagSet tags) must agree with the scan path.
-func TestDedupTagsLargeSet(t *testing.T) {
-	var in []string
-	for i := 0; i < smallTagSet+8; i++ {
-		in = append(in, fmt.Sprintf("t%d", i%11), "")
-	}
-	got := dedupTags(in)
-	if len(got) != 11 {
-		t.Fatalf("large dedup kept %d tags, want 11", len(got))
-	}
-	seen := map[string]bool{}
-	for _, tag := range got {
-		if tag == "" || seen[tag] {
-			t.Fatalf("large dedup output dirty: %v", got)
-		}
-		seen[tag] = true
 	}
 }
 

@@ -207,7 +207,7 @@ func BenchmarkSweepOverBudget(b *testing.B) {
 			}
 			k := MakeKey(fmt.Sprintf("t%06d", a), fmt.Sprintf("t%06d", c))
 			sh := tr.shards[k.Shard(len(tr.shards))]
-			if _, ok := sh.slots[k]; ok {
+			if _, ok := sh.table.get(k.packed); ok {
 				continue
 			}
 			sh.arena.AddAbs(tr.upsert(sh, k), abs, count())

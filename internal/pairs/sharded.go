@@ -17,13 +17,13 @@ type PairCount struct {
 	Slot  int32
 }
 
-// trackerShard owns one partition of the pair space: an ID-keyed slot map
-// into a slab-allocated counter arena (one backing slice of buckets per
-// shard instead of one heap object per pair). The window clock is
-// tracker-global (nowNano), not per shard, so quiet shards expire their
-// counters at the same times the serial Tracker would.
+// trackerShard owns one partition of the pair space: an open-addressed
+// key → slot table into a slab-allocated counter arena (one backing slice
+// of buckets per shard instead of one heap object per pair). The window
+// clock is tracker-global (nowNano), not per shard, so quiet shards expire
+// their counters at the same times the serial Tracker would.
 type trackerShard struct {
-	slots map[Key]int32
+	table slotTable
 	arena *window.CounterArena
 	// keys is the reverse index: keys[slot] names the pair occupying that
 	// arena slot, zero Key for free slots (a valid pair key is never zero —
@@ -56,7 +56,7 @@ type trackerShard struct {
 
 // ShardedTracker is the sharded counterpart of Tracker: the pair space is
 // partitioned by hash(Key) % Shards so that evaluation can snapshot and
-// score the shards in parallel. ObserveBatch — the only ingest routine —
+// score the shards in parallel. ObserveIDs — the ingest routine —
 // groups a run of documents' candidate pairs by shard and applies each
 // shard's group in document order.
 //
@@ -100,7 +100,7 @@ type ShardedTracker struct {
 	// from inside the sweep; it must not call back into the tracker.
 	onEvict func(Key, float64)
 
-	// scratch is ObserveBatch's working set, sweepAll the sweep's ranking
+	// scratch is the ingest working set, sweepAll the sweep's ranking
 	// buffer, cands and ranked PromoteTail's candidates and their ranking,
 	// all reused across calls so the steady state allocates nothing.
 	scratch  batchScratch
@@ -119,10 +119,7 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 	}
 	shards := make([]*trackerShard, n)
 	for i := range shards {
-		shards[i] = &trackerShard{
-			slots: make(map[Key]int32),
-			arena: window.NewCounterArena(c.Buckets, c.Resolution),
-		}
+		shards[i] = &trackerShard{arena: window.NewCounterArena(c.Buckets, c.Resolution)}
 	}
 	tr := &ShardedTracker{cfg: c, shards: shards}
 	tr.scratch.byShard = make([][]keyAt, n)
@@ -138,7 +135,7 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 }
 
 // SetOnEvict installs the eviction observer; see the field doc. Must be
-// set before the first ObserveBatch.
+// set before the first ObserveIDs.
 func (tr *ShardedTracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
 
 // Shards returns the number of shards.
@@ -156,23 +153,23 @@ func (tr *ShardedTracker) now() time.Time {
 //
 //enblogue:hotpath
 func (tr *ShardedTracker) upsert(sh *trackerShard, k Key) int32 {
-	slot, ok := sh.slots[k]
+	p, ok := sh.table.ref(k.packed)
 	if !ok {
-		slot = sh.arena.Alloc()
-		sh.slots[k] = slot
+		slot := sh.arena.Alloc()
+		*p = slot
 		for int(slot) >= len(sh.keys) {
 			sh.keys = append(sh.keys, Key{})
 		}
 		sh.keys[slot] = k
 		tr.npairs++
 	}
-	return slot
+	return *p
 }
 
 // drop removes pair k's slot from sh and returns the sketch-seeded portion
 // of its counter (zero for pairs never promoted).
 func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
-	delete(sh.slots, k)
+	sh.table.del(k.packed)
 	seed, ok := sh.approx[k]
 	if ok {
 		delete(sh.approx, k)
@@ -379,7 +376,7 @@ func (tr *ShardedTracker) TailStats() TailStats {
 // of the pair.
 func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 	sh := tr.shards[k.Shard(len(tr.shards))]
-	slot, ok := sh.slots[k]
+	slot, ok := sh.table.get(k.packed)
 	if !ok {
 		return 0
 	}
@@ -389,13 +386,14 @@ func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 // ActivePairs returns the number of pairs currently tracked across shards.
 func (tr *ShardedTracker) ActivePairs() int { return tr.npairs }
 
-// Keys returns all tracked pair keys across shards in unspecified order.
+// Keys returns all tracked pair keys, shard by shard in slot order.
 func (tr *ShardedTracker) Keys() []Key {
 	out := make([]Key, 0, tr.npairs)
 	for _, sh := range tr.shards {
-		//enblogue:unordered documented unspecified order; ranking consumers sort or select with a strict total order
-		for k := range sh.slots {
-			out = append(out, k)
+		for _, k := range sh.keys {
+			if k != (Key{}) {
+				out = append(out, k)
+			}
 		}
 	}
 	return out
@@ -417,8 +415,8 @@ func (tr *ShardedTracker) Keys() []Key {
 func (tr *ShardedTracker) AppendSnapshot(i int, buf []PairCount) []PairCount {
 	sh := tr.shards[i]
 	now := tr.now()
-	if cap(buf)-len(buf) < len(sh.slots) {
-		grown := make([]PairCount, len(buf), len(buf)+len(sh.slots))
+	if cap(buf)-len(buf) < sh.table.n {
+		grown := make([]PairCount, len(buf), len(buf)+sh.table.n)
 		copy(grown, buf)
 		buf = grown
 	}

@@ -74,7 +74,7 @@ func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
 			return errors.New("pairs: restore of a zero pair key")
 		}
 		sh := tr.shards[p.Key.Shard(n)]
-		if _, dup := sh.slots[p.Key]; dup {
+		if _, dup := sh.table.get(p.Key.packed); dup {
 			return fmt.Errorf("pairs: duplicate pair %s in restore state", p.Key)
 		}
 		slot := tr.upsert(sh, p.Key)

@@ -53,70 +53,12 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// smallTagSet bounds the document sizes handled by dedupTags' map-free
-// quadratic scan. Nearly every real document has a handful of tags, so the
-// common case allocates nothing at all.
-const smallTagSet = 16
-
-// dedupTags returns tags with empties and duplicates removed, preserving
-// first-seen order; pair generation assumes a set. When the input is
-// already clean — the overwhelming case — the input slice itself is
-// returned, so callers must treat the result as transient and must not
-// mutate it. Shared by the serial and sharded trackers so candidate
-// generation stays identical across them — the sharded engine's
-// bit-identical-rankings guarantee depends on it.
-func dedupTags(tags []string) []string {
-	if len(tags) <= smallTagSet {
-		clean := true
-	check:
-		for i, tag := range tags {
-			if tag == "" {
-				clean = false
-				break
-			}
-			for j := 0; j < i; j++ {
-				if tags[j] == tag {
-					clean = false
-					break check
-				}
-			}
-		}
-		if clean {
-			return tags
-		}
-		uniq := make([]string, 0, len(tags))
-	fill:
-		for _, tag := range tags {
-			if tag == "" {
-				continue
-			}
-			for _, u := range uniq {
-				if u == tag {
-					continue fill
-				}
-			}
-			uniq = append(uniq, tag)
-		}
-		return uniq
-	}
-	uniq := make([]string, 0, len(tags))
-	seen := make(map[string]bool, len(tags))
-	for _, tag := range tags {
-		if tag == "" || seen[tag] {
-			continue
-		}
-		seen[tag] = true
-		uniq = append(uniq, tag)
-	}
-	return uniq
-}
-
 // The candidate rule, shared by the serial and sharded trackers (each
 // inlines the double loop to keep its hot path closure-free): every
-// unordered pair of distinct tags from the deduplicated document tag set of
-// which at least one is a seed; a nil predicate admits every pair. The rule
-// must stay identical across trackers — another leg of the
-// bit-identical-rankings guarantee.
+// unordered pair of distinct tags from the document's tag set — as
+// intern.Dedup forms it, the one tag-set rule — of which at least one is a
+// seed; a nil predicate admits every pair. The rule must stay identical
+// across trackers — another leg of the bit-identical-rankings guarantee.
 
 // evictTarget is the post-eviction size for an over-budget tracker: 10%
 // below MaxPairs (never below 1). The hysteresis keeps a saturated tracker
@@ -155,8 +97,9 @@ type Tracker struct {
 
 	// per-document scratch, reused so steady-state Observe allocates
 	// nothing.
-	ids  []uint32
-	seed []bool
+	dedup intern.Dedup
+	ids   []uint32
+	seed  []bool
 }
 
 // NewTracker returns a pair tracker with the given configuration.
@@ -180,13 +123,11 @@ func (tr *Tracker) Observe(t time.Time, tags []string, isSeed func(string) bool)
 		tr.maybeSweep()
 		return
 	}
-	uniq := dedupTags(tags)
-	tr.ids = tr.ids[:0]
+	tr.ids = tr.dedup.Append(tr.ids[:0], tags)
 	tr.seed = tr.seed[:0]
-	for _, tag := range uniq {
-		tr.ids = append(tr.ids, intern.Intern(tag))
-		if isSeed != nil {
-			tr.seed = append(tr.seed, isSeed(tag))
+	if isSeed != nil {
+		for _, id := range tr.ids {
+			tr.seed = append(tr.seed, isSeed(intern.Lookup(id)))
 		}
 	}
 	for i := 0; i < len(tr.ids); i++ {

@@ -6,15 +6,14 @@ import (
 	"sort"
 	"time"
 
+	"enblogue/internal/intern"
 	"enblogue/internal/window"
 )
 
 // This file is the tag tracker's durability surface. Exports are canonical —
 // tags sorted lexicographically, every counter advanced to the tracker
 // clock — so two trackers holding the same logical state export identical
-// state regardless of slot layout or lazy-expiry position. The revIDs cache
-// is rebuildable (TopAppend re-resolves on demand) and deliberately not part
-// of the state.
+// state regardless of slot layout, interned IDs or lazy-expiry position.
 
 // TagState is one tracked tag's exported window column.
 type TagState struct {
@@ -38,7 +37,7 @@ func (tr *Tracker) ExportState() TrackerState {
 		NowNano: tr.now.UnixNano(),
 		NowSet:  !tr.now.IsZero(),
 		SinceGC: int64(tr.sinceGC),
-		Tags:    make([]TagState, 0, len(tr.slots)),
+		Tags:    make([]TagState, 0, tr.active),
 	}
 	if !st.NowSet {
 		st.NowNano = 0
@@ -52,14 +51,14 @@ func (tr *Tracker) ExportState() TrackerState {
 	if st.NowSet {
 		abs = tr.arena.BucketIndex(tr.now)
 	}
-	for slot, tag := range tr.revTags {
-		if tag == "" {
+	for slot, idp := range tr.ids {
+		if idp == 0 {
 			continue
 		}
 		if st.NowSet {
 			tr.arena.ValueAtAbs(int32(slot), abs)
 		}
-		st.Tags = append(st.Tags, TagState{Tag: tag, Window: tr.arena.ExportSlot(int32(slot))})
+		st.Tags = append(st.Tags, TagState{Tag: intern.Lookup(idp - 1), Window: tr.arena.ExportSlot(int32(slot))})
 	}
 	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
 	return st
@@ -68,7 +67,7 @@ func (tr *Tracker) ExportState() TrackerState {
 // RestoreState loads st into an empty tracker (fresh from NewTracker, same
 // configured window as the exporter).
 func (tr *Tracker) RestoreState(st TrackerState) error {
-	if len(tr.slots) != 0 || tr.sinceGC != 0 || !tr.now.IsZero() {
+	if tr.active != 0 || tr.sinceGC != 0 || !tr.now.IsZero() {
 		return errors.New("tagstats: restore into a non-empty tracker")
 	}
 	if err := tr.docs.RestoreSlot(docSlot, st.Docs); err != nil {
@@ -78,21 +77,15 @@ func (tr *Tracker) RestoreState(st TrackerState) error {
 		if ts.Tag == "" {
 			return errors.New("tagstats: restore of an empty tag")
 		}
-		if _, dup := tr.slots[ts.Tag]; dup {
+		id := intern.Intern(ts.Tag)
+		if int(id) < len(tr.slotOf) && tr.slotOf[id] != 0 {
 			return fmt.Errorf("tagstats: duplicate tag %q in restore state", ts.Tag)
 		}
-		slot := tr.arena.Alloc()
+		slot := tr.slot(id)
 		if err := tr.arena.RestoreSlot(slot, ts.Window); err != nil {
-			tr.arena.Release(slot)
+			tr.release(slot)
 			return err
 		}
-		tr.slots[ts.Tag] = slot
-		for int(slot) >= len(tr.revTags) {
-			tr.revTags = append(tr.revTags, "")
-			tr.revIDs = append(tr.revIDs, NoID)
-		}
-		tr.revTags[slot] = ts.Tag
-		tr.revIDs[slot] = NoID
 	}
 	if st.NowSet {
 		tr.now = time.Unix(0, st.NowNano).UTC()

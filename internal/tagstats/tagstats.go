@@ -12,6 +12,7 @@ import (
 	"slices"
 	"time"
 
+	"enblogue/internal/intern"
 	"enblogue/internal/window"
 )
 
@@ -71,50 +72,52 @@ func (c *Config) withDefaults() Config {
 // TagStat is a snapshot of one tag's windowed statistics.
 type TagStat struct {
 	Tag        string
+	ID         uint32  // the tag's interned ID (see internal/intern)
 	Count      float64 // documents carrying the tag inside the window
 	Popularity float64 // fraction of windowed documents carrying the tag
 	Volatility float64 // coefficient of variation of the bucket series
 }
 
-// Tracker maintains windowed document counts per tag. It is not safe for
-// concurrent use; callers serialise access (the engine holds its
-// bookkeeping lock).
+// Tracker maintains windowed document counts per tag, keyed by the tag's
+// interned ID (internal/intern). It is not safe for concurrent use;
+// callers serialise access (the engine holds its bookkeeping lock).
 //
 // Per-tag counters live in a shared window.CounterArena rather than one
 // heap-allocated counter per tag: the seed-selection scan visits every
 // active tag every evaluation tick, and walking slot-ordered slabs (heads,
 // totals) is sequential reads where a map of counter pointers is a cache
-// miss per tag. slots maps tag → arena slot and revTags is the reverse
-// index (empty string = free slot) the scans iterate instead of the map.
+// miss per tag. slotOf maps an ID to its arena slot through a dense array,
+// and ids is the reverse index the scans walk in slot order. Counting and
+// selecting hash no tag string: tag strings are read back through
+// intern.Lookup only where a ranking needs them — selected stats and score
+// ties.
 type Tracker struct {
-	cfg     Config
-	slots   map[string]int32
-	revTags []string
-	// revIDs caches, per slot, the caller-domain tag ID resolved through
-	// resolve (NoID until resolved). A resolved ID is cached for the slot's
-	// lifetime — resolvers must be stable, i.e. never re-map a tag — so the
-	// per-tick selection scan hands IDs to its callback without re-hashing
-	// every tag string; unresolved tags are retried each scan, since a tag
-	// may enter the resolver's domain after its slot was allocated.
-	revIDs  []uint32
-	resolve func(tag string) (uint32, bool)
-	arena   *window.CounterArena
+	cfg Config
+	// slotOf[id] is the tag's arena slot + 1; 0 (or past the end) means
+	// the tag is not tracked.
+	slotOf []int32
+	// ids[slot] is the slot's tag ID + 1; 0 marks a free slot.
+	ids    []uint32
+	active int
+	arena  *window.CounterArena
 	// docs holds the windowed document total in its one slot, docSlot.
 	docs    *window.CounterArena
 	sinceGC int
 	now     time.Time
+
+	// dedup and idBuf serve Observe, the string form of ObserveIDs.
+	dedup intern.Dedup
+	idBuf []uint32
 }
 
-// NoID is the TopAppend callback's "no resolved ID" sentinel: either no
-// resolver is installed or the tag is outside the resolver's domain.
+// NoID is kept for TopAppend callers written against a resolver that could
+// fail: every tracked tag has an interned ID, so TopAppend never passes it.
 const NoID = ^uint32(0)
 
-// SetTagIDResolver installs the tag → ID mapping cached per slot and handed
-// to TopAppend callbacks. The mapping must be stable: once a tag resolves to
-// an ID, later calls must return the same ID (growing the domain is fine).
-func (tr *Tracker) SetTagIDResolver(fn func(tag string) (uint32, bool)) {
-	tr.resolve = fn
-}
+// SetTagIDResolver is kept for callers of the resolver-based API. The
+// tracker is keyed by interned IDs, so every tag already has the ID
+// intern.Find would resolve; the function is not called.
+func (tr *Tracker) SetTagIDResolver(func(tag string) (uint32, bool)) {}
 
 // NewTracker returns a tracker with the given configuration.
 func NewTracker(cfg Config) *Tracker {
@@ -123,7 +126,6 @@ func NewTracker(cfg Config) *Tracker {
 	docs.Alloc() // docSlot
 	return &Tracker{
 		cfg:   c,
-		slots: make(map[string]int32),
 		arena: window.NewCounterArena(c.Buckets, c.Resolution),
 		docs:  docs,
 	}
@@ -132,16 +134,18 @@ func NewTracker(cfg Config) *Tracker {
 // docSlot is the document total's slot in Tracker.docs.
 const docSlot = 0
 
-// smallTagSet bounds the document sizes deduplicated by quadratic scan
-// instead of a per-document map — nearly every real document qualifies, so
-// the steady-state Observe allocates nothing. pairs.dedupTags applies the
-// same idiom with its own constant; the two paths count/pair the same tag
-// sets today, so keep their empty-tag and duplicate rules in sync.
-const smallTagSet = 16
-
-// Observe records one document with the given tag set at time t. Duplicate
-// tags within one document are counted once.
+// Observe records one document with the given tag strings at time t: it
+// interns and deduplicates them (intern.Dedup) and calls ObserveIDs.
 func (tr *Tracker) Observe(t time.Time, tags []string) {
+	tr.idBuf = tr.dedup.Append(tr.idBuf[:0], tags)
+	tr.ObserveIDs(t, tr.idBuf)
+}
+
+// ObserveIDs records one document carrying the given tags at time t. ids
+// must be a document's tag set as intern.Dedup produces it: distinct IDs.
+//
+//enblogue:hotpath
+func (tr *Tracker) ObserveIDs(t time.Time, ids []uint32) {
 	if t.After(tr.now) {
 		tr.now = t
 	}
@@ -149,28 +153,8 @@ func (tr *Tracker) Observe(t time.Time, tags []string) {
 	// document total and every tag.
 	abs := tr.arena.BucketIndex(t)
 	tr.docs.IncAbs(docSlot, abs)
-	if len(tags) <= smallTagSet {
-	small:
-		for i, tag := range tags {
-			if tag == "" {
-				continue
-			}
-			for j := 0; j < i; j++ {
-				if tags[j] == tag {
-					continue small
-				}
-			}
-			tr.inc(tag, abs)
-		}
-	} else {
-		seen := make(map[string]bool, len(tags))
-		for _, tag := range tags {
-			if tag == "" || seen[tag] {
-				continue
-			}
-			seen[tag] = true
-			tr.inc(tag, abs)
-		}
+	for _, id := range ids {
+		tr.arena.IncAbs(tr.slot(id), abs)
 	}
 	tr.sinceGC++
 	if tr.sinceGC >= tr.cfg.SweepEvery {
@@ -178,20 +162,23 @@ func (tr *Tracker) Observe(t time.Time, tags []string) {
 	}
 }
 
-// inc upserts tag's counter slot and records one document at bucket abs.
-func (tr *Tracker) inc(tag string, abs int64) {
-	slot, ok := tr.slots[tag]
-	if !ok {
-		slot = tr.arena.Alloc()
-		tr.slots[tag] = slot
-		for int(slot) >= len(tr.revTags) {
-			tr.revTags = append(tr.revTags, "")
-			tr.revIDs = append(tr.revIDs, NoID)
+// slot returns tag id's counter slot, allocating it on first sight.
+func (tr *Tracker) slot(id uint32) int32 {
+	if int(id) < len(tr.slotOf) {
+		if s := tr.slotOf[id]; s != 0 {
+			return s - 1
 		}
-		tr.revTags[slot] = tag
-		tr.revIDs[slot] = NoID
+	} else {
+		tr.slotOf = append(tr.slotOf, make([]int32, int(id)+1-len(tr.slotOf))...)
 	}
-	tr.arena.IncAbs(slot, abs)
+	slot := tr.arena.Alloc()
+	tr.slotOf[id] = slot + 1
+	for int(slot) >= len(tr.ids) {
+		tr.ids = append(tr.ids, 0)
+	}
+	tr.ids[slot] = id + 1
+	tr.active++
+	return slot
 }
 
 // sweep evicts tags whose windows have emptied, bounding memory to the tags
@@ -199,16 +186,19 @@ func (tr *Tracker) inc(tag string, abs int64) {
 func (tr *Tracker) sweep() {
 	tr.sinceGC = 0
 	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
-			continue
-		}
-		if tr.arena.PeekAbs(int32(slot), abs) == 0 {
-			delete(tr.slots, tag)
-			tr.revTags[slot] = ""
-			tr.arena.Release(int32(slot))
+	for slot, idp := range tr.ids {
+		if idp != 0 && tr.arena.PeekAbs(int32(slot), abs) == 0 {
+			tr.release(int32(slot))
 		}
 	}
+}
+
+// release frees slot and forgets the tag occupying it.
+func (tr *Tracker) release(slot int32) {
+	tr.slotOf[tr.ids[slot]-1] = 0
+	tr.ids[slot] = 0
+	tr.active--
+	tr.arena.Release(slot)
 }
 
 // DocCount returns the number of documents inside the window.
@@ -237,13 +227,13 @@ func coefficientOfVariation(series []float64) float64 {
 }
 
 // ActiveTags returns the number of tags currently tracked.
-func (tr *Tracker) ActiveTags() int { return len(tr.slots) }
+func (tr *Tracker) ActiveTags() int { return tr.active }
 
 // Top returns the k highest-scoring tags under the criterion, ties broken
 // alphabetically for determinism. Tags with fewer than minCount windowed
 // documents are excluded.
 func (tr *Tracker) Top(k int, crit Criterion, minCount float64) []TagStat {
-	return tr.TopAppend(k, crit, minCount, nil, nil)
+	return tr.TopAppendIDs(k, crit, minCount, nil, nil)
 }
 
 // statScore evaluates the selection criterion on one stat. Pointer receiver
@@ -272,39 +262,35 @@ func statWorse(crit Criterion, a, b *TagStat) bool {
 	return b.Tag < a.Tag
 }
 
-// idFor returns slot's cached resolved ID, consulting the resolver (and
-// caching a success) when the slot is still unresolved.
-func (tr *Tracker) idFor(slot int32, tag string) uint32 {
-	id := tr.revIDs[slot]
-	if id == NoID && tr.resolve != nil {
-		if r, ok := tr.resolve(tag); ok {
-			id = r
-			tr.revIDs[slot] = id
-		}
+// TopAppend is TopAppendIDs with each also handed the tag string (read
+// through intern.Lookup); id is never NoID.
+func (tr *Tracker) TopAppend(k int, crit Criterion, minCount float64, buf []TagStat, each func(tag string, id uint32, n float64)) []TagStat {
+	if each == nil {
+		return tr.TopAppendIDs(k, crit, minCount, buf, nil)
 	}
-	return id
+	return tr.TopAppendIDs(k, crit, minCount, buf, func(id uint32, n float64) {
+		each(intern.Lookup(id), id, n)
+	})
 }
 
-// TopAppend is Top fused with a count scan, allocation-free in steady
+// TopAppendIDs is Top fused with a count scan, allocation-free in steady
 // state: it appends the selection to buf (pass buf[:0] to reuse the backing
 // array across ticks) and, when each is non-nil, streams every tracked
-// tag's positive windowed count through it along the way, with the tag's
-// resolved ID (NoID when unresolved; see SetTagIDResolver). The engine's
-// evaluation tick uses this to rebuild its tag-count index and reselect
-// seeds in a single pass over the tag map instead of two, with a bounded
-// min-heap (O(tags·log k)) replacing the full sort (O(tags·log tags)) and
-// the per-tag ID cache replacing an interning-table probe per tag. The
-// selected stats — values and order — are identical to Top's.
-func (tr *Tracker) TopAppend(k int, crit Criterion, minCount float64, buf []TagStat, each func(tag string, id uint32, n float64)) []TagStat {
+// tag's ID and positive windowed count through it along the way. The
+// engine's evaluation tick uses this to rebuild its tag-count index and
+// reselect seeds in a single pass over the tags instead of two, with a
+// bounded min-heap (O(tags·log k)) replacing the full sort (O(tags·log
+// tags)). The selected stats — values and order — are identical to Top's.
+func (tr *Tracker) TopAppendIDs(k int, crit Criterion, minCount float64, buf []TagStat, each func(id uint32, n float64)) []TagStat {
 	if k <= 0 {
 		if each != nil {
 			abs := tr.arena.BucketIndex(tr.now)
-			for slot, tag := range tr.revTags {
-				if tag == "" {
+			for slot, idp := range tr.ids {
+				if idp == 0 {
 					continue
 				}
 				if n := tr.arena.PeekAbs(int32(slot), abs); n > 0 {
-					each(tag, tr.idFor(int32(slot), tag), n)
+					each(idp-1, n)
 				}
 			}
 		}
@@ -318,35 +304,37 @@ func (tr *Tracker) TopAppend(k int, crit Criterion, minCount float64, buf []TagS
 	// itself is slot order over the arena slabs — sequential reads, no
 	// per-tag pointer chase.
 	abs := tr.arena.BucketIndex(tr.now)
-	for slot, tag := range tr.revTags {
-		if tag == "" {
+	for slot, idp := range tr.ids {
+		if idp == 0 {
 			continue
 		}
+		id := idp - 1
 		n := tr.arena.PeekAbs(int32(slot), abs)
 		if n == 0 {
 			continue
 		}
 		if each != nil {
-			each(tag, tr.idFor(int32(slot), tag), n)
+			each(id, n)
 		}
 		if n < minCount {
 			continue
 		}
 		// Fast reject for the default criterion: with the heap full, most
 		// tags rank below the root, and that one comparison needs neither
-		// the TagStat nor the statPush call. The condition is exactly
-		// !statWorse(root, s) specialised to ByPopularity.
+		// the TagStat nor the statPush call — nor the tag string, unless
+		// the popularities tie. The condition is exactly !statWorse(root,
+		// s) specialised to ByPopularity.
 		if byPop && len(h)-base == k {
 			pop := 0.0
 			if total > 0 {
 				pop = n / total
 			}
 			root := &h[base]
-			if pop < root.Popularity || (pop == root.Popularity && tag >= root.Tag) {
+			if pop < root.Popularity || (pop == root.Popularity && intern.Lookup(id) >= root.Tag) {
 				continue
 			}
 		}
-		s := TagStat{Tag: tag, Count: n}
+		s := TagStat{Tag: intern.Lookup(id), ID: id, Count: n}
 		if total > 0 {
 			s.Popularity = n / total
 		}
@@ -425,29 +413,30 @@ func statPush(h []TagStat, base, k int, crit Criterion, s *TagStat) []TagStat {
 // engine reselects at evaluation ticks.
 //
 // Like Tracker it is not safe for concurrent use; callers serialise access
-// (the engine holds its bookkeeping lock). Reselect installs a freshly
-// built seed set, so a predicate or seed slice handed out earlier keeps the
-// set it was built from.
+// (the engine holds its bookkeeping lock). Reselect hands out a freshly
+// built seed slice, so a slice handed out earlier keeps the set it was
+// built from; the ID membership test (Set) and the string predicate (Func)
+// are updated in place and always answer for the current set.
 type SeedSelector struct {
 	K         int
 	Criterion Criterion
 	MinCount  float64
 
 	ordered []string
-	// fn is the predicate over the current seed set, built once per
-	// Reselect so the per-document Func call allocates no closure.
+	set     intern.Set
+	// fn is Func's predicate, built once so the call allocates nothing.
 	fn func(string) bool
 }
 
 // NewSeedSelector returns a selector for the top-k tags under crit with the
 // given minimum windowed count.
 func NewSeedSelector(k int, crit Criterion, minCount float64) *SeedSelector {
-	return &SeedSelector{
-		K:         k,
-		Criterion: crit,
-		MinCount:  minCount,
-		fn:        func(string) bool { return false },
+	s := &SeedSelector{K: k, Criterion: crit, MinCount: minCount}
+	s.fn = func(tag string) bool {
+		id, ok := intern.Find(tag)
+		return ok && s.set.Has(id)
 	}
+	return s
 }
 
 // Reselect recomputes the seed set from tr and returns it (ordered by
@@ -458,23 +447,28 @@ func (s *SeedSelector) Reselect(tr *Tracker) []string {
 
 // ReselectFrom installs the seed set from an externally computed top-k stat
 // slice — the fused-pass form of Reselect: the engine obtains top via
-// Tracker.TopAppend (selecting with this selector's K, Criterion, and
+// Tracker.TopAppendIDs (selecting with this selector's K, Criterion, and
 // MinCount) while it streams tag counts for its own index, then installs
-// the result here. top is only read.
+// the result here. top is only read; its Tag and ID fields must agree.
+// The membership update costs O(old seeds + new seeds).
 func (s *SeedSelector) ReselectFrom(top []TagStat) []string {
-	current := make(map[string]bool, len(top))
 	ordered := make([]string, 0, len(top))
+	s.set.Reset()
 	for _, st := range top {
-		current[st.Tag] = true
+		s.set.Add(st.ID)
 		ordered = append(ordered, st.Tag)
 	}
 	s.ordered = ordered
-	s.fn = func(tag string) bool { return current[tag] }
 	return ordered
 }
 
-// Func returns a predicate closed over the current seed set. The closure
-// is cached per Reselect, so calling Func per document allocates nothing.
+// Set returns the current seed set as a membership test over interned tag
+// IDs — the form pair planning consumes. Reselect updates it in place.
+func (s *SeedSelector) Set() *intern.Set { return &s.set }
+
+// Func returns the current seed set as a predicate over tag strings, for
+// callers that hold strings; it resolves the tag through intern.Find and
+// tests Set.
 func (s *SeedSelector) Func() func(string) bool { return s.fn }
 
 // Seeds returns the current ordered seed set. Callers must not mutate it.

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"enblogue/internal/intern"
 )
 
 var t0 = time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
@@ -307,5 +309,49 @@ func BenchmarkTop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Top(50, ByPopularity, 2)
+	}
+}
+
+// BenchmarkObserveIDsHit times ObserveIDs on documents whose tags are all
+// tracked already — the ingest hit path — over a 1000-tag vocabulary, with
+// the idle-tag sweep kept out of the measurement.
+func BenchmarkObserveIDsHit(b *testing.B) {
+	tr := NewTracker(Config{Buckets: 48, Resolution: time.Hour, SweepEvery: 1 << 30})
+	rng := rand.New(rand.NewSource(3))
+	var d intern.Dedup
+	docs := make([][]uint32, 256)
+	for i := range docs {
+		var tags []string
+		for j := 0; j < 8; j++ {
+			tags = append(tags, fmt.Sprintf("tag%d", rng.Intn(1000)))
+		}
+		docs[i] = d.Append(nil, tags)
+		tr.ObserveIDs(t0, docs[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.ObserveIDs(t0.Add(time.Duration(i%3600)*time.Second), docs[i%len(docs)])
+	}
+}
+
+// TopAppend streams each tracked tag with its interned ID, and the
+// selected stats carry the same IDs.
+func TestTopAppendStreamsInternedIDs(t *testing.T) {
+	tr := newTestTracker()
+	tr.Observe(t0, []string{"ids-a", "ids-b", "ids-a", ""})
+	tr.Observe(t0, []string{"ids-b"})
+	seen := map[string]uint32{}
+	top := tr.TopAppend(1, ByPopularity, 0, nil, func(tag string, id uint32, n float64) {
+		seen[tag] = id
+	})
+	for _, tag := range []string{"ids-a", "ids-b"} {
+		want, _ := intern.Find(tag)
+		if id, ok := seen[tag]; !ok || id != want {
+			t.Errorf("%s streamed with ID %d (seen %v), want %d", tag, id, ok, want)
+		}
+	}
+	if want, _ := intern.Find("ids-b"); len(top) != 1 || top[0].Tag != "ids-b" || top[0].ID != want {
+		t.Errorf("top = %+v, want ids-b with ID %d", top, want)
 	}
 }
