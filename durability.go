@@ -22,12 +22,16 @@ type FsyncMode = core.FsyncMode
 // WAL flush policies, selected with the Fsync durability option.
 const (
 	// FsyncIntervalMode syncs at most once per FsyncEvery period (default
-	// one second): process crashes lose nothing, power loss at most one
-	// interval. The default.
+	// one second): a process crash loses only the records of a batch that
+	// has not yet returned, power loss at most one interval. The default.
 	FsyncIntervalMode = core.FsyncInterval
-	// FsyncAlwaysMode syncs after every document.
+	// FsyncAlwaysMode syncs once per WAL commit: before each ranking a
+	// batch publishes and before the batch returns. A process crash or
+	// power loss loses only the records of a batch that has not yet
+	// returned, and no ranking was published from them.
 	FsyncAlwaysMode = core.FsyncAlways
-	// FsyncNeverMode leaves flushing entirely to the OS.
+	// FsyncNeverMode leaves flushing entirely to the OS. A process crash
+	// loses only the records of a batch that has not yet returned.
 	FsyncNeverMode = core.FsyncNever
 )
 

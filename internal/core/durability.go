@@ -13,17 +13,20 @@ type FsyncMode int
 
 const (
 	// FsyncInterval syncs the WAL at most once per configured interval
-	// (default one second). Process crashes lose nothing — completed writes
-	// survive in the OS page cache — and a power loss loses at most one
-	// interval of documents. The default.
+	// (default one second). A process crash loses only the records of a
+	// batch that has not yet returned — committed writes survive in the OS
+	// page cache — and a power loss loses at most one interval of
+	// documents. The default.
 	FsyncInterval FsyncMode = iota
-	// FsyncAlways syncs after every appended record: no document
-	// acknowledged into the engine is lost even to power failure, at the
-	// cost of one fsync per document.
+	// FsyncAlways syncs once per commit: no document of a batch that has
+	// returned is lost even to power failure. A batch commits once before
+	// each ranking it publishes and once before it returns, and a process
+	// crash loses only the records of a batch that has not yet returned,
+	// from which no ranking was published.
 	FsyncAlways
 	// FsyncNever never syncs explicitly, leaving flushing entirely to the
-	// OS. Process crashes still lose nothing; power loss may lose any
-	// unflushed tail.
+	// OS. A process crash loses only the records of a batch that has not
+	// yet returned; power loss may lose any unflushed tail.
 	FsyncNever
 )
 
@@ -71,13 +74,20 @@ type DurabilityStats struct {
 // and every forced tick (Tick, Flush) the machine's guard accepts.
 // Event-driven ticks follow from the documents and are not recorded.
 // Implementations must be cheap and must not call back into the engine.
+//
+// Records are group-committed: the engine calls Commit before it publishes
+// a ranking and before ConsumeBatch returns, so no ranking goes out ahead
+// of the log and a returned batch is logged.
 type WALRecorder interface {
 	// RecordDoc records one document. seq is its 1-based position in the
-	// stream (DocsProcessed after counting it).
+	// stream (DocsProcessed after counting it). The record may stay
+	// pending until the next Commit.
 	RecordDoc(seq int64, it *stream.Item)
-	// RecordTick records a forced tick at t. seq is the number of
-	// documents consumed before it.
+	// RecordTick records a forced tick at t and commits. seq is the number
+	// of documents consumed before it.
 	RecordTick(seq int64, t time.Time)
+	// Commit writes every pending record to the log.
+	Commit()
 }
 
 // Durability is the engine's handle on its persistence layer.

@@ -446,8 +446,9 @@ func (e *Engine) Consume(it *stream.Item) {
 // ConsumeBatch is the engine's one ingest path: it feeds a run of items
 // through the machine, which logs each document to the WAL and fires
 // evaluation ticks as event time passes tick boundaries, and pays the
-// bookkeeping lock once per batch. Rankings are invariant under how a
-// stream is cut into batches (see machine.consume).
+// bookkeeping lock once per batch. The WAL commits before each ranking
+// the batch publishes and before ConsumeBatch returns. Rankings are
+// invariant under how a stream is cut into batches (see machine.consume).
 //
 // Safe for concurrent use with every other engine method; callers serialise
 // on the bookkeeping lock for the whole batch, pair observation included.
@@ -461,15 +462,22 @@ func (e *Engine) ConsumeBatch(items []*stream.Item) {
 	}
 	e.mu.Lock()
 	e.m.consume(items, e.publish)
+	if e.wal != nil {
+		e.wal.Commit()
+	}
 	e.mu.Unlock()
 }
 
 // publish makes r the current ranking and hands it to the broker, which
 // delivers it on the dispatcher goroutine, outside e.mu, so consumers may
-// call back into the engine.
+// call back into the engine. It commits the WAL first, so every input the
+// ranking follows from is logged before anyone can see it.
 //
 //enblogue:requires engine
 func (e *Engine) publish(r Ranking) {
+	if e.wal != nil {
+		e.wal.Commit()
+	}
 	e.last.Store(&r)
 	e.broker.publish(r)
 }

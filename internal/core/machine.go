@@ -46,6 +46,10 @@ type machine struct {
 	nextTick time.Time
 	lastTick time.Time
 
+	// tagWalks counts walks over every active tag (seed selections), the
+	// cost that must not grow with the document count.
+	tagWalks int64
+
 	// scratch is the per-tick working set — snapshot, keep-set, and top-k
 	// buffers per shard plus the ID-keyed tag-count index. dedup turns each
 	// document's tags into its ID set, docIDs; batchDocs and batchIDs hold
@@ -184,12 +188,13 @@ func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
 			// entity tags identically instead of trusting a stale derivation.
 			m.logDoc(m.docs, it)
 		}
-		if len(m.seeds.Seeds()) == 0 && m.docs >= int64(m.cfg.SeedWarmupDocs) {
+		if len(m.seeds.Seeds()) == 0 && m.seedsDue() {
 			// Bootstrap the seed set once enough documents have arrived, so
 			// pair tracking starts before the first tick. Earlier documents
 			// flush under the old predicate; this one is observed under the
 			// new.
 			flush()
+			m.tagWalks++
 			m.seeds.Reselect(m.tags)
 		}
 		// The pending document's IDs live in ids until its flush. A later
@@ -201,6 +206,22 @@ func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
 	}
 	flush()
 	m.batchDocs, m.batchIDs = pend[:0], ids[:0]
+}
+
+// seedsDue reports whether the document just counted must reselect an
+// empty seed set. The document that completes the warm-up always does.
+// After it, an empty set means the last selection found no tag with
+// SeedMinCount windowed documents; counts rise only as documents are
+// observed, so a selection can come out non-empty only at a document one
+// of whose own tags has reached SeedMinCount. Testing just those tags
+// keeps the per-document cost independent of the vocabulary while no tag
+// qualifies, and reselects at exactly the documents where the set appears.
+//
+//enblogue:hotpath
+func (m *machine) seedsDue() bool {
+	warm := int64(m.cfg.SeedWarmupDocs)
+	return m.docs == warm ||
+		m.docs > warm && m.tags.AnyCountAtLeast(m.docIDs, m.seeds.MinCount)
 }
 
 // tick is the forced-tick input: it evaluates at t unless an evaluation at
@@ -240,6 +261,7 @@ func (m *machine) evaluate(t time.Time) Ranking {
 	// ordering.
 	ts := &m.scratch
 	ts.beginCounts()
+	m.tagWalks++
 	ts.topStats = m.tags.TopAppendIDs(m.seeds.K, m.seeds.Criterion, m.seeds.MinCount,
 		ts.topStats[:0], ts.setCount)
 	seeds := m.seeds.ReselectFrom(ts.topStats)

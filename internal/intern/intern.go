@@ -23,6 +23,7 @@
 package intern
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -107,6 +108,10 @@ func (t *Table) internSlow(s string) uint32 {
 	if t.pending == nil {
 		t.pending = make(map[string]uint32)
 	}
+	// The table keeps s for the life of the process, so it keeps its own
+	// copy: a caller's string may be a slice of a far larger buffer, such
+	// as a WAL line.
+	s = strings.Clone(s)
 	id := uint32(len(t.byID))
 	t.byID = append(t.byID, s)
 	t.pending[s] = id

@@ -10,10 +10,10 @@ import (
 )
 
 // The WAL rides the engine's zero-allocation ingest path: the record
-// encoder appends into one reusable buffer and hands it to the file in a
-// single Write, so enabling durability must cost at most one allocation
-// per document in steady state — the acceptance bound — and in practice
-// costs none once the buffer has grown to the record size.
+// encoder appends into one reusable commit buffer, handed to the file in
+// one Write per commit, so enabling durability must cost at most one
+// allocation per document in steady state — the acceptance bound — and in
+// practice costs none once the buffer has grown to the record size.
 
 // allocItems is a fixed in-window stream over a small vocabulary, so a
 // warmed engine re-consuming it creates no tags, pairs, or ticks.

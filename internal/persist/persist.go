@@ -93,14 +93,17 @@ type Store struct {
 	//enblogue:lock persistSnap 5
 	snapMu sync.Mutex
 
-	// mu guards the live WAL segment and the stats fields. RecordDoc and
-	// RecordTick run under the engine bookkeeping lock, and rotation happens
-	// inside the engine's snapshot gate, so this class sits above engine.
+	// mu guards the live WAL segment, the commit buffer and the stats
+	// fields. RecordDoc, RecordTick and Commit run under the engine
+	// bookkeeping lock, and rotation happens inside the engine's snapshot
+	// gate, so this class sits above engine.
 	//
 	//enblogue:lock wal 15
-	mu         sync.Mutex
-	walF       walFile
-	buf        []byte // reusable record-encode buffer
+	mu   sync.Mutex
+	walF walFile
+	// buf holds the records appended since the last commit, reused across
+	// commits.
+	buf        []byte
 	lastSync   time.Time
 	snapEpoch  int64
 	lastSnapAt time.Time
@@ -194,40 +197,62 @@ func (s *Store) snapshotLoop() {
 	}
 }
 
+// walCommitBytes bounds the commit buffer: RecordDoc commits on its own
+// once this many bytes are pending, so a long batch neither holds an
+// unbounded buffer nor issues one outsized write.
+const walCommitBytes = 256 << 10
+
 // RecordDoc implements core.WALRecorder: it appends one document to the
-// live WAL segment. Called under the engine bookkeeping lock for every
-// consumed document; the single reusable buffer and single Write keep the
-// steady-state cost at zero allocations. Append or sync failures degrade
-// durability, never ingest: they are recorded in LastErr.
+// commit buffer, which the next Commit writes. Called under the engine
+// bookkeeping lock for every consumed document; the reused buffer keeps
+// the steady-state cost at zero allocations.
 //
 //enblogue:acquires wal
 func (s *Store) RecordDoc(seq int64, it *stream.Item) {
 	s.mu.Lock()
-	s.buf = appendWALRecord(s.buf[:0], seq, it)
-	s.appendLocked()
+	s.buf = appendWALRecord(s.buf, seq, it)
+	if len(s.buf) >= walCommitBytes {
+		s.commitLocked()
+	}
 	s.mu.Unlock()
 }
 
 // RecordTick implements core.WALRecorder: it appends one forced-tick
-// record to the live WAL segment, under the same policy as RecordDoc.
+// record and commits at once, together with any documents still pending.
 //
 //enblogue:acquires wal
 func (s *Store) RecordTick(seq int64, t time.Time) {
 	s.mu.Lock()
-	s.buf = appendTickRecord(s.buf[:0], seq, t)
-	s.appendLocked()
+	s.buf = appendTickRecord(s.buf, seq, t)
+	s.commitLocked()
 	s.mu.Unlock()
 }
 
-// appendLocked writes the record encoded in s.buf to the live segment and
-// syncs as the fsync policy asks.
+// Commit implements core.WALRecorder: it writes every pending record to
+// the live segment in one Write, then applies the fsync policy once.
+//
+//enblogue:acquires wal
+func (s *Store) Commit() {
+	s.mu.Lock()
+	s.commitLocked()
+	s.mu.Unlock()
+}
+
+// commitLocked writes the pending records and syncs as the fsync policy
+// asks. The buffer empties whatever happens: append or sync failures
+// degrade durability, never ingest, and are recorded in LastErr.
 //
 //enblogue:requires wal
-func (s *Store) appendLocked() {
+func (s *Store) commitLocked() {
+	if len(s.buf) == 0 {
+		return
+	}
+	pending := s.buf
+	s.buf = s.buf[:0]
 	if s.closed || s.walF == nil {
 		return
 	}
-	if _, err := s.walF.Write(s.buf); err != nil {
+	if _, err := s.walF.Write(pending); err != nil {
 		s.lastErr = "wal append: " + err.Error()
 		return
 	}
@@ -254,6 +279,7 @@ func (s *Store) appendLocked() {
 func (s *Store) rotate(epoch int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.commitLocked()
 	if s.walF != nil {
 		s.walF.Sync() //nolint:errcheck // best effort; the close error matters more
 		if err := s.walF.Close(); err != nil {
@@ -365,11 +391,13 @@ func (s *Store) noteErr(op string, err error) {
 	s.mu.Unlock()
 }
 
-// Stats implements core.Durability.
+// Stats implements core.Durability. It commits first, so WALBytes counts
+// every record logged so far.
 //
 //enblogue:acquires wal
 func (s *Store) Stats() core.DurabilityStats {
 	s.mu.Lock()
+	s.commitLocked()
 	st := core.DurabilityStats{
 		SnapshotEpoch:  s.snapEpoch,
 		LastSnapshotAt: s.lastSnapAt,
@@ -390,8 +418,8 @@ func (s *Store) Stats() core.DurabilityStats {
 	return st
 }
 
-// Close implements core.Durability: it stops the snapshot ticker and syncs
-// and closes the live WAL segment. Idempotent.
+// Close implements core.Durability: it stops the snapshot ticker, commits,
+// and syncs and closes the live WAL segment. Idempotent.
 //
 //enblogue:acquires wal
 func (s *Store) Close() error {
@@ -401,6 +429,7 @@ func (s *Store) Close() error {
 			s.wg.Wait()
 		}
 		s.mu.Lock()
+		s.commitLocked()
 		if s.walF != nil {
 			s.walF.Sync() //nolint:errcheck
 			s.closeErr = s.walF.Close()
@@ -484,10 +513,13 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config) (recoverResult,
 
 // replayWAL feeds every WAL record above the restored position into e, in
 // file order, stopping with a warning at the first unreadable segment,
-// corrupt record or sequence gap. Documents go through ConsumeBatch in
-// batches; a forced tick goes through Tick, whose guard drops a tick the
-// restored snapshot already covers (its time is at or before the
-// snapshot's newest evaluation).
+// corrupt record or sequence gap. A segment whose successor starts at or
+// below the restored position is not read at all: segment E holds records
+// only up to the next rotation, which is its successor's epoch, so the
+// snapshot covers all of it — damage there cannot cost the tail. Documents
+// go through ConsumeBatch in batches; a forced tick goes through Tick,
+// whose guard drops a tick the restored snapshot already covers (its time
+// is at or before the snapshot's newest evaluation).
 func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 	segs := listEpochs(dir, walPrefix, walSuffix)
 	next := restored + 1
@@ -499,14 +531,18 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 		}
 	}
 	for si, seg := range segs {
+		if si+1 < len(segs) && segs[si+1] <= restored {
+			continue
+		}
 		data, err := os.ReadFile(filepath.Join(dir, walName(seg)))
 		if err != nil {
 			flush()
 			*warns = append(*warns, "wal read: "+err.Error())
 			return
 		}
-		lines := bytes.Split(data, []byte{'\n'})
-		for li, line := range lines {
+		for li := 1; len(data) > 0; li++ {
+			line, rest, _ := bytes.Cut(data, []byte{'\n'})
+			data = rest
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
@@ -516,10 +552,10 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 				// A torn final record in the final segment is the normal
 				// crash artifact: the write was cut mid-line. Everything
 				// before it is intact, so recovery stops exactly there.
-				if si == len(segs)-1 && blankAfter(lines, li) {
+				if si == len(segs)-1 && len(bytes.TrimSpace(rest)) == 0 {
 					return
 				}
-				*warns = append(*warns, fmt.Sprintf("wal segment %d line %d: %v", seg, li+1, derr))
+				*warns = append(*warns, fmt.Sprintf("wal segment %d line %d: %v", seg, li, derr))
 				return
 			}
 			// A document record must be the next document; a tick record
@@ -550,16 +586,6 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 		}
 	}
 	flush()
-}
-
-// blankAfter reports whether every line after index i is blank.
-func blankAfter(lines [][]byte, i int) bool {
-	for _, l := range lines[i+1:] {
-		if len(bytes.TrimSpace(l)) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // state resolves p's keys through keyOf into a pair tracker state.

@@ -463,6 +463,9 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Time: time.Unix(0, 7).UTC(), Tags: []string{"x"}, Entities: []string{"Athens", "SIGMOD"},
 			Text: "quote \" backslash \\ newline \n tab \t control \x01 done", Source: "feed"},
 		{Time: time.Unix(0, -5).UTC(), DocID: "päivä 🎈", Tags: []string{"ünïcode"}},
+		// Invalid UTF-8 comes back byte for byte, not as U+FFFD.
+		{Time: time.Unix(0, 9).UTC(), DocID: "\xff\xfe", Tags: []string{"a\xff", "\xc3", ""},
+			Text: "cut \xe2\x82 short \x7f", Source: "\x80"},
 	}
 	for i, it := range cases {
 		line := appendWALRecord(nil, int64(i+1), it)

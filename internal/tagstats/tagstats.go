@@ -201,6 +201,22 @@ func (tr *Tracker) release(slot int32) {
 	tr.arena.Release(slot)
 }
 
+// AnyCountAtLeast reports whether any of ids has at least minCount
+// windowed documents, read as TopAppendIDs reads counts. With minCount > 0,
+// a TopAppendIDs selection under the same minCount is empty exactly when no
+// tracked tag passes this test.
+func (tr *Tracker) AnyCountAtLeast(ids []uint32, minCount float64) bool {
+	abs := tr.arena.BucketIndex(tr.now)
+	for _, id := range ids {
+		if int(id) < len(tr.slotOf) {
+			if s := tr.slotOf[id]; s != 0 && tr.arena.PeekAbs(s-1, abs) >= minCount {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // DocCount returns the number of documents inside the window.
 func (tr *Tracker) DocCount() float64 {
 	return tr.docs.ValueAt(docSlot, tr.now)
