@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"enblogue/internal/core"
+	"enblogue/internal/intern"
 	"enblogue/internal/stream"
 )
 
@@ -103,5 +104,72 @@ func TestGoldenRoundTrip(t *testing.T) {
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	if !bytes.Equal(encodeSnapshot(cfg, &st), data) {
 		t.Fatal("golden snapshot did not survive a decode/restore/re-encode round trip")
+	}
+}
+
+// adversarialHash pins the snapshot of adversarialItems the same way
+// goldenHash pins goldenItems. Its vocabulary is what a canonical-order
+// shortcut gets wrong and a lowercase-only vocabulary cannot show: tags
+// holding bytes below '+' (space, '!', '#'), '+' itself, a byte above
+// ASCII, tags that extend another tag by "+" ("a" and "a+b", "new york"
+// and "new york+times"), where one key's first tag plus "+" is a proper
+// prefix of another's, and tags that extend another by a byte below '+'
+// and nothing else ("b" and "b!", "n" and "n y"), where "t1+" order and
+// plain order disagree.
+const adversarialHash = "61126069fc4b98b7d6ab4a912a5a3e0743e0b54a8a9aea1eb76cde3b6b2715d4"
+
+// adversarialVocab is interned in reverse (last tag first) by
+// adversarialState, so ID order disagrees with string order throughout.
+var adversarialVocab = []string{
+	"a", "a!", "a+b", "a b", "ab", "a+", "new york", "new york+times",
+	"new", "+", "#", "a\xff", "b", "b!", "b c", "n", "n y",
+}
+
+// adversarialItems is a fixed pre-tick stream over adversarialVocab, three
+// tags per document, so every section's order is exercised on exact
+// integral counts.
+func adversarialItems() []*stream.Item {
+	base := time.Date(2011, 6, 1, 12, 0, 0, 0, time.UTC)
+	n := len(adversarialVocab)
+	items := make([]*stream.Item, 0, 64)
+	state := uint64(0x2545f4914f6cdd1d)
+	next := func() int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	for i := 0; i < 64; i++ {
+		a, b, c := next(), next(), next()
+		items = append(items, &stream.Item{
+			Time:  base.Add(time.Duration(i) * 30 * time.Second),
+			DocID: fmt.Sprintf("x-%03d", i),
+			Tags:  []string{adversarialVocab[a], adversarialVocab[b], adversarialVocab[c]},
+		})
+	}
+	return items
+}
+
+func adversarialState(shards int) []byte {
+	for i := len(adversarialVocab) - 1; i >= 0; i-- {
+		intern.Intern(adversarialVocab[i])
+	}
+	cfg := testConfig(shards)
+	e := core.New(cfg)
+	defer e.Close()
+	e.ConsumeBatch(adversarialItems())
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
+	return encodeSnapshot(cfg, &st)
+}
+
+// TestAdversarialSnapshotBytes pins the adversarial vocabulary's snapshot
+// at shards 1 and 8: the canonical order over tags with '+', bytes below
+// it and "+"-extended prefixes must not move.
+func TestAdversarialSnapshotBytes(t *testing.T) {
+	one, eight := adversarialState(1), adversarialState(8)
+	if !bytes.Equal(one, eight) {
+		t.Fatal("adversarial snapshot bytes depend on the shard count")
+	}
+	if got := sha256.Sum256(one); hex.EncodeToString(got[:]) != adversarialHash {
+		t.Fatalf("adversarial snapshot bytes CHANGED: sha256 = %s, want %s (see TestGoldenSnapshotBytes for the procedure)",
+			hex.EncodeToString(got[:]), adversarialHash)
 	}
 }
