@@ -3,7 +3,6 @@ package pairs
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"enblogue/internal/window"
 )
@@ -31,15 +30,14 @@ type ShardedTrackerState struct {
 }
 
 // ExportState returns the tracker's full state with pairs sorted by
-// Key.Compare and every counter advanced to the tracker clock.
+// Key.Compare and every counter advanced to the tracker clock. Every window
+// column is written into one backing array, so the export allocates a
+// fixed number of times whatever the pair count.
 func (tr *ShardedTracker) ExportState() ShardedTrackerState {
-	st := ShardedTrackerState{
-		NowNano: tr.nowNano,
-		SinceGC: tr.sinceGC,
-		Pairs:   make([]PairState, 0, tr.npairs),
-	}
+	keys := make([]Key, 0, tr.npairs)
+	where := make([]uint64, 0, tr.npairs) // shard<<32 | slot, parallel to keys
 	now := tr.now()
-	for _, sh := range tr.shards {
+	for s, sh := range tr.shards {
 		var abs int64
 		if !now.IsZero() {
 			abs = sh.arena.BucketIndex(now)
@@ -54,10 +52,23 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 				// the representation, never any observable count.
 				sh.arena.ValueAtAbs(int32(slot), abs)
 			}
-			st.Pairs = append(st.Pairs, PairState{Key: k, Window: sh.arena.ExportSlot(int32(slot))})
+			keys = append(keys, k)
+			where = append(where, uint64(s)<<32|uint64(slot))
 		}
 	}
-	sort.Slice(st.Pairs, func(i, j int) bool { return st.Pairs[i].Key.Less(st.Pairs[j].Key) })
+	nb := tr.cfg.Buckets
+	vals := make([]float64, len(keys)*nb)
+	st := ShardedTrackerState{
+		NowNano: tr.nowNano,
+		SinceGC: tr.sinceGC,
+		Pairs:   make([]PairState, len(keys)),
+	}
+	// Columns are read in slot order, so consecutive slots share the
+	// arena's cache lines, and each is written at its canonical position.
+	for i, r := range CanonicalRanks(keys) {
+		sh := tr.shards[where[i]>>32]
+		st.Pairs[r] = PairState{Key: keys[i], Window: sh.arena.ExportSlot(int32(uint32(where[i])), vals[int(r)*nb:])}
+	}
 	return st
 }
 

@@ -184,60 +184,122 @@ func appendPredict(b []byte, s predict.State) []byte {
 	return b
 }
 
-// tagTableOf collects every tag referenced through a pairs.Key anywhere in
-// the state — pair windows, detector entries, ranking topics — sorted and
-// deduplicated. Keys are serialized as indexes into this table rather than
+// keyTable is a snapshot's tag table — every tag referenced through a
+// pairs.Key anywhere in the state (pair windows, detector entries,
+// co-occurrence pairs, ranking topics), sorted and deduplicated — and each
+// of those keys' two table positions, in the order encodeSnapshot writes
+// the keys. Keys are serialized as indexes into the table rather than
 // interned IDs, which is what makes snapshot bytes independent of intern
 // order (and therefore identical across runs and shard counts).
-func tagTableOf(st *core.EngineState) ([]string, map[string]uint32) {
-	seen := make(map[string]uint32)
-	add := func(k pairs.Key) {
-		t1, t2 := k.Tags()
-		seen[t1] = 0
-		seen[t2] = 0
+type keyTable struct {
+	tags []string
+	pos  []uint32 // two per key, in writing order
+	next int
+}
+
+// tagTableOf builds st's key table with one intern lookup per distinct tag.
+func tagTableOf(st *core.EngineState) *keyTable {
+	n := len(st.Pairs.Pairs) + len(st.Det.Pairs) + len(st.Last.Topics)
+	if st.Co != nil {
+		n += len(st.Co.Pairs)
 	}
+	keys := make([]pairs.Key, 0, n)
 	for _, p := range st.Pairs.Pairs {
-		add(p.Key)
+		keys = append(keys, p.Key)
+	}
+	for _, p := range st.Det.Pairs {
+		keys = append(keys, p.Key)
 	}
 	if st.Co != nil {
 		for _, p := range st.Co.Pairs {
-			add(p.Key)
+			keys = append(keys, p.Key)
 		}
 	}
-	for _, p := range st.Det.Pairs {
-		add(p.Key)
-	}
 	for _, t := range st.Last.Topics {
-		add(t.Pair)
+		keys = append(keys, t.Pair)
 	}
-	table := make([]string, 0, len(seen))
-	for t := range seen { //enblogue:unordered collects for the explicit sort below
-		table = append(table, t)
-	}
-	sort.Strings(table)
-	for i, t := range table {
-		seen[t] = uint32(i)
-	}
-	return table, seen
+	tags, pos := pairs.TagTable(keys)
+	return &keyTable{tags: tags, pos: pos}
 }
 
-func appendKey(b []byte, k pairs.Key, idx map[string]uint32) []byte {
-	t1, t2 := k.Tags()
-	b = appendU32(b, idx[t1])
-	return appendU32(b, idx[t2])
+// appendKey writes the next key's two table positions.
+func appendKey(b []byte, kt *keyTable) []byte {
+	b = appendU32(b, kt.pos[kt.next])
+	b = appendU32(b, kt.pos[kt.next+1])
+	kt.next += 2
+	return b
 }
 
 // appendPairs encodes a pair tracker's state: clock, sweep counter, then
 // every pair's key and window column in the export's canonical order.
-func appendPairs(b []byte, st *pairs.ShardedTrackerState, idx map[string]uint32) []byte {
+func appendPairs(b []byte, st *pairs.ShardedTrackerState, kt *keyTable) []byte {
 	b = appendI64(b, st.NowNano)
 	b = appendI64(b, st.SinceGC)
 	b = appendU32(b, uint32(len(st.Pairs)))
 	for _, p := range st.Pairs {
-		b = appendKey(b, p.Key, idx)
+		b = appendKey(b, kt)
 		b = appendSlot(b, p.Window)
 	}
 	return b
+}
+
+// Encoded sizes of the fixed-size records, for snapshotSize.
+const (
+	fingerprintSize = 18*8 + 3
+	keySize         = 8
+	detFixedSize    = keySize + 8 + 8 + 1 + 8 + 4 + 3*8 + 8 + 1 // ring values extra
+	topicSize       = keySize + 5*8 + 8 + 1 + 1
+)
+
+// slotSize is appendSlot's output length for s.
+func slotSize(s window.SlotState) int {
+	nnz := 0
+	for _, v := range s.Vals {
+		if v != 0 {
+			nnz++
+		}
+	}
+	return 4 + 4 + 12*nnz + 8 + 1 + 8
+}
+
+func pairsSize(st *pairs.ShardedTrackerState) int {
+	n := 8 + 8 + 4
+	for _, p := range st.Pairs {
+		n += keySize + slotSize(p.Window)
+	}
+	return n
+}
+
+func strsSize(ss []string) int {
+	n := 4
+	for _, s := range ss {
+		n += 4 + len(s)
+	}
+	return n
+}
+
+// snapshotSize is encodeSnapshot's exact output length, so the encoder
+// allocates its buffer once.
+func snapshotSize(st *core.EngineState, kt *keyTable) int {
+	n := len(snapMagic) + 4 + fingerprintSize + strsSize(kt.tags)
+	n += 8 + 8 + 8 + 1 + 8 + 1
+	n += slotSize(st.Tags.Docs) + 8 + 1 + 8 + 4
+	for _, ts := range st.Tags.Tags {
+		n += 4 + len(ts.Tag) + slotSize(ts.Window)
+	}
+	n += pairsSize(&st.Pairs)
+	n += 8 + 8 + 4
+	for _, p := range st.Det.Pairs {
+		n += detFixedSize + 8*len(p.Pred.Ring)
+	}
+	n++
+	if st.Co != nil {
+		n += pairsSize(st.Co)
+	}
+	n += strsSize(st.Seeds)
+	n += 8 + 1 + strsSize(st.Last.Seeds)
+	n += 4 + topicSize*len(st.Last.Topics)
+	return n + 8
 }
 
 // encodeSnapshot serializes st (an engine's canonical state export) under
@@ -245,14 +307,14 @@ func appendPairs(b []byte, st *pairs.ShardedTrackerState, idx map[string]uint32)
 // table, section per subsystem, trailing CRC64-ECMA over everything before
 // it.
 func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
-	b := make([]byte, 0, 4096)
+	kt := tagTableOf(st)
+	b := make([]byte, 0, snapshotSize(st, kt))
 	b = append(b, snapMagic...)
 	b = appendU32(b, FormatVersion)
 	b = appendFingerprint(b, fingerprintOf(cfg))
 
-	table, idx := tagTableOf(st)
-	b = appendU32(b, uint32(len(table)))
-	for _, t := range table {
+	b = appendU32(b, uint32(len(kt.tags)))
+	for _, t := range kt.tags {
 		b = appendStr(b, t)
 	}
 
@@ -276,14 +338,14 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	}
 
 	// Pair windows.
-	b = appendPairs(b, &st.Pairs, idx)
+	b = appendPairs(b, &st.Pairs, kt)
 
 	// Detector.
 	b = appendI64(b, st.Det.CurTickNano)
 	b = appendI64(b, st.Det.TickCount)
 	b = appendU32(b, uint32(len(st.Det.Pairs)))
 	for _, p := range st.Det.Pairs {
-		b = appendKey(b, p.Key, idx)
+		b = appendKey(b, kt)
 		b = appendF64(b, p.Decay.Value)
 		b = appendI64(b, p.Decay.AtNano)
 		b = appendBool(b, p.Decay.Set)
@@ -294,7 +356,7 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	// Co-occurrence pairs (DistributionMode only).
 	b = appendBool(b, st.Co != nil)
 	if st.Co != nil {
-		b = appendPairs(b, st.Co, idx)
+		b = appendPairs(b, st.Co, kt)
 	}
 
 	// Seeds.
@@ -316,7 +378,7 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	}
 	b = appendU32(b, uint32(len(st.Last.Topics)))
 	for _, t := range st.Last.Topics {
-		b = appendKey(b, t.Pair, idx)
+		b = appendKey(b, kt)
 		b = appendF64(b, t.Score)
 		b = appendF64(b, t.Correlation)
 		b = appendF64(b, t.Predicted)
@@ -353,6 +415,21 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+	// vals is the chunk slot columns and predictor rings are carved from.
+	// It grows geometrically as sections decode, never pre-sized from a
+	// count, so memory follows what was actually decoded; a carved slice
+	// keeps the chunk it came from when a new one replaces it.
+	vals []float64
+}
+
+// floats carves n zeroed values out of the reader's chunk.
+func (r *reader) floats(n int) []float64 {
+	if len(r.vals)+n > cap(r.vals) {
+		r.vals = make([]float64, 0, max(n, 2*cap(r.vals), 1024))
+	}
+	i := len(r.vals)
+	r.vals = r.vals[:i+n]
+	return r.vals[i : i+n : i+n]
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -402,13 +479,28 @@ func (r *reader) i64() int64    { return int64(r.u64()) }
 func (r *reader) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-func (r *reader) str() string {
-	n := int(r.u32())
-	s := r.take(n)
-	if s == nil {
-		return ""
+func (r *reader) bytes() []byte { return r.take(int(r.u32())) }
+
+func (r *reader) str() string { return string(r.bytes()) }
+
+// strs reads n length-prefixed strings as slices of one copy of their
+// bytes; nil if the input ends first.
+func (r *reader) strs(n int) []string {
+	start := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		r.bytes()
 	}
-	return string(s)
+	if r.err != nil {
+		return nil
+	}
+	blob := string(r.b[start:r.off])
+	out := make([]string, n)
+	for i, off := 0, 0; i < n; i++ {
+		l := int(binary.LittleEndian.Uint32(r.b[start+off:]))
+		out[i] = blob[off+4 : off+4+l]
+		off += 4 + l
+	}
+	return out
 }
 
 // count reads an element count and validates it against the remaining bytes
@@ -460,7 +552,7 @@ func (r *reader) slot(nbuckets int) window.SlotState {
 	if r.err != nil {
 		return window.SlotState{}
 	}
-	s := window.SlotState{Vals: make([]float64, n)}
+	s := window.SlotState{Vals: r.floats(n)}
 	prev := -1
 	for i := 0; i < nnz; i++ {
 		pos := int(r.u32())
@@ -487,7 +579,7 @@ func (r *reader) predictState() predict.State {
 	if r.err != nil {
 		return s
 	}
-	s.Ring = make([]float64, n)
+	s.Ring = r.floats(n)
 	for i := range s.Ring {
 		s.Ring[i] = r.f64()
 	}
@@ -528,6 +620,8 @@ func (r *reader) pairs(ntags, nbuckets int) decPairs {
 	p.nowNano = r.i64()
 	p.sinceGC = r.i64()
 	n := r.count(8 + 25)
+	p.keys = make([]decKey, 0, n)
+	p.windows = make([]window.SlotState, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		k := r.key(ntags)
 		w := r.slot(nbuckets)
@@ -577,6 +671,16 @@ type decodedSnap struct {
 	epoch int64 // alias of docs: the WAL position this snapshot covers
 }
 
+// tag returns b as a string, shared with the tag table when the table
+// holds it, so most tag statistics cost no copy of their own.
+func (d *decodedSnap) tag(b []byte) string {
+	i := sort.Search(len(d.table), func(i int) bool { return d.table[i] >= string(b) })
+	if i < len(d.table) && d.table[i] == string(b) {
+		return d.table[i]
+	}
+	return string(b)
+}
+
 // decodeSnapshot parses and validates data. Arbitrary input returns an
 // error — never a panic — and a nil error guarantees structural validity:
 // checksum verified, all counts bounded, tag table sorted and unique, key
@@ -604,13 +708,8 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 		r.fail("implausible window bucket count %d", nb)
 	}
 
-	ntags := r.count(4)
-	d.table = make([]string, 0, min(ntags, 1<<16))
-	for i := 0; i < ntags && r.err == nil; i++ {
-		t := r.str()
-		if r.err != nil {
-			break
-		}
+	d.table = r.strs(r.count(4))
+	for i, t := range d.table {
 		if t == "" {
 			r.fail("empty tag in table")
 			break
@@ -619,7 +718,6 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 			r.fail("tag table not sorted/unique at %d", i)
 			break
 		}
-		d.table = append(d.table, t)
 	}
 
 	d.docs = r.i64()
@@ -637,7 +735,7 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 	d.tags.Tags = make([]tagstats.TagState, 0, min(nt, 1<<16))
 	for i := 0; i < nt && r.err == nil; i++ {
 		var ts tagstats.TagState
-		ts.Tag = r.str()
+		ts.Tag = d.tag(r.bytes())
 		ts.Window = r.slot(nb)
 		if r.err != nil {
 			break
@@ -658,6 +756,10 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 	d.detCurTickNano = r.i64()
 	d.detTickCount = r.i64()
 	nd := r.count(8 + 17 + 8 + 37)
+	d.detKeys = make([]decKey, 0, nd)
+	d.detDecay = make([]window.DecayState, 0, nd)
+	d.detSeen = make([]int64, 0, nd)
+	d.detPred = make([]predict.State, 0, nd)
 	for i := 0; i < nd && r.err == nil; i++ {
 		k := r.key(len(d.table))
 		dec := window.DecayState{Value: r.f64(), AtNano: r.i64(), Set: r.boolean()}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"enblogue/internal/core"
+	"enblogue/internal/intern"
 	"enblogue/internal/pairs"
 	"enblogue/internal/shift"
 	"enblogue/internal/stream"
@@ -606,8 +607,12 @@ func (p *decPairs) state(keyOf func(decKey) pairs.Key) pairs.ShardedTrackerState
 // keys. Intern IDs assigned here generally differ from the exporting
 // process's — rankings are ID-independent, so this is invisible.
 func (d *decodedSnap) materialize() core.EngineState {
+	ids := make([]uint32, len(d.table))
+	for i, t := range d.table {
+		ids[i] = intern.Intern(t)
+	}
 	keyOf := func(k decKey) pairs.Key {
-		return pairs.MakeKey(d.table[k.a], d.table[k.b])
+		return pairs.KeyFromIDs(ids[k.a], ids[k.b])
 	}
 	st := core.EngineState{
 		Docs:         d.docs,

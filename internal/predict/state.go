@@ -24,13 +24,28 @@ type State struct {
 	Seen       bool
 }
 
-// exportRing returns r's contents oldest-first.
-func exportRing(r *ring) []float64 {
-	out := make([]float64, r.len())
-	for i := range out {
-		out[i] = r.at(i)
+// ringOf returns p's history ring, or nil for kinds without one.
+func ringOf(p Predictor) *ring {
+	switch v := p.(type) {
+	case *MovingAverage:
+		return v.r
+	case *OLS:
+		return v.r
+	case *AR1:
+		return v.r
+	case *Seasonal:
+		return v.r
 	}
-	return out
+	return nil
+}
+
+// HistoryLen returns the length of the Ring that Export gives for p: how
+// much of a shared destination p's export takes.
+func HistoryLen(p Predictor) int {
+	if r := ringOf(p); r != nil {
+		return r.len()
+	}
+	return 0
 }
 
 // restoreRing replays vals into r oldest-first. More values than r's
@@ -46,28 +61,35 @@ func restoreRing(r *ring, vals []float64) error {
 	return nil
 }
 
-// Export returns p's dynamic state. It panics on predictor types it does not
-// know, which indicates a programming error (a new kind added without a
-// state mapping).
-func Export(p Predictor) State {
+// Export returns p's dynamic state. The ring, if p keeps one, is copied
+// oldest-first into dst[:HistoryLen(p)], which the returned Ring aliases, so
+// an export of many predictors fills one backing array. It panics on
+// predictor types it does not know, which indicates a programming error (a
+// new kind added without a state mapping).
+func Export(p Predictor, dst []float64) State {
+	var s State
+	if r := ringOf(p); r != nil {
+		s.Ring = dst[:r.len():r.len()]
+		for i := range s.Ring {
+			s.Ring[i] = r.at(i)
+		}
+	}
 	switch v := p.(type) {
 	case *Naive:
-		return State{F1: v.last, Seen: v.seen}
+		s.F1, s.Seen = v.last, v.seen
 	case *MovingAverage:
-		return State{Ring: exportRing(v.r), F1: v.sum}
+		s.F1 = v.sum
 	case *EWMA:
-		return State{F1: v.value, Seen: v.seen}
+		s.F1, s.Seen = v.value, v.seen
 	case *Holt:
-		return State{F1: v.level, F2: v.trend, F3: v.prev, N: v.n}
-	case *OLS:
-		return State{Ring: exportRing(v.r)}
-	case *AR1:
-		return State{Ring: exportRing(v.r)}
+		s.F1, s.F2, s.F3, s.N = v.level, v.trend, v.prev, v.n
+	case *OLS, *AR1: // the ring is all their state
 	case *Seasonal:
-		return State{Ring: exportRing(v.r), F1: v.last, N: v.n}
+		s.F1, s.N = v.last, v.n
 	default:
 		panic(fmt.Sprintf("predict: export of unknown predictor type %T", p))
 	}
+	return s
 }
 
 // Restore overwrites p's dynamic state with s. p must be of the same kind

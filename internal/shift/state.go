@@ -3,7 +3,6 @@ package shift
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
@@ -34,22 +33,12 @@ type DetectorState struct {
 	TickCount   int64
 }
 
-// exportPairs appends every live slab entry's state to out, in slot order.
-func (d *Detector) exportPairs(out []PairDetState) []PairDetState {
-	for i := range d.states {
-		st := &d.states[i]
-		if st.key == (pairs.Key{}) {
-			continue
-		}
-		ps := PairDetState{Key: st.key, Decay: st.decay.ExportState(), SeenNano: st.seenNano}
-		if d.useNaive {
-			ps.Pred = predict.Export(&st.naive)
-		} else {
-			ps.Pred = predict.Export(d.preds[i])
-		}
-		out = append(out, ps)
+// pred returns the forecaster of the live slab entry at position i.
+func (d *Detector) pred(i int32) predict.Predictor {
+	if d.useNaive {
+		return &d.states[i].naive
 	}
-	return out
+	return d.preds[i]
 }
 
 // RestorePair loads one pair's detector state, allocating its slab entry.
@@ -64,10 +53,7 @@ func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int6
 	st, i := d.alloc(k)
 	st.decay.RestoreState(dec)
 	st.seenNano = seenNano
-	if d.useNaive {
-		return predict.Restore(&st.naive, pred)
-	}
-	return predict.Restore(d.preds[i], pred)
+	return predict.Restore(d.pred(i), pred)
 }
 
 // setClock overwrites the detector's evaluation-round clock.
@@ -79,21 +65,37 @@ func (d *Detector) setClock(curTickNano int64, tickCount int) {
 // ExportState returns the sharded detector's full state with pairs sorted by
 // Key.Compare. The round clock is taken as the maximum across shards; the
 // engine keeps shard clocks in lockstep (BeginTick), so under engine use
-// every shard agrees with the exported value.
+// every shard agrees with the exported value. Every predictor history is
+// written into one backing array, so the export allocates a fixed number
+// of times whatever the pair count.
 func (s *Sharded) ExportState() DetectorState {
 	var st DetectorState
 	st.CurTickNano = s.dets[0].curTickNano
 	st.TickCount = int64(s.dets[0].tickCount)
-	for _, d := range s.dets {
-		if d.curTickNano > st.CurTickNano {
-			st.CurTickNano = d.curTickNano
+	n := s.ActiveStates()
+	keys := make([]pairs.Key, 0, n)
+	where := make([]uint64, 0, n) // shard<<32 | slab position, parallel to keys
+	hist := 0
+	for di, d := range s.dets {
+		st.CurTickNano = max(st.CurTickNano, d.curTickNano)
+		st.TickCount = max(st.TickCount, int64(d.tickCount))
+		for i := range d.states {
+			if k := d.states[i].key; k != (pairs.Key{}) {
+				keys = append(keys, k)
+				where = append(where, uint64(di)<<32|uint64(i))
+				hist += predict.HistoryLen(d.pred(int32(i)))
+			}
 		}
-		if int64(d.tickCount) > st.TickCount {
-			st.TickCount = int64(d.tickCount)
-		}
-		st.Pairs = d.exportPairs(st.Pairs)
 	}
-	sort.Slice(st.Pairs, func(i, j int) bool { return st.Pairs[i].Key.Less(st.Pairs[j].Key) })
+	ring := make([]float64, hist)
+	st.Pairs = make([]PairDetState, len(keys))
+	for i, r := range pairs.CanonicalRanks(keys) {
+		d, j := s.dets[where[i]>>32], int32(uint32(where[i]))
+		e := &d.states[j]
+		pred := predict.Export(d.pred(j), ring)
+		ring = ring[len(pred.Ring):]
+		st.Pairs[r] = PairDetState{Key: e.key, Decay: e.decay.ExportState(), SeenNano: e.seenNano, Pred: pred}
+	}
 	return st
 }
 

@@ -3,7 +3,8 @@ package tagstats
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"enblogue/internal/intern"
@@ -31,13 +32,14 @@ type TrackerState struct {
 }
 
 // ExportState returns the tracker's full state with tags sorted and every
-// counter advanced to the tracker clock.
+// counter advanced to the tracker clock. Every window column is written
+// into one backing array, so the export allocates a fixed number of times
+// whatever the tag count.
 func (tr *Tracker) ExportState() TrackerState {
 	st := TrackerState{
 		NowNano: tr.now.UnixNano(),
 		NowSet:  !tr.now.IsZero(),
 		SinceGC: int64(tr.sinceGC),
-		Tags:    make([]TagState, 0, tr.active),
 	}
 	if !st.NowSet {
 		st.NowNano = 0
@@ -46,11 +48,15 @@ func (tr *Tracker) ExportState() TrackerState {
 		// expiry is lazy, so this changes only the representation.
 		tr.docs.ValueAt(docSlot, tr.now)
 	}
-	st.Docs = tr.docs.ExportSlot(docSlot)
 	var abs int64
 	if st.NowSet {
 		abs = tr.arena.BucketIndex(tr.now)
 	}
+	type tagSlot struct {
+		tag  string
+		slot int32
+	}
+	live := make([]tagSlot, 0, tr.active)
 	for slot, idp := range tr.ids {
 		if idp == 0 {
 			continue
@@ -58,9 +64,16 @@ func (tr *Tracker) ExportState() TrackerState {
 		if st.NowSet {
 			tr.arena.ValueAtAbs(int32(slot), abs)
 		}
-		st.Tags = append(st.Tags, TagState{Tag: intern.Lookup(idp - 1), Window: tr.arena.ExportSlot(int32(slot))})
+		live = append(live, tagSlot{intern.Lookup(idp - 1), int32(slot)})
 	}
-	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
+	slices.SortFunc(live, func(a, b tagSlot) int { return strings.Compare(a.tag, b.tag) })
+	nb := tr.cfg.Buckets
+	vals := make([]float64, (len(live)+1)*nb)
+	st.Docs = tr.docs.ExportSlot(docSlot, vals)
+	st.Tags = make([]TagState, len(live))
+	for i, ts := range live {
+		st.Tags[i] = TagState{Tag: ts.tag, Window: tr.arena.ExportSlot(ts.slot, vals[(i+1)*nb:])}
+	}
 	return st
 }
 

@@ -43,25 +43,22 @@ type SlotState struct {
 }
 
 // ExportSlot returns slot's column with buckets rotated to oldest-first
-// order. The slice is freshly allocated. Callers wanting canonical output
-// across slots should advance every slot to a shared clock first
-// (ValueAtAbs), so all heads agree.
-func (a *CounterArena) ExportSlot(slot int32) SlotState {
+// order, written into dst[:Buckets()] — the returned Vals alias dst, so an
+// export of many slots fills one backing array a column at a time. Callers
+// wanting canonical output across slots should advance every slot to a
+// shared clock first (ValueAtAbs), so all heads agree.
+func (a *CounterArena) ExportSlot(slot int32, dst []float64) SlotState {
+	vals := dst[:a.nbuckets:a.nbuckets]
 	head := a.heads[slot]
 	if head == headUnset {
-		return SlotState{Vals: make([]float64, a.nbuckets)}
-	}
-	s := SlotState{
-		Vals:    make([]float64, a.nbuckets),
-		Head:    head,
-		HeadSet: true,
-		Total:   a.totals[slot],
+		clear(vals)
+		return SlotState{Vals: vals}
 	}
 	n := int64(a.nbuckets)
 	for i := int64(0); i < n; i++ {
-		s.Vals[i] = a.buckets[int(mod(head-(n-1)+i, n))*a.stride+int(slot)]
+		vals[i] = a.buckets[int(mod(head-(n-1)+i, n))*a.stride+int(slot)]
 	}
-	return s
+	return SlotState{Vals: vals, Head: head, HeadSet: true, Total: a.totals[slot]}
 }
 
 // RestoreSlot overwrites slot's column with s. The slot must be freshly
