@@ -14,8 +14,8 @@ import (
 
 // This file holds the batched-ingest determinism acceptance tests: the
 // engine promises rankings bit-identical between per-document Consume and
-// every batched path (ConsumeBatch at any batch size, the Enqueue ring
-// buffer, Run's internal batching), for any shard count. These tests pin
+// every batched path (ConsumeBatch at any batch size, Run's internal
+// batching), for any shard count. These tests pin
 // that promise across two workload shapes — a short synthetic tweet
 // stream with scripted happenings and a multi-day archive replay — and a
 // matrix of shard counts and batch sizes, including batches that split
@@ -135,36 +135,6 @@ func TestConsumeBatchMatchesSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEnqueueMatchesSerial pins the full asynchronous pipeline: items
-// pushed through the bounded ingest ring and its drainer goroutine (which
-// consumes via ConsumeBatch in arbitrary partial batches, depending on
-// timing) still publish rankings bit-identical to the serial replay,
-// because the ring is FIFO and batch boundaries are semantically
-// invisible.
-func TestEnqueueMatchesSerial(t *testing.T) {
-	items := equivWorkloads(t)["tweets"]
-	want := consumeSerial(items, 4)
-	e := enblogue.New(
-		enblogue.WithShards(4),
-		enblogue.WithIngestQueue(256),
-		enblogue.WithIngestMaxBatch(64),
-		enblogue.WithIngestFlushInterval(time.Millisecond),
-	)
-	rec := record(e)
-	for _, it := range items {
-		e.Enqueue(it)
-	}
-	e.Flush() // waits for the ring to drain, then fires the final tick
-	e.Close()
-	diffRankings(t, want, rec.wait())
-	if d := e.IngestDropped(); d != 0 {
-		t.Errorf("blocking ingest queue dropped %d items, want 0", d)
-	}
-	if d := e.IngestDepth(); d != 0 {
-		t.Errorf("ingest depth after Flush = %d, want 0", d)
 	}
 }
 

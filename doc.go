@@ -65,8 +65,9 @@
 //
 // The engine core is sharded: the pair space is partitioned by hash across
 // tracker shards guarded by the engine's one bookkeeping lock, there is one
-// ingest path (Consume is ConsumeBatch over a batch of one; concurrent
-// producers are safe and serialise on that lock), and every evaluation tick
+// ingest path and no queue in front of it (Consume is ConsumeBatch over a
+// batch of one; concurrent producers are safe and serialise on that lock;
+// Run batches a source's items itself), and every evaluation tick
 // scores all shards in parallel before a deterministic top-k merge.
 // Rankings are bit-identical for every shard count and however the stream
 // is cut into batches; see DESIGN.md §3 and §8.

@@ -168,21 +168,9 @@ func (e *Engine) Consume(it *Item) { e.core.Consume(it) }
 // serialise on the bookkeeping lock for the whole batch.
 func (e *Engine) ConsumeBatch(items []*Item) { e.core.ConsumeBatch(items) }
 
-// Enqueue appends one tuple to the engine's bounded ingest queue and
-// returns without waiting for it to be consumed: producers never block on
-// tick evaluation. A background drainer feeds queued items through the
-// batched consume path; Flush waits for the queue to empty. When the queue
-// is full, Enqueue blocks until space frees — or, configured with
-// WithIngestDropOldest, evicts the oldest queued items instead (counted by
-// IngestDropped).
-func (e *Engine) Enqueue(it *Item) { e.core.Enqueue(it) }
-
-// IngestDepth returns the number of items waiting in the ingest queue.
-func (e *Engine) IngestDepth() int { return e.core.IngestDepth() }
-
-// IngestDropped returns the total documents evicted from the ingest queue
-// under the drop-oldest backpressure policy.
-func (e *Engine) IngestDropped() int64 { return e.core.IngestDropped() }
+// runBatch is the longest run of documents Run hands to one ConsumeBatch.
+// Rankings do not depend on it; it only sets how often the lock is paid.
+const runBatch = 512
 
 // Run drains a source into the engine and, when the source ends cleanly,
 // flushes a final evaluation tick at the last observed event time. It
@@ -190,11 +178,11 @@ func (e *Engine) IngestDropped() int64 { return e.core.IngestDropped() }
 // flushing, leaving the last completed tick as the published ranking.
 //
 // Items are fed through the batched consume path in source order — emitted
-// items accumulate into runs of up to the configured ingest batch size
-// (WithIngestMaxBatch) and each run is consumed in one ConsumeBatch call,
-// so the engine pays its locks per batch instead of per document.
+// items accumulate into runs of up to runBatch documents and each run is
+// consumed in one ConsumeBatch call, so the engine pays its locks per batch
+// instead of per document.
 func (e *Engine) Run(ctx context.Context, src Source) error {
-	batch := make([]*Item, 0, e.core.Config().IngestMaxBatch)
+	batch := make([]*Item, 0, runBatch)
 	flush := func() {
 		e.core.ConsumeBatch(batch)
 		clear(batch) // release item references

@@ -65,45 +65,6 @@ func TestConfigNormalizeClampsMaxPairsToSeedCount(t *testing.T) {
 	}
 }
 
-// The ingest-queue knobs clamp like every other setting: zero-ish values
-// take the documented defaults, and the batch cap can never exceed the
-// ring capacity (a drain would otherwise never fill a batch).
-func TestConfigNormalizeClampsIngestKnobs(t *testing.T) {
-	c := Config{
-		IngestQueueSize:     -1,
-		IngestMaxBatch:      0,
-		IngestFlushInterval: -time.Second,
-	}.normalize()
-	if c.IngestQueueSize != 8192 {
-		t.Errorf("IngestQueueSize = %d, want default 8192", c.IngestQueueSize)
-	}
-	if c.IngestMaxBatch != 512 {
-		t.Errorf("IngestMaxBatch = %d, want default 512", c.IngestMaxBatch)
-	}
-	if c.IngestFlushInterval != 2*time.Millisecond {
-		t.Errorf("IngestFlushInterval = %v, want default 2ms", c.IngestFlushInterval)
-	}
-	if c.IngestDropOldest {
-		t.Error("IngestDropOldest defaulted to true, want false (block)")
-	}
-	// A batch cap above the ring capacity is clamped down, not up.
-	c = Config{IngestQueueSize: 16, IngestMaxBatch: 1000}.normalize()
-	if c.IngestMaxBatch != 16 {
-		t.Errorf("IngestMaxBatch = %d, want clamped to queue size 16", c.IngestMaxBatch)
-	}
-	// Explicit sane values pass through.
-	c = Config{
-		IngestQueueSize:     100,
-		IngestMaxBatch:      25,
-		IngestFlushInterval: time.Millisecond,
-		IngestDropOldest:    true,
-	}.normalize()
-	if c.IngestQueueSize != 100 || c.IngestMaxBatch != 25 ||
-		c.IngestFlushInterval != time.Millisecond || !c.IngestDropOldest {
-		t.Errorf("sane ingest knobs mangled: %+v", c)
-	}
-}
-
 // Normalization is idempotent and New always builds from a normalized
 // config, so even a hostile config yields a ticking engine.
 func TestConfigNormalizeIdempotentAndUsable(t *testing.T) {

@@ -11,12 +11,12 @@
 // Shards, each shard owning its slice of the co-occurrence counters and of
 // the detector state, all held by one lock-free machine (machine.go) that
 // the Engine shell owns under a single mutex. ConsumeBatch — the one
-// ingest path; Consume is a batch of one — groups a run of documents'
-// candidate pairs by shard, and every evaluation tick scores all shards in
-// parallel — one worker per shard — before merging the per-shard top-k
-// partial rankings deterministically. Rankings are bit-identical for every
-// shard count on a sequentially consumed stream; see DESIGN.md for the
-// argument. All exported Engine methods are safe for concurrent use.
+// ingest path; Consume is a batch of one — applies each candidate pair of
+// a run of documents to its shard, and every evaluation tick scores all
+// shards in parallel — one worker per shard — before merging the per-shard
+// top-k partial rankings deterministically. Rankings are bit-identical for
+// every shard count on a sequentially consumed stream; see DESIGN.md for
+// the argument. All exported Engine methods are safe for concurrent use.
 package core
 
 import (
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"enblogue/internal/entity"
-	"enblogue/internal/ingest"
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
 	"enblogue/internal/shift"
@@ -106,22 +105,6 @@ type Config struct {
 	// TopK is the ranking length. Zero means 20.
 	TopK int
 
-	// IngestQueueSize bounds the per-engine ingest ring buffer used by
-	// Enqueue (and everything layered on it: enblogue.Run, Hub tenants).
-	// Zero means 8192.
-	IngestQueueSize int
-	// IngestMaxBatch caps the documents one queue drain hands to
-	// ConsumeBatch. Zero means 512; values above IngestQueueSize are
-	// clamped to it.
-	IngestMaxBatch int
-	// IngestFlushInterval bounds how long the drainer waits for a partial
-	// batch to fill once at least one item is queued. Zero means 2ms.
-	IngestFlushInterval time.Duration
-	// IngestDropOldest switches queue backpressure from blocking producers
-	// (the default, which preserves every document) to evicting the oldest
-	// queued items, counted by IngestDropped and surfaced in /v1 stats.
-	IngestDropOldest bool
-
 	// UseEntities merges entity tags into the tag space ("combined with
 	// regular tags to detect tag/entity mixtures as emergent topics").
 	UseEntities bool
@@ -196,18 +179,6 @@ func (c Config) normalize() Config {
 	if c.TopK <= 0 {
 		c.TopK = 20
 	}
-	if c.IngestQueueSize <= 0 {
-		c.IngestQueueSize = 8192
-	}
-	if c.IngestMaxBatch <= 0 {
-		c.IngestMaxBatch = 512
-	}
-	if c.IngestMaxBatch > c.IngestQueueSize {
-		c.IngestMaxBatch = c.IngestQueueSize
-	}
-	if c.IngestFlushInterval <= 0 {
-		c.IngestFlushInterval = 2 * time.Millisecond
-	}
 	if c.TailSketch.Enabled {
 		if c.TailSketch.Epsilon <= 0 || c.TailSketch.Epsilon >= 1 {
 			c.TailSketch.Epsilon = 0.01
@@ -275,13 +246,6 @@ type Engine struct {
 	// replayed inputs are not re-logged — and immutable afterwards.
 	wal WALRecorder
 	dur Durability
-
-	// ingest is the optional ring-buffer queue in front of ConsumeBatch,
-	// started lazily by the first Enqueue. ingestDone closes when the
-	// drainer goroutine exits.
-	ingestOnce sync.Once
-	ingest     atomic.Pointer[ingest.Queue]
-	ingestDone chan struct{}
 
 	// broker fans every tick's ranking out to subscribers from a
 	// dispatcher goroutine, outside all engine locks.
@@ -394,25 +358,21 @@ func (e *Engine) PublishRanking(r Ranking) {
 	e.broker.wait()
 }
 
-// Close shuts the ingest queue (if started) and the broker down: the queue
-// stops accepting items, its drainer consumes whatever is already queued
-// and exits, then the broker waits for in-flight deliveries to drain,
-// stops the dispatcher, and closes every subscription channel. Close runs
-// no tick: call Flush first if the final partial tick should still be
-// delivered. The WAL logs that tick too, so an engine recovered after
-// Flush (or Tick) and Close equals the engine before Close. The engine
-// itself remains usable for Consume/Tick/CurrentRanking, but no further
-// rankings are delivered to subscribers. Idempotent; must not be called
-// from a SubSink, which the dispatcher calls synchronously.
+// Close shuts the broker down: it waits for in-flight deliveries to drain,
+// stops the dispatcher, and closes every subscription channel, then closes
+// the durability attachments (a final WAL sync). Close runs no tick: call
+// Flush first if the final partial tick should still be delivered. The WAL
+// logs that tick too, so an engine recovered after Flush (or Tick) and
+// Close equals the engine before Close. The engine itself remains usable
+// for Consume/Tick/CurrentRanking, but no further rankings are delivered to
+// subscribers. Idempotent; must not be called from a SubSink, which the
+// dispatcher calls synchronously.
 func (e *Engine) Close() {
-	if q := e.ingest.Load(); q != nil {
-		q.Close()
-		<-e.ingestDone
-	}
 	e.broker.close()
 	if e.dur != nil {
-		// After ingest has drained, so the final WAL sync covers every
-		// consumed document. Close is idempotent on the persistence side.
+		// Every ConsumeBatch that returned has committed its documents,
+		// so the final WAL sync covers them. Close is idempotent on the
+		// persistence side.
 		e.dur.Close()
 	}
 }
@@ -482,87 +442,26 @@ func (e *Engine) publish(r Ranking) {
 	e.broker.publish(r)
 }
 
-// Enqueue appends one item to the engine's bounded ingest queue and returns
-// without waiting for it to be consumed: producers never block on tick
-// evaluation. The queue and its drainer goroutine start on first use; the
-// drainer dequeues batches (up to IngestMaxBatch, waiting at most
-// IngestFlushInterval to fill a partial batch) and feeds them through
-// ConsumeBatch, so a single producer's stream yields rankings
-// bit-identical to calling Consume directly. When the ring is full,
-// Enqueue blocks until space frees — or, with IngestDropOldest, evicts the
-// oldest queued items (counted by IngestDropped). Items enqueued after
-// Close are discarded.
-func (e *Engine) Enqueue(it *stream.Item) {
-	if it == nil {
-		return
-	}
-	e.ingestOnce.Do(e.startIngest)
-	e.ingest.Load().Put(it)
-}
+// Enqueue is Consume. It is kept only for the frozen bench module, which
+// still calls it; ROADMAP 2(e) moves that caller and deletes this shim.
+func (e *Engine) Enqueue(it *stream.Item) { e.Consume(it) }
 
-// startIngest builds the ingest queue and starts its drainer goroutine.
-func (e *Engine) startIngest() {
-	q := ingest.New(ingest.Config{
-		Size:          e.cfg.IngestQueueSize,
-		MaxBatch:      e.cfg.IngestMaxBatch,
-		FlushInterval: e.cfg.IngestFlushInterval,
-		DropOldest:    e.cfg.IngestDropOldest,
-	})
-	e.ingestDone = make(chan struct{})
-	e.ingest.Store(q)
-	go func() {
-		defer close(e.ingestDone)
-		buf := make([]*stream.Item, 0, e.cfg.IngestMaxBatch)
-		for {
-			batch, ok := q.Drain(buf[:0])
-			if len(batch) > 0 {
-				e.ConsumeBatch(batch)
-				clear(batch)
-				q.Done()
-			}
-			if !ok {
-				return
-			}
-			buf = batch
-		}
-	}()
-}
+// IngestDropped always returns 0: nothing drops documents. It is kept only
+// for the frozen bench module, which still reads it; ROADMAP 2(e) deletes it.
+func (e *Engine) IngestDropped() int64 { return 0 }
 
-// IngestDepth returns the number of items waiting in the ingest queue (0
-// when no queue has been started).
-func (e *Engine) IngestDepth() int {
-	if q := e.ingest.Load(); q != nil {
-		return q.Depth()
-	}
-	return 0
-}
-
-// IngestDropped returns the total documents evicted from the ingest queue
-// under the IngestDropOldest policy.
-func (e *Engine) IngestDropped() int64 {
-	if q := e.ingest.Load(); q != nil {
-		return q.Dropped()
-	}
-	return 0
-}
-
-// Flush implements stream.Flusher: it first waits for the ingest queue (if
-// started) to drain — every item enqueued before Flush is consumed — then
-// forces an evaluation tick at the last observed event time, through the
-// same guard as Tick: a tick at or before the newest evaluation is skipped,
-// since re-evaluating would only feed every pair's predictor a duplicate
-// observation. A tick Flush runs is logged to the WAL like a Tick. Flush
-// releases the engine lock and then blocks until every ranking published so
-// far has been fully delivered: subscription channels fed and every SubSink
-// returned. That is a happens-before edge: whatever a sink did with a tick
+// Flush implements stream.Flusher: it forces an evaluation tick at the
+// last observed event time, through the same guard as Tick: a tick at or
+// before the newest evaluation is skipped, since re-evaluating would only
+// feed every pair's predictor a duplicate observation. A tick Flush runs
+// is logged to the WAL like a Tick. Flush releases the engine lock and then
+// blocks until every ranking published so far has been fully delivered:
+// subscription channels fed and every SubSink returned. That is a happens-before edge: whatever a sink did with a tick
 // (a server's published view, history and SSE frames) is visible once
 // Flush returns.
 //
 //enblogue:acquires engine
 func (e *Engine) Flush() {
-	if q := e.ingest.Load(); q != nil {
-		q.WaitIdle()
-	}
 	e.mu.Lock()
 	e.tickLocked(e.m.lastSeen)
 	e.mu.Unlock()

@@ -77,35 +77,6 @@ func TestEngineWideTagSets(t *testing.T) {
 	}
 }
 
-// The engine behind its ingest queue must be race-free against
-// CurrentRanking readers (run with -race).
-func TestEngineBehindIngestQueue(t *testing.T) {
-	e := New(testConfig())
-	defer e.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			e.CurrentRanking() // concurrent reader
-		}
-	}()
-	for i := 0; i < 2000; i++ {
-		e.Enqueue(&stream.Item{
-			Time:  t0.Add(time.Duration(i) * time.Minute),
-			DocID: fmt.Sprintf("a%d", i),
-			Tags:  []string{"x", fmt.Sprintf("y%d", i%7)},
-		})
-	}
-	e.Flush()
-	<-done
-	if e.DocsProcessed() != 2000 {
-		t.Errorf("DocsProcessed = %d", e.DocsProcessed())
-	}
-	if e.CurrentRanking().At.IsZero() {
-		t.Error("Flush behind the ingest queue did not tick")
-	}
-}
-
 // Duplicate document IDs are the wrapper's problem (the engine counts
 // every item it is given), but it must at least not misbehave when they
 // slip through.

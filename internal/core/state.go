@@ -16,7 +16,7 @@ import (
 // clock-advanced by its own exporter), so two engines holding the same
 // logical state export identical EngineStates regardless of shard count or
 // internal slot layout.
-// Rebuildable caches (tick scratch, ingest queue, broker subscriptions,
+// Rebuildable caches (tick scratch, broker subscriptions,
 // interned-ID assignments) are deliberately excluded; rankings are
 // ID-independent, so a restored engine that re-interns tags in a different
 // order still ranks bit-identically.
@@ -133,8 +133,8 @@ func (e *Engine) SnapshotState(rotate func(epoch int64) error) (EngineState, err
 // RestoreState loads st into a freshly built engine that has consumed
 // nothing. The engine must have the exporter's semantic configuration
 // (window geometry, measure, predictor, ...) — the persistence layer
-// enforces this with a config fingerprint — while shard count and ingest
-// tuning are free to differ.
+// enforces this with a config fingerprint — while the shard count is free
+// to differ.
 //
 //enblogue:acquires engine
 func (e *Engine) RestoreState(st EngineState) error {

@@ -30,13 +30,11 @@ type keyAt struct {
 
 // batchScratch is ObserveIDs' working set, owned by the tracker and reused
 // across calls so the steady state allocates nothing: per-document seed
-// flags, the chunk's candidate increments in document order, and the
-// per-shard groups (one per shard, sized at construction). dedup, ids,
-// docs and seeds are ObserveBatch's, for turning strings into IDs.
+// flags and the chunk's candidate increments in document order. dedup,
+// ids, docs and seeds are ObserveBatch's, for turning strings into IDs.
 type batchScratch struct {
-	seed    []bool
-	keys    []keyAt
-	byShard [][]keyAt
+	seed []bool
+	keys []keyAt
 
 	dedup intern.Dedup
 	ids   []uint32
@@ -75,7 +73,7 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 // one; ObserveBatch is its string form). For each document, in order, it
 // generates the candidate pairs of the document's tag IDs — those with at
 // least one member in seeds; nil seeds tracks all pairs — and increments
-// their counters, applying each chunk shard by shard.
+// their counters on each pair's shard, in document order.
 //
 // Batch-cut invariance. The state after a document sequence does not depend
 // on how the sequence was cut into calls, and equals what the serial
@@ -91,10 +89,10 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 //     so no prefix of it can go over budget. A document too large for the
 //     remaining headroom forms a chunk of one.
 //
-// Within a chunk increments commute: each (pair, bucket) increment is
-// applied once and counters are read only at sweep time or later, so
-// grouping by shard changes nothing observable. The clock is lifted to the
-// chunk's newest timestamp before the post-chunk sweep check.
+// Within a chunk each shard sees its increments in document order, as the
+// serial reference does, so slot allocation and every counter sum match
+// it; counters are read only at sweep time or later. The clock is lifted
+// to the chunk's newest timestamp before the post-chunk sweep check.
 //
 //enblogue:hotpath
 func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
@@ -152,28 +150,15 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 			j++
 		}
 
-		// Apply the chunk: lift the clock, then replay each shard's
-		// increments in document order.
+		// Apply the chunk: lift the clock, then replay the increments in
+		// document order, each on its pair's shard.
 		if maxNano > tr.nowNano || tr.nowNano == 0 {
 			tr.nowNano = maxNano
 		}
-		if len(tr.shards) == 1 {
-			sh := tr.shards[0]
-			for _, ka := range sc.keys {
-				sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
-			}
-		} else {
-			for _, ka := range sc.keys {
-				s := ka.k.Shard(len(tr.shards))
-				sc.byShard[s] = append(sc.byShard[s], ka)
-			}
-			for s, kas := range sc.byShard {
-				sh := tr.shards[s]
-				for _, ka := range kas {
-					sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
-				}
-				sc.byShard[s] = kas[:0]
-			}
+		n := len(tr.shards)
+		for _, ka := range sc.keys {
+			sh := tr.shards[ka.k.Shard(n)]
+			sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
 		}
 
 		// The per-document sweep check, at the chunk boundary.

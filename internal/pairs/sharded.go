@@ -57,8 +57,8 @@ type trackerShard struct {
 // ShardedTracker is the sharded counterpart of Tracker: the pair space is
 // partitioned by hash(Key) % Shards so that evaluation can snapshot and
 // score the shards in parallel. ObserveIDs — the ingest routine —
-// groups a run of documents' candidate pairs by shard and applies each
-// shard's group in document order.
+// applies each candidate pair of a run of documents to its shard, in
+// document order.
 //
 // It is a single-owner structure: callers serialise every method, readers
 // such as ActivePairs and TailStats included (the engine calls them all
@@ -122,7 +122,6 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 		shards[i] = &trackerShard{arena: window.NewCounterArena(c.Buckets, c.Resolution)}
 	}
 	tr := &ShardedTracker{cfg: c, shards: shards}
-	tr.scratch.byShard = make([][]keyAt, n)
 	if c.Tail != nil {
 		tcfg := *c.Tail
 		tcfg.Span = int64(c.Buckets) * int64(c.Resolution)

@@ -150,7 +150,7 @@ func TestSnapshotCodecAllocs(t *testing.T) {
 			t.Errorf("vocab %d: encoded %d bytes into a %d-byte buffer; snapshotSize must be exact", vocab, len(data), cap(data))
 		}
 		allocs[i] = testing.AllocsPerRun(3, func() {
-			if _, err := decodeSnapshot(data); err != nil {
+			if _, err := decodeSnapshot(data, fingerprintOf(testConfig(4))); err != nil {
 				t.Fatal(err)
 			}
 		})

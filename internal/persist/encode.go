@@ -37,7 +37,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // fingerprint is the semantic engine configuration embedded in every
 // snapshot: the fields that change what state means. Throughput and wiring
-// knobs — Shards, Ingest*, Tagger, Durability itself — are deliberately
+// knobs — Shards, Tagger, Durability itself — are deliberately
 // excluded: state snapshotted at one shard count restores at any other
 // (rankings are shard-count-independent), and the Tagger only matters at
 // ingest time, where WAL replay re-runs it on the raw logged items.
@@ -403,6 +403,10 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 // errors.
 var errCorrupt = errors.New("persist: corrupt snapshot")
 
+// errConfigMismatch rejects a snapshot whose fingerprint is not the
+// restoring engine's, before any of its body is decoded.
+var errConfigMismatch = errors.New("persist: snapshot was written under a different engine configuration (bump or match the config, or move the data directory aside)")
+
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errCorrupt, fmt.Sprintf(format, args...))
 }
@@ -638,7 +642,6 @@ func (r *reader) pairs(ntags, nbuckets int) decPairs {
 // interning and no engine mutation has happened. materialize resolves it
 // into a core.EngineState against a live intern table.
 type decodedSnap struct {
-	fp    fingerprint
 	table []string
 
 	docs         int64
@@ -681,11 +684,14 @@ func (d *decodedSnap) tag(b []byte) string {
 	return string(b)
 }
 
-// decodeSnapshot parses and validates data. Arbitrary input returns an
-// error — never a panic — and a nil error guarantees structural validity:
-// checksum verified, all counts bounded, tag table sorted and unique, key
-// indexes in range, window geometry matching the embedded fingerprint.
-func decodeSnapshot(data []byte) (*decodedSnap, error) {
+// decodeSnapshot parses and validates data for an engine whose fingerprint
+// is want. A snapshot embedding any other fingerprint is refused with
+// errConfigMismatch before its body is read, so its window geometry can
+// size no allocation. Arbitrary input returns an error — never a panic —
+// and a nil error guarantees structural validity: checksum verified, all
+// counts bounded, tag table sorted and unique, key indexes in range,
+// window geometry matching want.
+func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 	if len(data) < len(snapMagic)+4+8 {
 		return nil, corruptf("short file (%d bytes)", len(data))
 	}
@@ -701,9 +707,12 @@ func decodeSnapshot(data []byte) (*decodedSnap, error) {
 		return nil, corruptf("format version %d, this build reads %d", v, FormatVersion)
 	}
 
+	fp := r.fingerprint()
+	if r.err == nil && fp != want {
+		return nil, errConfigMismatch
+	}
 	d := &decodedSnap{}
-	d.fp = r.fingerprint()
-	nb := int(d.fp.WindowBuckets)
+	nb := int(fp.WindowBuckets)
 	if r.err == nil && (nb <= 0 || nb > 1<<20) {
 		r.fail("implausible window bucket count %d", nb)
 	}

@@ -109,7 +109,7 @@ func assertNamedSnapshotsValid(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatalf("read snapshot %d: %v", epoch, err)
 		}
-		if _, err := decodeSnapshot(data); err != nil {
+		if _, err := decodeClaimed(data); err != nil {
 			t.Fatalf("named snapshot %d is torn: %v", epoch, err)
 		}
 	}

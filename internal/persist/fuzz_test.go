@@ -28,13 +28,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 	e.Close()
 	f.Add(encodeSnapshot(cfg, &st))
 	// And structured near-misses: truncations and header damage.
+	f.Add(oversizedSnapshot(f))
 	f.Add(data[:len(data)/2])
 	f.Add(data[:9])
 	f.Add([]byte("ENBSNAP1"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := decodeSnapshot(b)
+		d, err := decodeClaimed(b)
 		if err != nil {
 			return
 		}
@@ -42,6 +43,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// panicking: every index was validated during decode.
 		_ = d.materialize()
 	})
+}
+
+// decodeClaimed decodes b against the fingerprint b itself embeds, so the
+// fingerprint check passes and the body is decoded and validated.
+func decodeClaimed(b []byte) (*decodedSnap, error) {
+	r := &reader{b: b, off: len(snapMagic) + 4}
+	return decodeSnapshot(b, r.fingerprint())
 }
 
 // walSamples are the encoder-side seeds of both WAL fuzz targets: the

@@ -92,7 +92,7 @@ an accidental layout change into encodeSnapshot — fix that instead.`,
 // must decode and restore into an engine that re-exports the same bytes.
 func TestGoldenRoundTrip(t *testing.T) {
 	data, cfg := goldenState(1)
-	d, err := decodeSnapshot(data)
+	d, err := decodeSnapshot(data, fingerprintOf(cfg))
 	if err != nil {
 		t.Fatalf("decode golden snapshot: %v", err)
 	}

@@ -487,13 +487,10 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config) (recoverResult,
 		data, err := os.ReadFile(path)
 		var d *decodedSnap
 		if err == nil {
-			d, err = decodeSnapshot(data)
-		}
-		if err == nil && d.fp != fp {
-			err = fmt.Errorf("persist: %s was written under a different engine configuration (bump or match the config, or move the data directory aside)", name)
+			d, err = decodeSnapshot(data, fp)
 		}
 		if err != nil {
-			warns = append(warns, err.Error())
+			warns = append(warns, fmt.Sprintf("%s: %v", name, err))
 			continue
 		}
 		if err := e.RestoreState(d.materialize()); err != nil {

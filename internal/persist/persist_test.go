@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"enblogue/internal/core"
 	"enblogue/internal/source"
 	"enblogue/internal/stream"
+	"enblogue/internal/window"
 )
 
 // The persist test binary wires the durability hook itself — in production
@@ -331,6 +333,55 @@ func TestFingerprintMismatch(t *testing.T) {
 	defer b.Close()
 	if st, ok := b.DurabilityStats(); !ok || !strings.Contains(st.LastErr, "configuration") {
 		t.Fatalf("recovery across configs: ok=%v lastErr=%q, want a configuration error", ok, st.LastErr)
+	}
+}
+
+// oversizedSnapshot is a small, checksum-valid snapshot of one document
+// that claims a window of 1<<20 buckets: each of its all-zero slots is 25
+// encoded bytes but would decode to 8 MiB of floats.
+func oversizedSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := testConfig(1)
+	e := core.New(cfg)
+	defer e.Close()
+	e.ConsumeBatch(goldenItems()[:1])
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
+	wide := make([]float64, 1<<20)
+	st.Tags.Docs.Vals = wide
+	for i := range st.Tags.Tags {
+		st.Tags.Tags[i].Window = window.SlotState{Vals: wide}
+	}
+	for i := range st.Pairs.Pairs {
+		st.Pairs.Pairs[i].Window = window.SlotState{Vals: wide}
+	}
+	cfg.WindowBuckets = 1 << 20
+	return encodeSnapshot(cfg, &st)
+}
+
+// TestFingerprintMismatchDecodesNoBody recovers from a snapshot whose
+// fingerprint claims a huge window: it must be refused on its fingerprint
+// alone, before any section sized by that window is decoded.
+func TestFingerprintMismatchDecodesNoBody(t *testing.T) {
+	data := oversizedSnapshot(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName(4)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := core.New(testConfig(1))
+	defer e.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := recoverInto(dir, e, e.Config())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("recoverInto: %v", err)
+	}
+	if !strings.Contains(res.warn, "configuration") || e.DocsProcessed() != 0 {
+		t.Fatalf("warn %q, %d docs restored; want a configuration refusal and nothing restored", res.warn, e.DocsProcessed())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a %d-byte snapshot allocated %d bytes, want < 1 MiB", len(data), got)
 	}
 }
 

@@ -47,8 +47,6 @@ type Engine interface {
 	RankingsDropped() int64
 	Subscribe(ctx context.Context, opts ...core.SubOption) *core.Subscription
 	ConsumeBatch(items []*stream.Item)
-	IngestDepth() int
-	IngestDropped() int64
 	DurabilityStats() (core.DurabilityStats, bool)
 	TailStats() core.TailStats
 }
@@ -413,12 +411,14 @@ type StatsView struct {
 	RankingsDropped int64     `json:"rankingsDropped"`
 	IndexedTags     int       `json:"indexedTags"`
 	MatchedLastTick int64     `json:"matchedLastTick"`
-	IngestDepth     int       `json:"ingestDepth"`
-	IngestDropped   int64     `json:"ingestDropped"`
-	SnapshotEpoch   int64     `json:"snapshotEpoch"`
-	WALSegments     int       `json:"walSegments"`
-	WALBytes        int64     `json:"walBytes"`
-	LastSnapshotAt  time.Time `json:"lastSnapshotAt"`
+	// IngestDepth and IngestDropped are always 0: the engine has no
+	// ingest queue. They stay because v1 never removes a field.
+	IngestDepth    int       `json:"ingestDepth"`
+	IngestDropped  int64     `json:"ingestDropped"`
+	SnapshotEpoch  int64     `json:"snapshotEpoch"`
+	WALSegments    int       `json:"walSegments"`
+	WALBytes       int64     `json:"walBytes"`
+	LastSnapshotAt time.Time `json:"lastSnapshotAt"`
 	// Tiered exact/sketch memory model (WithTailSketch). The per-shard
 	// eviction counters are live even with the tier disabled; the tier
 	// fields are zero then.
@@ -595,8 +595,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		view.RankingsDropped = e.RankingsDropped()
 		view.IndexedTags = e.IndexedTags()
 		view.MatchedLastTick = e.MatchedLastTick()
-		view.IngestDepth = e.IngestDepth()
-		view.IngestDropped = e.IngestDropped()
 		if ds, on := e.DurabilityStats(); on {
 			view.SnapshotEpoch = ds.SnapshotEpoch
 			view.WALSegments = ds.WALSegments

@@ -220,8 +220,8 @@ func TestTenantIngestEndToEnd(t *testing.T) {
 // determinism contract: a JSONL body fed through POST items (which
 // consumes the whole request in one ConsumeBatch) must leave the tenant's
 // engine with exactly the ranking a per-document Consume loop over the
-// same stream produces — and the ingest queue counters must surface in
-// the tenant's stats view.
+// same stream produces — and the stats view must still carry the v1
+// ingest gauges, pinned at zero.
 func TestTenantIngestBatchedParity(t *testing.T) {
 	hub := testHub()
 	defer hub.Close()
@@ -268,8 +268,8 @@ func TestTenantIngestBatchedParity(t *testing.T) {
 		}
 	}
 
-	// The stats view carries the ingest queue gauges (zero here: the wire
-	// path consumes synchronously, no queue ever starts).
+	// v1 never removes a field: the ingest gauges stay on the wire, always
+	// zero, since the engine has no ingest queue.
 	w := get(t, h, "/v1/tenants/wire/stats")
 	var sv StatsView
 	if err := json.Unmarshal(w.Body.Bytes(), &sv); err != nil {

@@ -173,33 +173,6 @@ func WithEntities(t *Tagger) Option {
 	}
 }
 
-// WithIngestQueue sets the capacity of the bounded ingest ring buffer
-// behind Engine.Enqueue (default 8192). Non-positive values restore the
-// default.
-func WithIngestQueue(size int) Option {
-	return func(c *core.Config) { c.IngestQueueSize = size }
-}
-
-// WithIngestMaxBatch caps the documents one ingest-queue drain hands to
-// the batched consume path, and sizes the runs Engine.Run accumulates
-// (default 512, clamped to the queue size).
-func WithIngestMaxBatch(n int) Option {
-	return func(c *core.Config) { c.IngestMaxBatch = n }
-}
-
-// WithIngestFlushInterval bounds how long the ingest drainer waits for a
-// partial batch to fill before consuming it anyway (default 2ms).
-func WithIngestFlushInterval(d time.Duration) Option {
-	return func(c *core.Config) { c.IngestFlushInterval = d }
-}
-
-// WithIngestDropOldest switches ingest-queue backpressure from blocking
-// producers (the default) to evicting the oldest queued items; evictions
-// are counted by Engine.IngestDropped and surfaced in /v1 stats.
-func WithIngestDropOldest() Option {
-	return func(c *core.Config) { c.IngestDropOldest = true }
-}
-
 // DurabilityOption tunes the persistence layer enabled by WithDurability.
 type DurabilityOption func(*core.DurabilityConfig)
 

@@ -2,9 +2,9 @@
 # lint.sh — the local mirror of CI's static-analysis gauntlet: gofmt,
 # go vet, the project's own enbloguevet analyzer suite (determinism, lock
 # discipline, hot-path allocations, wire-shape stability — see DESIGN.md
-# §9) and the build + vet of the nested bench/ module, both run as the
-# go tests that `go test ./...` also runs, and, when the tools are
-# installed, staticcheck and govulncheck.
+# §9), the build + vet of the nested bench/ module and the api.txt pin of
+# the public API, all run as the go tests that `go test ./...` also runs,
+# and, when the tools are installed, staticcheck and govulncheck.
 # CI installs those two from the network; locally they are best-effort so
 # the script works offline.
 #
@@ -25,8 +25,8 @@ go vet ./...
 echo "== enbloguevet"
 go test -count=1 -run '^TestSuite$' ./internal/analysis/
 
-echo "== bench module (build + vet)"
-go test -count=1 -run '^TestBenchModuleBuilds$' .
+echo "== bench module (build + vet), public API (api.txt)"
+go test -count=1 -run '^(TestBenchModuleBuilds|TestPublicAPIUnchanged)$' .
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "== staticcheck"
