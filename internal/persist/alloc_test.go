@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -133,31 +134,38 @@ func TestSnapshotExportAllocsFlat(t *testing.T) {
 }
 
 // TestSnapshotCodecAllocs pins the codec's half of the bill: the encoder
-// sizes its buffer exactly from the state, so it allocates it once, and
-// the decoder carves slot columns and predictor rings out of a chunk that
-// grows geometrically, so its allocations grow with the logarithm of the
-// pair count rather than with the count.
+// streams through one reused chunk, so its allocations — the key table and
+// the chunk — do not grow with the pair count, and the decoder carves slot
+// columns and predictor rings out of a chunk that grows geometrically, so
+// its allocations grow with the logarithm of the pair count rather than
+// with the count.
 func TestSnapshotCodecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	var allocs [2]float64
+	var enc, dec [2]float64
 	for i, vocab := range []int{1500, 3000} {
 		e := snapshotEngine(t, vocab)
 		st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-		data := encodeSnapshot(testConfig(4), &st)
-		if len(data) != cap(data) {
-			t.Errorf("vocab %d: encoded %d bytes into a %d-byte buffer; snapshotSize must be exact", vocab, len(data), cap(data))
-		}
-		allocs[i] = testing.AllocsPerRun(3, func() {
+		enc[i] = testing.AllocsPerRun(3, func() {
+			if err := encodeSnapshot(io.Discard, testConfig(4), &st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		data := snapshotBytes(testConfig(4), &st)
+		dec[i] = testing.AllocsPerRun(3, func() {
 			if _, err := decodeSnapshot(data, fingerprintOf(testConfig(4))); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("vocab %d: %d pairs, %d detector states: %.0f decode allocations", vocab, len(st.Pairs.Pairs), len(st.Det.Pairs), allocs[i])
+		t.Logf("vocab %d: %d pairs, %d detector states: %.0f encode, %.0f decode allocations",
+			vocab, len(st.Pairs.Pairs), len(st.Det.Pairs), enc[i], dec[i])
 	}
-	if allocs[1] > allocs[0]+4 || allocs[1] > 100 {
-		t.Errorf("decode allocations %.0f, then %.0f at twice the pairs; want a slowly growing small count", allocs[0], allocs[1])
+	if enc[1] != enc[0] {
+		t.Errorf("encode allocations %.0f, then %.0f at twice the pairs; want the same count", enc[0], enc[1])
+	}
+	if dec[1] > dec[0]+4 || dec[1] > 100 {
+		t.Errorf("decode allocations %.0f, then %.0f at twice the pairs; want a slowly growing small count", dec[0], dec[1])
 	}
 }
 
@@ -170,7 +178,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-		_ = encodeSnapshot(cfg, &st)
+		st, _ := e.SnapshotState(nil)        // a nil rotate cannot fail
+		encodeSnapshot(io.Discard, cfg, &st) //nolint:errcheck // io.Discard cannot fail
 	}
 }

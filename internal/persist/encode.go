@@ -6,7 +6,11 @@
 // tag table, clocks advanced) — so two engines holding the same logical
 // state produce identical snapshot bytes regardless of shard count, intern
 // order, or arena slot layout. A golden-bytes test pins this per format
-// version.
+// version. The encoder streams a snapshot into its file through one reused
+// chunk and a running checksum; the decoder validates a whole file into a
+// core.EngineState whose pair keys are still tag-table indexes, and only
+// then does materialize intern the table and fill the keys, walking them
+// in the one order (forEachKey) the encoder wrote them in.
 package persist
 
 import (
@@ -14,7 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"enblogue/internal/core"
@@ -184,13 +190,33 @@ func appendPredict(b []byte, s predict.State) []byte {
 	return b
 }
 
+// forEachKey visits every pair key in st in the order a snapshot writes
+// them: tracked pairs, detector states, co-occurrence pairs, then ranking
+// topics. The key table, the encoder's key positions and materialize all
+// follow this one walk.
+func forEachKey(st *core.EngineState, fn func(*pairs.Key)) {
+	for i := range st.Pairs.Pairs {
+		fn(&st.Pairs.Pairs[i].Key)
+	}
+	for i := range st.Det.Pairs {
+		fn(&st.Det.Pairs[i].Key)
+	}
+	if st.Co != nil {
+		for i := range st.Co.Pairs {
+			fn(&st.Co.Pairs[i].Key)
+		}
+	}
+	for i := range st.Last.Topics {
+		fn(&st.Last.Topics[i].Pair)
+	}
+}
+
 // keyTable is a snapshot's tag table — every tag referenced through a
-// pairs.Key anywhere in the state (pair windows, detector entries,
-// co-occurrence pairs, ranking topics), sorted and deduplicated — and each
-// of those keys' two table positions, in the order encodeSnapshot writes
-// the keys. Keys are serialized as indexes into the table rather than
-// interned IDs, which is what makes snapshot bytes independent of intern
-// order (and therefore identical across runs and shard counts).
+// pairs.Key anywhere in the state, sorted and deduplicated — and each key's
+// two table positions in forEachKey order. Keys are serialized as indexes
+// into the table rather than interned IDs, which is what makes snapshot
+// bytes independent of intern order (and therefore identical across runs
+// and shard counts).
 type keyTable struct {
 	tags []string
 	pos  []uint32 // two per key, in writing order
@@ -204,20 +230,7 @@ func tagTableOf(st *core.EngineState) *keyTable {
 		n += len(st.Co.Pairs)
 	}
 	keys := make([]pairs.Key, 0, n)
-	for _, p := range st.Pairs.Pairs {
-		keys = append(keys, p.Key)
-	}
-	for _, p := range st.Det.Pairs {
-		keys = append(keys, p.Key)
-	}
-	if st.Co != nil {
-		for _, p := range st.Co.Pairs {
-			keys = append(keys, p.Key)
-		}
-	}
-	for _, t := range st.Last.Topics {
-		keys = append(keys, t.Pair)
-	}
+	forEachKey(st, func(k *pairs.Key) { keys = append(keys, *k) })
 	tags, pos := pairs.TagTable(keys)
 	return &keyTable{tags: tags, pos: pos}
 }
@@ -230,85 +243,58 @@ func appendKey(b []byte, kt *keyTable) []byte {
 	return b
 }
 
+// snapChunk is how many encoded bytes the encoder gathers before it folds
+// them into the checksum and writes them out; the chunk is reused, so no
+// buffer grows with the snapshot.
+const snapChunk = 64 << 10
+
+// chunkWriter is the encoder's output: a running CRC-64 over every byte
+// written, and the first write error, after which nothing more is written.
+type chunkWriter struct {
+	w   io.Writer
+	crc uint64
+	err error
+}
+
+// spill writes b out once it holds a full chunk, or always when last, and
+// returns it emptied. The last call appends the checksum of everything
+// written before it.
+func (c *chunkWriter) spill(b []byte, last bool) []byte {
+	if len(b) < snapChunk && !last {
+		return b
+	}
+	c.crc = crc64.Update(c.crc, crcTable, b)
+	if last {
+		b = appendU64(b, c.crc)
+	}
+	if c.err == nil {
+		_, c.err = c.w.Write(b)
+	}
+	return b[:0]
+}
+
 // appendPairs encodes a pair tracker's state: clock, sweep counter, then
 // every pair's key and window column in the export's canonical order.
-func appendPairs(b []byte, st *pairs.ShardedTrackerState, kt *keyTable) []byte {
+func appendPairs(b []byte, st *pairs.ShardedTrackerState, kt *keyTable, cw *chunkWriter) []byte {
 	b = appendI64(b, st.NowNano)
 	b = appendI64(b, st.SinceGC)
 	b = appendU32(b, uint32(len(st.Pairs)))
 	for _, p := range st.Pairs {
 		b = appendKey(b, kt)
 		b = appendSlot(b, p.Window)
+		b = cw.spill(b, false)
 	}
 	return b
 }
 
-// Encoded sizes of the fixed-size records, for snapshotSize.
-const (
-	fingerprintSize = 18*8 + 3
-	keySize         = 8
-	detFixedSize    = keySize + 8 + 8 + 1 + 8 + 4 + 3*8 + 8 + 1 // ring values extra
-	topicSize       = keySize + 5*8 + 8 + 1 + 1
-)
-
-// slotSize is appendSlot's output length for s.
-func slotSize(s window.SlotState) int {
-	nnz := 0
-	for _, v := range s.Vals {
-		if v != 0 {
-			nnz++
-		}
-	}
-	return 4 + 4 + 12*nnz + 8 + 1 + 8
-}
-
-func pairsSize(st *pairs.ShardedTrackerState) int {
-	n := 8 + 8 + 4
-	for _, p := range st.Pairs {
-		n += keySize + slotSize(p.Window)
-	}
-	return n
-}
-
-func strsSize(ss []string) int {
-	n := 4
-	for _, s := range ss {
-		n += 4 + len(s)
-	}
-	return n
-}
-
-// snapshotSize is encodeSnapshot's exact output length, so the encoder
-// allocates its buffer once.
-func snapshotSize(st *core.EngineState, kt *keyTable) int {
-	n := len(snapMagic) + 4 + fingerprintSize + strsSize(kt.tags)
-	n += 8 + 8 + 8 + 1 + 8 + 1
-	n += slotSize(st.Tags.Docs) + 8 + 1 + 8 + 4
-	for _, ts := range st.Tags.Tags {
-		n += 4 + len(ts.Tag) + slotSize(ts.Window)
-	}
-	n += pairsSize(&st.Pairs)
-	n += 8 + 8 + 4
-	for _, p := range st.Det.Pairs {
-		n += detFixedSize + 8*len(p.Pred.Ring)
-	}
-	n++
-	if st.Co != nil {
-		n += pairsSize(st.Co)
-	}
-	n += strsSize(st.Seeds)
-	n += 8 + 1 + strsSize(st.Last.Seeds)
-	n += 4 + topicSize*len(st.Last.Topics)
-	return n + 8
-}
-
-// encodeSnapshot serializes st (an engine's canonical state export) under
+// encodeSnapshot streams st (an engine's canonical state export) to w under
 // cfg's semantic fingerprint: magic, format version, fingerprint, tag
 // table, section per subsystem, trailing CRC64-ECMA over everything before
-// it.
-func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
+// it. It writes chunk by chunk and returns the first write error.
+func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	kt := tagTableOf(st)
-	b := make([]byte, 0, snapshotSize(st, kt))
+	cw := &chunkWriter{w: w}
+	b := make([]byte, 0, snapChunk+4<<10)
 	b = append(b, snapMagic...)
 	b = appendU32(b, FormatVersion)
 	b = appendFingerprint(b, fingerprintOf(cfg))
@@ -316,6 +302,7 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	b = appendU32(b, uint32(len(kt.tags)))
 	for _, t := range kt.tags {
 		b = appendStr(b, t)
+		b = cw.spill(b, false)
 	}
 
 	// Engine scalars.
@@ -335,10 +322,11 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 	for _, ts := range st.Tags.Tags {
 		b = appendStr(b, ts.Tag)
 		b = appendSlot(b, ts.Window)
+		b = cw.spill(b, false)
 	}
 
 	// Pair windows.
-	b = appendPairs(b, &st.Pairs, kt)
+	b = appendPairs(b, &st.Pairs, kt, cw)
 
 	// Detector.
 	b = appendI64(b, st.Det.CurTickNano)
@@ -351,12 +339,13 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 		b = appendBool(b, p.Decay.Set)
 		b = appendI64(b, p.SeenNano)
 		b = appendPredict(b, p.Pred)
+		b = cw.spill(b, false)
 	}
 
 	// Co-occurrence pairs (DistributionMode only).
 	b = appendBool(b, st.Co != nil)
 	if st.Co != nil {
-		b = appendPairs(b, st.Co, kt)
+		b = appendPairs(b, st.Co, kt, cw)
 	}
 
 	// Seeds.
@@ -393,7 +382,8 @@ func encodeSnapshot(cfg core.Config, st *core.EngineState) []byte {
 		b = appendBool(b, t.Warmup)
 	}
 
-	return appendU64(b, crc64.Checksum(b, crcTable))
+	cw.spill(b, true)
+	return cw.err
 }
 
 // ---- strict, fuzz-safe decoder ----
@@ -610,68 +600,28 @@ func (r *reader) key(ntags int) decKey {
 	return k
 }
 
-// decPairs is a pair tracker's state in table-index form.
-type decPairs struct {
-	nowNano int64
-	sinceGC int64
-	keys    []decKey
-	windows []window.SlotState
-}
-
-// pairs decodes what appendPairs encodes.
-func (r *reader) pairs(ntags, nbuckets int) decPairs {
-	var p decPairs
-	p.nowNano = r.i64()
-	p.sinceGC = r.i64()
+// pairs decodes what appendPairs encodes, recording each pair's key in
+// d.keys and leaving the state's Key zero.
+func (r *reader) pairs(d *decodedSnap, nbuckets int) pairs.ShardedTrackerState {
+	st := pairs.ShardedTrackerState{NowNano: r.i64(), SinceGC: r.i64()}
 	n := r.count(8 + 25)
-	p.keys = make([]decKey, 0, n)
-	p.windows = make([]window.SlotState, 0, n)
+	st.Pairs = make([]pairs.PairState, 0, n)
+	d.keys = slices.Grow(d.keys, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.key(ntags)
-		w := r.slot(nbuckets)
-		if r.err != nil {
-			break
-		}
-		p.keys = append(p.keys, k)
-		p.windows = append(p.windows, w)
+		d.keys = append(d.keys, r.key(len(d.table)))
+		st.Pairs = append(st.Pairs, pairs.PairState{Window: r.slot(nbuckets)})
 	}
-	return p
+	return st
 }
 
-// decodedSnap is a fully validated snapshot, still in table-index form: no
-// interning and no engine mutation has happened. materialize resolves it
-// into a core.EngineState against a live intern table.
+// decodedSnap is a fully validated snapshot: st holds every section with
+// its pair keys left zero, and keys holds those keys as tag-table indexes
+// in forEachKey order. No interning and no engine mutation has happened;
+// materialize resolves the keys against the live intern table.
 type decodedSnap struct {
 	table []string
-
-	docs         int64
-	lastSeenNano int64
-	nextTickNano int64
-	nextTickSet  bool
-	lastTickNano int64
-	lastTickSet  bool
-
-	tags tagstats.TrackerState
-
-	pairs decPairs
-	co    *decPairs // present iff the snapshot is from DistributionMode
-
-	detCurTickNano int64
-	detTickCount   int64
-	detKeys        []decKey
-	detDecay       []window.DecayState
-	detSeen        []int64
-	detPred        []predict.State
-
-	seeds []string
-
-	lastAtNano int64
-	lastAtSet  bool
-	lastSeeds  []string
-	topicKeys  []decKey
-	topics     []shift.Topic // Pair left zero; filled by materialize
-
-	epoch int64 // alias of docs: the WAL position this snapshot covers
+	keys  []decKey
+	st    core.EngineState
 }
 
 // tag returns b as a string, shared with the tag table when the table
@@ -712,6 +662,7 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 		return nil, errConfigMismatch
 	}
 	d := &decodedSnap{}
+	st := &d.st
 	nb := int(fp.WindowBuckets)
 	if r.err == nil && (nb <= 0 || nb > 1<<20) {
 		r.fail("implausible window bucket count %d", nb)
@@ -729,19 +680,19 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 		}
 	}
 
-	d.docs = r.i64()
-	d.lastSeenNano = r.i64()
-	d.nextTickNano = r.i64()
-	d.nextTickSet = r.boolean()
-	d.lastTickNano = r.i64()
-	d.lastTickSet = r.boolean()
+	st.Docs = r.i64()
+	st.LastSeenNano = r.i64()
+	st.NextTickNano = r.i64()
+	st.NextTickSet = r.boolean()
+	st.LastTickNano = r.i64()
+	st.LastTickSet = r.boolean()
 
-	d.tags.Docs = r.slot(nb)
-	d.tags.NowNano = r.i64()
-	d.tags.NowSet = r.boolean()
-	d.tags.SinceGC = r.i64()
+	st.Tags.Docs = r.slot(nb)
+	st.Tags.NowNano = r.i64()
+	st.Tags.NowSet = r.boolean()
+	st.Tags.SinceGC = r.i64()
 	nt := r.count(4 + 25)
-	d.tags.Tags = make([]tagstats.TagState, 0, min(nt, 1<<16))
+	st.Tags.Tags = make([]tagstats.TagState, 0, min(nt, 1<<16))
 	for i := 0; i < nt && r.err == nil; i++ {
 		var ts tagstats.TagState
 		ts.Tag = d.tag(r.bytes())
@@ -753,72 +704,62 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 			r.fail("empty tag in tag statistics")
 			break
 		}
-		if i > 0 && d.tags.Tags[i-1].Tag >= ts.Tag {
+		if i > 0 && st.Tags.Tags[i-1].Tag >= ts.Tag {
 			r.fail("tag statistics not sorted/unique at %d", i)
 			break
 		}
-		d.tags.Tags = append(d.tags.Tags, ts)
+		st.Tags.Tags = append(st.Tags.Tags, ts)
 	}
 
-	d.pairs = r.pairs(len(d.table), nb)
+	st.Pairs = r.pairs(d, nb)
 
-	d.detCurTickNano = r.i64()
-	d.detTickCount = r.i64()
+	st.Det.CurTickNano = r.i64()
+	st.Det.TickCount = r.i64()
 	nd := r.count(8 + 17 + 8 + 37)
-	d.detKeys = make([]decKey, 0, nd)
-	d.detDecay = make([]window.DecayState, 0, nd)
-	d.detSeen = make([]int64, 0, nd)
-	d.detPred = make([]predict.State, 0, nd)
+	st.Det.Pairs = make([]shift.PairDetState, 0, nd)
+	d.keys = slices.Grow(d.keys, nd)
 	for i := 0; i < nd && r.err == nil; i++ {
-		k := r.key(len(d.table))
-		dec := window.DecayState{Value: r.f64(), AtNano: r.i64(), Set: r.boolean()}
-		seen := r.i64()
-		pred := r.predictState()
-		if r.err != nil {
-			break
-		}
-		d.detKeys = append(d.detKeys, k)
-		d.detDecay = append(d.detDecay, dec)
-		d.detSeen = append(d.detSeen, seen)
-		d.detPred = append(d.detPred, pred)
+		d.keys = append(d.keys, r.key(len(d.table)))
+		st.Det.Pairs = append(st.Det.Pairs, shift.PairDetState{
+			Decay:    window.DecayState{Value: r.f64(), AtNano: r.i64(), Set: r.boolean()},
+			SeenNano: r.i64(),
+			Pred:     r.predictState(),
+		})
 	}
 
 	if r.boolean() {
-		co := r.pairs(len(d.table), nb)
-		d.co = &co
+		co := r.pairs(d, nb)
+		st.Co = &co
 	}
 
 	ns := r.count(4)
 	for i := 0; i < ns && r.err == nil; i++ {
-		d.seeds = append(d.seeds, r.str())
+		st.Seeds = append(st.Seeds, r.str())
 	}
 
-	d.lastAtNano = r.i64()
-	d.lastAtSet = r.boolean()
+	atNano := r.i64()
+	if r.boolean() {
+		st.Last.At = nanoTime(atNano)
+	}
 	nls := r.count(4)
 	for i := 0; i < nls && r.err == nil; i++ {
-		d.lastSeeds = append(d.lastSeeds, r.str())
+		st.Last.Seeds = append(st.Last.Seeds, r.str())
 	}
 	ntp := r.count(8 + 40 + 10)
 	for i := 0; i < ntp && r.err == nil; i++ {
-		k := r.key(len(d.table))
-		var t shift.Topic
-		t.Score = r.f64()
-		t.Correlation = r.f64()
-		t.Predicted = r.f64()
-		t.Error = r.f64()
-		t.Cooccurrence = r.f64()
-		atNano := r.i64()
-		atSet := r.boolean()
+		d.keys = append(d.keys, r.key(len(d.table)))
+		t := shift.Topic{
+			Score:        r.f64(),
+			Correlation:  r.f64(),
+			Predicted:    r.f64(),
+			Error:        r.f64(),
+			Cooccurrence: r.f64(),
+		}
+		if tAt := r.i64(); r.boolean() {
+			t.At = nanoTime(tAt)
+		}
 		t.Warmup = r.boolean()
-		if r.err != nil {
-			break
-		}
-		if atSet {
-			t.At = nanoTime(atNano)
-		}
-		d.topicKeys = append(d.topicKeys, k)
-		d.topics = append(d.topics, t)
+		st.Last.Topics = append(st.Last.Topics, t)
 	}
 
 	if r.err != nil {
@@ -827,6 +768,5 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 	if r.off != len(body) {
 		return nil, corruptf("%d trailing bytes after snapshot body", len(body)-r.off)
 	}
-	d.epoch = d.docs
 	return d, nil
 }

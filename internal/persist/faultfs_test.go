@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,16 +132,10 @@ var snapshotFaults = []snapshotFault{
 			return orig(path)
 		}
 	}},
-	{"write", func(s *Store, orig func(string) (walFile, error)) {
-		s.create = func(path string) (walFile, error) {
-			f, err := orig(path)
-			if err != nil || !strings.HasSuffix(path, ".tmp") {
-				return f, err
-			}
-			budget := int64(128) // tear the snapshot 128 bytes in
-			return &faultFile{f: f, budget: &budget}, nil
-		}
-	}},
+	{"write", tornSnapshot(128)}, // inside the first chunk
+	// After the first chunk has reached the temp file: the first write
+	// holds snapChunk bytes plus at most one record.
+	{"write-later-chunk", tornSnapshot(laterChunkBudget)},
 	{"sync", func(s *Store, orig func(string) (walFile, error)) {
 		s.create = func(path string) (walFile, error) {
 			f, err := orig(path)
@@ -164,10 +159,33 @@ var snapshotFaults = []snapshotFault{
 	}},
 }
 
+// laterChunkBudget tears the snapshot in its second chunk; crashEpoch's
+// state must encode to more than this.
+const laterChunkBudget = snapChunk + snapChunk/4
+
+// tornSnapshot arms a device that stops accepting snapshot bytes after
+// budget of them.
+func tornSnapshot(budget int64) func(*Store, func(string) (walFile, error)) {
+	return func(s *Store, orig func(string) (walFile, error)) {
+		s.create = func(path string) (walFile, error) {
+			f, err := orig(path)
+			if err != nil || !strings.HasSuffix(path, ".tmp") {
+				return f, err
+			}
+			left := budget
+			return &faultFile{f: f, budget: &left}, nil
+		}
+	}
+}
+
+// crashEpoch is the document count at which TestSnapshotCrashPoints'
+// failing snapshot is taken.
+const crashEpoch = 2500
+
 // TestSnapshotCrashPoints injects a failure at every I/O step of the
 // snapshot protocol. Each must fail the Snapshot call loudly, leave every
-// named snapshot valid, and — because the WAL is untouched — recovery
-// after the crash must reproduce the full pre-crash stream.
+// named snapshot valid and no new one, and — because the WAL is untouched
+// — recovery after the crash must reproduce the full pre-crash stream.
 func TestSnapshotCrashPoints(t *testing.T) {
 	items := testItems(t)
 	for _, fp := range snapshotFaults {
@@ -178,7 +196,10 @@ func TestSnapshotCrashPoints(t *testing.T) {
 			if err := e.Snapshot(); err != nil {
 				t.Fatalf("baseline snapshot: %v", err)
 			}
-			e.ConsumeBatch(items[400:900])
+			e.ConsumeBatch(items[400:crashEpoch])
+			if n := len(stateBytes(e)); n <= laterChunkBudget {
+				t.Fatalf("fixture snapshot is %d bytes, want more than %d so a later chunk can tear", n, laterChunkBudget)
+			}
 
 			fp.arm(s, osCreate)
 			if err := e.Snapshot(); err == nil {
@@ -190,12 +211,15 @@ func TestSnapshotCrashPoints(t *testing.T) {
 			if st, _ := e.DurabilityStats(); st.SnapshotEpoch != 400 {
 				t.Errorf("SnapshotEpoch advanced to %d past a failed snapshot, want 400", st.SnapshotEpoch)
 			}
-			e.ConsumeBatch(items[900:1000])
+			e.ConsumeBatch(items[crashEpoch : crashEpoch+100])
 			// Crash: abandon e without Close.
 
 			assertNamedSnapshotsValid(t, dir)
-			if n := assertRecoversPrefix(t, dir, 2); n != 1000 {
-				t.Fatalf("recovered %d docs, want the full 1000 (WAL is intact)", n)
+			if got := listEpochs(dir, snapPrefix, snapSuffix); !slices.Equal(got, []int64{400}) {
+				t.Errorf("named snapshots %v after the failed one, want only [400]", got)
+			}
+			if n := assertRecoversPrefix(t, dir, 2); n != crashEpoch+100 {
+				t.Fatalf("recovered %d docs, want the full %d (WAL is intact)", n, crashEpoch+100)
 			}
 		})
 	}

@@ -2,11 +2,14 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"reflect"
 	"testing"
 	"time"
 
 	"enblogue/internal/core"
+	"enblogue/internal/pairs"
 	"enblogue/internal/stream"
 )
 
@@ -26,7 +29,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	e.ConsumeBatch(docs[:1200])
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	e.Close()
-	f.Add(encodeSnapshot(cfg, &st))
+	f.Add(snapshotBytes(cfg, &st))
 	// And structured near-misses: truncations and header damage.
 	f.Add(oversizedSnapshot(f))
 	f.Add(data[:len(data)/2])
@@ -35,21 +38,51 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := decodeClaimed(b)
-		if err != nil {
-			return
+		fuzzSnapshot(t, b, cfg)
+		// Most mutations only break the checksum; the same bytes with it
+		// repaired reach the body's validation and the restore.
+		if len(b) >= 8 {
+			body := b[: len(b)-8 : len(b)-8]
+			fuzzSnapshot(t, binary.LittleEndian.AppendUint64(body, crc64.Checksum(body, crcTable)), cfg)
 		}
-		// A successfully decoded snapshot must also materialize without
-		// panicking: every index was validated during decode.
-		_ = d.materialize()
 	})
+}
+
+// fuzzSnapshot checks one input of FuzzSnapshotDecode; cfg is the engine
+// that restores what decodes under its own fingerprint.
+func fuzzSnapshot(t *testing.T, b []byte, cfg core.Config) {
+	d, err := decodeClaimed(b)
+	if err != nil {
+		return
+	}
+	// A successfully decoded snapshot must also materialize without
+	// panicking: every index was validated during decode, and the
+	// decoder recorded exactly one key per key materialize fills.
+	st := d.materialize()
+	visits := 0
+	forEachKey(&st, func(*pairs.Key) { visits++ })
+	if visits != len(d.keys) {
+		t.Fatalf("decoded %d keys for %d key slots", len(d.keys), visits)
+	}
+	// Recovery restores every snapshot that decodes under the engine's
+	// own fingerprint: the restore may refuse it, never panic.
+	if claimed(b) == fingerprintOf(cfg) {
+		e := core.New(cfg)
+		defer e.Close()
+		e.RestoreState(st) //nolint:errcheck // refusal is fine; a panic is not
+	}
+}
+
+// claimed returns the fingerprint b embeds.
+func claimed(b []byte) fingerprint {
+	r := &reader{b: b, off: len(snapMagic) + 4}
+	return r.fingerprint()
 }
 
 // decodeClaimed decodes b against the fingerprint b itself embeds, so the
 // fingerprint check passes and the body is decoded and validated.
 func decodeClaimed(b []byte) (*decodedSnap, error) {
-	r := &reader{b: b, off: len(snapMagic) + 4}
-	return decodeSnapshot(b, r.fingerprint())
+	return decodeSnapshot(b, claimed(b))
 }
 
 // walSamples are the encoder-side seeds of both WAL fuzz targets: the

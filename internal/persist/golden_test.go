@@ -54,7 +54,7 @@ func goldenState(shards int) ([]byte, core.Config) {
 	defer e.Close()
 	e.ConsumeBatch(goldenItems())
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-	return encodeSnapshot(cfg, &st), cfg
+	return snapshotBytes(cfg, &st), cfg
 }
 
 // TestGoldenSnapshotBytes pins three layers of byte stability: the same
@@ -102,7 +102,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 		t.Fatalf("restore golden snapshot: %v", err)
 	}
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-	if !bytes.Equal(encodeSnapshot(cfg, &st), data) {
+	if !bytes.Equal(snapshotBytes(cfg, &st), data) {
 		t.Fatal("golden snapshot did not survive a decode/restore/re-encode round trip")
 	}
 }
@@ -157,7 +157,7 @@ func adversarialState(shards int) []byte {
 	defer e.Close()
 	e.ConsumeBatch(adversarialItems())
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-	return encodeSnapshot(cfg, &st)
+	return snapshotBytes(cfg, &st)
 }
 
 // TestAdversarialSnapshotBytes pins the adversarial vocabulary's snapshot

@@ -15,7 +15,6 @@ import (
 	"enblogue/internal/core"
 	"enblogue/internal/intern"
 	"enblogue/internal/pairs"
-	"enblogue/internal/shift"
 	"enblogue/internal/stream"
 )
 
@@ -312,8 +311,7 @@ func (s *Store) Snapshot() error {
 		s.noteErr("snapshot", err)
 		return err
 	}
-	data := encodeSnapshot(s.engCfg, &st)
-	if err := s.writeSnapshot(st.Docs, data); err != nil {
+	if err := s.writeSnapshot(&st); err != nil {
 		s.noteErr("snapshot", err)
 		return err
 	}
@@ -326,19 +324,19 @@ func (s *Store) Snapshot() error {
 	return nil
 }
 
-// writeSnapshot persists data as the epoch snapshot: write to a temp file,
-// sync, close, rename into place, then sync the directory. A crash at any
-// point leaves either the previous snapshot set intact or the new file
-// fully in place — never a torn named snapshot.
-func (s *Store) writeSnapshot(epoch int64, data []byte) error {
-	final := filepath.Join(s.dir, snapName(epoch))
+// writeSnapshot persists st as the snapshot of its epoch: encode it into a
+// temp file, sync, close, rename into place, then sync the directory. A
+// crash at any point leaves either the previous snapshot set intact or the
+// new file fully in place — never a torn named snapshot.
+func (s *Store) writeSnapshot(st *core.EngineState) error {
+	final := filepath.Join(s.dir, snapName(st.Docs))
 	tmp := final + ".tmp"
 	os.Remove(tmp) //nolint:errcheck // stale tmp from a previous crash
 	f, err := s.create(tmp)
 	if err != nil {
 		return fmt.Errorf("persist: snapshot create: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := encodeSnapshot(f, s.engCfg, st); err != nil {
 		f.Close()      //nolint:errcheck
 		os.Remove(tmp) //nolint:errcheck
 		return fmt.Errorf("persist: snapshot write: %w", err)
@@ -496,8 +494,8 @@ func recoverInto(dir string, e *core.Engine, engCfg core.Config) (recoverResult,
 		if err := e.RestoreState(d.materialize()); err != nil {
 			return res, fmt.Errorf("persist: restoring %s: %w", name, err)
 		}
-		restored = d.epoch
-		res.snapEpoch = d.epoch
+		restored = d.st.Docs
+		res.snapEpoch = d.st.Docs
 		if info, err := os.Stat(path); err == nil {
 			res.snapTime = info.ModTime()
 		}
@@ -586,69 +584,21 @@ func replayWAL(dir string, e *core.Engine, restored int64, warns *[]string) {
 	flush()
 }
 
-// state resolves p's keys through keyOf into a pair tracker state.
-func (p *decPairs) state(keyOf func(decKey) pairs.Key) pairs.ShardedTrackerState {
-	st := pairs.ShardedTrackerState{
-		NowNano: p.nowNano,
-		SinceGC: p.sinceGC,
-		Pairs:   make([]pairs.PairState, len(p.keys)),
-	}
-	for i, k := range p.keys {
-		st.Pairs[i] = pairs.PairState{Key: keyOf(k), Window: p.windows[i]}
-	}
-	return st
-}
-
 // materialize resolves a validated decoded snapshot into a live
-// core.EngineState, interning the tag table and rebuilding packed pair
-// keys. Intern IDs assigned here generally differ from the exporting
-// process's — rankings are ID-independent, so this is invisible.
+// core.EngineState: it interns the tag table, then fills every pair key
+// from its two interned IDs. Intern IDs assigned here generally differ
+// from the exporting process's — rankings are ID-independent, so this is
+// invisible.
 func (d *decodedSnap) materialize() core.EngineState {
 	ids := make([]uint32, len(d.table))
 	for i, t := range d.table {
 		ids[i] = intern.Intern(t)
 	}
-	keyOf := func(k decKey) pairs.Key {
-		return pairs.KeyFromIDs(ids[k.a], ids[k.b])
-	}
-	st := core.EngineState{
-		Docs:         d.docs,
-		LastSeenNano: d.lastSeenNano,
-		NextTickNano: d.nextTickNano,
-		NextTickSet:  d.nextTickSet,
-		LastTickNano: d.lastTickNano,
-		LastTickSet:  d.lastTickSet,
-		Tags:         d.tags,
-		Pairs:        d.pairs.state(keyOf),
-		Seeds:        d.seeds,
-	}
-	if d.co != nil {
-		co := d.co.state(keyOf)
-		st.Co = &co
-	}
-	st.Det = shift.DetectorState{
-		CurTickNano: d.detCurTickNano,
-		TickCount:   d.detTickCount,
-		Pairs:       make([]shift.PairDetState, len(d.detKeys)),
-	}
-	for i, k := range d.detKeys {
-		st.Det.Pairs[i] = shift.PairDetState{
-			Key:      keyOf(k),
-			Decay:    d.detDecay[i],
-			SeenNano: d.detSeen[i],
-			Pred:     d.detPred[i],
-		}
-	}
-	st.Last = core.Ranking{Seeds: d.lastSeeds}
-	if d.lastAtSet {
-		st.Last.At = nanoTime(d.lastAtNano)
-	}
-	if len(d.topics) > 0 {
-		st.Last.Topics = make([]shift.Topic, len(d.topics))
-		for i, t := range d.topics {
-			t.Pair = keyOf(d.topicKeys[i])
-			st.Last.Topics[i] = t
-		}
-	}
-	return st
+	next := 0
+	forEachKey(&d.st, func(k *pairs.Key) {
+		dk := d.keys[next]
+		*k = pairs.KeyFromIDs(ids[dk.a], ids[dk.b])
+		next++
+	})
+	return d.st
 }

@@ -61,12 +61,19 @@ func durableConfig(cfg core.Config, dir string) core.Config {
 	return cfg
 }
 
+// snapshotBytes encodes st as a whole snapshot file in memory.
+func snapshotBytes(cfg core.Config, st *core.EngineState) []byte {
+	var buf bytes.Buffer
+	encodeSnapshot(&buf, cfg, st) //nolint:errcheck // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
 // stateBytes canonically encodes e's full state; two engines in the same
 // semantic state produce identical bytes regardless of shard count, intern
 // order, or durability settings.
 func stateBytes(e *core.Engine) []byte {
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
-	return encodeSnapshot(e.Config(), &st)
+	return snapshotBytes(e.Config(), &st)
 }
 
 // mustEqualState fails unless both engines hold bit-identical state.
@@ -355,7 +362,7 @@ func oversizedSnapshot(tb testing.TB) []byte {
 		st.Pairs.Pairs[i].Window = window.SlotState{Vals: wide}
 	}
 	cfg.WindowBuckets = 1 << 20
-	return encodeSnapshot(cfg, &st)
+	return snapshotBytes(cfg, &st)
 }
 
 // TestFingerprintMismatchDecodesNoBody recovers from a snapshot whose
