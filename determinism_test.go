@@ -58,21 +58,21 @@ func TestTailDisabledRankingsBitIdentical(t *testing.T) {
 		items    enblogue.Items
 		maxPairs int
 		// The tweet workload holds ~1650 windowed pairs, so a 300-pair cap
-		// keeps the eviction path hot; the archive runs uncapped and covers
-		// the no-pressure shape. (The archive under a tight cap exhibits a
-		// one-ULP cross-shard score difference that predates the tier — see
-		// the pre-existing eviction float-summation ordering — so it is not
-		// used to pin the eviction path here.)
+		// keeps the eviction path hot; the archive runs uncapped for the
+		// no-pressure shape and at a 100-pair cap for eviction, where the
+		// shard-local admission floor prunes different pairs at every
+		// shard count.
 		wantEvictions bool
 	}{
 		{"tweets", tweets, 300, true},
 		{"archive", archive, 0, false},
+		{"archive-evicting", archive, 100, true},
 	}
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var reference []enblogue.Ranking
-			for _, shards := range []int{1, 8} {
+			for _, shards := range []int{1, 2, 8} {
 				opts := []enblogue.Option{
 					enblogue.WithWindow(12, time.Hour),
 					enblogue.WithSeedCount(10),

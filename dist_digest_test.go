@@ -15,7 +15,14 @@ import (
 // per topic, both tag strings and the score's float bits: one value that
 // changes under any reordering, any different pair, or a one-ulp score
 // difference.
-func rankingDigest(rs []enblogue.Ranking) string {
+func rankingDigest(rs []enblogue.Ranking) string { return digest(rs, true) }
+
+// pairOrderDigest is rankingDigest without the score bits: it changes only
+// when a ranking holds different pairs or holds them in another order, so
+// it guards pair order across a change that moves scores by rounding.
+func pairOrderDigest(rs []enblogue.Ranking) string { return digest(rs, false) }
+
+func digest(rs []enblogue.Ranking, scores bool) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, r := range rs {
@@ -24,22 +31,32 @@ func rankingDigest(rs []enblogue.Ranking) string {
 		for _, tp := range r.Topics {
 			t1, t2 := tp.Pair.Tags()
 			fmt.Fprintf(h, "%s\x00%s\x00", t1, t2)
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tp.Score))
-			h.Write(buf[:])
+			if scores {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tp.Score))
+				h.Write(buf[:])
+			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestDistributionModeRankingDigest pins distribution-mode rankings on the
-// acceptance workloads to digests recorded before co-tag distributions
-// moved onto the interned pair tracker: the relative-entropy correlation
-// must rank bit-identically however its distributions are stored. Both
-// shard counts must produce the same digest.
+// acceptance workloads: the relative-entropy correlation must rank
+// bit-identically however its distributions are stored. Both shard counts
+// must produce the same digest. The full digests were re-pinned when the
+// detector moved its scores to log space, which moves score bits by
+// rounding; the pair-order digests were recorded before that move and did
+// not change with it.
 func TestDistributionModeRankingDigest(t *testing.T) {
 	want := map[string]string{
-		"tweets":  "fe1c0ff994fe0f56d2be3bc4bdd9c6d117ac1a3d61fb2b7666b964b96b78307c",
-		"archive": "2a0d313920022dba87f7ae9597beb522b4b690d94e853dcdd21dd2272b8cbf7d",
+		"tweets":  "5d91f51c68cd5e7a867ef2cbda1ddfa5dc599e4e500cc842d87a6f52480af935",
+		"archive": "6e16f0e269512cb10fbac5627a446b7de1f26b30c9148892847cbd2da863e86c",
+	}
+	// wantOrder pins pair order alone, so a change that moves score bits
+	// by rounding can re-pin want only while these stay put.
+	wantOrder := map[string]string{
+		"tweets":  "cf3d61c4e9a72f526f42702c5ddd991a0ee6a74cad93d86e40809a54d910d0ec",
+		"archive": "135bafe00a4a001d01f45d8c6ac287bbea268e57a873faaa80a8c35ce78fd8cb",
 	}
 	for name, items := range equivWorkloads(t) {
 		for _, shards := range []int{1, 4} {
@@ -47,8 +64,10 @@ func TestDistributionModeRankingDigest(t *testing.T) {
 			if topics := countTopics(rs); topics == 0 {
 				t.Fatalf("%s at %d shards: distribution mode ranked no topics; the digest would pin nothing", name, shards)
 			}
-			got := rankingDigest(rs)
-			if got != want[name] {
+			if got := pairOrderDigest(rs); got != wantOrder[name] {
+				t.Errorf("%s at %d shards: distribution-mode pair-order digest = %s, want %s", name, shards, got, wantOrder[name])
+			}
+			if got := rankingDigest(rs); got != want[name] {
 				t.Errorf("%s at %d shards: distribution-mode ranking digest = %s, want %s", name, shards, got, want[name])
 			}
 		}

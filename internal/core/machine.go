@@ -304,11 +304,11 @@ func (m *machine) evaluate(t time.Time) Ranking {
 		// One Topic reused across the whole shard: the detector assigns
 		// every field when it fills it, and topkPush copies only when the
 		// topic is actually kept. The running heap root is fed back to the
-		// detector as the admission floor, so a pair that provably cannot
-		// reach the shard's current top-k (its undecayed score bound is
-		// below the root) updates its predictor state and returns without
-		// ever materialising a Topic or computing an exponential — the
-		// selected set is exactly what an unfloored evaluation would select.
+		// detector as the admission floor, so a pair that cannot reach the
+		// shard's current top-k (its score is below the root) updates its
+		// detector state exactly as an unfloored evaluation would and
+		// returns without materialising a Topic — the selected set is
+		// exactly what an unfloored evaluation would select.
 		var topic shift.Topic
 		floor := 0.0
 		for _, pc := range snap {

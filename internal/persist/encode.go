@@ -36,7 +36,7 @@ import (
 // (see TestSnapshotGoldenBytes for the procedure).
 const (
 	snapMagic     = "ENBSNAP1"
-	FormatVersion = 2
+	FormatVersion = 3
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -334,9 +334,7 @@ func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	b = appendU32(b, uint32(len(st.Det.Pairs)))
 	for _, p := range st.Det.Pairs {
 		b = appendKey(b, kt)
-		b = appendF64(b, p.Decay.Value)
-		b = appendI64(b, p.Decay.AtNano)
-		b = appendBool(b, p.Decay.Set)
+		b = appendF64(b, p.LogScore)
 		b = appendI64(b, p.SeenNano)
 		b = appendPredict(b, p.Pred)
 		b = cw.spill(b, false)
@@ -715,13 +713,18 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 
 	st.Det.CurTickNano = r.i64()
 	st.Det.TickCount = r.i64()
-	nd := r.count(8 + 17 + 8 + 37)
+	nd := r.count(8 + 8 + 8 + 37)
 	st.Det.Pairs = make([]shift.PairDetState, 0, nd)
 	d.keys = slices.Grow(d.keys, nd)
 	for i := 0; i < nd && r.err == nil; i++ {
 		d.keys = append(d.keys, r.key(len(d.table)))
+		ls := r.f64()
+		if math.IsNaN(ls) || math.IsInf(ls, 1) {
+			r.fail("detector log-score %v at %d", ls, i)
+			break
+		}
 		st.Det.Pairs = append(st.Det.Pairs, shift.PairDetState{
-			Decay:    window.DecayState{Value: r.f64(), AtNano: r.i64(), Set: r.boolean()},
+			LogScore: ls,
 			SeenNano: r.i64(),
 			Pred:     r.predictState(),
 		})

@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,12 +251,10 @@ func TestSequenceGapIsStrictError(t *testing.T) {
 // once just before the snapshot and once just after. Before, the tick sits
 // in the old segment and the snapshot covers it, so replay must drop it;
 // after, it opens the new segment and replay must apply it. Either way the
-// recovered engine holds the tick exactly once: its evaluation clock equals
-// that of an engine that took the tick and never crashed, and so does every
-// ranking it publishes over the rest of the stream. (Canonical bytes are
-// not compared: after a tick right after a restore, some detector decay
-// anchors differ in representation from the never-restored engine's — the
-// visit-versus-prune path dependence of ROADMAP item 1(a).)
+// recovered engine holds the tick exactly once: its canonical state bytes
+// equal those of an engine that took the tick and never crashed, right
+// after recovery and at stream end, and so does every ranking it publishes
+// over the rest of the stream.
 func TestTickAtSnapshotEpoch(t *testing.T) {
 	items := testItems(t)
 	snapAt, crashAt := len(items)/3, len(items)/2
@@ -308,6 +308,7 @@ func TestTickAtSnapshotEpoch(t *testing.T) {
 				t.Fatalf("recovered clock (docs %d, last tick %d, round %d), want (%d, %d, %d)",
 					gs.Docs, gs.LastTickNano, gs.Det.TickCount, ws.Docs, ws.LastTickNano, ws.Det.TickCount)
 			}
+			mustEqualState(t, ref, b)
 			for lo := crashAt; lo < len(items); lo += 64 {
 				batch := items[lo:min(lo+64, len(items))]
 				ref.ConsumeBatch(batch)
@@ -316,6 +317,7 @@ func TestTickAtSnapshotEpoch(t *testing.T) {
 					t.Fatalf("after doc %d the recovered ranking diverges:\n got  %+v\n want %+v", lo+len(batch), g, w)
 				}
 			}
+			mustEqualState(t, ref, b)
 		})
 	}
 }
@@ -433,6 +435,34 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("fallback did not surface the corruption: lastErr=%q", st.LastErr)
 	}
 	mustEqualState(t, reference(items, 1100, 2), b)
+}
+
+// TestNonFiniteLogScoreIsCorrupt encodes snapshots, checksum intact, whose
+// first detector pair holds a NaN or +Inf log-score: decoding must refuse
+// each as corrupt rather than restore a score that would poison every later
+// tick. −Inf is the encoding of "no history" and must decode.
+func TestNonFiniteLogScoreIsCorrupt(t *testing.T) {
+	cfg := testConfig(2)
+	e := core.New(cfg)
+	defer e.Close()
+	e.ConsumeBatch(testItems(t)[:900])
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
+	if len(st.Det.Pairs) == 0 {
+		t.Fatal("no detector state; the case would test nothing")
+	}
+	for _, tc := range []struct {
+		logScore float64
+		ok       bool
+	}{{math.Inf(-1), true}, {math.NaN(), false}, {math.Inf(1), false}} {
+		st.Det.Pairs[0].LogScore = tc.logScore
+		_, err := decodeSnapshot(snapshotBytes(cfg, &st), fingerprintOf(cfg))
+		if tc.ok && err != nil {
+			t.Errorf("log-score %v: %v", tc.logScore, err)
+		}
+		if !tc.ok && !errors.Is(err, errCorrupt) {
+			t.Errorf("log-score %v: decode error %v, want a corrupt snapshot", tc.logScore, err)
+		}
+	}
 }
 
 // TestPruneRetainsRecoverableSet takes several snapshots with

@@ -16,7 +16,6 @@ import (
 
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
-	"enblogue/internal/window"
 )
 
 // DefaultHalfLife is the paper's "approximately 2 days".
@@ -90,16 +89,17 @@ type state struct {
 	// the slab pointer-free (the garbage collector never scans it) and
 	// shaves two words off every entry the evaluation tick streams over.
 	naive predict.Naive
-	decay window.Decay
+	// logScore is the pair's decayed error maximum in log space on the
+	// unix epoch: log2(score at t) + t/halfLife, constant while no error
+	// beats the decayed history, so the score at tick t is
+	// 2^(logScore − t/halfLife). −Inf means no history. Only a winning
+	// error moves it; a read, a losing visit or a floor rejection never
+	// does, so the stored bits do not depend on which pairs were visited.
+	logScore float64
 	// seenNano is the unix-nano stamp of the last evaluation tick that
 	// touched this pair — an int64 rather than a time.Time so the per-pair
 	// store on the evaluation hot loop is barrier-free.
 	seenNano int64
-	// keepUntilNano caches decay.KeepUntilNano(minScore) between sweeps: a
-	// stale pair's decay state does not change while it is stale, so one
-	// log2 buys every subsequent sweep a plain integer comparison instead
-	// of an exponential. Zero means unknown; reset whenever decay updates.
-	keepUntilNano int64
 }
 
 // Detector maintains per-pair predictors and decayed score maxima. It is
@@ -107,6 +107,9 @@ type state struct {
 type Detector struct {
 	cfg      Config
 	useNaive bool
+	// halfLife is cfg.HalfLife in nanoseconds as a float: t/halfLife is a
+	// time in half-lives since the unix epoch.
+	halfLife float64
 	// index maps a pair to its slab position; states is the slab itself
 	// with free entries (zero key) chained through free. preds carries the
 	// non-naive predictors parallel to states (see state.naive); it stays
@@ -115,9 +118,6 @@ type Detector struct {
 	states []state
 	preds  []predict.Predictor
 	free   []int32
-	// cache memoizes the per-tick decay factor shared by every pair
-	// evaluated with the same elapsed duration.
-	cache window.DecayCache
 	// bySlot caches, per caller-provided slot hint, the slab index the
 	// hint last resolved to. The engine's evaluation loop feeds each pair's
 	// tracker arena slot as the hint: a slot names the same pair for the
@@ -136,8 +136,10 @@ type Detector struct {
 	// tracked before precisely because their tags never co-occurred. The
 	// round clock is a unix-nano wall stamp, not a time.Time: the advance
 	// check runs once per pair evaluation, and an integer compare skips
-	// time.After's monotonic-clock resolution.
+	// time.After's monotonic-clock resolution. curQ is curTickNano in
+	// half-lives (curTickNano / halfLife), computed once per round.
 	curTickNano int64
+	curQ        float64
 	tickCount   int
 }
 
@@ -147,6 +149,7 @@ func NewDetector(cfg Config) *Detector {
 	return &Detector{
 		cfg:      c,
 		useNaive: c.Predictor == predict.KindNaive,
+		halfLife: float64(c.HalfLife),
 		index:    make(map[pairs.Key]int32),
 		// Zero times carry a large negative UnixNano, so "unset" must sit
 		// below any representable stamp for the first tick to advance.
@@ -165,7 +168,7 @@ func (d *Detector) alloc(k pairs.Key) (*state, int32) {
 		d.states = append(d.states, state{})
 	}
 	st := &d.states[i]
-	*st = state{key: k, decay: window.MakeDecay(d.cfg.HalfLife)}
+	*st = state{key: k, logScore: math.Inf(-1)}
 	if !d.useNaive {
 		for int(i) >= len(d.preds) {
 			d.preds = append(d.preds, nil)
@@ -215,9 +218,24 @@ func (d *Detector) observe(st *state, i int32, corr float64) {
 // evaluating through a single detector never need BeginTick.
 func (d *Detector) BeginTick(t time.Time) {
 	if tn := t.UnixNano(); tn > d.curTickNano {
-		d.curTickNano = tn
-		d.tickCount++
+		d.advance(tn)
 	}
+}
+
+// advance opens evaluation round tn.
+func (d *Detector) advance(tn int64) {
+	d.curTickNano = tn
+	d.curQ = float64(tn) / d.halfLife
+	d.tickCount++
+}
+
+// binade returns the binary exponent e of a positive normal x, as a float:
+// 2^e <= x < 2^(e+1). The evaluation hot loop compares it against log-space
+// scores so that most decisions need neither Exp2 nor Log2; it must stay
+// small enough to inline. A subnormal x reads as −1023, for which only the
+// upper bound x < 2^(e+1) holds, so callers guard that case.
+func binade(x float64) float64 {
+	return float64(int(math.Float64bits(x)>>52&0x7ff) - 1023)
 }
 
 // Evaluate scores pair k at tick time t given the windowed counts: nab
@@ -276,30 +294,27 @@ func (d *Detector) EvaluateCorrelation(t time.Time, k pairs.Key, corr, nab float
 //
 // floor is an admission threshold for callers that only keep topics scoring
 // strictly above it (a running top-k heap root). The tick's score is
-// max(decayed history, current error) and the decayed history is strictly
-// below the stored Decay.Value for any positive elapsed time, so
-// max(Value, error) upper-bounds the score without computing an
-// exponential. When floor >= 0 and that bound is zero or below floor, the
-// pair cannot score above the floor: the predictor and seen stamp are
-// updated exactly as usual, a positive error still folds into the decayed
-// history, but the Topic is not materialised and false is returned. A
-// caller that keeps only Score > floor topics therefore selects exactly the
+// max(2^hist, error), where hist = logScore − t/halfLife is the log2 of the
+// decayed history. A positive error that beats the history is folded into
+// logScore for every evaluated pair, before and regardless of the floor, so
+// the floor decides only what is returned: when floor >= 0 and the score is
+// zero or below floor, the Topic is not materialised and false is returned.
+// Detector state is therefore the same bits whatever floor a caller passes,
+// and a caller that keeps only Score > floor topics selects exactly the
 // topics it would have selected with floor < 0 (which disables skipping and
 // always fills out).
 //
-// One deliberate economy: when the bound rejects a pair and its current
-// error is zero, the decay is left untouched rather than decayed-in-place
-// to t. Exponential decay composes across ticks — value·2^(-(a+b)/hl)
-// versus (value·2^(-a/hl))·2^(-b/hl) — so the eventually-read score differs
-// only by floating-point rounding in the last ulps, far below any ranking
-// threshold; the stored value remains a valid upper bound either way (it
-// only ever over-estimates), so admission decisions stay conservative and
-// no pair is ever skipped that could have ranked.
+// Most comparisons are decided by binary exponent (see binade), so Log2 runs
+// only when an error may beat the history and Exp2 only when the history may
+// be the score and may reach the floor.
 func (d *Detector) EvaluateCorrelationInto(t time.Time, k pairs.Key, hint int32, corr, nab, floor float64, out *Topic) bool {
 	tn := t.UnixNano()
 	if tn > d.curTickNano {
-		d.curTickNano = tn
-		d.tickCount++
+		d.advance(tn)
+	}
+	q := d.curQ
+	if tn != d.curTickNano {
+		q = float64(tn) / d.halfLife
 	}
 
 	// Resolve the pair's slab entry: slot-hint cache first, map on a miss.
@@ -332,65 +347,68 @@ func (d *Detector) EvaluateCorrelationInto(t time.Time, k pairs.Key, hint int32,
 	predicted, ready := d.predict(st, i)
 	d.observe(st, i, corr)
 
+	// A pair without a forecast warms up silently, scoring its history
+	// alone — unless it is first evaluated after round one: then it has an
+	// implicit history of zero correlation, since its tags never co-occurred
+	// before or it would have been tracked. The jump from 0 to corr is
+	// exactly the paper's emergent-topic signal (Eyjafjallajökull + air
+	// traffic).
+	warmup := !ready && !(firstEval && d.tickCount > 1)
 	if !ready {
-		// A pair first evaluated after round one has an implicit history
-		// of zero correlation: its tags never co-occurred before, or it
-		// would have been tracked. The jump from 0 to corr is exactly the
-		// paper's emergent-topic signal (Eyjafjallajökull + air traffic).
-		if firstEval && d.tickCount > 1 {
-			predicted = 0
-		} else {
-			if floor >= 0 {
-				if v := st.decay.Value(); v == 0 || v < floor {
-					return false
-				}
-			}
-			out.Pair = k
-			out.Score = st.decay.AtCachedNano(tn, &d.cache)
-			out.Correlation = corr
-			out.Predicted = 0
-			out.Error = 0
-			out.Cooccurrence = nab
-			out.At = t
-			out.Warmup = true
-			return true
+		predicted = 0
+	}
+	var errv float64
+	if !warmup {
+		errv = corr - predicted
+		if !d.cfg.UpOnly && errv < 0 {
+			errv = -errv
+		}
+		// Insignificant pairs contribute no new error but keep their
+		// decayed history ("sudden but significant increases").
+		if errv < 0 || nab < d.cfg.MinCooccurrence {
+			errv = 0
 		}
 	}
 
-	errv := corr - predicted
-	if !d.cfg.UpOnly && errv < 0 {
-		errv = -errv
-	}
-	if errv < 0 {
-		errv = 0
-	}
-	// Insignificant pairs contribute no new error but keep their decayed
-	// history ("sudden but significant increases").
-	if nab < d.cfg.MinCooccurrence {
-		errv = 0
-	}
-	if floor >= 0 {
-		upper := st.decay.Value()
-		if errv > upper {
-			upper = errv
-		}
-		if upper == 0 || upper < floor {
-			if errv > 0 {
-				st.decay.UpdateCachedNano(tn, errv, &d.cache)
-				st.keepUntilNano = 0
+	// Fold the error into the history, skipping the logarithm when the
+	// error's binade lies wholly below hist, and take the score: the error
+	// itself when its binade lies above hist, max(2^hist, errv) otherwise.
+	hist := st.logScore - q
+	score := -1.0
+	if errv > 0 {
+		e := binade(errv)
+		if e+1 > hist {
+			if l := math.Log2(errv) + q; l > st.logScore {
+				st.logScore = l
 			}
+		}
+		if e >= hist && errv >= 0x1p-1022 {
+			score = errv
+		}
+	}
+	if score < 0 {
+		// A history below 2^fb, where fb is the exponent of floor's
+		// predecessor (the largest integer with 2^fb < floor), scores below
+		// the floor without an exponential. Zero and subnormal floors have
+		// no such bound.
+		if floor >= 0x1p-1022 && errv < floor && hist < binade(math.Float64frombits(math.Float64bits(floor)-1)) {
 			return false
 		}
+		if score = math.Exp2(hist); errv > score {
+			score = errv
+		}
+	}
+	if floor >= 0 && (score == 0 || score < floor) {
+		return false
 	}
 	out.Pair = k
+	out.Score = score
 	out.Correlation = corr
 	out.Predicted = predicted
 	out.Error = errv
 	out.Cooccurrence = nab
 	out.At = t
-	out.Warmup = false
-	out.Score = st.decay.UpdateCachedNano(tn, errv, &d.cache)
-	st.keepUntilNano = 0
+	out.Warmup = warmup
 	return true
 }
 
@@ -403,6 +421,7 @@ func (d *Detector) ActiveStates() int { return len(d.index) }
 //
 //enblogue:reference the keep-map sweep sweepstale_test checks SweepStale against
 func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64) {
+	cut := d.sweepCut(t.UnixNano(), minScore)
 	for i := range d.states {
 		st := &d.states[i]
 		if st.key == (pairs.Key{}) {
@@ -411,7 +430,7 @@ func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64)
 		if keep != nil && keep[st.key] {
 			continue
 		}
-		if st.decay.AtCachedNano(t.UnixNano(), nil) < minScore {
+		if st.logScore < cut {
 			d.release(int32(i))
 		}
 	}
@@ -422,28 +441,24 @@ func (d *Detector) Sweep(t time.Time, keep map[pairs.Key]bool, minScore float64)
 // decayed score has fallen below minScore. An engine that has just
 // evaluated a snapshot at t gets exactly Sweep's keep-map semantics — every
 // evaluated pair carries seen == t — without building a keep set per tick.
-//
-// A stale pair lingers until its decayed score crosses minScore, which with
-// the paper's 2-day half-life can take weeks of ticks. Its decay state is
-// frozen while stale, so the first keep decision caches a conservative
-// deadline (Decay.KeepUntilNano) and later sweeps compare an integer
-// instead of recomputing the exponential; the actual expiry decision is
-// always made by the real decayed read once the deadline has passed, so the
-// kept/dropped outcome per tick is identical to reading it every time.
 func (d *Detector) SweepStale(t time.Time, minScore float64) {
 	tn := t.UnixNano()
+	cut := d.sweepCut(tn, minScore)
 	for i := range d.states {
 		st := &d.states[i]
 		if st.key == (pairs.Key{}) || st.seenNano == tn {
 			continue
 		}
-		if st.keepUntilNano != 0 && tn < st.keepUntilNano {
-			continue // provably still at or above minScore
-		}
-		if st.decay.AtCachedNano(tn, nil) < minScore {
+		if st.logScore < cut {
 			d.release(int32(i))
-		} else {
-			st.keepUntilNano = st.decay.KeepUntilNano(minScore)
 		}
 	}
+}
+
+// sweepCut is the log-space expiry threshold of both sweeps: a pair whose
+// decayed score at tn is below minScore has logScore below it. A pair with
+// no history (−Inf) falls below any positive minScore; a non-positive
+// minScore gives −Inf or NaN, which expires nothing.
+func (d *Detector) sweepCut(tn int64, minScore float64) float64 {
+	return math.Log2(minScore) + float64(tn)/d.halfLife
 }

@@ -6,21 +6,21 @@ import (
 
 	"enblogue/internal/pairs"
 	"enblogue/internal/predict"
-	"enblogue/internal/window"
 )
 
 // This file is the shift detector's durability surface. Exports are
 // canonical — pairs sorted by Key.Compare across all shards — and restores
 // re-partition by the restoring Sharded's own shard count, so detector state
 // snapshotted at one shard count restores into any other. The slot-hint
-// cache (bySlot) and sweep deadline cache (keepUntilNano) are rebuildable
-// and deliberately not part of the state: a restored detector repopulates
-// them on first use with identical semantics.
+// cache (bySlot) is rebuildable and deliberately not part of the state: a
+// restored detector repopulates it on first use with identical semantics.
 
 // PairDetState is one pair's exported detector state.
 type PairDetState struct {
-	Key      pairs.Key
-	Decay    window.DecayState
+	Key pairs.Key
+	// LogScore is the decayed error maximum in log space (see state):
+	// finite, or −Inf for no history.
+	LogScore float64
 	SeenNano int64
 	Pred     predict.State
 }
@@ -43,7 +43,7 @@ func (d *Detector) pred(i int32) predict.Predictor {
 
 // RestorePair loads one pair's detector state, allocating its slab entry.
 // The pair must not already have state.
-func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int64, pred predict.State) error {
+func (d *Detector) RestorePair(k pairs.Key, logScore float64, seenNano int64, pred predict.State) error {
 	if k == (pairs.Key{}) {
 		return errors.New("shift: restore of a zero pair key")
 	}
@@ -51,7 +51,7 @@ func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int6
 		return fmt.Errorf("shift: duplicate pair %s in restore state", k)
 	}
 	st, i := d.alloc(k)
-	st.decay.RestoreState(dec)
+	st.logScore = logScore
 	st.seenNano = seenNano
 	return predict.Restore(d.pred(i), pred)
 }
@@ -59,6 +59,7 @@ func (d *Detector) RestorePair(k pairs.Key, dec window.DecayState, seenNano int6
 // setClock overwrites the detector's evaluation-round clock.
 func (d *Detector) setClock(curTickNano int64, tickCount int) {
 	d.curTickNano = curTickNano
+	d.curQ = float64(curTickNano) / d.halfLife
 	d.tickCount = tickCount
 }
 
@@ -94,7 +95,7 @@ func (s *Sharded) ExportState() DetectorState {
 		e := &d.states[j]
 		pred := predict.Export(d.pred(j), ring)
 		ring = ring[len(pred.Ring):]
-		st.Pairs[r] = PairDetState{Key: e.key, Decay: e.decay.ExportState(), SeenNano: e.seenNano, Pred: pred}
+		st.Pairs[r] = PairDetState{Key: e.key, LogScore: e.logScore, SeenNano: e.seenNano, Pred: pred}
 	}
 	return st
 }
@@ -109,7 +110,7 @@ func (s *Sharded) RestoreState(st DetectorState) error {
 	n := len(s.dets)
 	for _, p := range st.Pairs {
 		d := s.dets[p.Key.Shard(n)]
-		if err := d.RestorePair(p.Key, p.Decay, p.SeenNano, p.Pred); err != nil {
+		if err := d.RestorePair(p.Key, p.LogScore, p.SeenNano, p.Pred); err != nil {
 			return err
 		}
 	}

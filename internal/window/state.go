@@ -3,34 +3,13 @@ package window
 import "fmt"
 
 // This file is the window package's durability surface: full-fidelity
-// export/restore of every stateful primitive, used by internal/persist to
-// build versioned engine snapshots. Exports are canonical — bucket series
+// export/restore of arena slots, used by internal/persist to build
+// versioned engine snapshots. Exports are canonical — bucket series
 // are emitted oldest-first, independent of the slab's physical layout — so
 // two windows holding the same logical state serialize to the same bytes
 // regardless of how they arrived there. Restores are exact inverses: a
 // restored window is bit-identical in every observable value (and in every
 // stored float, so incremental-rounding history round-trips).
-
-// DecayState is the dynamic state of a Decay value; the half-life itself is
-// configuration and travels separately (the restorer is constructed with it).
-type DecayState struct {
-	Value  float64
-	AtNano int64
-	Set    bool
-}
-
-// ExportState returns the decay's dynamic state.
-func (d *Decay) ExportState() DecayState {
-	return DecayState{Value: d.value, AtNano: d.atNano, Set: d.set}
-}
-
-// RestoreState overwrites the decay's dynamic state, keeping the configured
-// half-life.
-func (d *Decay) RestoreState(s DecayState) {
-	d.value = s.Value
-	d.atNano = s.AtNano
-	d.set = s.Set
-}
 
 // SlotState is the full serializable state of one CounterArena slot: the
 // per-bucket values oldest-first (index len-1 is the head bucket), the

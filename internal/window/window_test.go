@@ -1,7 +1,6 @@
 package window
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,7 +153,6 @@ func TestTimeBucketsPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero buckets":   func() { NewCounterArena(0, time.Second) },
 		"neg resolution": func() { NewCounterArena(1, -time.Second) },
-		"zero half-life": func() { MakeDecay(0) },
 	} {
 		func() {
 			defer func() {
@@ -203,67 +201,5 @@ func TestCounter(t *testing.T) {
 	}
 	if got := len(a.Series(s)); got != 10 {
 		t.Errorf("Series length = %d, want 10", got)
-	}
-}
-
-func TestDecayHalving(t *testing.T) {
-	d := MakeDecay(2 * 24 * time.Hour) // the paper's ~2-day half-life
-	d.UpdateCachedNano(t0.UnixNano(), 8, nil)
-	if got := d.AtCachedNano(t0.UnixNano(), nil); got != 8 {
-		t.Errorf("value at t0 = %v, want 8", got)
-	}
-	if got := d.AtCachedNano(t0.Add(2*24*time.Hour).UnixNano(), nil); math.Abs(got-4) > 1e-9 {
-		t.Errorf("after one half-life = %v, want 4", got)
-	}
-	if got := d.AtCachedNano(t0.Add(4*24*time.Hour).UnixNano(), nil); math.Abs(got-2) > 1e-9 {
-		t.Errorf("after two half-lives = %v, want 2", got)
-	}
-	// Decay never rewinds for earlier timestamps.
-	if got := d.AtCachedNano(t0.Add(-time.Hour).UnixNano(), nil); got != 8 {
-		t.Errorf("before set = %v, want 8", got)
-	}
-}
-
-func TestDecayUpdateIsMaxOfDecayedHistory(t *testing.T) {
-	// Update must equal the brute-force max over the full error history.
-	half := time.Hour
-	d := MakeDecay(half)
-	type obs struct {
-		at time.Time
-		v  float64
-	}
-	rng := rand.New(rand.NewSource(7))
-	var hist []obs
-	cur := t0
-	for i := 0; i < 200; i++ {
-		cur = cur.Add(time.Duration(rng.Intn(120)) * time.Minute)
-		v := rng.Float64() * 10
-		hist = append(hist, obs{cur, v})
-		got := d.UpdateCachedNano(cur.UnixNano(), v, nil)
-		var want float64
-		for _, h := range hist {
-			decayed := h.v * math.Exp2(-cur.Sub(h.at).Seconds()/half.Seconds())
-			if decayed > want {
-				want = decayed
-			}
-		}
-		if math.Abs(got-want) > 1e-9*(1+want) {
-			t.Fatalf("step %d: Update = %v, brute-force max = %v", i, got, want)
-		}
-	}
-}
-
-func TestDecayZeroBeforeSet(t *testing.T) {
-	d := MakeDecay(time.Hour)
-	if got := d.AtCachedNano(t0.UnixNano(), nil); got != 0 {
-		t.Errorf("value before any update = %v, want 0", got)
-	}
-}
-
-func BenchmarkDecayUpdate(b *testing.B) {
-	d := MakeDecay(48 * time.Hour)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.UpdateCachedNano(t0.Add(time.Duration(i)*time.Second).UnixNano(), float64(i%17), nil)
 	}
 }
