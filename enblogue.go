@@ -254,7 +254,9 @@ func (e *Engine) Seeds() []string { return e.core.Seeds() }
 // DocsProcessed returns the number of consumed documents.
 func (e *Engine) DocsProcessed() int64 { return e.core.DocsProcessed() }
 
-// ActivePairs returns the number of tracked candidate pairs.
+// ActivePairs returns the number of tracked candidate pairs. Pairs whose
+// window has emptied since the last tick count until the next tick drops
+// them.
 func (e *Engine) ActivePairs() int { return e.core.ActivePairs() }
 
 // Shards returns the number of engine shards.

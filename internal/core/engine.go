@@ -279,7 +279,9 @@ func (e *Engine) DocsProcessed() int64 {
 	return e.m.docs
 }
 
-// ActivePairs returns the number of tracked candidate pairs.
+// ActivePairs returns the number of tracked candidate pairs. Pairs whose
+// window has emptied since the last tick count until the next tick drops
+// them.
 //
 //enblogue:acquires engine
 func (e *Engine) ActivePairs() int {

@@ -134,9 +134,11 @@ func (m *machine) itemTags(it *stream.Item) []string {
 // pairs.ShardedTracker.ObserveIDs before either event, under the seed set
 // that was current when they arrived — so every document is observed under
 // the same seeds, and every tick sees the same counters, wherever the batch
-// boundaries fall. Within a segment the only per-document coupling is sweep
-// timing, which ObserveIDs fixes per document count, not per call (see its
-// doc comment).
+// boundaries fall. Within a segment the only per-document coupling is the
+// pair tracker's over-budget sweep, which ObserveIDs fires at the same
+// document however the segment is cut (see its doc comment). No pair or
+// tag state is maintained by document count: emptied pairs and idle tags
+// are dropped by the tick's own walks (see evaluate).
 //
 //enblogue:hotpath
 func (m *machine) consume(items []*stream.Item, emit func(Ranking)) {
@@ -258,7 +260,7 @@ func (m *machine) evaluate(t time.Time) Ranking {
 	// instead of hashing two strings per pair. Seed reselection is fused
 	// into the same pass over the tag statistics (one slot-ordered walk per
 	// tick, not two), selecting through a bounded heap with exactly Top's
-	// ordering.
+	// ordering; the same walk releases the tags whose windows have emptied.
 	ts := &m.scratch
 	ts.beginCounts()
 	m.tagWalks++
@@ -278,7 +280,11 @@ func (m *machine) evaluate(t time.Time) Ranking {
 	// Snapshot every shard's pairs first, then decide the round advance
 	// from the snapshots themselves: the workers evaluate exactly these
 	// pairs, so the shard detectors' evaluation-round clocks advance
-	// precisely when a single global detector would.
+	// precisely when a single global detector would. Each snapshot drops
+	// its shard's emptied pairs, so a pair is scored iff its window is
+	// non-empty at t. The drops follow PromoteTail, whose headroom still
+	// counts the emptied pairs; bench/'s replay calls the two in this
+	// order too.
 	nsh := m.pairsTr.Shards()
 	m.run(nsh, func(i int) {
 		ts.snaps[i] = m.pairsTr.AppendSnapshot(i, ts.snaps[i][:0])

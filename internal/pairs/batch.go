@@ -78,21 +78,18 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 // Batch-cut invariance. The state after a document sequence does not depend
 // on how the sequence was cut into calls, and equals what the serial
 // reference Tracker — which checks its sweep trigger after every document —
-// holds (TestObserveBatchMatchesSerial). Sweep timing is the only coupling
-// between documents, and it is observable (eviction destroys windowed
-// history), so a chunk ends wherever a trigger could fire:
-//
-//   - sinceGC: a chunk admits at most SweepEvery − sinceGC documents, so
-//     the count trigger is reached exactly at a chunk boundary.
-//   - npairs: a chunk admits documents while the worst-case new-pair total
-//     (the sum of their candidate-pair counts) fits in MaxPairs − npairs,
-//     so no prefix of it can go over budget. A document too large for the
-//     remaining headroom forms a chunk of one.
+// holds (TestObserveBatchMatchesSerial). The over-budget sweep is the only
+// coupling between documents, and it is observable (eviction destroys
+// windowed history), so a chunk ends wherever it could fire: a chunk admits
+// documents while the worst-case new-pair total (the sum of their
+// candidate-pair counts) fits in MaxPairs − ActivePairs, so no prefix of it
+// can go over budget. A document too large for the remaining headroom forms
+// a chunk of one.
 //
 // Within a chunk each shard sees its increments in document order, as the
 // serial reference does, so slot allocation and every counter sum match
 // it; counters are read only at sweep time or later. The clock is lifted
-// to the chunk's newest timestamp before the post-chunk sweep check.
+// to the chunk's newest timestamp before the post-chunk budget check.
 //
 //enblogue:hotpath
 func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
@@ -103,14 +100,10 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 	arena := tr.shards[0].arena // all shards share Buckets/Resolution
 	i := 0
 	for i < len(docs) {
-		maxDocs := int64(tr.cfg.SweepEvery) - tr.sinceGC
-		if maxDocs < 1 {
-			maxDocs = 1
-		}
-		headroom := int64(tr.cfg.MaxPairs - tr.npairs)
+		headroom := int64(tr.cfg.MaxPairs - tr.ActivePairs())
 
-		// Plan the chunk: generate candidate increments doc by doc until a
-		// sweep trigger could fire.
+		// Plan the chunk: generate candidate increments doc by doc until
+		// the budget could be exceeded.
 		sc.keys = sc.keys[:0]
 		var (
 			maxNano int64
@@ -118,7 +111,7 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 			cand    int64
 		)
 		j := i
-		for j < len(docs) && int64(j-i) < maxDocs {
+		for j < len(docs) {
 			d := docs[j]
 			start := len(sc.keys)
 			if ids := d.IDs; len(ids) >= 2 {
@@ -161,9 +154,8 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 			sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
 		}
 
-		// The per-document sweep check, at the chunk boundary.
-		tr.sinceGC += int64(j - i)
-		if tr.sinceGC >= int64(tr.cfg.SweepEvery) || tr.npairs > tr.cfg.MaxPairs {
+		// The per-document budget check, at the chunk boundary.
+		if tr.ActivePairs() > tr.cfg.MaxPairs {
 			tr.sweep()
 		}
 		i = j

@@ -80,21 +80,21 @@ func shardedSeries(tr *ShardedTracker, k Key) []float64 {
 }
 
 // TestObserveBatchMatchesSerial pins batch-cut invariance against the
-// serial reference, including the sweep schedule (sweeps are document-count
-// driven, and ObserveBatch ends a chunk wherever one could fire).
+// serial reference under the default budget, where no sweep fires.
 func TestObserveBatchMatchesSerial(t *testing.T) {
 	docs := batchDocsFrom(randomStream(42, 3000, 60, 4))
-	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs, seedEven)
+	checkBatchesMatchReference(t, Config{}, docs, seedEven)
 }
 
 // TestObserveBatchMatchesSerialUnderEviction repeats the check with a pair
 // budget far below the stream's pair cardinality, so sweeps evict
-// continuously: the survivors (smallest windowed count evicted first, ties
-// broken deterministically) must be the reference's, since which pairs
-// survive decides which topics can emerge.
+// continuously and over-budget sweeps cut batches into chunks: the
+// survivors (smallest windowed count evicted first, ties broken
+// deterministically) must be the reference's, since which pairs survive
+// decides which topics can emerge.
 func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
 	docs := batchDocsFrom(randomStream(7, 4000, 120, 5))
-	checkBatchesMatchReference(t, Config{MaxPairs: 150, SweepEvery: 128}, docs, seedEven)
+	checkBatchesMatchReference(t, Config{MaxPairs: 150}, docs, seedEven)
 }
 
 // TestObserveBatchMatchesSerialAllPairs repeats the check with no
@@ -103,5 +103,5 @@ func TestObserveBatchMatchesSerialUnderEviction(t *testing.T) {
 // must leave every tag's distribution as the serial reference's.
 func TestObserveBatchMatchesSerialAllPairs(t *testing.T) {
 	docs := batchDocsFrom(randomStream(13, 1500, 40, 4))
-	checkBatchesMatchReference(t, Config{SweepEvery: 256}, docs, nil)
+	checkBatchesMatchReference(t, Config{}, docs, nil)
 }

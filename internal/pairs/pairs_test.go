@@ -268,20 +268,8 @@ func TestTrackerWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestTrackerSweepEvictsEmptyPairs(t *testing.T) {
-	tr := NewTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 4})
-	tr.Observe(t0, []string{"a", "b"}, allSeeds)
-	for i := 0; i < 6; i++ {
-		tr.Observe(t0.Add(time.Hour+time.Duration(i)*time.Minute),
-			[]string{"x", "y"}, allSeeds)
-	}
-	if tr.ActivePairs() != 1 {
-		t.Errorf("ActivePairs = %d, want 1 after sweep", tr.ActivePairs())
-	}
-}
-
 func TestTrackerMaxPairsEviction(t *testing.T) {
-	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 3, SweepEvery: 1})
+	tr := NewTracker(Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 3})
 	// Strong pair observed repeatedly.
 	for i := 0; i < 5; i++ {
 		tr.Observe(t0.Add(time.Duration(i)*time.Minute), []string{"hot", "topic"}, allSeeds)
@@ -319,7 +307,7 @@ func TestTrackerSeries(t *testing.T) {
 func TestTrackerMatchesNaive(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTracker(Config{Buckets: 128, Resolution: time.Minute, SweepEvery: 1 << 30})
+		tr := NewTracker(Config{Buckets: 128, Resolution: time.Minute})
 		truth := map[Key]int{}
 		cur := t0
 		for i := 0; i < int(n); i++ {

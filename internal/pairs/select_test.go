@@ -46,20 +46,16 @@ func FuzzSweepMatchesSerial(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
-		cfg := Config{
-			Buckets: 4, Resolution: time.Hour,
-			MaxPairs:   4 + int(data[0]%24),
-			SweepEvery: 1 + int(data[1]%16),
-		}
+		cfg := Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 4 + int(data[0]%24)}
 		// Each document draws 2–4 tags; a tag is a vocabulary entry with an
 		// optional one-digit suffix, so pairs repeat rarely. A high byte
 		// advances the clock a bucket, so windows also empty.
 		var docs []BatchDoc
 		at := shT0
-		for i := 2; i+1 < len(data); {
+		for i := 1; i+1 < len(data); {
 			if data[i] >= 240 {
 				at = at.Add(time.Hour)
 				i++
@@ -123,7 +119,7 @@ func TestPromoteTailMatchesFullSort(t *testing.T) {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			tr := NewShardedTracker(Config{
 				Buckets: 8, Resolution: time.Hour,
-				MaxPairs: 100, SweepEvery: 1 << 30, Shards: shards,
+				MaxPairs: 100, Shards: shards,
 				Tail: &tier.Config{Epsilon: 0.0001, Delta: 0.001, TopK: 256},
 			})
 			rng := rand.New(rand.NewSource(3))
@@ -191,7 +187,7 @@ func BenchmarkSweepOverBudget(b *testing.B) {
 	const budget = 5000
 	tr := NewShardedTracker(Config{
 		Buckets: 48, Resolution: time.Hour,
-		MaxPairs: budget, SweepEvery: 1 << 30, Shards: 2,
+		MaxPairs: budget, Shards: 2,
 		Tail: &tier.Config{Epsilon: 0.0001, Delta: 0.01, TopK: 512},
 	})
 	tr.nowNano = shT0.UnixNano()

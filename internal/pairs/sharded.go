@@ -63,21 +63,25 @@ type trackerShard struct {
 // It is a single-owner structure: callers serialise every method, readers
 // such as ActivePairs and TailStats included (the engine calls them all
 // under its own lock), except that AppendSnapshot may run concurrently on
-// distinct shards.
+// distinct shards. AppendSnapshot drops the shard's emptied pairs, so it
+// writes shard-local state only: every tracker-wide count (ActivePairs,
+// TailStats' ApproxSeededPairs) is summed over the shards when read.
 //
-// Semantics are shard-count independent for a sequentially observed stream:
-// sweeps trigger on the same global document counts as the serial Tracker,
-// and over-budget eviction ranks all pairs globally by (count, key) before
-// deleting — so a ShardedTracker with 1 shard and one with N shards hold
-// exactly the same pairs with the same counts at every point. This is what
-// lets the sharded engine reproduce the serial engine's rankings
-// bit-identically.
+// Pairs are maintained where their counts are read. The tick's snapshot
+// drops every pair whose window has emptied, so a pair is scored at a tick
+// iff its window is non-empty then; between ticks an emptied pair stays
+// tracked (ActivePairs counts it) until that snapshot or an over-budget
+// sweep. No rule counts documents. Semantics are shard-count independent
+// for a sequentially observed stream: the over-budget sweep fires on the
+// same tracked-pair total as the serial Tracker's, and eviction ranks all
+// pairs globally by (count, key) before deleting — so a ShardedTracker with
+// 1 shard and one with N shards hold exactly the same pairs with the same
+// counts at every point. This is what lets the sharded engine reproduce
+// the serial engine's rankings bit-identically.
 type ShardedTracker struct {
 	cfg     Config
 	shards  []*trackerShard
-	npairs  int   // total tracked pairs across shards
 	nowNano int64 // max observed event time, unix nanos
-	sinceGC int64 // documents observed since the last sweep
 
 	// tails is the cold tier, one Tail per shard (nil when disabled): the
 	// sweep demotes every over-budget eviction victim into its shard's
@@ -89,11 +93,8 @@ type ShardedTracker struct {
 	// promoted — i.e. its estimate must show it would have survived that
 	// eviction.
 	floor float64
-	// promotions counts lifetime tail→exact promotions; approxSeeded counts
-	// the tracked pairs whose counters are sketch-seeded (the entries of
-	// every shard's approx map).
-	promotions   int64
-	approxSeeded int
+	// promotions counts lifetime tail→exact promotions.
+	promotions int64
 	// onEvict, when set via SetOnEvict, observes every over-budget
 	// eviction with the victim's windowed count — the test seam for
 	// cross-validating tail estimates against exact ground truth. Called
@@ -160,50 +161,41 @@ func (tr *ShardedTracker) upsert(sh *trackerShard, k Key) int32 {
 			sh.keys = append(sh.keys, Key{})
 		}
 		sh.keys[slot] = k
-		tr.npairs++
 	}
 	return *p
 }
 
 // drop removes pair k's slot from sh and returns the sketch-seeded portion
-// of its counter (zero for pairs never promoted).
-func (tr *ShardedTracker) drop(sh *trackerShard, k Key, slot int32) float64 {
+// of its counter (zero for pairs never promoted). It writes only sh, so
+// AppendSnapshot may drop on distinct shards concurrently.
+func (sh *trackerShard) drop(k Key, slot int32) float64 {
 	sh.table.del(k.packed)
-	seed, ok := sh.approx[k]
-	if ok {
-		delete(sh.approx, k)
-		tr.approxSeeded--
-	}
+	seed := sh.approx[k]
+	delete(sh.approx, k)
 	sh.keys[slot] = Key{}
 	if int(slot) < len(sh.prefix) {
 		sh.prefix[slot] = 0
 	}
 	sh.arena.Release(slot)
-	tr.npairs--
 	return seed
 }
 
-// sweep advances every counter to the tracker clock, drops pairs whose
-// windows have emptied, and — if the tracker is still over MaxPairs —
-// evicts the pairs with the smallest windowed counts, ties broken by key,
-// ranked globally across all shards, demoting each victim into its shard's
-// tail when the tier is enabled. One slot-ordered walk per shard does the
-// advancing, the dropping and — when the tracker entered the sweep over
-// budget, so eviction is possible — the collecting; selectSmallest then
-// ranks only the victims, in the order the serial Tracker's sort would.
+// sweep runs when the tracker is over MaxPairs: it drops the pairs whose
+// windows have emptied and, if still over budget, evicts the pairs with the
+// smallest windowed counts, ties broken by key, ranked globally across all
+// shards, demoting each victim into its shard's tail when the tier is
+// enabled. One slot-ordered walk per shard does the dropping and the
+// collecting; selectSmallest then ranks only the victims, in the order the
+// serial Tracker's sort would.
 func (tr *ShardedTracker) sweep() {
-	tr.sinceGC = 0
 	now := tr.now()
 	if now.IsZero() {
 		return
 	}
-	collect := tr.npairs > tr.cfg.MaxPairs
 	all := tr.sweepAll[:0]
 	for s, sh := range tr.shards {
-		if collect {
-			for len(sh.prefix) < len(sh.keys) {
-				sh.prefix = append(sh.prefix, 0)
-			}
+		for len(sh.prefix) < len(sh.keys) {
+			sh.prefix = append(sh.prefix, 0)
 		}
 		abs := sh.arena.BucketIndex(now) // one conversion for the whole walk
 		for slot, k := range sh.keys {
@@ -212,8 +204,8 @@ func (tr *ShardedTracker) sweep() {
 			}
 			v := sh.arena.ValueAtAbs(int32(slot), abs)
 			if v == 0 {
-				tr.drop(sh, k, int32(slot))
-			} else if collect {
+				sh.drop(k, int32(slot))
+			} else {
 				p := sh.prefix[slot]
 				if p == 0 {
 					p = k.renderPrefix()
@@ -231,7 +223,7 @@ func (tr *ShardedTracker) sweep() {
 	selectSmallest(all, victims)
 	for _, e := range all[:victims] {
 		sh := tr.shards[e.shard]
-		seed := tr.drop(sh, e.key, e.slot)
+		seed := sh.drop(e.key, e.slot)
 		sh.evicted++
 		// Victims arrive smallest-first, so the last one defines the
 		// admission floor: the count a tail pair's estimate must beat to
@@ -276,7 +268,7 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	if tr.tails == nil {
 		return 0
 	}
-	headroom := tr.cfg.MaxPairs - tr.npairs
+	headroom := tr.cfg.MaxPairs - tr.ActivePairs()
 	if headroom <= 0 {
 		return 0
 	}
@@ -316,9 +308,6 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 		if sh.approx == nil {
 			sh.approx = make(map[Key]float64)
 		}
-		if _, seeded := sh.approx[k]; !seeded {
-			tr.approxSeeded++
-		}
 		// Accumulate, not assign: a pair promoted twice without an eviction
 		// in between (impossible today — Remove gates re-candidacy on a
 		// fresh demotion — but cheap to keep correct) carries both seeds.
@@ -347,11 +336,11 @@ type TailStats struct {
 // TailStats returns the current tier statistics.
 func (tr *ShardedTracker) TailStats() TailStats {
 	ts := TailStats{
-		ApproxSeededPairs: tr.approxSeeded,
-		EvictedByShard:    make([]int64, len(tr.shards)),
-		DemotedByShard:    make([]int64, len(tr.shards)),
+		EvictedByShard: make([]int64, len(tr.shards)),
+		DemotedByShard: make([]int64, len(tr.shards)),
 	}
 	for i, sh := range tr.shards {
+		ts.ApproxSeededPairs += len(sh.approx)
 		ts.EvictedByShard[i] = sh.evicted
 		ts.DemotedByShard[i] = sh.demoted
 	}
@@ -382,12 +371,19 @@ func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 	return sh.arena.ValueAt(slot, tr.now())
 }
 
-// ActivePairs returns the number of pairs currently tracked across shards.
-func (tr *ShardedTracker) ActivePairs() int { return tr.npairs }
+// ActivePairs returns the number of pairs currently tracked across shards,
+// pairs emptied since the last snapshot included.
+func (tr *ShardedTracker) ActivePairs() int {
+	n := 0
+	for _, sh := range tr.shards {
+		n += sh.table.n
+	}
+	return n
+}
 
 // Keys returns all tracked pair keys, shard by shard in slot order.
 func (tr *ShardedTracker) Keys() []Key {
-	out := make([]Key, 0, tr.npairs)
+	out := make([]Key, 0, tr.ActivePairs())
 	for _, sh := range tr.shards {
 		for _, k := range sh.keys {
 			if k != (Key{}) {
@@ -398,11 +394,14 @@ func (tr *ShardedTracker) Keys() []Key {
 	return out
 }
 
-// AppendSnapshot appends shard i's pairs — counters advanced to the
-// tracker clock — to buf and returns it. Evaluation workers pass a
-// per-shard buffer reused across ticks (buf[:0]) so the steady-state tick
-// allocates nothing for snapshots. Calls on distinct shards may run
-// concurrently (one evaluation worker per shard).
+// AppendSnapshot appends shard i's pairs with a non-empty window — counts
+// read at the tracker clock, never 0 — to buf and returns it, and drops
+// every pair of the shard whose window has emptied: this walk is where the
+// tracker forgets idle pairs, so whether a pair is scored at a tick depends
+// on event time alone. Evaluation workers pass a per-shard buffer reused
+// across ticks (buf[:0]) so the steady-state tick allocates nothing for
+// snapshots. Calls on distinct shards may run concurrently (one evaluation
+// worker per shard): a call writes only its own shard.
 //
 // Pairs are emitted in arena slot order (via the reverse key index), not
 // map order: the walk reads the counter slabs sequentially, and the order
@@ -419,21 +418,23 @@ func (tr *ShardedTracker) AppendSnapshot(i int, buf []PairCount) []PairCount {
 		copy(grown, buf)
 		buf = grown
 	}
-	if now.IsZero() {
-		for slot, k := range sh.keys {
-			if k == (Key{}) {
-				continue
-			}
-			buf = append(buf, PairCount{Key: k, Count: sh.arena.Value(int32(slot)), Slot: int32(slot)})
-		}
-		return buf
+	var abs int64
+	if !now.IsZero() {
+		abs = sh.arena.BucketIndex(now) // one conversion for the whole walk
 	}
-	abs := sh.arena.BucketIndex(now) // one conversion for the whole walk
 	for slot, k := range sh.keys {
 		if k == (Key{}) {
 			continue
 		}
-		buf = append(buf, PairCount{Key: k, Count: sh.arena.PeekAbs(int32(slot), abs), Slot: int32(slot)})
+		c := sh.arena.Value(int32(slot)) // no clock yet: nothing has expired
+		if !now.IsZero() {
+			c = sh.arena.PeekAbs(int32(slot), abs)
+		}
+		if c == 0 {
+			sh.drop(k, int32(slot))
+			continue
+		}
+		buf = append(buf, PairCount{Key: k, Count: c, Slot: int32(slot)})
 	}
 	return buf
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
+
+	"enblogue/internal/tier"
 )
 
 var shT0 = time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
@@ -72,14 +75,14 @@ func TestKeyShardSpreads(t *testing.T) {
 
 // The sharded tracker must hold exactly the serial tracker's state at every
 // point of a sequential stream, for any shard count — including through
-// zero-eviction sweeps and over-budget eviction.
+// over-budget sweeps, which drop emptied pairs before they evict.
 func TestShardedTrackerMatchesSerial(t *testing.T) {
 	stream := randomStream(7, 4000, 60, 5)
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			cfg := Config{
 				Buckets: 12, Resolution: time.Hour,
-				MaxPairs: 300, SweepEvery: 128,
+				MaxPairs: 300,
 			}
 			serial := NewTracker(cfg)
 			cfg.Shards = shards
@@ -151,5 +154,129 @@ func TestShardedTrackerSnapshot(t *testing.T) {
 	}
 	if total != tr.ActivePairs() {
 		t.Errorf("snapshots cover %d pairs, ActivePairs = %d", total, tr.ActivePairs())
+	}
+}
+
+// snapshotAll runs AppendSnapshot on every shard, one after the other.
+func snapshotAll(tr *ShardedTracker) []PairCount {
+	var all []PairCount
+	for i := 0; i < tr.Shards(); i++ {
+		all = tr.AppendSnapshot(i, all)
+	}
+	return all
+}
+
+// The tick's snapshot is where emptied pairs go: before it, a pair whose
+// window has emptied is still tracked; the snapshot never reports it with a
+// count of 0, and after the snapshot it is gone. No document count is
+// involved.
+func TestAppendSnapshotDropsEmptiedPairs(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			tr := NewShardedTracker(Config{Buckets: 2, Resolution: time.Hour, Shards: shards})
+			for i := 0; i < 20; i++ {
+				tr.observe(shT0, []string{fmt.Sprintf("old%d", i), "x"}, nil)
+			}
+			live := MakeKey("a", "b")
+			tr.observe(shT0.Add(2*time.Hour), []string{"a", "b"}, nil)
+			if got := tr.ActivePairs(); got != 21 {
+				t.Fatalf("ActivePairs = %d before the snapshot, want 21 (emptied pairs wait for it)", got)
+			}
+			snap := snapshotAll(tr)
+			for _, pc := range snap {
+				if pc.Count == 0 {
+					t.Errorf("snapshot reports %v with count 0", pc.Key)
+				}
+			}
+			if len(snap) != 1 || snap[0].Key != live || snap[0].Count != 1 {
+				t.Fatalf("snapshot = %+v, want only %v with count 1", snap, live)
+			}
+			if got := tr.ActivePairs(); got != 1 {
+				t.Fatalf("ActivePairs = %d after the snapshot, want 1", got)
+			}
+			if keys := tr.Keys(); len(keys) != 1 || keys[0] != live {
+				t.Fatalf("Keys = %v after the snapshot, want [%v]", keys, live)
+			}
+			// A dropped pair that reappears starts from an empty window.
+			old := MakeKey("old0", "x")
+			tr.observe(shT0.Add(2*time.Hour), []string{"old0", "x"}, nil)
+			if got := tr.Cooccurrence(old); got != 1 {
+				t.Fatalf("reappeared pair count = %v, want 1", got)
+			}
+		})
+	}
+}
+
+// An approx-seeded pair that empties is dropped by the snapshot with its
+// seed entry, so ApproxSeededPairs keeps counting exactly the seeded pairs
+// still tracked.
+func TestAppendSnapshotDropsApproxSeededPairs(t *testing.T) {
+	tr := NewShardedTracker(Config{
+		Buckets: 2, Resolution: time.Hour, Shards: 2,
+		Tail: &tier.Config{Epsilon: 0.001, Delta: 0.001, TopK: 64},
+	})
+	tr.observe(shT0, []string{"s0", "s1"}, nil)
+	gone, kept := MakeKey("p0", "p1"), MakeKey("q0", "q1")
+	for _, k := range []Key{gone, kept} {
+		tr.tails[k.Shard(tr.Shards())].Demote(tr.nowNano, k.packed, 3)
+	}
+	if got := tr.PromoteTail(shT0); got != 2 {
+		t.Fatalf("PromoteTail promoted %d pairs, want 2", got)
+	}
+	if got := tr.TailStats().ApproxSeededPairs; got != 2 {
+		t.Fatalf("ApproxSeededPairs = %d after promotion, want 2", got)
+	}
+	// Two hours on, the seeds' bucket has left the window: only kept is
+	// observed again.
+	tr.observe(shT0.Add(2*time.Hour), []string{"q0", "q1"}, nil)
+	snap := snapshotAll(tr)
+	if len(snap) != 1 || snap[0].Key != kept {
+		t.Fatalf("snapshot = %+v, want only %v", snap, kept)
+	}
+	seeded := 0
+	for _, k := range tr.Keys() {
+		if _, ok := tr.shards[k.Shard(tr.Shards())].approx[k]; ok {
+			seeded++
+		}
+	}
+	if got := tr.TailStats().ApproxSeededPairs; got != seeded || got != 1 {
+		t.Fatalf("ApproxSeededPairs = %d, want %d (the seeded pairs still tracked) = 1", got, seeded)
+	}
+}
+
+// Evaluation workers snapshot the shards in parallel, and each snapshot
+// drops its shard's emptied pairs. The drops write shard-local state only;
+// run under -race, this test is the proof.
+func TestAppendSnapshotConcurrentDrops(t *testing.T) {
+	const shards, pairs = 8, 2000
+	tr := NewShardedTracker(Config{Buckets: 2, Resolution: time.Hour, Shards: shards})
+	bufs := make([][]PairCount, shards)
+	for round := 0; round < 3; round++ {
+		at := shT0.Add(time.Duration(2*round) * time.Hour)
+		for i := 0; i < pairs; i++ {
+			tr.observe(at, []string{fmt.Sprintf("r%d-%d", round, i), "x"}, nil)
+		}
+		// Every pair of the previous round has emptied by now.
+		var wg sync.WaitGroup
+		for s := 0; s < shards; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				bufs[s] = tr.AppendSnapshot(s, bufs[s][:0])
+			}(s)
+		}
+		wg.Wait()
+		total := 0
+		for _, b := range bufs {
+			for _, pc := range b {
+				if pc.Count != 1 {
+					t.Fatalf("round %d: %v has count %v, want 1", round, pc.Key, pc.Count)
+				}
+			}
+			total += len(b)
+		}
+		if total != pairs || tr.ActivePairs() != pairs {
+			t.Fatalf("round %d: snapshots hold %d pairs, ActivePairs %d, want %d", round, total, tr.ActivePairs(), pairs)
+		}
 	}
 }

@@ -26,7 +26,6 @@ type PairState struct {
 type ShardedTrackerState struct {
 	Pairs   []PairState // sorted by Key.Compare
 	NowNano int64
-	SinceGC int64
 }
 
 // ExportState returns the tracker's full state with pairs sorted by
@@ -34,8 +33,9 @@ type ShardedTrackerState struct {
 // column is written into one backing array, so the export allocates a
 // fixed number of times whatever the pair count.
 func (tr *ShardedTracker) ExportState() ShardedTrackerState {
-	keys := make([]Key, 0, tr.npairs)
-	where := make([]uint64, 0, tr.npairs) // shard<<32 | slot, parallel to keys
+	n := tr.ActivePairs()
+	keys := make([]Key, 0, n)
+	where := make([]uint64, 0, n) // shard<<32 | slot, parallel to keys
 	now := tr.now()
 	for s, sh := range tr.shards {
 		var abs int64
@@ -60,7 +60,6 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 	vals := make([]float64, len(keys)*nb)
 	st := ShardedTrackerState{
 		NowNano: tr.nowNano,
-		SinceGC: tr.sinceGC,
 		Pairs:   make([]PairState, len(keys)),
 	}
 	// Columns are read in slot order, so consecutive slots share the
@@ -76,7 +75,7 @@ func (tr *ShardedTracker) ExportState() ShardedTrackerState {
 // shard its key hashes to under this tracker's shard count. Restoring into a
 // tracker that has already observed documents is an error.
 func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
-	if tr.npairs != 0 || tr.nowNano != 0 {
+	if tr.ActivePairs() != 0 || tr.nowNano != 0 {
 		return errors.New("pairs: restore into a non-empty tracker")
 	}
 	n := len(tr.shards)
@@ -90,11 +89,10 @@ func (tr *ShardedTracker) RestoreState(st ShardedTrackerState) error {
 		}
 		slot := tr.upsert(sh, p.Key)
 		if err := sh.arena.RestoreSlot(slot, p.Window); err != nil {
-			tr.drop(sh, p.Key, slot)
+			sh.drop(p.Key, slot)
 			return err
 		}
 	}
 	tr.nowNano = st.NowNano
-	tr.sinceGC = st.SinceGC
 	return nil
 }

@@ -10,11 +10,10 @@ import (
 
 // tierTestConfig is a single-shard tracker with a tiny pair budget and a
 // tail tier sized so the test's demotions cannot collide in the sketch.
-// SweepEvery is effectively disabled: sweeps fire only on budget overflow.
 func tierTestConfig() Config {
 	return Config{
 		Buckets: 8, Resolution: time.Hour,
-		MaxPairs: 30, SweepEvery: 1 << 30, Shards: 1,
+		MaxPairs: 30, Shards: 1,
 		Tail: &tier.Config{Epsilon: 0.001, Delta: 0.001, TopK: 256},
 	}
 }

@@ -14,14 +14,12 @@ type Config struct {
 	// Buckets and Resolution define the co-occurrence sliding window.
 	Buckets    int
 	Resolution time.Duration
-	// MaxPairs caps tracked pairs; when exceeded at sweep time the pairs
-	// with the smallest windowed co-occurrence are evicted first, down to
-	// 10% below the cap so a saturated tracker does not re-sweep on every
-	// document. Zero means 100000.
+	// MaxPairs caps tracked pairs; when an observation takes the tracker
+	// over it, emptied pairs are dropped and then the pairs with the
+	// smallest windowed co-occurrence are evicted, down to 10% below the
+	// cap so a saturated tracker does not re-sweep on every document. Zero
+	// means 100000.
 	MaxPairs int
-	// SweepEvery controls eviction frequency in observed documents.
-	// Zero means 2048.
-	SweepEvery int
 	// Shards partitions the pair space for ShardedTracker; the serial
 	// Tracker ignores it. Zero or one means a single shard.
 	Shards int
@@ -46,9 +44,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxPairs == 0 {
 		out.MaxPairs = 100000
-	}
-	if out.SweepEvery == 0 {
-		out.SweepEvery = 2048
 	}
 	return out
 }
@@ -82,11 +77,10 @@ func evictTarget(maxPairs int) int {
 //
 //enblogue:reference the serial model batch_test and sharded_test check ShardedTracker against
 type Tracker struct {
-	cfg     Config
-	slots   map[Key]int32
-	arena   *window.CounterArena
-	now     time.Time
-	sinceGC int
+	cfg   Config
+	slots map[Key]int32
+	arena *window.CounterArena
+	now   time.Time
 
 	// onEvict, when set, observes every over-budget eviction with the
 	// victim's windowed count at eviction time — the seam the cold tier
@@ -120,7 +114,6 @@ func (tr *Tracker) Observe(t time.Time, tags []string, isSeed func(string) bool)
 		tr.now = t
 	}
 	if len(tags) < 2 {
-		tr.maybeSweep()
 		return
 	}
 	tr.ids = tr.dedup.Append(tr.ids[:0], tags)
@@ -151,12 +144,12 @@ func (tr *Tracker) inc(k Key, t time.Time) {
 	tr.arena.Inc(slot, t)
 }
 
+// maybeSweep is the over-budget sweep, checked after every document: it
+// drops emptied pairs and, if still over MaxPairs, evicts.
 func (tr *Tracker) maybeSweep() {
-	tr.sinceGC++
-	if tr.sinceGC < tr.cfg.SweepEvery && len(tr.slots) <= tr.cfg.MaxPairs {
+	if len(tr.slots) <= tr.cfg.MaxPairs {
 		return
 	}
-	tr.sinceGC = 0
 	//enblogue:unordered per-key delete of emptied counters; deletions are independent and commute
 	for k, slot := range tr.slots {
 		if tr.arena.ValueAt(slot, tr.now) == 0 {

@@ -36,7 +36,7 @@ import (
 // (see TestSnapshotGoldenBytes for the procedure).
 const (
 	snapMagic     = "ENBSNAP1"
-	FormatVersion = 3
+	FormatVersion = 4
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -273,11 +273,10 @@ func (c *chunkWriter) spill(b []byte, last bool) []byte {
 	return b[:0]
 }
 
-// appendPairs encodes a pair tracker's state: clock, sweep counter, then
-// every pair's key and window column in the export's canonical order.
+// appendPairs encodes a pair tracker's state: its clock, then every pair's
+// key and window column in the export's canonical order.
 func appendPairs(b []byte, st *pairs.ShardedTrackerState, kt *keyTable, cw *chunkWriter) []byte {
 	b = appendI64(b, st.NowNano)
-	b = appendI64(b, st.SinceGC)
 	b = appendU32(b, uint32(len(st.Pairs)))
 	for _, p := range st.Pairs {
 		b = appendKey(b, kt)
@@ -317,7 +316,6 @@ func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	b = appendSlot(b, st.Tags.Docs)
 	b = appendI64(b, st.Tags.NowNano)
 	b = appendBool(b, st.Tags.NowSet)
-	b = appendI64(b, st.Tags.SinceGC)
 	b = appendU32(b, uint32(len(st.Tags.Tags)))
 	for _, ts := range st.Tags.Tags {
 		b = appendStr(b, ts.Tag)
@@ -601,7 +599,7 @@ func (r *reader) key(ntags int) decKey {
 // pairs decodes what appendPairs encodes, recording each pair's key in
 // d.keys and leaving the state's Key zero.
 func (r *reader) pairs(d *decodedSnap, nbuckets int) pairs.ShardedTrackerState {
-	st := pairs.ShardedTrackerState{NowNano: r.i64(), SinceGC: r.i64()}
+	st := pairs.ShardedTrackerState{NowNano: r.i64()}
 	n := r.count(8 + 25)
 	st.Pairs = make([]pairs.PairState, 0, n)
 	d.keys = slices.Grow(d.keys, n)
@@ -688,7 +686,6 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 	st.Tags.Docs = r.slot(nb)
 	st.Tags.NowNano = r.i64()
 	st.Tags.NowSet = r.boolean()
-	st.Tags.SinceGC = r.i64()
 	nt := r.count(4 + 25)
 	st.Tags.Tags = make([]tagstats.TagState, 0, min(nt, 1<<16))
 	for i := 0; i < nt && r.err == nil; i++ {

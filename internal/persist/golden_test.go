@@ -14,11 +14,11 @@ import (
 )
 
 // goldenHash is the committed SHA-256 of the canonical snapshot encoding of
-// goldenState under FormatVersion 3. It pins the on-disk format: if this
+// goldenState under FormatVersion 4. It pins the on-disk format: if this
 // test fails, snapshots written by older builds can no longer be read back
 // byte-compatibly. That is sometimes the right call — but it must be a
 // call, not an accident. See the failure message for the procedure.
-const goldenHash = "92ee21f0db4073a028f838fd148e2ef028ff81e386d21148faafbaba6a4eebbc"
+const goldenHash = "77a318707fc01459fc2098673d1419cbc2c0987204582903fe78b1bb663d4749"
 
 // goldenItems is a fixed workload crafted inline (no generator dependency)
 // that exercises tags, entities, pairs, and seed warmup while staying
@@ -59,7 +59,7 @@ func goldenState(shards int) ([]byte, core.Config) {
 
 // TestGoldenSnapshotBytes pins three layers of byte stability: the same
 // state encodes identically across runs, across shard counts, and to the
-// exact bytes every build of FormatVersion 3 has produced.
+// exact bytes every build of FormatVersion 4 has produced.
 func TestGoldenSnapshotBytes(t *testing.T) {
 	run1, _ := goldenState(1)
 	run2, _ := goldenState(1)
@@ -116,7 +116,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 // prefix of another's, and tags that extend another by a byte below '+'
 // and nothing else ("b" and "b!", "n" and "n y"), where "t1+" order and
 // plain order disagree.
-const adversarialHash = "95d843bea82135b4fe3d8fcad2bf3ceb3760e6109f7d4c4f124ccba195735cd8"
+const adversarialHash = "a095022cff8d7610dd07651858436f4002e1751e02d5d6d2cf9a79d54907b255"
 
 // adversarialVocab is interned in reverse (last tag first) by
 // adversarialState, so ID order disagrees with string order throughout.

@@ -28,7 +28,6 @@ type TrackerState struct {
 	Docs    window.SlotState // the windowed document total
 	NowNano int64
 	NowSet  bool
-	SinceGC int64
 }
 
 // ExportState returns the tracker's full state with tags sorted and every
@@ -39,7 +38,6 @@ func (tr *Tracker) ExportState() TrackerState {
 	st := TrackerState{
 		NowNano: tr.now.UnixNano(),
 		NowSet:  !tr.now.IsZero(),
-		SinceGC: int64(tr.sinceGC),
 	}
 	if !st.NowSet {
 		st.NowNano = 0
@@ -80,7 +78,7 @@ func (tr *Tracker) ExportState() TrackerState {
 // RestoreState loads st into an empty tracker (fresh from NewTracker, same
 // configured window as the exporter).
 func (tr *Tracker) RestoreState(st TrackerState) error {
-	if tr.active != 0 || tr.sinceGC != 0 || !tr.now.IsZero() {
+	if tr.active != 0 || !tr.now.IsZero() {
 		return errors.New("tagstats: restore into a non-empty tracker")
 	}
 	if err := tr.docs.RestoreSlot(docSlot, st.Docs); err != nil {
@@ -103,6 +101,5 @@ func (tr *Tracker) RestoreState(st TrackerState) error {
 	if st.NowSet {
 		tr.now = time.Unix(0, st.NowNano).UTC()
 	}
-	tr.sinceGC = int(st.SinceGC)
 	return nil
 }

@@ -50,9 +50,6 @@ type Config struct {
 	// Buckets and Resolution define the sliding window (span = product).
 	Buckets    int
 	Resolution time.Duration
-	// SweepEvery controls how often (in observed documents) idle tags are
-	// evicted. Zero means every 4096 documents.
-	SweepEvery int
 }
 
 func (c *Config) withDefaults() Config {
@@ -62,9 +59,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Resolution == 0 {
 		out.Resolution = time.Hour
-	}
-	if out.SweepEvery == 0 {
-		out.SweepEvery = 4096
 	}
 	return out
 }
@@ -90,7 +84,9 @@ type TagStat struct {
 // and ids is the reverse index the scans walk in slot order. Counting and
 // selecting hash no tag string: tag strings are read back through
 // intern.Lookup only where a ranking needs them — selected stats and score
-// ties.
+// ties. Idle tags are released by the walk that reads them: TopAppendIDs
+// forgets every tag whose window has emptied, so memory is bounded by the
+// tags seen since the last selection plus those active in the window.
 type Tracker struct {
 	cfg Config
 	// slotOf[id] is the tag's arena slot + 1; 0 (or past the end) means
@@ -101,9 +97,8 @@ type Tracker struct {
 	active int
 	arena  *window.CounterArena
 	// docs holds the windowed document total in its one slot, docSlot.
-	docs    *window.CounterArena
-	sinceGC int
-	now     time.Time
+	docs *window.CounterArena
+	now  time.Time
 
 	// dedup and idBuf serve Observe, the string form of ObserveIDs.
 	dedup intern.Dedup
@@ -156,10 +151,6 @@ func (tr *Tracker) ObserveIDs(t time.Time, ids []uint32) {
 	for _, id := range ids {
 		tr.arena.IncAbs(tr.slot(id), abs)
 	}
-	tr.sinceGC++
-	if tr.sinceGC >= tr.cfg.SweepEvery {
-		tr.sweep()
-	}
 }
 
 // slot returns tag id's counter slot, allocating it on first sight.
@@ -179,18 +170,6 @@ func (tr *Tracker) slot(id uint32) int32 {
 	tr.ids[slot] = id + 1
 	tr.active++
 	return slot
-}
-
-// sweep evicts tags whose windows have emptied, bounding memory to the tags
-// active inside the window.
-func (tr *Tracker) sweep() {
-	tr.sinceGC = 0
-	abs := tr.arena.BucketIndex(tr.now)
-	for slot, idp := range tr.ids {
-		if idp != 0 && tr.arena.PeekAbs(int32(slot), abs) == 0 {
-			tr.release(int32(slot))
-		}
-	}
 }
 
 // release frees slot and forgets the tag occupying it.
@@ -292,24 +271,15 @@ func (tr *Tracker) TopAppend(k int, crit Criterion, minCount float64, buf []TagS
 // TopAppendIDs is Top fused with a count scan, allocation-free in steady
 // state: it appends the selection to buf (pass buf[:0] to reuse the backing
 // array across ticks) and, when each is non-nil, streams every tracked
-// tag's ID and positive windowed count through it along the way. The
+// tag's ID and positive windowed count through it along the way. Every
+// walk releases the tags whose windows have emptied; a call with k <= 0 and
+// a nil each walks nothing. The
 // engine's evaluation tick uses this to rebuild its tag-count index and
 // reselect seeds in a single pass over the tags instead of two, with a
 // bounded min-heap (O(tags·log k)) replacing the full sort (O(tags·log
 // tags)). The selected stats — values and order — are identical to Top's.
 func (tr *Tracker) TopAppendIDs(k int, crit Criterion, minCount float64, buf []TagStat, each func(id uint32, n float64)) []TagStat {
-	if k <= 0 {
-		if each != nil {
-			abs := tr.arena.BucketIndex(tr.now)
-			for slot, idp := range tr.ids {
-				if idp == 0 {
-					continue
-				}
-				if n := tr.arena.PeekAbs(int32(slot), abs); n > 0 {
-					each(idp-1, n)
-				}
-			}
-		}
+	if k <= 0 && each == nil {
 		return buf
 	}
 	total := tr.DocCount()
@@ -327,12 +297,13 @@ func (tr *Tracker) TopAppendIDs(k int, crit Criterion, minCount float64, buf []T
 		id := idp - 1
 		n := tr.arena.PeekAbs(int32(slot), abs)
 		if n == 0 {
+			tr.release(int32(slot))
 			continue
 		}
 		if each != nil {
 			each(id, n)
 		}
-		if n < minCount {
+		if k <= 0 || n < minCount {
 			continue
 		}
 		// Fast reject for the default criterion: with the heap full, most

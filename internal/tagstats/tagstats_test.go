@@ -86,18 +86,35 @@ func TestWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestSweepEvictsIdleTags(t *testing.T) {
-	tr := NewTracker(Config{Buckets: 2, Resolution: time.Minute, SweepEvery: 10})
-	tr.Observe(t0, []string{"gone"})
-	// Push time far past the window and trigger the sweep threshold.
-	for i := 0; i < 12; i++ {
-		tr.Observe(t0.Add(time.Hour+time.Duration(i)*time.Minute), []string{"live"})
-	}
-	if tr.ActiveTags() != 1 {
-		t.Errorf("ActiveTags = %d, want 1 (idle tag evicted)", tr.ActiveTags())
-	}
-	if stat(tr, "live").Count == 0 {
-		t.Error("live tag lost by sweep")
+// TestTopReleasesIdleTags: the selection walk forgets every tag whose
+// window has emptied — however many documents arrived — and keeps live
+// ones, in both of its forms (a selection, and a bare count scan).
+func TestTopReleasesIdleTags(t *testing.T) {
+	for _, k := range []int{5, 0} {
+		tr := NewTracker(Config{Buckets: 2, Resolution: time.Minute})
+		tr.Observe(t0, []string{"gone", "also-gone"})
+		for i := 0; i < 3; i++ {
+			tr.Observe(t0.Add(time.Hour+time.Duration(i)*time.Second), []string{"live"})
+		}
+		if got := tr.ActiveTags(); got != 3 {
+			t.Fatalf("k=%d: ActiveTags = %d before the walk, want 3", k, got)
+		}
+		var seen []uint32
+		tr.TopAppendIDs(k, ByPopularity, 0, nil, func(id uint32, n float64) { seen = append(seen, id) })
+		if got := tr.ActiveTags(); got != 1 {
+			t.Errorf("k=%d: ActiveTags = %d after the walk, want 1 (idle tags released)", k, got)
+		}
+		if len(seen) != 1 || intern.Lookup(seen[0]) != "live" {
+			t.Errorf("k=%d: walk reported %v, want only live", k, seen)
+		}
+		if stat(tr, "live").Count != 3 {
+			t.Errorf("k=%d: live tag count = %v, want 3", k, stat(tr, "live").Count)
+		}
+		// A released tag that reappears starts from an empty window.
+		tr.Observe(t0.Add(time.Hour+time.Minute), []string{"gone"})
+		if got := stat(tr, "gone").Count; got != 1 {
+			t.Errorf("k=%d: reappeared tag count = %v, want 1", k, got)
+		}
 	}
 }
 
@@ -253,7 +270,7 @@ func TestSpanAndDefaults(t *testing.T) {
 func TestInvariants(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTracker(Config{Buckets: 8, Resolution: time.Minute, SweepEvery: 16})
+		tr := NewTracker(Config{Buckets: 8, Resolution: time.Minute})
 		cur := t0
 		for i := 0; i < int(n); i++ {
 			cur = cur.Add(time.Duration(rng.Intn(90)) * time.Second)
@@ -313,10 +330,9 @@ func BenchmarkTop(b *testing.B) {
 }
 
 // BenchmarkObserveIDsHit times ObserveIDs on documents whose tags are all
-// tracked already — the ingest hit path — over a 1000-tag vocabulary, with
-// the idle-tag sweep kept out of the measurement.
+// tracked already — the ingest hit path — over a 1000-tag vocabulary.
 func BenchmarkObserveIDsHit(b *testing.B) {
-	tr := NewTracker(Config{Buckets: 48, Resolution: time.Hour, SweepEvery: 1 << 30})
+	tr := NewTracker(Config{Buckets: 48, Resolution: time.Hour})
 	rng := rand.New(rand.NewSource(3))
 	var d intern.Dedup
 	docs := make([][]uint32, 256)
