@@ -30,11 +30,12 @@ type keyAt struct {
 
 // batchScratch is ObserveIDs' working set, owned by the tracker and reused
 // across calls so the steady state allocates nothing: per-document seed
-// flags and the chunk's candidate increments in document order. dedup,
-// ids, docs and seeds are ObserveBatch's, for turning strings into IDs.
+// flags and the chunk's candidate increments, one buffer per shard, each
+// in document order. dedup, ids, docs and seeds are ObserveBatch's, for
+// turning strings into IDs.
 type batchScratch struct {
-	seed []bool
-	keys []keyAt
+	seed    []bool
+	byShard [][]keyAt
 
 	dedup intern.Dedup
 	ids   []uint32
@@ -86,10 +87,13 @@ func (tr *ShardedTracker) ObserveBatch(docs []BatchDoc, isSeed func(string) bool
 // can go over budget. A document too large for the remaining headroom forms
 // a chunk of one.
 //
-// Within a chunk each shard sees its increments in document order, as the
-// serial reference does, so slot allocation and every counter sum match
-// it; counters are read only at sweep time or later. The clock is lifted
-// to the chunk's newest timestamp before the post-chunk budget check.
+// A chunk is planned straight into one buffer per shard and applied one
+// shard at a time, so each shard's table and wheel stay in cache while its
+// increments run; each shard still sees its own increments in document
+// order, as the serial reference does, so slot allocation and every count
+// match it. The clock is lifted to the chunk's newest timestamp — every
+// wheel expiring the buckets that leave the window — before the
+// increments, and counts are read only at sweep time or later.
 //
 //enblogue:hotpath
 func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
@@ -97,14 +101,21 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 		return
 	}
 	sc := &tr.scratch
-	arena := tr.shards[0].arena // all shards share Buckets/Resolution
+	n := len(tr.shards)
+	for len(sc.byShard) < n {
+		sc.byShard = append(sc.byShard, nil)
+	}
+	res := int64(tr.cfg.Resolution)
 	i := 0
 	for i < len(docs) {
 		headroom := int64(tr.cfg.MaxPairs - tr.ActivePairs())
 
-		// Plan the chunk: generate candidate increments doc by doc until
-		// the budget could be exceeded.
-		sc.keys = sc.keys[:0]
+		// Plan the chunk: count each document's candidate pairs first, and
+		// generate them only if the document fits, so a document that could
+		// take the tracker over budget opens the next chunk untouched.
+		for s := range sc.byShard {
+			sc.byShard[s] = sc.byShard[s][:0]
+		}
 		var (
 			maxNano int64
 			hasMax  bool
@@ -113,45 +124,56 @@ func (tr *ShardedTracker) ObserveIDs(docs []Doc, seeds *intern.Set) {
 		j := i
 		for j < len(docs) {
 			d := docs[j]
-			start := len(sc.keys)
-			if ids := d.IDs; len(ids) >= 2 {
+			t := d.Time.UnixNano()
+			ids := d.IDs
+			k := int64(len(ids))
+			nc := k * (k - 1) / 2
+			if seeds != nil && k >= 2 {
 				sc.seed = sc.seed[:0]
-				if seeds != nil {
-					for _, id := range ids {
-						sc.seed = append(sc.seed, seeds.Has(id))
+				others := int64(0)
+				for _, id := range ids {
+					in := seeds.Has(id)
+					sc.seed = append(sc.seed, in)
+					if !in {
+						others++
 					}
 				}
-				abs := arena.BucketIndex(d.Time)
+				nc -= others * (others - 1) / 2 // pairs with no seed
+			}
+			if j > i && cand+nc > headroom {
+				break // over budget: doc opens the next chunk
+			}
+			if nc > 0 {
+				abs := t / res
 				for a := 0; a < len(ids); a++ {
 					for b := a + 1; b < len(ids); b++ {
 						if seeds != nil && !sc.seed[a] && !sc.seed[b] {
 							continue
 						}
-						sc.keys = append(sc.keys, keyAt{KeyFromIDs(ids[a], ids[b]), abs})
+						key := KeyFromIDs(ids[a], ids[b])
+						s := key.Shard(n)
+						sc.byShard[s] = append(sc.byShard[s], keyAt{key, abs})
 					}
 				}
 			}
-			nc := int64(len(sc.keys) - start)
-			if j > i && cand+nc > headroom {
-				sc.keys = sc.keys[:start] // over budget: doc opens the next chunk
-				break
-			}
 			cand += nc
-			if n := d.Time.UnixNano(); !hasMax || n > maxNano {
-				maxNano, hasMax = n, true
+			if !hasMax || t > maxNano {
+				maxNano, hasMax = t, true
 			}
 			j++
 		}
 
-		// Apply the chunk: lift the clock, then replay the increments in
-		// document order, each on its pair's shard.
+		// Apply the chunk: lift the clock, expiring what leaves every
+		// shard's window, then each shard's increments in document order.
 		if maxNano > tr.nowNano || tr.nowNano == 0 {
 			tr.nowNano = maxNano
 		}
-		n := len(tr.shards)
-		for _, ka := range sc.keys {
-			sh := tr.shards[ka.k.Shard(n)]
-			sh.arena.IncAbs(tr.upsert(sh, ka.k), ka.abs)
+		head := tr.nowNano / res
+		for s, sh := range tr.shards {
+			sh.wheel.advance(head)
+			for _, ka := range sc.byShard[s] {
+				sh.wheel.inc(sh.upsert(ka.k), ka.abs)
+			}
 		}
 
 		// The per-document budget check, at the chunk boundary.

@@ -71,12 +71,22 @@ func checkBatchesMatchReference(t *testing.T, cfg Config, docs []BatchDoc, isSee
 }
 
 // shardedSeries reads pair k's per-bucket counts, oldest first, from its
-// shard's arena.
+// shard's touch lists.
 func shardedSeries(tr *ShardedTracker, k Key) []float64 {
 	sh := tr.shards[k.Shard(len(tr.shards))]
 	slot, _ := sh.table.get(k.packed)
-	sh.arena.Observe(slot, tr.now())
-	return sh.arena.Series(slot)
+	nb := int64(tr.cfg.Buckets)
+	out := make([]float64, nb)
+	for p := range out {
+		i := sh.wheel.listOf(sh.wheel.head - nb + 1 + int64(p))
+		for _, e := range sh.wheel.lists[i] {
+			if e.slot == slot {
+				out[p] += float64(e.n)
+			}
+		}
+		out[p] += float64(sh.wheel.spill[spot{slot, int32(i)}])
+	}
+	return out
 }
 
 // TestObserveBatchMatchesSerial pins batch-cut invariance against the

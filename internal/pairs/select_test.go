@@ -35,11 +35,17 @@ func (l *evictLog) observe(k Key, c float64) {
 // pressure through the serial reference Tracker and through ShardedTracker
 // at 1, 2 and 8 shards, and requires every tracker to evict the same
 // victims, in the same order, with the same counts — and the sharded
-// trackers' admission floor to be the last victim's count. The documents
-// mostly carry fresh pairs, so nearly every victim ties at count 1 and the
-// order is decided by the rendered keys of fuzzTags.
+// trackers' admission floor to be the last victim's count — and to end
+// with the same pairs and counts. The documents mostly carry fresh pairs,
+// so nearly every victim ties at count 1 and the order is decided by the
+// rendered keys of fuzzTags. Some documents arrive late, inside the window
+// or beyond it: the serial Tracker's per-slot windows and the sharded
+// trackers' expiry wheels must agree on what a late event counts, and the
+// sharded trackers also take the whole stream as one batch, whose chunks
+// lift the clock to their newest document before counting the older ones.
 func FuzzSweepMatchesSerial(f *testing.F) {
 	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789!+,"))
+	f.Add([]byte("\x05ab\xe3cd\xf0ef\xe1gh\xeaij\xf5kl\xe9mn\xe2op"))
 	for seed := int64(1); seed <= 4; seed++ {
 		data := make([]byte, 100*seed)
 		rand.New(rand.NewSource(seed)).Read(data)
@@ -51,13 +57,21 @@ func FuzzSweepMatchesSerial(f *testing.F) {
 		}
 		cfg := Config{Buckets: 4, Resolution: time.Hour, MaxPairs: 4 + int(data[0]%24)}
 		// Each document draws 2–4 tags; a tag is a vocabulary entry with an
-		// optional one-digit suffix, so pairs repeat rarely. A high byte
-		// advances the clock a bucket, so windows also empty.
+		// optional one-digit suffix, so pairs repeat rarely. A byte of 240
+		// or more advances the clock a bucket, so windows also empty; one
+		// in [224, 240) makes the next document 1 to 16 hours late — up to
+		// 3 inside the 4-bucket window, the rest beyond it.
 		var docs []BatchDoc
 		at := shT0
+		var late time.Duration
 		for i := 1; i+1 < len(data); {
 			if data[i] >= 240 {
 				at = at.Add(time.Hour)
+				i++
+				continue
+			}
+			if data[i] >= 224 {
+				late = time.Duration(data[i]-223) * time.Hour
 				i++
 				continue
 			}
@@ -73,7 +87,8 @@ func FuzzSweepMatchesSerial(f *testing.F) {
 				}
 				tags = append(tags, tag)
 			}
-			docs = append(docs, BatchDoc{Time: at, Tags: tags})
+			docs = append(docs, BatchDoc{Time: at.Add(-late), Tags: tags})
+			late = 0
 		}
 
 		var want evictLog
@@ -87,25 +102,42 @@ func FuzzSweepMatchesSerial(f *testing.F) {
 			floor = want.counts[n-1]
 		}
 		for _, shards := range []int{1, 2, 8} {
-			c := cfg
-			c.Shards = shards
-			tr := NewShardedTracker(c)
-			var got evictLog
-			tr.SetOnEvict(got.observe)
-			for _, d := range docs {
-				tr.ObserveBatch([]BatchDoc{d}, nil)
-			}
-			if len(got.keys) != len(want.keys) {
-				t.Fatalf("shards %d: %d evictions, reference %d", shards, len(got.keys), len(want.keys))
-			}
-			for i := range want.keys {
-				if got.keys[i] != want.keys[i] || got.counts[i] != want.counts[i] {
-					t.Fatalf("shards %d: eviction %d is %v (count %v), reference %v (count %v)",
-						shards, i, got.keys[i], got.counts[i], want.keys[i], want.counts[i])
+			for _, whole := range []bool{false, true} {
+				c := cfg
+				c.Shards = shards
+				tr := NewShardedTracker(c)
+				var got evictLog
+				tr.SetOnEvict(got.observe)
+				if whole {
+					tr.ObserveBatch(docs, nil)
+				} else {
+					for _, d := range docs {
+						tr.ObserveBatch([]BatchDoc{d}, nil)
+					}
 				}
-			}
-			if tr.floor != floor {
-				t.Fatalf("shards %d: admission floor %v, reference %v", shards, tr.floor, floor)
+				if len(got.keys) != len(want.keys) {
+					t.Fatalf("shards %d (one batch: %v): %d evictions, reference %d", shards, whole, len(got.keys), len(want.keys))
+				}
+				for i := range want.keys {
+					if got.keys[i] != want.keys[i] || got.counts[i] != want.counts[i] {
+						t.Fatalf("shards %d (one batch: %v): eviction %d is %v (count %v), reference %v (count %v)",
+							shards, whole, i, got.keys[i], got.counts[i], want.keys[i], want.counts[i])
+					}
+				}
+				if tr.floor != floor {
+					t.Fatalf("shards %d (one batch: %v): admission floor %v, reference %v", shards, whole, tr.floor, floor)
+				}
+				if tr.ActivePairs() != ref.ActivePairs() {
+					t.Fatalf("shards %d (one batch: %v): %d pairs tracked, reference %d", shards, whole, tr.ActivePairs(), ref.ActivePairs())
+				}
+				for _, k := range ref.Keys() {
+					if g, w := tr.Cooccurrence(k), ref.Cooccurrence(k); g != w {
+						t.Fatalf("shards %d (one batch: %v): %v counts %v, reference %v", shards, whole, k, g, w)
+					}
+				}
+				for _, sh := range tr.shards {
+					checkWheel(t, sh)
+				}
 			}
 		}
 	})
@@ -191,11 +223,14 @@ func BenchmarkSweepOverBudget(b *testing.B) {
 		Tail: &tier.Config{Epsilon: 0.0001, Delta: 0.01, TopK: 512},
 	})
 	tr.nowNano = shT0.UnixNano()
-	abs := tr.shards[0].arena.BucketIndex(shT0)
+	head := tr.nowNano / int64(time.Hour)
+	for _, sh := range tr.shards {
+		sh.wheel.advance(head)
+	}
 	rng := rand.New(rand.NewSource(1))
 	tagZipf := rand.NewZipf(rng, 1.01, 1, 199999)
 	countZipf := rand.NewZipf(rng, 2, 1, 200)
-	fill := func(count func() float64) {
+	fill := func(count func() uint64) {
 		for tr.ActivePairs() <= budget {
 			a, c := tagZipf.Uint64(), tagZipf.Uint64()
 			if a == c {
@@ -206,16 +241,16 @@ func BenchmarkSweepOverBudget(b *testing.B) {
 			if _, ok := sh.table.get(k.packed); ok {
 				continue
 			}
-			sh.arena.AddAbs(tr.upsert(sh, k), abs, count())
+			sh.wheel.add(sh.upsert(k), head, count())
 		}
 	}
-	fill(func() float64 { return float64(countZipf.Uint64() + 1) })
+	fill(func() uint64 { return countZipf.Uint64() + 1 })
 	tr.sweep() // grow the ranking buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fill(func() float64 { return 1 })
+		fill(func() uint64 { return 1 })
 		b.StartTimer()
 		tr.sweep()
 	}

@@ -4,11 +4,10 @@ import (
 	"time"
 
 	"enblogue/internal/tier"
-	"enblogue/internal/window"
 )
 
 // PairCount is one tracked pair and its windowed co-occurrence count, as
-// returned by ShardedTracker.AppendSnapshot. Slot is the pair's arena slot
+// returned by ShardedTracker.AppendSnapshot. Slot is the pair's slot
 // within its shard — stable for the pair's whole tracked lifetime — which
 // the engine forwards to the shift detector as a state-cache hint.
 type PairCount struct {
@@ -18,19 +17,20 @@ type PairCount struct {
 }
 
 // trackerShard owns one partition of the pair space: an open-addressed
-// key → slot table into a slab-allocated counter arena (one backing slice
-// of buckets per shard instead of one heap object per pair). The window
-// clock is tracker-global (nowNano), not per shard, so quiet shards expire
-// their counters at the same times the serial Tracker would.
+// key → slot table into the shard's expiry wheel, which holds every pair's
+// windowed total. The window clock is tracker-global (nowNano), not per
+// shard: every shard's wheel advances when it moves, so quiet shards expire
+// their counts at the same times the serial Tracker would.
 type trackerShard struct {
 	table slotTable
-	arena *window.CounterArena
+	wheel wheel
 	// keys is the reverse index: keys[slot] names the pair occupying that
-	// arena slot, zero Key for free slots (a valid pair key is never zero —
+	// slot, zero Key for free slots (a valid pair key is never zero —
 	// interned IDs are biased by +1 before packing). Snapshots walk it in
-	// slot order, turning the per-tick scan into sequential slab reads
-	// instead of a map iteration; slot order is insertion-stable across
-	// ticks, which also keeps downstream detector-state access sequential.
+	// slot order, turning the per-tick scan into sequential reads of the
+	// totals instead of a map iteration; slot order is insertion-stable
+	// across ticks, which also keeps downstream detector-state access
+	// sequential.
 	keys []Key
 	// prefix caches each slot's Key.renderPrefix for the over-budget
 	// sweep, so a pair consults the interner once in its tracked lifetime
@@ -120,7 +120,7 @@ func NewShardedTracker(cfg Config) *ShardedTracker {
 	}
 	shards := make([]*trackerShard, n)
 	for i := range shards {
-		shards[i] = &trackerShard{arena: window.NewCounterArena(c.Buckets, c.Resolution)}
+		shards[i] = &trackerShard{wheel: newWheel(c.Buckets)}
 	}
 	tr := &ShardedTracker{cfg: c, shards: shards}
 	if c.Tail != nil {
@@ -141,21 +141,13 @@ func (tr *ShardedTracker) SetOnEvict(fn func(Key, float64)) { tr.onEvict = fn }
 // Shards returns the number of shards.
 func (tr *ShardedTracker) Shards() int { return len(tr.shards) }
 
-// now returns the tracker-global clock: the max event time observed so far.
-func (tr *ShardedTracker) now() time.Time {
-	if tr.nowNano == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, tr.nowNano)
-}
-
-// upsert returns pair k's counter slot in sh, allocating it on first sight.
+// upsert returns pair k's slot in sh, allocating it on first sight.
 //
 //enblogue:hotpath
-func (tr *ShardedTracker) upsert(sh *trackerShard, k Key) int32 {
+func (sh *trackerShard) upsert(k Key) int32 {
 	p, ok := sh.table.ref(k.packed)
 	if !ok {
-		slot := sh.arena.Alloc()
+		slot := sh.wheel.alloc()
 		*p = slot
 		for int(slot) >= len(sh.keys) {
 			sh.keys = append(sh.keys, Key{})
@@ -176,7 +168,7 @@ func (sh *trackerShard) drop(k Key, slot int32) float64 {
 	if int(slot) < len(sh.prefix) {
 		sh.prefix[slot] = 0
 	}
-	sh.arena.Release(slot)
+	sh.wheel.release(slot)
 	return seed
 }
 
@@ -186,10 +178,10 @@ func (sh *trackerShard) drop(k Key, slot int32) float64 {
 // shards, demoting each victim into its shard's tail when the tier is
 // enabled. One slot-ordered walk per shard does the dropping and the
 // collecting; selectSmallest then ranks only the victims, in the order the
-// serial Tracker's sort would.
+// serial Tracker's sort would. Last, each wheel purges its victims'
+// entries, freeing their slots for reuse.
 func (tr *ShardedTracker) sweep() {
-	now := tr.now()
-	if now.IsZero() {
+	if tr.nowNano == 0 {
 		return
 	}
 	all := tr.sweepAll[:0]
@@ -197,12 +189,11 @@ func (tr *ShardedTracker) sweep() {
 		for len(sh.prefix) < len(sh.keys) {
 			sh.prefix = append(sh.prefix, 0)
 		}
-		abs := sh.arena.BucketIndex(now) // one conversion for the whole walk
 		for slot, k := range sh.keys {
 			if k == (Key{}) {
 				continue
 			}
-			v := sh.arena.ValueAtAbs(int32(slot), abs)
+			v := sh.wheel.count(int32(slot))
 			if v == 0 {
 				sh.drop(k, int32(slot))
 			} else {
@@ -252,11 +243,14 @@ func (tr *ShardedTracker) sweep() {
 			tr.onEvict(e.key, e.count)
 		}
 	}
+	for _, sh := range tr.shards {
+		sh.wheel.purge()
+	}
 }
 
 // PromoteTail re-admits every tail pair whose windowed estimate strictly
 // exceeds the admission floor, seeding its exact counter with the estimate
-// (an upper bound — see internal/tier) at the bucket containing t and
+// (an upper bound — see internal/tier) at the tracker clock's bucket and
 // flagging it approximate. Promotions are capped at the tracker's current
 // headroom under MaxPairs, best estimates first (ties broken by rendered
 // key order, like eviction), so a promotion burst cannot blow the memory
@@ -295,16 +289,15 @@ func (tr *ShardedTracker) PromoteTail(t time.Time) int {
 	tr.ranked = ranked
 	n := min(headroom, len(ranked))
 	selectSmallest(ranked, n)
-	abs := tr.nowNano / int64(tr.cfg.Resolution)
 	for _, r := range ranked[:n] {
 		k, sh := r.key, tr.shards[r.shard]
 		est := -r.count
-		slot := tr.upsert(sh, k)
+		slot := sh.upsert(k)
 		// If the pair re-emerged on its own since demotion, the counter
 		// holds only post-eviction events; the estimate covers the
 		// pre-eviction mass, so adding keeps the seeded total an upper
 		// bound on the true windowed count.
-		sh.arena.AddAbs(slot, abs, est)
+		sh.wheel.add(slot, sh.wheel.head, uint64(est))
 		if sh.approx == nil {
 			sh.approx = make(map[Key]float64)
 		}
@@ -368,7 +361,7 @@ func (tr *ShardedTracker) Cooccurrence(k Key) float64 {
 	if !ok {
 		return 0
 	}
-	return sh.arena.ValueAt(slot, tr.now())
+	return sh.wheel.count(slot)
 }
 
 // ActivePairs returns the number of pairs currently tracked across shards,
@@ -395,41 +388,34 @@ func (tr *ShardedTracker) Keys() []Key {
 }
 
 // AppendSnapshot appends shard i's pairs with a non-empty window — counts
-// read at the tracker clock, never 0 — to buf and returns it, and drops
-// every pair of the shard whose window has emptied: this walk is where the
+// at the tracker clock, never 0 — to buf and returns it, and drops every
+// pair of the shard whose window has emptied: this walk is where the
 // tracker forgets idle pairs, so whether a pair is scored at a tick depends
-// on event time alone. Evaluation workers pass a per-shard buffer reused
-// across ticks (buf[:0]) so the steady-state tick allocates nothing for
-// snapshots. Calls on distinct shards may run concurrently (one evaluation
-// worker per shard): a call writes only its own shard.
+// on event time alone. It only reads totals: expiry ran when the clock
+// moved. Evaluation workers pass a per-shard buffer reused across ticks
+// (buf[:0]) so the steady-state tick allocates nothing for snapshots. Calls
+// on distinct shards may run concurrently (one evaluation worker per
+// shard): a call writes only its own shard.
 //
-// Pairs are emitted in arena slot order (via the reverse key index), not
-// map order: the walk reads the counter slabs sequentially, and the order
-// is insertion-stable across ticks so downstream per-pair state allocated
-// in first-snapshot order is also visited sequentially. Snapshot order
-// cannot affect rankings — per-pair evaluation is independent, and every
+// Pairs are emitted in slot order (via the reverse key index), not map
+// order: the walk reads the totals sequentially, and the order is
+// insertion-stable across ticks so downstream per-pair state allocated in
+// first-snapshot order is also visited sequentially. Snapshot order cannot
+// affect rankings — per-pair evaluation is independent, and every
 // downstream selection (top-k heaps, final sorts) uses a strict total
 // order, so any input order yields the same ranking.
 func (tr *ShardedTracker) AppendSnapshot(i int, buf []PairCount) []PairCount {
 	sh := tr.shards[i]
-	now := tr.now()
 	if cap(buf)-len(buf) < sh.table.n {
 		grown := make([]PairCount, len(buf), len(buf)+sh.table.n)
 		copy(grown, buf)
 		buf = grown
 	}
-	var abs int64
-	if !now.IsZero() {
-		abs = sh.arena.BucketIndex(now) // one conversion for the whole walk
-	}
 	for slot, k := range sh.keys {
 		if k == (Key{}) {
 			continue
 		}
-		c := sh.arena.Value(int32(slot)) // no clock yet: nothing has expired
-		if !now.IsZero() {
-			c = sh.arena.PeekAbs(int32(slot), abs)
-		}
+		c := sh.wheel.count(int32(slot))
 		if c == 0 {
 			sh.drop(k, int32(slot))
 			continue

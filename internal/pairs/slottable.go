@@ -2,7 +2,7 @@ package pairs
 
 import "math/bits"
 
-// slotTable maps packed pair keys to arena slots for one tracker shard: one
+// slotTable maps packed pair keys to wheel slots for one tracker shard: one
 // open-addressed array of (key, slot) entries with linear probing. A zero
 // key marks an empty entry — a valid Key is never zero — and deletion
 // shifts the rest of the probe run back into the hole, so there are no

@@ -124,11 +124,11 @@ func BenchmarkUpsertHit(b *testing.B) {
 	keys := make([]Key, 50000)
 	for i := range keys {
 		keys[i] = Key{packed: uint64(i+1)<<32 | uint64(i+2)}
-		tr.upsert(sh, keys[i])
+		sh.upsert(keys[i])
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkSlot = tr.upsert(sh, keys[i%len(keys)])
+		sinkSlot = sh.upsert(keys[i%len(keys)])
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"enblogue/internal/core"
 	"enblogue/internal/pairs"
@@ -153,28 +154,32 @@ func appendFingerprint(b []byte, fp fingerprint) []byte {
 	return b
 }
 
-// appendSlot encodes a slot column sparsely: bucket count, then only the
-// non-zero (position, value) entries — pair and tag windows are mostly
-// zeros.
-func appendSlot(b []byte, s window.SlotState) []byte {
-	b = appendU32(b, uint32(len(s.Vals)))
-	nnz := 0
-	for _, v := range s.Vals {
-		if v != 0 {
-			nnz++
-		}
-	}
-	b = appendU32(b, uint32(nnz))
+// appendSlot encodes a tag window as appendWindow's record, gathering its
+// non-zero buckets into scratch, which it returns for reuse.
+func appendSlot(b []byte, s window.SlotState, scratch []pairs.Bucket) ([]byte, []pairs.Bucket) {
+	scratch = scratch[:0]
 	for i, v := range s.Vals {
 		if v != 0 {
-			b = appendU32(b, uint32(i))
-			b = appendF64(b, v)
+			scratch = append(scratch, pairs.Bucket{Pos: int32(i), Val: v})
 		}
 	}
-	b = appendI64(b, s.Head)
-	b = appendBool(b, s.HeadSet)
-	b = appendF64(b, s.Total)
-	return b
+	w := pairs.PairWindow{Buckets: scratch, Head: s.Head, HeadSet: s.HeadSet, Total: s.Total}
+	return appendWindow(b, int64(len(s.Vals)), w), scratch
+}
+
+// appendWindow encodes a window of nb buckets sparsely — pair and tag
+// windows are mostly zeros: bucket count, the number of non-zero buckets,
+// each as (position, value) oldest first, then the head and the total.
+func appendWindow(b []byte, nb int64, w pairs.PairWindow) []byte {
+	b = appendU32(b, uint32(nb))
+	b = appendU32(b, uint32(len(w.Buckets)))
+	for _, e := range w.Buckets {
+		b = appendU32(b, uint32(e.Pos))
+		b = appendF64(b, e.Val)
+	}
+	b = appendI64(b, w.Head)
+	b = appendBool(b, w.HeadSet)
+	return appendF64(b, w.Total)
 }
 
 func appendPredict(b []byte, s predict.State) []byte {
@@ -274,13 +279,13 @@ func (c *chunkWriter) spill(b []byte, last bool) []byte {
 }
 
 // appendPairs encodes a pair tracker's state: its clock, then every pair's
-// key and window column in the export's canonical order.
-func appendPairs(b []byte, st *pairs.ShardedTrackerState, kt *keyTable, cw *chunkWriter) []byte {
+// key and window in the export's canonical order.
+func appendPairs(b []byte, nb int64, st *pairs.ShardedTrackerState, kt *keyTable, cw *chunkWriter) []byte {
 	b = appendI64(b, st.NowNano)
 	b = appendU32(b, uint32(len(st.Pairs)))
 	for _, p := range st.Pairs {
 		b = appendKey(b, kt)
-		b = appendSlot(b, p.Window)
+		b = appendWindow(b, nb, p.Window)
 		b = cw.spill(b, false)
 	}
 	return b
@@ -296,7 +301,8 @@ func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	b := make([]byte, 0, snapChunk+4<<10)
 	b = append(b, snapMagic...)
 	b = appendU32(b, FormatVersion)
-	b = appendFingerprint(b, fingerprintOf(cfg))
+	fp := fingerprintOf(cfg)
+	b = appendFingerprint(b, fp)
 
 	b = appendU32(b, uint32(len(kt.tags)))
 	for _, t := range kt.tags {
@@ -313,18 +319,19 @@ func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	b = appendBool(b, st.LastTickSet)
 
 	// Tag statistics.
-	b = appendSlot(b, st.Tags.Docs)
+	scratch := make([]pairs.Bucket, 0, fp.WindowBuckets)
+	b, scratch = appendSlot(b, st.Tags.Docs, scratch)
 	b = appendI64(b, st.Tags.NowNano)
 	b = appendBool(b, st.Tags.NowSet)
 	b = appendU32(b, uint32(len(st.Tags.Tags)))
 	for _, ts := range st.Tags.Tags {
 		b = appendStr(b, ts.Tag)
-		b = appendSlot(b, ts.Window)
+		b, scratch = appendSlot(b, ts.Window, scratch)
 		b = cw.spill(b, false)
 	}
 
 	// Pair windows.
-	b = appendPairs(b, &st.Pairs, kt, cw)
+	b = appendPairs(b, fp.WindowBuckets, &st.Pairs, kt, cw)
 
 	// Detector.
 	b = appendI64(b, st.Det.CurTickNano)
@@ -341,7 +348,7 @@ func encodeSnapshot(w io.Writer, cfg core.Config, st *core.EngineState) error {
 	// Co-occurrence pairs (DistributionMode only).
 	b = appendBool(b, st.Co != nil)
 	if st.Co != nil {
-		b = appendPairs(b, st.Co, kt, cw)
+		b = appendPairs(b, fp.WindowBuckets, st.Co, kt, cw)
 	}
 
 	// Seeds.
@@ -410,6 +417,8 @@ type reader struct {
 	// count, so memory follows what was actually decoded; a carved slice
 	// keeps the chunk it came from when a new one replaces it.
 	vals []float64
+	// bkts is the same for the pair windows' buckets.
+	bkts []pairs.Bucket
 }
 
 // floats carves n zeroed values out of the reader's chunk.
@@ -420,6 +429,16 @@ func (r *reader) floats(n int) []float64 {
 	i := len(r.vals)
 	r.vals = r.vals[:i+n]
 	return r.vals[i : i+n : i+n]
+}
+
+// buckets carves n pair-window buckets out of the reader's chunk.
+func (r *reader) buckets(n int) []pairs.Bucket {
+	if len(r.bkts)+n > cap(r.bkts) {
+		r.bkts = make([]pairs.Bucket, 0, max(n, 2*cap(r.bkts), 1024))
+	}
+	i := len(r.bkts)
+	r.bkts = r.bkts[:i+n]
+	return r.bkts[i : i+n : i+n]
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -530,7 +549,10 @@ func (r *reader) fingerprint() fingerprint {
 	return fp
 }
 
-func (r *reader) slot(nbuckets int) window.SlotState {
+// window reads a window record: its bucket count, which must be nbuckets,
+// its non-zero (position, value) entries — positions strictly increasing
+// and in range — oldest first, its head and its total.
+func (r *reader) window(nbuckets int) pairs.PairWindow {
 	n := int(r.u32())
 	if r.err == nil && n != nbuckets {
 		r.fail("slot with %d buckets, config says %d", n, nbuckets)
@@ -540,26 +562,38 @@ func (r *reader) slot(nbuckets int) window.SlotState {
 		r.fail("slot with %d non-zero entries in %d buckets", nnz, n)
 	}
 	if r.err != nil {
-		return window.SlotState{}
+		return pairs.PairWindow{}
 	}
-	s := window.SlotState{Vals: r.floats(n)}
+	w := pairs.PairWindow{Buckets: r.buckets(nnz)}
 	prev := -1
-	for i := 0; i < nnz; i++ {
+	for i := range w.Buckets {
 		pos := int(r.u32())
 		v := r.f64()
-		if r.err != nil {
-			return window.SlotState{}
-		}
-		if pos >= n || pos <= prev {
+		if r.err == nil && (pos >= n || pos <= prev) {
 			r.fail("slot entry position %d out of order or range", pos)
-			return window.SlotState{}
+		}
+		if r.err != nil {
+			return pairs.PairWindow{}
 		}
 		prev = pos
-		s.Vals[pos] = v
+		w.Buckets[i] = pairs.Bucket{Pos: int32(pos), Val: v}
 	}
-	s.Head = r.i64()
-	s.HeadSet = r.boolean()
-	s.Total = r.f64()
+	w.Head = r.i64()
+	w.HeadSet = r.boolean()
+	w.Total = r.f64()
+	return w
+}
+
+// slot reads a tag window record: its buckets densely, oldest first.
+func (r *reader) slot(nbuckets int) window.SlotState {
+	w := r.window(nbuckets)
+	if r.err != nil {
+		return window.SlotState{}
+	}
+	s := window.SlotState{Vals: r.floats(nbuckets), Head: w.Head, HeadSet: w.HeadSet, Total: w.Total}
+	for _, b := range w.Buckets {
+		s.Vals[b.Pos] = b.Val
+	}
 	return s
 }
 
@@ -597,15 +631,24 @@ func (r *reader) key(ntags int) decKey {
 }
 
 // pairs decodes what appendPairs encodes, recording each pair's key in
-// d.keys and leaving the state's Key zero.
-func (r *reader) pairs(d *decodedSnap, nbuckets int) pairs.ShardedTrackerState {
+// d.keys and leaving the state's Key zero. A window that
+// pairs.PairWindow.Check refuses at the decoded clock is corrupt.
+func (r *reader) pairs(d *decodedSnap, nbuckets int, res time.Duration) pairs.ShardedTrackerState {
 	st := pairs.ShardedTrackerState{NowNano: r.i64()}
 	n := r.count(8 + 25)
 	st.Pairs = make([]pairs.PairState, 0, n)
 	d.keys = slices.Grow(d.keys, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		d.keys = append(d.keys, r.key(len(d.table)))
-		st.Pairs = append(st.Pairs, pairs.PairState{Window: r.slot(nbuckets)})
+		w := r.window(nbuckets)
+		if r.err != nil {
+			break
+		}
+		if err := w.Check(nbuckets, res, st.NowNano); err != nil {
+			r.fail("pair %d: %v", i, err)
+			break
+		}
+		st.Pairs = append(st.Pairs, pairs.PairState{Window: w})
 	}
 	return st
 }
@@ -663,6 +706,10 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 	if r.err == nil && (nb <= 0 || nb > 1<<20) {
 		r.fail("implausible window bucket count %d", nb)
 	}
+	res := time.Duration(fp.WindowResolution)
+	if r.err == nil && res <= 0 {
+		r.fail("implausible window resolution %d", res)
+	}
 
 	d.table = r.strs(r.count(4))
 	for i, t := range d.table {
@@ -706,7 +753,7 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 		st.Tags.Tags = append(st.Tags.Tags, ts)
 	}
 
-	st.Pairs = r.pairs(d, nb)
+	st.Pairs = r.pairs(d, nb, res)
 
 	st.Det.CurTickNano = r.i64()
 	st.Det.TickCount = r.i64()
@@ -728,7 +775,7 @@ func decodeSnapshot(data []byte, want fingerprint) (*decodedSnap, error) {
 	}
 
 	if r.boolean() {
-		co := r.pairs(d, nb)
+		co := r.pairs(d, nb, res)
 		st.Co = &co
 	}
 

@@ -30,6 +30,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
 	e.Close()
 	f.Add(snapshotBytes(cfg, &st))
+	// A pair window whose total is not the sum of its counts.
+	f.Add(corruptPairWindow(f, cfg, func(w *pairs.PairWindow) { w.Total++ }))
 	// And structured near-misses: truncations and header damage.
 	f.Add(oversizedSnapshot(f))
 	f.Add(data[:len(data)/2])

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"enblogue/internal/core"
+	"enblogue/internal/pairs"
 	"enblogue/internal/source"
 	"enblogue/internal/stream"
 	"enblogue/internal/window"
@@ -361,7 +363,7 @@ func oversizedSnapshot(tb testing.TB) []byte {
 		st.Tags.Tags[i].Window = window.SlotState{Vals: wide}
 	}
 	for i := range st.Pairs.Pairs {
-		st.Pairs.Pairs[i].Window = window.SlotState{Vals: wide}
+		st.Pairs.Pairs[i].Window = pairs.PairWindow{} // written at cfg's bucket count
 	}
 	cfg.WindowBuckets = 1 << 20
 	return snapshotBytes(cfg, &st)
@@ -461,6 +463,56 @@ func TestNonFiniteLogScoreIsCorrupt(t *testing.T) {
 		}
 		if !tc.ok && !errors.Is(err, errCorrupt) {
 			t.Errorf("log-score %v: decode error %v, want a corrupt snapshot", tc.logScore, err)
+		}
+	}
+}
+
+// corruptPairWindow returns the bytes, checksum intact, of a snapshot of
+// a few hundred documents whose first non-empty tracked pair window has
+// been passed through damage.
+func corruptPairWindow(tb testing.TB, cfg core.Config, damage func(w *pairs.PairWindow)) []byte {
+	e := core.New(cfg)
+	defer e.Close()
+	e.ConsumeBatch(testItems(tb)[:900])
+	st, _ := e.SnapshotState(nil) // a nil rotate cannot fail
+	for i := range st.Pairs.Pairs {
+		if w := &st.Pairs.Pairs[i].Window; len(w.Buckets) > 0 {
+			w.Buckets = slices.Clone(w.Buckets)
+			damage(w)
+			return snapshotBytes(cfg, &st)
+		}
+	}
+	tb.Fatal("no tracked pair holds a count; the case would test nothing")
+	return nil
+}
+
+// TestCorruptPairWindowIsCorrupt encodes snapshots, checksum intact, whose
+// first counted pair window holds a bucket count that is negative, NaN,
+// fractional or above 2^53, a total that is not the sum of its counts, or
+// a head past the snapshot clock's bucket: decoding must refuse each as
+// corrupt rather than restore counts no stream can produce. The undamaged
+// window must decode.
+func TestCorruptPairWindowIsCorrupt(t *testing.T) {
+	cfg := testConfig(2)
+	for _, tc := range []struct {
+		name   string
+		damage func(w *pairs.PairWindow)
+		ok     bool
+	}{
+		{"intact", func(*pairs.PairWindow) {}, true},
+		{"negative", func(w *pairs.PairWindow) { w.Total -= 2 * w.Buckets[0].Val; w.Buckets[0].Val *= -1 }, false},
+		{"nan", func(w *pairs.PairWindow) { w.Buckets[0].Val = math.NaN() }, false},
+		{"fraction", func(w *pairs.PairWindow) { w.Buckets[0].Val += 0.5; w.Total += 0.5 }, false},
+		{"above 2^53", func(w *pairs.PairWindow) { w.Buckets[0].Val = 1 << 54; w.Total = 1 << 54 }, false},
+		{"total", func(w *pairs.PairWindow) { w.Total++ }, false},
+		{"future head", func(w *pairs.PairWindow) { w.Head++ }, false},
+	} {
+		_, err := decodeSnapshot(corruptPairWindow(t, cfg, tc.damage), fingerprintOf(cfg))
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: decode error %v, want a corrupt snapshot", tc.name, err)
 		}
 	}
 }

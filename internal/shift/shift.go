@@ -120,7 +120,7 @@ type Detector struct {
 	free   []int32
 	// bySlot caches, per caller-provided slot hint, the slab index the
 	// hint last resolved to. The engine's evaluation loop feeds each pair's
-	// tracker arena slot as the hint: a slot names the same pair for the
+	// tracker slot as the hint: a slot names the same pair for the
 	// pair's whole tracked lifetime, so after a pair's first evaluation the
 	// hint resolves its detector state with one array read plus a key
 	// compare instead of a map probe — no positional bookkeeping, immune to
@@ -284,7 +284,7 @@ func (d *Detector) EvaluateCorrelation(t time.Time, k pairs.Key, corr, nab float
 // so a reused out carries nothing over from the previous pair).
 //
 // hint, when >= 0, is a caller-provided stable small integer identity for
-// the pair — the engine passes the pair's tracker arena slot, which names
+// the pair — the engine passes the pair's tracker slot, which names
 // the same pair for as long as the pair is tracked. The detector caches the
 // hint → state resolution (see bySlot) so steady-state evaluation skips the
 // map probe; a hint that no longer matches (slot reused, state released) is

@@ -183,24 +183,6 @@ func (a *CounterArena) IncAbs(slot int32, abs int64) {
 	a.totals[slot]++
 }
 
-// AddAbs records weight w at absolute bucket abs in the slot — IncAbs with
-// a weight. It exists for the tier promotion path, which seeds a freshly
-// re-admitted pair's counter with its whole sketch-estimated windowed count
-// in one call; the weight is always integer-valued there, so the "totals
-// stay exact" invariant of the unit-increment arena carries over (float64
-// is exact for integers up to 2^53). Non-positive weights are ignored.
-func (a *CounterArena) AddAbs(slot int32, abs int64, w float64) {
-	if w <= 0 {
-		return
-	}
-	a.advance(slot, abs)
-	if abs <= a.heads[slot]-int64(a.nbuckets) {
-		return // too old: outside the window
-	}
-	a.buckets[int(mod(abs, int64(a.nbuckets)))*a.stride+int(slot)] += w
-	a.totals[slot] += w
-}
-
 // Observe advances the slot's window to time t without recording anything,
 // expiring stale buckets.
 func (a *CounterArena) Observe(slot int32, t time.Time) {
